@@ -2,25 +2,34 @@
 
 certify() runs the whole pipeline for one domain: contact frame, normalizer,
 universal constants for the declared convexity class, then sampled re-checks
-of every containment the certificate rests on.  On top of the certificate it
-builds the witness embedding (half-plane maps after the normalizer for convex
-domains; catalog Riemann maps of the coordinate projections for C-convex
-ones) and measures the inscribed radius of its image by batched ray exits.
-The certified numbers come from the closed forms; the witness numbers are
-labeled empirical and carry their sampling resolution.
+of every containment the certificate rests on.  The model bodies of those
+containments (the l1 simplex, the small polydisc and the small ball) are
+catalog DomainSpecs, scaled through affine_image; their boundaries are drawn
+by domains.boundary_samples and measured against the outer body's batched
+boundary residual.  On top of the certificate it builds the witness embedding
+(half-plane maps after the normalizer for convex domains; catalog Riemann
+maps of the coordinate projections for C-convex ones) and measures the
+inscribed radius of its image by batched ray exits.  The certified numbers
+come from the closed forms; the witness numbers are labeled empirical and
+carry their sampling resolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .domains import (
     DomainSpec,
+    affine_image,
+    ball,
     boundary_residual,
+    boundary_samples,
     contains,
     convexity_spot_check,
     interior_samples,
+    l1ball,
+    polydisc,
 )
 from .errors import (
     ArgumentError,
@@ -40,92 +49,6 @@ BOUNDARY_SHRINK = 1.0 - 1e-9
 # projection clouds are decimated to this many points for serialization
 CLOUD_JSON_CAP = 2000
 
-_PHASES = np.array([1.0, -1.0, 1j, -1j])
-
-
-# -- shape descriptors and samplers ------------------------------------------
-
-@dataclass(frozen=True)
-class ShapeDescriptor:
-    """Model body: ball, polydisc, or the l1 body {sum |w_j| < r}, optionally
-    pushed through an invertible linear map."""
-
-    kind: str
-    n: int
-    radius: float = 1.0
-    matrix: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("ball", "polydisc", "simplex"):
-            raise ArgumentError(f"unknown shape kind {self.kind!r}")
-        if self.n < 1:
-            raise ArgumentError("shape dimension must be positive")
-        if not self.radius > 0:
-            raise ArgumentError("shape radius must be positive")
-        if self.matrix is not None:
-            mat = np.asarray(self.matrix, dtype=complex)
-            if mat.shape != (self.n, self.n):
-                raise ArgumentError(f"shape matrix must be {self.n}x{self.n}")
-            mat.setflags(write=False)
-            object.__setattr__(self, "matrix", mat)
-
-
-def ball_shape(n, radius=1.0) -> ShapeDescriptor:
-    return ShapeDescriptor(kind="ball", n=n, radius=radius)
-
-
-def polydisc_shape(n, radius=1.0) -> ShapeDescriptor:
-    return ShapeDescriptor(kind="polydisc", n=n, radius=radius)
-
-
-def simplex_shape(n, radius=1.0) -> ShapeDescriptor:
-    return ShapeDescriptor(kind="simplex", n=n, radius=radius)
-
-
-_GAUGES = {
-    "ball": lambda z: np.linalg.norm(z, axis=-1),
-    "polydisc": lambda z: np.max(np.abs(z), axis=-1),
-    "simplex": lambda z: np.sum(np.abs(z), axis=-1),
-}
-
-
-def shape_gauge(shape: ShapeDescriptor, z) -> np.ndarray:
-    """Gauge values of points (batch (..., n)); z is inside iff gauge < radius."""
-    z = np.asarray(z, dtype=complex)
-    if shape.matrix is not None:
-        z = z @ np.linalg.inv(shape.matrix).T
-    return _GAUGES[shape.kind](z)
-
-
-def _canonical_directions(kind, n):
-    """Deterministic boundary points of the unit body: axis points under the
-    four quarter phases, plus the all-ones corner under the same phases."""
-    eye = np.eye(n, dtype=complex)
-    pts = [ph * eye for ph in _PHASES]
-    ones = np.ones(n, dtype=complex)
-    corner = {"ball": ones / np.sqrt(n), "polydisc": ones, "simplex": ones / n}[kind]
-    pts.append(np.outer(_PHASES, corner))
-    return np.concatenate(pts)
-
-
-def shape_boundary_samples(shape: ShapeDescriptor, count, rng) -> np.ndarray:
-    """Boundary points of the shape: canonical corners first, then random."""
-    n = shape.n
-    kind = shape.kind
-    if kind == "ball":
-        g = rng.normal(size=(count, 2 * n)).view(complex)
-        rand = g / np.linalg.norm(g, axis=1, keepdims=True)
-    elif kind == "polydisc":
-        rand = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(count, n)))
-    else:
-        mod = rng.dirichlet(np.ones(n), size=count)
-        rand = mod * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(count, n)))
-    pts = shape.radius * np.concatenate([_canonical_directions(kind, n), rand])
-    if shape.matrix is not None:
-        pts = pts @ shape.matrix.T
-    return pts
-
-
 # -- generic containment check ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -142,34 +65,26 @@ class MarginReport:
                 "violations": self.violations, "min_slack": self.min_slack}
 
 
-def _outer_slack(outer, pts):
-    if isinstance(outer, ShapeDescriptor):
-        return outer.radius - shape_gauge(outer, pts)
-    if isinstance(outer, DomainSpec):
-        return -np.array([boundary_residual(outer, p) for p in pts])
-    raise ArgumentError("outer must be a ShapeDescriptor or DomainSpec")
-
-
-def containment_check(inner: ShapeDescriptor, mapping, outer, samples=2000,
+def containment_check(inner: DomainSpec, mapping, outer: DomainSpec, samples=2000,
                       seed=0, shrink=BOUNDARY_SHRINK, name=None) -> MarginReport:
     """Sample the inner boundary, apply the map, measure the outer slack.
 
-    `mapping` is None (identity), a square matrix, or a WitnessMap; `outer` a
-    ShapeDescriptor or a DomainSpec (slack is then the negated boundary
-    residual, sign-faithful but not a distance).
+    `inner` is a body `boundary_samples` covers; `mapping` is None (identity),
+    a square matrix, or a WitnessMap.  The slack is the negated boundary
+    residual of `outer`: sign-faithful, but not a distance for image and
+    defining-function kinds.
     """
     rng = np.random.default_rng(seed)
-    pts = shrink * shape_boundary_samples(inner, samples, rng)
+    pts = shrink * boundary_samples(inner, samples, rng)
     if mapping is None:
         imgs = pts
     elif isinstance(mapping, WitnessMap):
         imgs = witness_eval(mapping, pts)
     else:
         imgs = pts @ np.asarray(mapping, dtype=complex).T
-    slack = _outer_slack(outer, imgs)
-    label = name or f"{inner.kind}({inner.radius:g}) in " + (
-        outer.kind if isinstance(outer, ShapeDescriptor) else outer.kind)
-    return MarginReport(check=label, samples=int(pts.shape[0]),
+    slack = -boundary_residual(outer, imgs)
+    return MarginReport(check=name or f"{inner.kind} in {outer.kind}",
+                        samples=int(pts.shape[0]),
                         violations=int(np.count_nonzero(slack < 0)),
                         min_slack=float(slack.min()))
 
@@ -259,13 +174,8 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0):
         raise ArgumentError("ray budget must be positive")
     if not oracle(np.zeros((1, n), dtype=complex))[0]:
         raise ArgumentError("inscribed radius needs 0 inside the image")
-    rng = np.random.default_rng(seed)
-    if shape == "ball":
-        g = rng.normal(size=(rays, 2 * n)).view(complex)
-        rand = g / np.linalg.norm(g, axis=1, keepdims=True)
-    else:
-        rand = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(rays, n)))
-    dirs = np.concatenate([_canonical_directions(shape, n), rand])
+    body = ball(n) if shape == "ball" else polydisc(n)
+    dirs = boundary_samples(body, rays, np.random.default_rng(seed))
 
     m = dirs.shape[0]
     lo = np.zeros(m)
@@ -400,18 +310,6 @@ class BoundReport:
     seed: int
 
 
-def _reclass(d: DomainSpec, convexity_class) -> DomainSpec:
-    if convexity_class == d.convexity_class:
-        return d
-    return DomainSpec(
-        n=d.n, kind=d.kind, convexity_class=convexity_class,
-        bounding_radius=d.bounding_radius, p=d.p, base=d.base,
-        matrix=None if d.matrix is None else np.array(d.matrix),
-        offset=None if d.offset is None else np.array(d.offset),
-        denominator=None if d.denominator is None else np.array(d.denominator),
-        rho=d.rho)
-
-
 def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
             cloud_samples=100_000, rays=12000, spot_trials=200,
             n_starts=None) -> BoundReport:
@@ -427,7 +325,8 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     convexity_class = convexity_class or d.convexity_class
     if convexity_class not in ("convex", "cconvex"):
         raise ArgumentError(f"unknown convexity class {convexity_class!r}")
-    d = _reclass(d, convexity_class)
+    if convexity_class != d.convexity_class:
+        d = replace(d, convexity_class=convexity_class)
     if spot_trials:
         bad = convexity_spot_check(d, trials=spot_trials,
                                    seed=np.random.SeedSequence(entropy=(seed, 5)))
@@ -455,23 +354,26 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     composite = norm.composite
     composite_inv = norm.t_inverse.entries @ a_inv
 
+    simplex = l1ball(n)
+    small_pd = affine_image(polydisc(n), 1.0 / (2.0**n - 1.0) * np.eye(n))
+    small_ball = affine_image(ball(n), 1.0 / consts.c_n * np.eye(n))
     margins = {}
     margins["simplex_in_domain_image"] = containment_check(
-        simplex_shape(n), norm.t_inverse.entries, d, samples=samples,
+        simplex, norm.t_inverse.entries, d, samples=samples,
         seed=np.random.SeedSequence(entropy=(seed, 11)),
         name="simplex inside normalized domain")
     margins["pd_in_sheared_simplex"] = containment_check(
-        polydisc_shape(n, 1.0 / (2.0**n - 1.0)), a_inv, simplex_shape(n),
+        small_pd, a_inv, simplex,
         samples=samples, seed=np.random.SeedSequence(entropy=(seed, 12)),
         name="small polydisc through A inverse")
     margins["ball_in_sheared_simplex"] = containment_check(
-        ball_shape(n, 1.0 / consts.c_n), a_inv, simplex_shape(n),
+        small_ball, a_inv, simplex,
         samples=samples, seed=np.random.SeedSequence(entropy=(seed, 13)),
         name="small ball through A inverse")
     # the closed ball must stay strictly inside: its boundary meeting the
     # simplex boundary would need a fully saturated normalizer row
     margins["closed_ball_strictness"] = containment_check(
-        ball_shape(n, 1.0 / consts.c_n), a_inv, simplex_shape(n),
+        small_ball, a_inv, simplex,
         samples=samples, seed=np.random.SeedSequence(entropy=(seed, 14)),
         shrink=1.0, name="closed ball through A inverse")
 

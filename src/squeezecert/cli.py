@@ -72,7 +72,6 @@ class RunConfig:
     tol: float = DEFAULT_TOL
     format: str = "json"
     out: str | None = None
-    threads: int | None = None
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -143,25 +142,13 @@ def _parse_point(text: str) -> list:
         raise UsageError(f"bad point {text!r}; expected comma-separated complex literals")
 
 
-def _apply_threads(threads):
-    if threads is None:
-        return
-    if threads < 1:
-        raise UsageError("--threads must be at least 1")
-    try:
-        import threadpoolctl
-    except ImportError:
-        return  # recorded in the config; inner modules stay on their defaults
-    threadpoolctl.threadpool_limits(limits=threads)
-
-
 # -- subcommands --------------------------------------------------------------
 
 def cmd_constants(args) -> int:
     if args.n_max < 2 or args.n_max > 64:
         raise UsageError(f"--n-max must lie in 2..64, got {args.n_max}")
     config = RunConfig(command="constants", n=str(args.n_max), seed=args.seed,
-                       format=args.format, out=args.out, threads=args.threads)
+                       format=args.format, out=args.out)
     if args.format == "csv":
         header = f"# squeeze-cert {__version__} constants --n-max {args.n_max}\n"
         _write(header + constants_csv(args.n_max) + "\n", args.out)
@@ -189,7 +176,7 @@ def cmd_bound(args) -> int:
         command="bound", spec=args.spec, convexity_class=args.convexity_class,
         point=None if point is None else [[z.real, z.imag] for z in point],
         samples=args.samples, seed=args.seed, tol=args.tol,
-        format=args.format, out=args.out, threads=args.threads)
+        format=args.format, out=args.out)
     kwargs = {} if args.samples is None else {"samples": args.samples}
     report = certify(domain, convexity_class=args.convexity_class,
                      seed=args.seed, **kwargs)
@@ -210,8 +197,7 @@ def cmd_verify(args) -> int:
     dims = _parse_dims(args.n) if args.n else None
     config = RunConfig(command="verify", n=args.n, suite=args.suite,
                        trials=args.trials, samples=args.samples, seed=args.seed,
-                       tol=args.tol, format=args.format, out=args.out,
-                       threads=args.threads)
+                       tol=args.tol, format=args.format, out=args.out)
     selected = ("star", "lemmas", "strictness") if args.suite == "all" else (args.suite,)
     reports = []
     for name in selected:
@@ -248,7 +234,7 @@ def cmd_probe_kappa(args) -> int:
     config = RunConfig(command="probe-kappa", n=args.n, family=args.family,
                        convexity_class=args.convexity_class, budget=args.budget,
                        samples=args.samples, seed=args.seed, tol=args.tol,
-                       format=args.format, out=args.out, threads=args.threads)
+                       format=args.format, out=args.out)
     kwargs = {} if args.samples is None else {"samples": args.samples}
     report = kappa_probe(args.family, n=dims[0], budget=args.budget,
                          seed=args.seed, convexity_class=args.convexity_class,
@@ -268,8 +254,6 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write the report here instead of stdout")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="cap BLAS worker threads (default: machine parallelism)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +298,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_threads(args.threads)
         return args.func(args)
     except (UsageError, FileNotFoundError, DomainFormatError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

@@ -3,11 +3,18 @@
 A DomainSpec is a closed description of a bounded domain in C^n containing the
 origin-to-be-certified, either as a catalog body (ball, polydisc, l1 ball,
 lp ball), as an affine or projective image of another spec, or as a sublevel
-set of a user-supplied real-analytic defining expression.  Membership is exact
-for catalog kinds and reduces to a linear solve for image kinds; boundary
-crossings along rays are located by bracketing and bisection.
+set of a user-supplied real-analytic defining expression.  It is the only
+body type: the model bodies of the certificate are catalog specs, scaled
+through affine_image.
 
-Membership, ray exits, and interior sampling all accept batched inputs with
+One batched residual kernel per kind carries membership and the boundary
+equation: gauge - 1 for catalog kinds, the base residual at the preimage for
+image kinds (a linear solve, +inf where no preimage exists), the defining
+values otherwise; `contains` is residual < 0.  Boundary crossings along rays
+are located by bracketing and bisection, and `boundary_samples` draws boundary
+points of the ball, polydisc and l1 ball and their images.
+
+Membership, residuals, ray exits, and sampling all accept batched inputs with
 shape (..., n); everything downstream leans on that.
 """
 from __future__ import annotations
@@ -249,39 +256,56 @@ def _defining_values(d, z):
     return vals.real
 
 
-# -- membership --------------------------------------------------------------
+# -- membership and boundary residuals ---------------------------------------
 
 def contains(d: DomainSpec, z):
     """Whether z lies in the open domain; z may be a batch of shape (..., n)."""
+    z, res = _batched_residual(d, z)
+    inside = res < 0.0
+    return bool(inside) if z.ndim == 1 else inside
+
+
+def boundary_residual(d: DomainSpec, a):
+    """Signed residual of the kind's boundary equation (negative inside).
+
+    a may be a batch of shape (..., n); a single point gives a float.  Image
+    kinds report +inf where a point has no preimage.
+    """
+    a, res = _batched_residual(d, a)
+    return float(res) if a.ndim == 1 else res
+
+
+def _batched_residual(d, z):
     z = np.asarray(z, dtype=complex)
     if z.shape[-1] != d.n:
         raise ArgumentError(f"point has trailing dimension {z.shape[-1]}, domain has n={d.n}")
-    scalar = z.ndim == 1
-    out = _contains(d, z.reshape(-1, d.n)).reshape(z.shape[:-1])
-    return bool(out) if scalar else out
+    return z, _residual(d, z.reshape(-1, d.n)).reshape(z.shape[:-1])
 
 
-def _contains(d, z):
+def _residual(d, z):
+    """Residuals at points z of shape (m, n): gauge - 1 for catalog kinds, the
+    base residual at the preimage for image kinds, the defining values."""
+    # the array-method reductions (the sum is the one np.linalg.norm takes)
+    # give the same values as the np.* wrappers and save more per call than
+    # the subtraction costs; membership runs 10^5 times per certificate
     kind = d.kind
     if kind == "ball":
-        return np.linalg.norm(z, axis=-1) < 1.0
+        return np.sqrt((z.conj() * z).real.sum(axis=-1)) - 1.0
     if kind == "polydisc":
-        return np.max(np.abs(z), axis=-1) < 1.0
+        return np.abs(z).max(axis=-1) - 1.0
     if kind == "l1ball":
-        return np.sum(np.abs(z), axis=-1) < 1.0
+        return np.abs(z).sum(axis=-1) - 1.0
     if kind == "lp_ball":
-        return np.sum(np.abs(z) ** d.p, axis=-1) < 1.0
+        return (np.abs(z) ** d.p).sum(axis=-1) - 1.0
     if kind == "affine_image":
-        w = (z - d.offset) @ d._matrix_inv.T
-        return _contains(d.base, w)
+        return _residual(d.base, (z - d.offset) @ d._matrix_inv.T)
     if kind == "projective_image":
         w, ok = _projective_preimage(d, z)
-        inside = np.zeros(z.shape[0], dtype=bool)
+        res = np.full(z.shape[0], np.inf)
         if np.any(ok):
-            inside[ok] = _contains(d.base, w[ok])
-        return inside
-    values = _defining_values(d, z)
-    return values < 0.0
+            res[ok] = _residual(d.base, w[ok])
+        return res
+    return _defining_values(d, z)
 
 
 def _projective_preimage(d, z):
@@ -301,7 +325,7 @@ def _projective_preimage(d, z):
         recon = np.full_like(w[ok], np.inf)
         recon[good] = (w[ok][good] @ d.matrix.T + d.offset) / den[good][:, None]
         ok_idx = np.flatnonzero(ok)
-        bad = ~(np.max(np.abs(recon - z[ok]), axis=-1) < 1e-8 * (1.0 + np.abs(z[ok]).max()))
+        bad = ~(np.max(np.abs(recon - z[ok]), axis=-1) < 1e-8 * (1.0 + np.abs(z[ok]).max(axis=-1)))
         ok[ok_idx[bad]] = False
     return w, ok
 
@@ -376,25 +400,37 @@ def ray_exit_batch(d: DomainSpec, base, directions, tol=1e-12) -> np.ndarray:
     return lo
 
 
-def boundary_residual(d: DomainSpec, a) -> float:
-    """Signed residual of the kind's boundary equation at a (negative inside)."""
-    a = np.asarray(a, dtype=complex)
+# -- boundary sampling -------------------------------------------------------
+
+_PHASES = np.array([1.0, -1.0, 1j, -1j])
+
+
+def boundary_samples(d: DomainSpec, count, rng) -> np.ndarray:
+    """Boundary points of a ball, polydisc or l1 ball, or of an image of one.
+
+    The axis points and the all-ones corner under the four quarter phases
+    lead the block, followed by `count` random boundary points; image kinds
+    map their base's samples forward.
+    """
+    if d.kind in IMAGE_KINDS:
+        return forward_map(d, boundary_samples(d.base, count, rng))
+    n = d.n
+    ones = np.ones(n, dtype=complex)
     if d.kind == "ball":
-        return float(np.linalg.norm(a) - 1.0)
-    if d.kind == "polydisc":
-        return float(np.max(np.abs(a)) - 1.0)
-    if d.kind == "l1ball":
-        return float(np.sum(np.abs(a)) - 1.0)
-    if d.kind == "lp_ball":
-        return float(np.sum(np.abs(a) ** d.p) - 1.0)
-    if d.kind == "affine_image":
-        return boundary_residual(d.base, (a - d.offset) @ d._matrix_inv.T)
-    if d.kind == "projective_image":
-        w, ok = _projective_preimage(d, a[None, :])
-        if not ok[0]:
-            return math.inf
-        return boundary_residual(d.base, w[0])
-    return float(_defining_values(d, a[None, :])[0])
+        g = rng.normal(size=(count, 2 * n)).view(complex)
+        rand = g / np.linalg.norm(g, axis=1, keepdims=True)
+        corner = ones / np.sqrt(n)
+    elif d.kind == "polydisc":
+        rand = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(count, n)))
+        corner = ones
+    elif d.kind == "l1ball":
+        mod = rng.dirichlet(np.ones(n), size=count)
+        rand = mod * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(count, n)))
+        corner = ones / n
+    else:
+        raise ArgumentError(f"no boundary sampler for {d.kind}")
+    eye = np.eye(n, dtype=complex)
+    return np.concatenate([ph * eye for ph in _PHASES] + [np.outer(_PHASES, corner), rand])
 
 
 # -- interior sampling -------------------------------------------------------
@@ -448,7 +484,7 @@ def _rejection_samples(d, count, rng, proposal, max_rounds=400):
             g /= np.linalg.norm(g, axis=1, keepdims=True)
             r = radius * rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / (2 * d.n))
             cand = g * r
-        keep = cand[_contains(d, cand)]
+        keep = cand[_residual(d, cand) < 0.0]
         if keep.size:
             out.append(keep)
             have += keep.shape[0]

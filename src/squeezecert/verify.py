@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    ball_shape,
-    certify,
-    containment_check,
-    polydisc_shape,
-    simplex_shape,
-)
+from .bounds import certify, containment_check
 from .domains import (
     affine_image,
     ball,
@@ -228,9 +222,9 @@ def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteRep
         raise ArgumentError("trials and samples must be positive")
     track = _Tracker()
     for n in dims:
-        pd_small = polydisc_shape(n, 1.0 / (2.0**n - 1.0))
-        ball_small = ball_shape(n, 1.0 / c_const(n))
-        outer = simplex_shape(n)
+        pd_small = affine_image(polydisc(n), 1.0 / (2.0**n - 1.0) * np.eye(n))
+        ball_small = affine_image(ball(n), 1.0 / c_const(n) * np.eye(n))
+        outer = l1ball(n)
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3, n, trial)))
             alpha = _all_minus_one(n) if trial == 0 else _random_alpha(n, rng)

@@ -7,9 +7,8 @@ import time
 import mpmath
 import numpy as np
 
-from squeezecert.bounds import certify, containment_check, report_to_json, \
-    ball_shape, polydisc_shape, simplex_shape
-from squeezecert.domains import ball, contains, l1ball, polydisc, projective_image
+from squeezecert.bounds import certify, containment_check, report_to_json
+from squeezecert.domains import affine_image, ball, contains, l1ball, polydisc, projective_image
 from squeezecert.numerics import (
     c_const,
     constants_table,
@@ -128,12 +127,12 @@ def test_criterion_4_lemma_suite():
     for n in (2, 3, 4, 5):
         alpha = np.tril(-np.ones((n, n)), -1) + np.eye(n)
         inv = inverse_coefficients(unit_lower(alpha)).entries
-        tight = containment_check(polydisc_shape(n, 1.0 / (2.0 ** n - 1.0)), inv,
-                                  simplex_shape(n), samples=1000, seed=0)
+        tight = containment_check(affine_image(polydisc(n), 1.0 / (2.0 ** n - 1.0) * np.eye(n)),
+                                  inv, l1ball(n), samples=1000, seed=0)
         checks.append((f"n={n} all-(-1) worst margin <= 1e-6",
                        0.0 <= tight.min_slack <= 1e-6))
-        ball_rep = containment_check(ball_shape(n, 1.0 / c_const(n)), inv,
-                                     simplex_shape(n), samples=1000, seed=0)
+        ball_rep = containment_check(affine_image(ball(n), 1.0 / c_const(n) * np.eye(n)), inv,
+                                     l1ball(n), samples=1000, seed=0)
         checks.append((f"n={n} ball containment clean", ball_rep.violations == 0))
     _gate(4, "triangular containment suite", t0, 120.0, checks)
 

@@ -7,22 +7,26 @@ import pytest
 from squeezecert.bounds import (
     BoundReport,
     MarginReport,
-    ShapeDescriptor,
     WitnessMap,
-    ball_shape,
     certify,
     containment_check,
     inscribed_radius_estimate,
     match_projection,
-    polydisc_shape,
     report_to_json,
-    shape_boundary_samples,
-    shape_gauge,
-    simplex_shape,
     witness_eval,
 )
-from squeezecert.domains import ball, l1ball, polydisc, projective_image
-from squeezecert.errors import ArgumentError, ClassMismatchError
+from squeezecert.domains import (
+    DomainSpec,
+    affine_image,
+    ball,
+    boundary_residual,
+    boundary_samples,
+    l1ball,
+    lp_ball,
+    polydisc,
+    projective_image,
+)
+from squeezecert.errors import ArgumentError, ClassMismatchError, DomainFormatError
 from squeezecert.numerics import tau, unit_lower, universal_bounds, inverse_coefficients
 
 
@@ -56,49 +60,59 @@ def polydisc_cconvex_report():
     return certify(polydisc(2), convexity_class="cconvex", seed=0)
 
 
-# -- shapes -------------------------------------------------------------------
+def scaled(body, radius):
+    """The body dilated by `radius` about the origin."""
+    return affine_image(body, radius * np.eye(body.n))
+
+
+# -- model bodies -------------------------------------------------------------
 
 def test_shape_descriptor_validation():
-    with pytest.raises(ArgumentError):
-        ShapeDescriptor(kind="cube", n=2)
-    with pytest.raises(ArgumentError):
-        ball_shape(2, radius=0.0)
-    with pytest.raises(ArgumentError):
-        ShapeDescriptor(kind="ball", n=2, matrix=np.eye(3))
+    with pytest.raises(DomainFormatError):
+        DomainSpec(n=2, kind="cube", convexity_class="convex")
+    with pytest.raises(DomainFormatError):
+        scaled(ball(2), 0.0)
+    with pytest.raises(DomainFormatError):
+        affine_image(ball(2), np.eye(3))
 
 
-def test_shape_gauges():
+def test_model_body_residuals():
     z = np.array([[0.6, 0.8j]])
-    assert np.isclose(shape_gauge(ball_shape(2), z)[0], 1.0)
-    assert np.isclose(shape_gauge(polydisc_shape(2), z)[0], 0.8)
-    assert np.isclose(shape_gauge(simplex_shape(2), z)[0], 1.4)
-    sheared = ShapeDescriptor(kind="polydisc", n=2,
-                              matrix=np.array([[2.0, 0], [0, 1.0]]))
-    assert np.isclose(shape_gauge(sheared, np.array([[1.0, 0.5]]))[0], 0.5)
+    assert np.isclose(boundary_residual(ball(2), z)[0], 0.0)
+    assert np.isclose(boundary_residual(polydisc(2), z)[0], -0.2)
+    assert np.isclose(boundary_residual(l1ball(2), z)[0], 0.4)
+    sheared = affine_image(polydisc(2), np.array([[2.0, 0], [0, 1.0]]))
+    assert np.isclose(boundary_residual(sheared, np.array([[1.0, 0.5]]))[0], 0.5 - 1.0)
 
 
-@pytest.mark.parametrize("shape", [ball_shape(3, 0.7), polydisc_shape(2, 2.0),
-                                   simplex_shape(3, 1.5)])
+@pytest.mark.parametrize("shape", [scaled(ball(3), 0.7), scaled(polydisc(2), 2.0),
+                                   scaled(l1ball(3), 1.5)])
 def test_boundary_samples_sit_on_boundary(shape):
-    pts = shape_boundary_samples(shape, 500, np.random.default_rng(0))
-    gauges = shape_gauge(shape, pts)
-    assert np.allclose(gauges, shape.radius, atol=1e-12)
+    pts = boundary_samples(shape, 500, np.random.default_rng(0))
+    assert pts.shape == (4 * shape.n + 4 + 500, shape.n)
+    assert np.allclose(boundary_residual(shape, pts), 0.0, atol=1e-12)
     # canonical axis points and the all-ones corner lead the sample block
-    assert np.allclose(pts[0], shape.radius * np.eye(shape.n)[0], atol=1e-12)
+    radius = shape.matrix[0, 0].real
+    assert np.allclose(pts[0], radius * np.eye(shape.n)[0], atol=1e-12)
+
+
+def test_boundary_samples_reject_bodies_without_sampler():
+    with pytest.raises(ArgumentError):
+        boundary_samples(lp_ball(2, 3.0), 10, np.random.default_rng(0))
 
 
 # -- containment check --------------------------------------------------------
 
 def test_containment_small_polydisc_in_simplex():
-    rep = containment_check(polydisc_shape(2, 1.0 / 3.0), None, simplex_shape(2),
+    rep = containment_check(scaled(polydisc(2), 1.0 / 3.0), None, l1ball(2),
                             samples=2000, seed=0)
     assert rep.violations == 0
     assert abs(rep.min_slack - 1.0 / 3.0) < 1e-6
 
 
 def test_containment_small_ball_in_simplex():
-    rep = containment_check(ball_shape(2, 1.0 / np.sqrt(5.0)), None,
-                            simplex_shape(2), samples=2000, seed=0)
+    rep = containment_check(scaled(ball(2), 1.0 / np.sqrt(5.0)), None,
+                            l1ball(2), samples=2000, seed=0)
     assert rep.violations == 0
     assert abs(rep.min_slack - (1.0 - np.sqrt(2.0 / 5.0))) < 1e-6
 
@@ -107,8 +121,8 @@ def test_containment_small_ball_in_simplex():
 def test_containment_worst_case_shear_is_tight(n):
     alpha = np.tril(-np.ones((n, n)), -1) + np.eye(n)
     inv = inverse_coefficients(unit_lower(alpha)).entries
-    rep = containment_check(polydisc_shape(n, 1.0 / (2.0**n - 1.0)), inv,
-                            simplex_shape(n), samples=2000, seed=0)
+    rep = containment_check(scaled(polydisc(n), 1.0 / (2.0**n - 1.0)), inv,
+                            l1ball(n), samples=2000, seed=0)
     assert rep.violations == 0
     assert 0.0 <= rep.min_slack <= 1e-6
 
@@ -121,22 +135,32 @@ def test_containment_random_triangular_shears():
         raw /= np.maximum(1.0, np.abs(raw))
         alpha = np.tril(raw, -1) + np.eye(3)
         inv = inverse_coefficients(unit_lower(alpha)).entries
-        for inner in (polydisc_shape(3, 1.0 / 7.0), ball_shape(3, 1.0 / consts.c_n)):
-            rep = containment_check(inner, inv, simplex_shape(3),
+        for inner in (scaled(polydisc(3), 1.0 / 7.0), scaled(ball(3), 1.0 / consts.c_n)):
+            rep = containment_check(inner, inv, l1ball(3),
                                     samples=400, seed=1)
             assert rep.violations == 0
             assert rep.min_slack >= -1e-10
 
 
 def test_containment_outer_domain_spec():
-    rep = containment_check(polydisc_shape(2, 0.5), None, polydisc(2),
+    rep = containment_check(scaled(polydisc(2), 0.5), None, polydisc(2),
                             samples=500, seed=0)
     assert rep.violations == 0
     assert abs(rep.min_slack - 0.5) < 1e-6
 
 
+def test_containment_outer_projective_image():
+    # the Cayley image of the bidisc contains the polydisc of radius 1/3
+    d = projective_image(polydisc(2), np.eye(2), np.zeros(2), [2.0, -1.0, 0.0])
+    rep = containment_check(scaled(polydisc(2), 0.3), None, d, samples=500, seed=0)
+    assert rep.violations == 0
+    assert rep.check == "affine_image in projective_image"
+    rep = containment_check(scaled(polydisc(2), 0.4), None, d, samples=500, seed=0)
+    assert rep.violations > 0
+
+
 def test_margin_report_dict():
-    rep = containment_check(ball_shape(2, 0.5), None, ball_shape(2), samples=50,
+    rep = containment_check(scaled(ball(2), 0.5), None, ball(2), samples=50,
                             seed=0, name="probe")
     assert rep.as_dict()["check"] == "probe"
     assert isinstance(rep, MarginReport)
@@ -161,7 +185,7 @@ def test_inscribed_radius_of_disc_product():
     assert lower > 1.0 / 3.0 - 5e-3
 
 
-def test_inscribed_radius_of_simplex_with_ball_shape():
+def test_inscribed_radius_of_simplex_along_ball_directions():
     oracle = lambda y: np.sum(np.abs(y), axis=-1) < 1.0
     lower, upper = inscribed_radius_estimate(oracle, 2, shape="ball",
                                              rays=2000, seed=0)

@@ -202,12 +202,3 @@ def test_missing_subcommand(capsys):
 
 def test_unknown_subcommand(capsys):
     assert run_cli(["squeeze-harder"], capsys)[0] == EXIT_USAGE
-
-
-def test_threads_flag_accepted(capsys):
-    rc, out, _ = run_cli(
-        ["constants", "--n-max", "2", "--threads", "1"], capsys)
-    assert rc == EXIT_OK
-    assert json.loads(out)["config"]["threads"] == 1
-    assert run_cli(["constants", "--n-max", "2", "--threads", "0"],
-                   capsys)[0] == EXIT_USAGE

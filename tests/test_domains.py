@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from squeezecert.domains import (
+    ALL_KINDS,
     DomainSpec,
     affine_image,
     ball,
@@ -235,6 +236,39 @@ def test_boundary_residual_signs():
     assert boundary_residual(d, np.array([-1.0 / 3.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
     assert boundary_residual(d, np.array([0.0, 0.2])) < 0
     assert boundary_residual(ball(2), np.array([1.1, 0.0])) > 0
+
+
+def one_of_each_kind():
+    return {
+        "ball": ball(2),
+        "polydisc": polydisc(2),
+        "l1ball": l1ball(2),
+        "lp_ball": lp_ball(2, 3.0),
+        "affine_image": affine_image(ball(2), [[1.0, 0.5j], [0.0, 2.0]], [0.1, -0.2j]),
+        "projective_image": cayley_polydisc(),
+        "defining_function": defining_domain(2, "abs(z1)**2 + abs(z2)**4 - 1", "convex"),
+    }
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_residual_kernel_is_membership_and_row_independent(kind):
+    d = one_of_each_kind()[kind]
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(60, 4)).view(complex)
+    radii = np.repeat([0.3, 0.9, 1.5, 2.5], 15)[:, None]
+    # z1 = -1 is the horizon of the Cayley image: no preimage there
+    horizon = np.array([[-1.0, 0.0], [-1.0, 0.5j], [-1.0, 2.0]])
+    z = np.concatenate([radii * g / np.linalg.norm(g, axis=1, keepdims=True), horizon])
+    res = boundary_residual(d, z)
+    inside = contains(d, z)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(inside, res < 0)
+    rows = np.array([boundary_residual(d, p) for p in z])
+    assert all(isinstance(r, float) for r in rows)
+    np.testing.assert_allclose(res, rows, rtol=0, atol=1e-15)
+    assert np.array_equal(boundary_residual(d, z.reshape(3, 21, 2)), res.reshape(3, 21))
+    if kind == "projective_image":
+        assert np.isinf(res[-3:]).all() and np.isfinite(res[:-3]).all()
 
 
 # -- declared class spot checks ---------------------------------------------
