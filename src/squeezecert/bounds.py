@@ -21,6 +21,7 @@ import numpy as np
 
 from .domains import (
     DomainSpec,
+    _first_exits,
     affine_image,
     ball,
     boundary_residual,
@@ -36,7 +37,6 @@ from .errors import (
     ClassMismatchError,
     MapDomainError,
     PipelineInconsistencyError,
-    RayCapError,
     ValidationFailureError,
 )
 from .frame import Normalizer, build_frame, build_normalizer, normalizer_to_json
@@ -69,19 +69,14 @@ def containment_check(inner: DomainSpec, mapping, outer: DomainSpec, samples=200
                       seed=0, shrink=BOUNDARY_SHRINK, name=None) -> MarginReport:
     """Sample the inner boundary, apply the map, measure the outer slack.
 
-    `inner` is a body `boundary_samples` covers; `mapping` is None (identity),
-    a square matrix, or a WitnessMap.  The slack is the negated boundary
-    residual of `outer`: sign-faithful, but not a distance for image and
-    defining-function kinds.
+    `inner` is a body `boundary_samples` covers; `mapping` is None (identity)
+    or a square matrix.  The slack is the negated boundary residual of
+    `outer`: sign-faithful, but not a distance for image and defining-function
+    kinds.
     """
     rng = np.random.default_rng(seed)
     pts = shrink * boundary_samples(inner, samples, rng)
-    if mapping is None:
-        imgs = pts
-    elif isinstance(mapping, WitnessMap):
-        imgs = witness_eval(mapping, pts)
-    else:
-        imgs = pts @ np.asarray(mapping, dtype=complex).T
+    imgs = pts if mapping is None else pts @ np.asarray(mapping, dtype=complex).T
     slack = -boundary_residual(outer, imgs)
     return MarginReport(check=name or f"{inner.kind} in {outer.kind}",
                         samples=int(pts.shape[0]),
@@ -163,10 +158,12 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0):
     """Empirical inscribed radius of an open image containing 0.
 
     Sends `rays` directions on the unit boundary of the model shape out of the
-    origin, locates each first exit by march and bisection, and returns
-    (lower, upper): upper is the sampled minimum (a true upper bound for the
-    inscribed radius), lower shrinks it by the angular-resolution correction
-    1 - theta^2/2 with theta = rays**(-1/(2n-1)).  No certification claim.
+    origin and locates each first exit with the march and bisection of
+    `domains.ray_exit_batch` (parameter cap 1e8, tolerance 1e-12; RayCapError
+    when a ray never leaves).  Returns (lower, upper): upper is the sampled
+    minimum (a true upper bound for the inscribed radius), lower shrinks it
+    by the angular-resolution correction 1 - theta^2/2 with
+    theta = rays**(-1/(2n-1)).  No certification claim.
     """
     if shape not in ("ball", "polydisc"):
         raise ArgumentError(f"inscribed shape must be ball or polydisc, got {shape!r}")
@@ -176,26 +173,7 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0):
         raise ArgumentError("inscribed radius needs 0 inside the image")
     body = ball(n) if shape == "ball" else polydisc(n)
     dirs = boundary_samples(body, rays, np.random.default_rng(seed))
-
-    m = dirs.shape[0]
-    lo = np.zeros(m)
-    hi = np.full(m, np.nan)
-    t = 1e-3
-    active = np.arange(m)
-    while active.size:
-        if t > 1e8:
-            raise RayCapError(f"{active.size} rays never left the witness image")
-        out = ~oracle(t * dirs[active])
-        hi[active[out]] = t
-        lo[active[~out]] = t
-        active = active[~out]
-        t *= 1.07
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        inside = oracle(mid[:, None] * dirs)
-        lo[inside] = mid[inside]
-        hi[~inside] = mid[~inside]
-    upper = float(lo.min())
+    upper = float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8).min())
     theta = float(rays) ** (-1.0 / (2 * n - 1))
     lower = upper * max(0.0, 1.0 - 0.5 * theta**2)
     return lower, upper

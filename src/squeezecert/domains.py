@@ -10,9 +10,12 @@ through affine_image.
 One batched residual kernel per kind carries membership and the boundary
 equation: gauge - 1 for catalog kinds, the base residual at the preimage for
 image kinds (a linear solve, +inf where no preimage exists), the defining
-values otherwise; `contains` is residual < 0.  Boundary crossings along rays
-are located by bracketing and bisection, and `boundary_samples` draws boundary
-points of the ball, polydisc and l1 ball and their images.
+values otherwise; `contains` is residual < 0.  Every first exit along rays
+comes from one geometric march and bisection, `_first_exits`: ray_exit_batch
+(and through it the frame search, the C-convex spot check and the sampling
+radius of rejection sampling) and the inscribed radius of `bounds`.
+`boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
+their images.
 
 Membership, residuals, ray exits, and sampling all accept batched inputs with
 shape (..., n); everything downstream leans on that.
@@ -42,6 +45,8 @@ DEFAULT_BOUNDING_RADIUS = 1e6
 # geometric march used to bracket the first boundary crossing along a ray
 _MARCH_START = 1e-2
 _MARCH_GROWTH = 1.12
+# absolute bisection tolerance on the exit parameter
+_EXIT_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,10 +325,13 @@ def _projective_preimage(d, z):
     if np.any(ok):
         w[ok] = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
         # guard against blow-ups on the horizon: preimage must reproduce z
-        den = d0 + w[ok] @ dv
+        # per-row reductions: a matmul rounds differently with the batch size
+        # (gemv for one row, gemm for many), which moved horizon decisions
+        den = d0 + np.einsum("ij,j->i", w[ok], dv)
         good = np.abs(den) > 1e-12
         recon = np.full_like(w[ok], np.inf)
-        recon[good] = (w[ok][good] @ d.matrix.T + d.offset) / den[good][:, None]
+        recon[good] = (np.einsum("ij,kj->ik", w[ok][good], d.matrix)
+                       + d.offset) / den[good][:, None]
         ok_idx = np.flatnonzero(ok)
         bad = ~(np.max(np.abs(recon - z[ok]), axis=-1) < 1e-8 * (1.0 + np.abs(z[ok]).max(axis=-1)))
         ok[ok_idx[bad]] = False
@@ -345,59 +353,72 @@ def forward_map(d: DomainSpec, w):
 
 # -- ray exits ---------------------------------------------------------------
 
-def ray_exit(d: DomainSpec, base, direction, tol=1e-12) -> float:
+def ray_exit(d: DomainSpec, base, direction, tol=_EXIT_TOL) -> float:
     """First t > 0 with base + t*direction outside the open domain.
 
     Bracketed by a geometric march (resolution factor ~1.12, so a sliver the
     ray leaves and re-enters between consecutive marks can be skipped), then
-    bisected to absolute tolerance `tol`.  Raises RayCapError if the ray never
+    bisected to absolute tolerance `tol`; `ray_exit_batch` and the inscribed
+    radius of `bounds` share the loop.  Raises RayCapError if the ray never
     leaves below the bounding radius.
     """
     t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :], tol=tol)
     return float(t[0])
 
 
-def ray_exit_batch(d: DomainSpec, base, directions, tol=1e-12) -> np.ndarray:
+def ray_exit_batch(d: DomainSpec, base, directions, tol=_EXIT_TOL) -> np.ndarray:
+    """First exits of rays base + t*directions[i]; `base` is one point (n,)
+    shared by every ray or one point per ray (m, n), all inside the domain."""
     base = np.asarray(base, dtype=complex)
     directions = np.asarray(directions, dtype=complex)
     if directions.ndim != 2 or directions.shape[1] != d.n:
         raise ArgumentError(f"directions must have shape (m, {d.n})")
+    if base.shape not in ((d.n,), directions.shape):
+        raise ArgumentError(f"base must have shape ({d.n},) or {directions.shape}")
     norms = np.linalg.norm(directions, axis=1)
     if np.any(norms == 0.0):
         raise ArgumentError("zero direction")
-    if not contains(d, base):
+    if not np.all(contains(d, base)):
         raise ArgumentError("ray base point must lie inside the domain")
+    # march cap in parameter units: bounding radius along the slowest direction
+    cap = d.bounding_radius / norms.min() * 2.0
+    # the closure looks `contains` up at call time, so a rebound one is used
+    return _first_exits(lambda z: contains(d, z), base, directions, cap, tol)
+
+
+def _first_exits(inside, bases, directions, cap, tol=_EXIT_TOL):
+    """First t > 0 with bases + t*directions outside, for a batched membership
+    oracle `inside` of an open set holding every base.
+
+    A geometric march brackets each crossing, then bisection narrows the
+    bracket to `tol`; RayCapError when a ray is still inside past `cap`.
+    """
+    def points(idx, t):
+        # a shared base broadcasts; indexing it per round would cost a copy
+        return (bases if bases.ndim == 1 else bases[idx]) + t * directions[idx]
 
     m = directions.shape[0]
     lo = np.zeros(m)
     hi = np.full(m, np.nan)
-    # march cap in parameter units: bounding radius along the slowest direction
-    cap = d.bounding_radius / norms.min() * 2.0
     t = _MARCH_START
     active = np.arange(m)
     while active.size:
         if t > cap:
-            raise RayCapError(
-                f"{active.size} rays never left the domain below the bounding radius")
-        pts = base[None, :] + t * directions[active]
-        outside = ~contains(d, pts)
-        hi[active[outside]] = t
-        lo[active[~outside]] = t
-        active = active[~outside]
+            raise RayCapError(f"{active.size} rays still inside past t = {cap:g}")
+        out = ~inside(points(active, t))
+        hi[active[out]] = t
+        lo[active[~out]] = t
+        active = active[~out]
         t *= _MARCH_GROWTH
 
     while True:
-        gap = hi - lo
-        todo = gap > tol
-        if not np.any(todo):
-            break
+        todo = np.flatnonzero(hi - lo > tol)
+        if not todo.size:
+            return lo
         mid = 0.5 * (lo[todo] + hi[todo])
-        pts = base[None, :] + mid[:, None] * directions[todo]
-        inside = contains(d, pts)
-        idx = np.flatnonzero(todo)
-        lo[idx[inside]] = mid[inside]
-        hi[idx[~inside]] = mid[~inside]
-    return lo
+        ins = inside(points(todo, mid[:, None]))
+        lo[todo[ins]] = mid[ins]
+        hi[todo[~ins]] = mid[~ins]
 
 
 # -- boundary sampling -------------------------------------------------------
@@ -429,8 +450,13 @@ def boundary_samples(d: DomainSpec, count, rng) -> np.ndarray:
         corner = ones / n
     else:
         raise ArgumentError(f"no boundary sampler for {d.kind}")
+    return np.concatenate([_axis_points(n), np.outer(_PHASES, corner), rand])
+
+
+def _axis_points(n):
+    """The 4n points phase * e_k, phase-major over the four quarter phases."""
     eye = np.eye(n, dtype=complex)
-    return np.concatenate([ph * eye for ph in _PHASES] + [np.outer(_PHASES, corner), rand])
+    return np.concatenate([ph * eye for ph in _PHASES])
 
 
 # -- interior sampling -------------------------------------------------------
@@ -465,13 +491,7 @@ def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
 def _rejection_samples(d, count, rng, proposal, max_rounds=400):
     if proposal is None:
         # probe a sampling radius along the coordinate axes from the origin
-        probes = []
-        for k in range(d.n):
-            for phase in (1.0, -1.0, 1j, -1j):
-                e = np.zeros(d.n, dtype=complex)
-                e[k] = phase
-                probes.append(e)
-        radius = 2.0 * ray_exit_batch(d, np.zeros(d.n, dtype=complex), np.array(probes)).max()
+        radius = 2.0 * ray_exit_batch(d, np.zeros(d.n, dtype=complex), _axis_points(d.n)).max()
         radius = min(radius, d.bounding_radius)
     out = []
     have = 0
@@ -618,29 +638,26 @@ def _validate_functional(d, tf, samples, seed):
 def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
     """Sampled necessary-condition check of the declared convexity class.
 
-    convex: midpoints of interior pairs stay interior.  cconvex: intersections
-    with random complex lines through interior points look connected on a
-    parameter grid.  Returns the violation count (0 is consistent).
+    convex: midpoints of interior pairs stay interior.  cconvex: the real
+    segment between the two first exits of a random real line through an
+    interior point is gridded at 101 parameters and must stay one run of
+    inside points.  Its endpoints are inside by construction, so a trial is
+    flagged only when the exit march stepped over two slivers; complex-line
+    slices are not tested.  Returns the violation count (0 is consistent).
     """
     rng = np.random.default_rng(seed)
-    bad = 0
     if d.convexity_class == "convex":
         z = interior_samples(d, 2 * trials, rng)
         mid = 0.5 * (z[:trials] + z[trials:])
-        bad = int(np.count_nonzero(~contains(d, mid)))
-        return bad
+        return int(np.count_nonzero(~contains(d, mid)))
     pts = interior_samples(d, trials, rng)
-    for i in range(trials):
-        direction = rng.normal(size=2 * d.n).view(complex)
-        direction /= np.linalg.norm(direction)
-        span = ray_exit_batch(d, pts[i], np.stack([direction, -direction]))
-        ts = np.linspace(-span[1], span[0], 101)
-        mask = contains(d, pts[i][None, :] + ts[:, None] * direction[None, :])
-        # the slice through an interior point must form one parameter interval
-        runs = np.count_nonzero(np.diff(mask.astype(int)) == 1)
-        if runs > 1:
-            bad += 1
-    return bad
+    dirs = rng.normal(size=(trials, 2 * d.n)).view(complex)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    span = ray_exit_batch(d, np.concatenate([pts, pts]), np.concatenate([dirs, -dirs]))
+    ts = np.linspace(-span[trials:], span[:trials], 101, axis=-1)
+    mask = contains(d, pts[:, None, :] + ts[:, :, None] * dirs[:, None, :])
+    runs = np.count_nonzero(np.diff(mask.astype(int), axis=1) == 1, axis=1)
+    return int(np.count_nonzero(runs > 1))
 
 
 # -- JSON schema -------------------------------------------------------------

@@ -26,7 +26,7 @@ from squeezecert.domains import (
     polydisc,
     projective_image,
 )
-from squeezecert.errors import ArgumentError, ClassMismatchError, DomainFormatError
+from squeezecert.errors import ArgumentError, ClassMismatchError, DomainFormatError, RayCapError
 from squeezecert.numerics import tau, unit_lower, universal_bounds, inverse_coefficients
 
 
@@ -200,6 +200,11 @@ def test_inscribed_radius_argument_errors():
         inscribed_radius_estimate(lambda y: np.zeros(y.shape[0], dtype=bool), 2)
     with pytest.raises(ArgumentError):
         inscribed_radius_estimate(inside, 2, rays=0)
+
+
+def test_inscribed_radius_of_unbounded_image_hits_the_cap():
+    with pytest.raises(RayCapError):
+        inscribed_radius_estimate(lambda y: np.ones(y.shape[0], dtype=bool), 2, rays=10)
 
 
 # -- projection matching ------------------------------------------------------

@@ -160,6 +160,26 @@ def test_ray_exit_cap():
         ray_exit(d, np.zeros(2), np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_ray_exit_per_ray_bases_match_one_call_per_base(kind):
+    d = one_of_each_kind()[kind]
+    rng = np.random.default_rng(5)
+    bases = 0.5 * interior_samples(d, 12, rng)
+    dirs = rng.normal(size=(12, 4)).view(complex)
+    batched = ray_exit_batch(d, bases, dirs)
+    single = np.concatenate([ray_exit_batch(d, b, v[None, :]) for b, v in zip(bases, dirs)])
+    assert np.array_equal(batched, single)
+
+
+def test_ray_exit_per_ray_bases_must_all_be_inside():
+    bases = np.array([[0.1, 0.0], [2.0, 0.0], [0.0, 0.2j]])
+    dirs = np.eye(2, dtype=complex)[[0, 1, 0]]
+    with pytest.raises(ArgumentError):
+        ray_exit_batch(ball(2), bases, dirs)
+    with pytest.raises(ArgumentError):
+        ray_exit_batch(ball(2), bases[:2], dirs)
+
+
 # -- interior sampling -------------------------------------------------------
 
 @pytest.mark.parametrize("make", [
@@ -238,6 +258,9 @@ def test_boundary_residual_signs():
     assert boundary_residual(ball(2), np.array([1.1, 0.0])) > 0
 
 
+DELTA = 0.3 + 0.2j
+
+
 def one_of_each_kind():
     return {
         "ball": ball(2),
@@ -245,7 +268,10 @@ def one_of_each_kind():
         "l1ball": l1ball(2),
         "lp_ball": lp_ball(2, 3.0),
         "affine_image": affine_image(ball(2), [[1.0, 0.5j], [0.0, 2.0]], [0.1, -0.2j]),
-        "projective_image": cayley_polydisc(),
+        # w -> w / (2 - w1 + DELTA w2): a generic denominator rounds in the
+        # reconstruction check, which the Cayley image's does not
+        "projective_image": projective_image(
+            polydisc(2), np.eye(2), np.zeros(2), [2.0, -1.0, DELTA], bounding_radius=10.0),
         "defining_function": defining_domain(2, "abs(z1)**2 + abs(z2)**4 - 1", "convex"),
     }
 
@@ -256,19 +282,26 @@ def test_residual_kernel_is_membership_and_row_independent(kind):
     rng = np.random.default_rng(3)
     g = rng.normal(size=(60, 4)).view(complex)
     radii = np.repeat([0.3, 0.9, 1.5, 2.5], 15)[:, None]
-    # z1 = -1 is the horizon of the Cayley image: no preimage there
-    horizon = np.array([[-1.0, 0.0], [-1.0, 0.5j], [-1.0, 2.0]])
-    z = np.concatenate([radii * g / np.linalg.norm(g, axis=1, keepdims=True), horizon])
+    # DELTA z2 - z1 = 1 is the horizon of the projective image: no preimage there
+    horizon = np.array([[DELTA * s - 1.0, s] for s in (0.0, 0.5j, 2.0)])
+    # images of points near the pole 2 - w1 + DELTA w2 = 0, |z| from 1e6 to 1e10,
+    # where the horizon check decides by rounding
+    w2 = rng.normal(size=42) + 1j * rng.normal(size=42)
+    eps = 10.0 ** -rng.uniform(6, 10, size=42)
+    near_pole = np.column_stack([2.0 + DELTA * w2 - eps, w2]) / eps[:, None]
+    z = np.concatenate([radii * g / np.linalg.norm(g, axis=1, keepdims=True), horizon,
+                        near_pole])
     res = boundary_residual(d, z)
     inside = contains(d, z)
     assert inside.any() and not inside.all()
     assert np.array_equal(inside, res < 0)
     rows = np.array([boundary_residual(d, p) for p in z])
     assert all(isinstance(r, float) for r in rows)
-    np.testing.assert_allclose(res, rows, rtol=0, atol=1e-15)
-    assert np.array_equal(boundary_residual(d, z.reshape(3, 21, 2)), res.reshape(3, 21))
+    np.testing.assert_array_equal(res, rows)
+    assert np.array_equal(boundary_residual(d, z.reshape(5, 21, 2)), res.reshape(5, 21))
     if kind == "projective_image":
-        assert np.isinf(res[-3:]).all() and np.isfinite(res[:-3]).all()
+        assert np.isinf(res[60:63]).all() and np.isfinite(res[:60]).all()
+        assert np.isinf(res[63:]).any() and np.isfinite(res[63:]).any()
 
 
 # -- declared class spot checks ---------------------------------------------
