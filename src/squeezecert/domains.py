@@ -462,7 +462,9 @@ def _axis_points(n):
 # -- interior sampling -------------------------------------------------------
 
 def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
-    """Draw `count` interior points; exact per-kind samplers where available."""
+    """Draw `count` interior points: uniform for the catalog kinds, pushed
+    forward from the base for image kinds, by rejection from a ball for
+    defining functions."""
     kind = d.kind
     n = d.n
     if kind == "ball":
@@ -474,36 +476,32 @@ def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
         mod = np.sqrt(rng.uniform(0.0, 1.0, size=(count, n)))
         arg = rng.uniform(-np.pi, np.pi, size=(count, n))
         return mod * np.exp(1j * arg)
-    if kind == "l1ball":
-        # moduli ~ Dirichlet(2,..,2) scaled by u**(1/2n) gives the exact law
-        g = rng.gamma(2.0, size=(count, n))
-        mod = g / g.sum(axis=1, keepdims=True)
+    if kind in ("l1ball", "lp_ball"):
+        # exact law, p = 1 for l1: moduli**p ~ Dirichlet(2/p, .., 2/p) is the
+        # cone measure of the unit sphere, scaled by the radial law u**(1/2n)
+        p = 1.0 if kind == "l1ball" else d.p
+        g = rng.gamma(2.0 / p, size=(count, n))
+        mod = (g / g.sum(axis=1, keepdims=True)) ** (1.0 / p)
         mod *= rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / (2 * n))
         arg = rng.uniform(-np.pi, np.pi, size=(count, n))
         return mod * np.exp(1j * arg)
-    if kind == "lp_ball":
-        return _rejection_samples(d, count, rng, proposal=polydisc(n))
     if kind in IMAGE_KINDS:
         return forward_map(d, interior_samples(d.base, count, rng))
-    return _rejection_samples(d, count, rng, proposal=None)
+    return _rejection_samples(d, count, rng)
 
 
-def _rejection_samples(d, count, rng, proposal, max_rounds=400):
-    if proposal is None:
-        # probe a sampling radius along the coordinate axes from the origin
-        radius = 2.0 * ray_exit_batch(d, np.zeros(d.n, dtype=complex), _axis_points(d.n)).max()
-        radius = min(radius, d.bounding_radius)
+def _rejection_samples(d, count, rng, max_rounds=400):
+    # probe a sampling radius along the coordinate axes from the origin
+    radius = 2.0 * ray_exit_batch(d, np.zeros(d.n, dtype=complex), _axis_points(d.n)).max()
+    radius = min(radius, d.bounding_radius)
     out = []
     have = 0
     for _ in range(max_rounds):
         m = max(count, 4 * (count - have))
-        if proposal is not None:
-            cand = interior_samples(proposal, m, rng)
-        else:
-            g = rng.normal(size=(m, 2 * d.n)).view(complex)
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            r = radius * rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / (2 * d.n))
-            cand = g * r
+        g = rng.normal(size=(m, 2 * d.n)).view(complex)
+        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        r = radius * rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / (2 * d.n))
+        cand = g * r
         keep = cand[_residual(d, cand) < 0.0]
         if keep.size:
             out.append(keep)
@@ -539,8 +537,7 @@ class TangentFunctional:
             object.__setattr__(self, name, arr)
 
 
-def tangent_functional(d: DomainSpec, a, flavor, samples=1000, seed=0,
-                       boundary_tol=1e-9) -> TangentFunctional:
+def tangent_functional(d: DomainSpec, a, flavor, samples=1000, seed=0) -> TangentFunctional:
     """Supporting (real flavor) or avoiding (complex flavor) functional at a.
 
     Raises NonsmoothBoundaryError at corner points of the catalog bodies and

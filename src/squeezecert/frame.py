@@ -7,8 +7,9 @@ contacts so far.  The normalizer then consists of the diagonalizing map T
 built from the contacts and a unit lower triangular correction A assembled
 from transported tangent hyperplanes.
 
-The direction search is a batched multi-start pattern search with a
-golden-section polish.  Ties between minimizing directions are broken
+The direction search is a batched multi-start pattern search whose best
+survivor, and then every tied candidate, is refined to the stationarity
+identity of a smooth contact.  Ties between minimizing directions are broken
 deterministically: candidates within the tie window are ordered by the
 lexicographic key (-Re v_1, |arg v_1|, -Re v_2, |arg v_2|, ...), so symmetric
 domains reproduce the same contacts run after run.
@@ -152,15 +153,15 @@ def _tie_key(v, quantum=1e-9):
     return tuple(key)
 
 
-def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None, seed=0,
-                       exit_tol=1e-12) -> SearchResult:
+def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
+                       seed=0) -> SearchResult:
     """Minimize the boundary exit distance from 0 over unit subspace directions.
 
     `subspace_basis` holds orthonormal rows spanning a complex subspace
-    (default: the full space).  Multi-start batched pattern search with a
-    golden-section polish; `agreement` counts polished starts landing within
-    AGREE_TOL of the best value, and a lone best start raises the
-    search_disagreement flag rather than an error.
+    (default: the full space).  Multi-start batched pattern search followed by
+    the stationarity refine of the best survivor; `agreement` counts refined
+    starts landing within AGREE_TOL of the best value, and a lone best start
+    raises the search_disagreement flag rather than an error.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -179,7 +180,7 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None, seed=0
 
     def evaluate(coeffs):
         dirs = _embed(basis, coeffs)
-        return ray_exit_batch(d, origin, dirs, tol=exit_tol)
+        return ray_exit_batch(d, origin, dirs)
 
     canonical = _canonical_coeffs(basis)
     u = rng.normal(size=(n_starts, 2 * m))
@@ -211,17 +212,13 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None, seed=0
         else:
             step *= 0.5
 
-    # golden-section polish along tangent great circles of the best survivor
+    # the exit value is stationary at the minimum, so comparing values pins
+    # the direction only to ~sqrt(exit tol) in angle.  At a smooth minimum the
+    # supporting functional is parallel to the conjugate direction, and
+    # iterating on that identity recovers the remaining digits.
     top = int(np.argmin(surv_vals))
-    u_best, val_best = survivors[top].copy(), surv_vals[top]
-    u_best, val_best = _golden_polish(evaluate, m, u_best, val_best)
-
-    # polish resolution is limited by the exit tolerance, which only pins the
-    # direction to ~sqrt(tol) in angle.  At a smooth minimum the supporting
-    # functional is parallel to the conjugate direction, and iterating on that
-    # identity recovers the remaining digits.
     c_best, val_best = _stationary_refine(
-        d, basis, _u_to_coeffs(u_best, m), val_best, evaluate)
+        d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
     survivors[top] = np.concatenate([c_best.real, c_best.imag])
     surv_vals[top] = val_best
 
@@ -275,7 +272,7 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None, seed=0
 
 
 def _stationary_refine(d, basis, coeff, value, evaluate, max_iter=60):
-    """Drive a polished direction to the stationarity identity.
+    """Drive a searched direction to the stationarity identity.
 
     Where the inscribed sphere touches a smooth boundary piece, the tangent
     functional coefficients are a positive multiple of the contact direction
@@ -348,47 +345,6 @@ def _snap_directions(dirs, zero_tol=1e-10, arg_tol=1e-10):
             if norm > 0:
                 out.append(w / norm)
     return np.array(out) if out else np.zeros((0, dirs.shape[1]), dtype=complex)
-
-
-def _golden_polish(evaluate, m, u, value, span=2e-2, sweeps=2, tol=1e-9):
-    """Golden-section searches along coordinate tangent circles, batched.
-
-    Every iteration evaluates both golden probes of every circle in a single
-    batch; after the brackets collapse, the best single circle improvement is
-    taken and the sweep repeats from the new point.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(sweeps):
-        tangents = np.eye(2 * m) - np.outer(u, u)
-        norms = np.linalg.norm(tangents, axis=1)
-        keep = norms > 1e-12
-        tangents = tangents[keep] / norms[keep, None]
-        k = tangents.shape[0]
-        if k == 0:
-            break
-
-        def on_circles(thetas):
-            w = np.cos(thetas)[:, None] * u[None, :] + np.sin(thetas)[:, None] * tangents
-            return w / np.linalg.norm(w, axis=1, keepdims=True)
-
-        a = np.full(k, -span)
-        b = np.full(k, span)
-        while (b - a).max() > tol:
-            c = b - (b - a) * invphi
-            dmid = a + (b - a) * invphi
-            pts = np.concatenate([on_circles(c), on_circles(dmid)])
-            vals = evaluate(_u_to_coeffs(pts, m))
-            left, right = vals[:k], vals[k:]
-            take_left = left < right
-            b[take_left] = dmid[take_left]
-            a[~take_left] = c[~take_left]
-        theta = 0.5 * (a + b)
-        pts = on_circles(theta)
-        vals = evaluate(_u_to_coeffs(pts, m))
-        best = int(np.argmin(vals))
-        if vals[best] < value:
-            u, value = pts[best], float(vals[best])
-    return u, value
 
 
 # -- frame construction ------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import _axis_points
 from .errors import ArgumentError, MapDomainError, UnsupportedShapeError
 from .numerics import rho
 
@@ -299,11 +300,6 @@ class ContainmentReport:
 def _sphere_points(n, count, rng):
     z = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
-def _axis_points(n):
-    eye = np.eye(n, dtype=complex)
-    return np.concatenate([eye, -eye, 1j * eye, -1j * eye])
 
 
 def tau_radius_check(n, c, samples=100_000, seed=0) -> ContainmentReport:

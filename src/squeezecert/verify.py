@@ -305,26 +305,27 @@ def suite_strictness(fixtures=None, seed=0, samples=1000, rays=4000) -> SuiteRep
 KAPPA_FAMILIES = ("shears", "projective", "base_points")
 
 
+def _sweep_parameter(idx, grid, rng):
+    """Grid point of [-0.9, 0.9] for the first `grid` indices, then a random
+    complex parameter pulled into the closed 0.9 disc."""
+    if idx < grid:
+        return -0.9 + 1.8 * idx / max(1, grid - 1)
+    raw = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+    return 0.9 * raw / max(1.0, abs(raw))
+
+
 def _family_domains(family, n, budget, seed):
     """Deterministic half-grid half-random parameter sweep of one family."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 9)))
     grid = budget // 2
     for idx in range(budget):
         if family == "shears":
-            if idx < grid:
-                s = -0.9 + 1.8 * idx / max(1, grid - 1)
-            else:
-                raw = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-                s = 0.9 * raw / max(1.0, abs(raw))
+            s = _sweep_parameter(idx, grid, rng)
             mat = np.eye(n, dtype=complex)
             mat[1, 0] = s
             yield affine_image(polydisc(n), mat), {"shear": [complex(s).real, complex(s).imag]}
         elif family == "projective":
-            if idx < grid:
-                t = -0.9 + 1.8 * idx / max(1, grid - 1)
-            else:
-                raw = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
-                t = 0.9 * raw / max(1.0, abs(raw))
+            t = _sweep_parameter(idx, grid, rng)
             den = np.zeros(n + 1, dtype=complex)
             den[0], den[1] = 2.0, t
             yield projective_image(polydisc(n), np.eye(n), np.zeros(n), den,

@@ -187,12 +187,45 @@ def test_ray_exit_per_ray_bases_must_all_be_inside():
     lambda: lp_ball(2, 3.0), lambda: cayley_polydisc(),
     lambda: affine_image(ball(2), np.array([[1.0, 0.3j], [0.0, 0.5]])),
     lambda: defining_domain(2, "abs(z1)**2 + 4*abs(z2)**2 - 1", "convex", bounding_radius=5.0),
+    lambda: lp_ball(6, 1.5),
 ])
 def test_interior_samples_are_interior(make):
     d = make()
     pts = interior_samples(d, 2000, np.random.default_rng(17))
     assert pts.shape == (2000, d.n)
     assert contains(d, pts).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_lp_sampler_at_p_one_is_the_l1_sampler(n):
+    a = interior_samples(l1ball(n), 500, np.random.default_rng(n))
+    b = interior_samples(lp_ball(n, 1.0), 500, np.random.default_rng(n))
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n,p", [(5, 1.5), (3, 3.0)])
+def test_lp_sampler_radial_law(n, p):
+    # uniform on the unit lp ball of real dimension 2n: P(gauge < s) = s^(2n)
+    count = 20_000
+    pts = interior_samples(lp_ball(n, p), count, np.random.default_rng(5))
+    gauge = (np.abs(pts) ** p).sum(axis=1) ** (1.0 / p)
+    for s in (0.7, 0.85, 0.93, 0.97):
+        q = s ** (2 * n)
+        assert abs(np.mean(gauge < s) - q) < 5.0 * np.sqrt(q * (1.0 - q) / count)
+
+
+def test_lp_sampler_marginal_matches_rejection_from_polydisc():
+    # the cone measure is checked against an independent exact law: uniform
+    # polydisc points conditioned on the lp ball
+    d = lp_ball(3, 3.0)
+    rng = np.random.default_rng(6)
+    ours = np.abs(interior_samples(d, 20_000, rng)[:, 0])
+    cand = interior_samples(polydisc(3), 30_000, rng)
+    ref = np.abs(cand[contains(d, cand)][:, 0])
+    for r in (0.3, 0.5, 0.7, 0.85):
+        p_ours, p_ref = np.mean(ours < r), np.mean(ref < r)
+        sigma = np.sqrt(p_ref * (1 - p_ref) * (1 / ours.size + 1 / ref.size))
+        assert abs(p_ours - p_ref) < 5.0 * sigma
 
 
 # -- tangent functionals -----------------------------------------------------

@@ -148,6 +148,22 @@ def test_sheared_polydisc_frame_matches_closed_form():
     assert nz.margins["triangularity_residual"] < 1e-10
 
 
+@pytest.mark.parametrize("point", [
+    np.array([0.3 + 0.2j, -0.1 + 0.25j]),
+    np.array([0.2 - 0.1j, 0.15j, -0.25 + 0.05j]),
+])
+def test_translated_ball_frame_matches_closed_form(point):
+    # the nearest boundary point of the ball around -p lies along p/|p|, and
+    # every direction complex-orthogonal to p exits at sqrt(1 - |p|^2); no
+    # canonical start lies on either, so the search alone has to find them
+    d = translate(ball(point.size), point)
+    fr = build_frame(d, seed=0)
+    rho = np.linalg.norm(point)
+    radii = [1.0 - rho] + [np.sqrt(1.0 - rho**2)] * (point.size - 1)
+    assert np.abs(fr.radii - radii).max() < 2e-12
+    assert np.abs(fr.contacts[0] - (1.0 - rho) * point / rho).max() < 2e-12
+
+
 # -- frame invariants ---------------------------------------------------------
 
 FIXTURES = [
