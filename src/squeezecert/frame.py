@@ -198,19 +198,13 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
     budget = 400
     while step > 1e-5 and budget > 0:
-        budget -= 1
-        cand = survivors[:, None, :] + step * steps[None, :, :]
-        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
-        flat = cand.reshape(-1, 2 * m)
-        vals = evaluate(_u_to_coeffs(flat, m)).reshape(k_keep, -1)
-        best_idx = np.argmin(vals, axis=1)
-        best_vals = vals[np.arange(k_keep), best_idx]
-        improve = best_vals < surv_vals - 1e-15
-        if np.any(improve):
-            survivors[improve] = cand[improve, best_idx[improve]]
-            surv_vals[improve] = best_vals[improve]
-        else:
-            step *= 0.5
+        # a level spends one iteration per move of its longest walk, plus
+        # the one that found no gain and halves the step
+        moves = _pattern_level(evaluate, m, survivors, surv_vals, step, steps, budget)
+        if moves >= budget:
+            break
+        budget -= moves + 1
+        step *= 0.5
 
     # the exit value is stationary at the minimum, so comparing values pins
     # the direction only to ~sqrt(exit tol) in angle.  At a smooth minimum the
@@ -269,6 +263,61 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     return SearchResult(direction=direction,
                         radius=float(refined_vals[final[pick]]),
                         agreement=agreement, flags=flags)
+
+
+def _pattern(points, step, steps):
+    """Compass pattern around each point of shape (..., 2m), on the unit sphere."""
+    cand = points[..., None, :] + step * steps
+    return cand / np.linalg.norm(cand, axis=-1, keepdims=True)
+
+
+def _pattern_level(evaluate, m, survivors, surv_vals, step, steps, cap):
+    """Walk every survivor at one step size until its pattern shows no gain.
+
+    Updates `survivors` and `surv_vals` in place and returns the most moves
+    any survivor made, each capped at `cap`.  A survivor moves to the best
+    point of its pattern while that gains more than 1e-15; one that did not
+    move is not probed again.  Walks toward a coordinate axis are long (each
+    move shrinks the angle by about 1/(1 + step)), so a survivor that keeps
+    moving along one direction also has the patterns of its next positions
+    along it probed in the same call, a run twice as long each time it holds
+    (up to 32 positions).  The moves taken are the ones one probe per move
+    would take, so a level costs a few calls instead of one per move.
+    """
+    k = survivors.shape[0]
+    moves = np.zeros(k, dtype=int)
+    last = np.full(k, -1)
+    run = np.zeros(k, dtype=int)
+    live = np.arange(k)
+    while live.size:
+        ahead = np.minimum(run[live], 32)
+        along = last[live]
+        chain = np.empty((live.size, ahead.max() + 1, 2 * m))
+        chain[:, 0] = survivors[live]
+        for t in range(ahead.max()):
+            chain[:, t + 1] = _pattern(chain[:, t], step, steps)[
+                np.arange(live.size), np.maximum(along, 0)]
+        cand = _pattern(chain, step, steps)
+        probed = np.arange(chain.shape[1]) <= ahead[:, None]
+        vals = np.full(probed.shape + (steps.shape[0],), np.inf)
+        vals[probed] = evaluate(_u_to_coeffs(cand[probed].reshape(-1, 2 * m), m)).reshape(
+            -1, steps.shape[0])
+        moving = []
+        for row, i in enumerate(live):
+            for t in range(ahead[row] + 1):
+                best = int(np.argmin(vals[row, t]))
+                if moves[i] >= cap or not vals[row, t, best] < surv_vals[i] - 1e-15:
+                    break
+                survivors[i] = cand[row, t, best]
+                surv_vals[i] = vals[row, t, best]
+                moves[i] += 1
+                run[i] = run[i] + 1 if best == last[i] else 1
+                last[i] = best
+                if t == ahead[row] or best != along[row]:
+                    moving.append(i)
+                    break
+        live = np.array(moving, dtype=int)
+    return int(moves.max())
 
 
 def _stationary_refine(d, basis, coeff, value, evaluate, max_iter=60):

@@ -14,6 +14,7 @@ from squeezecert.domains import (
     l1ball,
     polydisc,
     projective_image,
+    ray_exit_batch,
     translate,
 )
 from squeezecert.errors import (
@@ -25,6 +26,8 @@ from squeezecert.errors import (
 from squeezecert.frame import (
     ContactFrame,
     Normalizer,
+    _pattern_level,
+    _u_to_coeffs,
     build_frame,
     build_normalizer,
     frame_to_json,
@@ -71,6 +74,84 @@ def test_search_ball_rotated_subspace_ties_canonically():
     res = min_boundary_point(ball(3), subspace_basis=basis, seed=0)
     assert abs(res.radius - 1.0) < 1e-9
     assert np.allclose(res.direction, [0.0, 1.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: affine_image(polydisc(2), np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]])),
+    cayley_polydisc,
+    lambda: translate(ball(3), np.array([0.2 - 0.1j, 0.15j, -0.25 + 0.05j])),
+])
+def test_search_probes_each_pattern_once(make, monkeypatch):
+    # a survivor that did not move keeps its pattern until the step halves,
+    # so probing it again would repeat rays whose exits are already known
+    import squeezecert.frame as frame_mod
+
+    d = make()
+    batches = []
+    inner = frame_mod.ray_exit_batch
+
+    def logged(dom, base, dirs, *args, **kwargs):
+        batches.append(np.array(dirs))
+        return inner(dom, base, dirs, *args, **kwargs)
+
+    monkeypatch.setattr(frame_mod, "ray_exit_batch", logged)
+    min_boundary_point(d, seed=0)
+    # the pattern loop runs from the second call to the first one-ray call
+    loop = batches[1:next(i for i, b in enumerate(batches) if len(b) == 1)]
+    width = 4 * d.n
+    patterns = [b[i:i + width].tobytes() for b in loop for i in range(0, len(b), width)]
+    assert len(patterns) > 100
+    assert len(set(patterns)) == len(patterns)
+
+
+def _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, cap):
+    # the plain compass level: one pattern probe per move, at most `cap` moves
+    moves = 0
+    live = np.arange(survivors.shape[0])
+    while moves < cap:
+        cand = survivors[live, None, :] + step * steps[None, :, :]
+        cand /= np.linalg.norm(cand, axis=2, keepdims=True)
+        vals = evaluate(_u_to_coeffs(cand.reshape(-1, 2 * m), m)).reshape(live.size, -1)
+        best = np.argmin(vals, axis=1)
+        best_vals = vals[np.arange(live.size), best]
+        improve = best_vals < surv_vals[live] - 1e-15
+        if not improve.any():
+            break
+        survivors[live[improve]] = cand[improve, best[improve]]
+        surv_vals[live[improve]] = best_vals[improve]
+        live = live[improve]
+        moves += 1
+    return moves
+
+
+@pytest.mark.parametrize("make", [lambda: polydisc(2), cayley_polydisc])
+@pytest.mark.parametrize("step", [0.25, 0.0625])
+@pytest.mark.parametrize("cap", [400, 2])
+def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap):
+    d = make()
+    m = 2
+    calls = []
+
+    def evaluate(coeffs):
+        calls.append(len(coeffs))
+        return ray_exit_batch(d, np.zeros(m, dtype=complex), coeffs)
+
+    rng = np.random.default_rng(7)
+    start = rng.normal(size=(12, 2 * m))
+    start /= np.linalg.norm(start, axis=1, keepdims=True)
+    start_vals = evaluate(_u_to_coeffs(start, m))
+    steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
+
+    ref, ref_vals = start.copy(), start_vals.copy()
+    del calls[:]
+    ref_moves = _probe_per_move(evaluate, m, ref, ref_vals, step, steps, cap)
+    ref_calls = len(calls)
+    got, got_vals = start.copy(), start_vals.copy()
+    del calls[:]
+    assert _pattern_level(evaluate, m, got, got_vals, step, steps, cap) == ref_moves
+    assert np.array_equal(got, ref) and np.array_equal(got_vals, ref_vals)
+    if cap == 400:
+        assert len(calls) < ref_calls
 
 
 def test_search_rejects_non_orthonormal_basis():
