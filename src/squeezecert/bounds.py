@@ -15,7 +15,7 @@ carry their sampling resolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -61,8 +61,7 @@ class MarginReport:
     min_slack: float
 
     def as_dict(self) -> dict:
-        return {"check": self.check, "samples": self.samples,
-                "violations": self.violations, "min_slack": self.min_slack}
+        return asdict(self)
 
 
 def containment_check(inner: DomainSpec, mapping, outer: DomainSpec, samples=2000,

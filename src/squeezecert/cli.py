@@ -147,7 +147,7 @@ def _parse_point(text: str) -> list:
 def cmd_constants(args) -> int:
     if args.n_max < 2 or args.n_max > 64:
         raise UsageError(f"--n-max must lie in 2..64, got {args.n_max}")
-    config = RunConfig(command="constants", n=str(args.n_max), seed=args.seed,
+    config = RunConfig(command="constants", n=str(args.n_max),
                        format=args.format, out=args.out)
     if args.format == "csv":
         header = f"# squeeze-cert {__version__} constants --n-max {args.n_max}\n"
@@ -159,8 +159,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.format != "json":
-        raise UsageError("bound reports are JSON only")
     with open(args.spec, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -175,8 +173,7 @@ def cmd_bound(args) -> int:
     config = RunConfig(
         command="bound", spec=args.spec, convexity_class=args.convexity_class,
         point=None if point is None else [[z.real, z.imag] for z in point],
-        samples=args.samples, seed=args.seed, tol=args.tol,
-        format=args.format, out=args.out)
+        samples=args.samples, seed=args.seed, tol=args.tol, out=args.out)
     kwargs = {} if args.samples is None else {"samples": args.samples}
     report = certify(domain, convexity_class=args.convexity_class,
                      seed=args.seed, **kwargs)
@@ -190,14 +187,12 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.format != "json":
-        raise UsageError("suite reports are JSON only")
     if args.suite not in SUITES:
         raise UsageError(f"unknown suite {args.suite!r}; pick one of {SUITES}")
     dims = _parse_dims(args.n) if args.n else None
     config = RunConfig(command="verify", n=args.n, suite=args.suite,
                        trials=args.trials, samples=args.samples, seed=args.seed,
-                       tol=args.tol, format=args.format, out=args.out)
+                       out=args.out)
     selected = ("star", "lemmas", "strictness") if args.suite == "all" else (args.suite,)
     reports = []
     for name in selected:
@@ -224,8 +219,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe_kappa(args) -> int:
-    if args.format != "json":
-        raise UsageError("probe reports are JSON only")
     if args.budget < 1:
         raise UsageError("--budget must be at least 1")
     dims = _parse_dims(args.n)
@@ -233,8 +226,7 @@ def cmd_probe_kappa(args) -> int:
         raise UsageError("probe-kappa runs one dimension at a time")
     config = RunConfig(command="probe-kappa", n=args.n, family=args.family,
                        convexity_class=args.convexity_class, budget=args.budget,
-                       samples=args.samples, seed=args.seed, tol=args.tol,
-                       format=args.format, out=args.out)
+                       samples=args.samples, seed=args.seed, out=args.out)
     kwargs = {} if args.samples is None else {"samples": args.samples}
     report = kappa_probe(args.family, n=dims[0], budget=args.budget,
                          seed=args.seed, convexity_class=args.convexity_class,
@@ -245,15 +237,22 @@ def cmd_probe_kappa(args) -> int:
 
 # -- argument wiring ----------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="run seed (default 0)")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                     help="containment slack below -tol fails the run")
-    sub.add_argument("--samples", type=int, default=None,
-                     help="sample count override (default: module defaults)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, metavar="PATH",
-                     help="write the report here instead of stdout")
+# each subcommand declares the shared options it reads, and only those
+_OPTIONS = {
+    "seed": dict(type=int, default=0, help="run seed (default 0)"),
+    "tol": dict(type=float, default=DEFAULT_TOL,
+                help="containment slack below -tol fails the run"),
+    "samples": dict(type=int, default=None,
+                    help="sample count override (default: module defaults)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "out": dict(default=None, metavar="PATH",
+                help="write the report here instead of stdout"),
+}
+
+
+def _add_options(sub, *names):
+    for name in names:
+        sub.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("constants", parents=[], help="universal constants table")
     p.add_argument("--n-max", type=int, default=10, help="largest dimension (2..64)")
-    _add_common(p)
+    _add_options(p, "format", "out")
     p.set_defaults(func=cmd_constants)
 
     p = subs.add_parser("bound", help="certify one domain from a JSON spec")
@@ -273,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="certification class (default: as declared)")
     p.add_argument("--point", default=None,
                    help="interior base point as comma-separated complex literals")
-    _add_common(p)
+    _add_options(p, "seed", "tol", "samples", "out")
     p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all", help=f"one of {SUITES}")
     p.add_argument("--n", default=None, help="dimension or range LO..HI")
     p.add_argument("--trials", type=int, default=None)
-    _add_common(p)
+    _add_options(p, "seed", "samples", "out")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("probe-kappa", help="empirical infimum probe over one family")
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100, help="domains to sweep")
     p.add_argument("--class", dest="convexity_class", choices=("convex", "cconvex"),
                    default=None, help="certification class (default: family default)")
-    _add_common(p)
+    _add_options(p, "seed", "samples", "out")
     p.set_defaults(func=cmd_probe_kappa)
     return parser
 

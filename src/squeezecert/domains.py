@@ -9,10 +9,11 @@ through affine_image.
 
 One batched residual kernel per kind carries membership and the boundary
 equation: gauge - 1 for catalog kinds, the base residual at the preimage for
-image kinds (a linear solve, +inf where no preimage exists), the defining
-values otherwise; `contains` is residual < 0.  Every first exit along rays
-comes from one geometric march and bisection, `_first_exits`: ray_exit_batch
-(and through it the frame search, the C-convex spot check and the sampling
+image kinds (one closed-form preimage shared by affine and projective maps,
++inf on the horizon, where no preimage exists), the defining values
+otherwise; `contains` is residual < 0.  Every first exit along rays comes
+from one geometric march and bisection, `_first_exits`: ray_exit_batch (and
+through it the frame search, the C-convex spot check and the sampling
 radius of rejection sampling) and the inscribed radius of `bounds`.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.
@@ -23,7 +24,7 @@ shape (..., n); everything downstream leans on that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -100,17 +101,12 @@ class DomainSpec:
         self._require(p=False, base=True, maps=True, rho=False)
         if self.denominator is not None:
             raise DomainFormatError("affine_image takes no denominator")
-        mat, off = self._coerce_map()
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise DomainFormatError("affine map matrix is singular within tolerance")
-        object.__setattr__(self, "_matrix_inv", np.linalg.inv(mat))
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "offset", off)
+        den = np.zeros(self.n + 1, dtype=complex)
+        den[0] = 1.0
+        self._set_map(den)
 
     def _init_projective_image(self):
         self._require(p=False, base=True, maps=True, rho=False)
-        mat, off = self._coerce_map()
         if self.denominator is None:
             raise DomainFormatError("projective_image requires a denominator")
         den = np.asarray(self.denominator, dtype=complex)
@@ -119,9 +115,29 @@ class DomainSpec:
         if den[0] == 0:
             raise DomainFormatError("projective denominator must not vanish at the base origin")
         den.setflags(write=False)
+        object.__setattr__(self, "denominator", den)
+        self._set_map(den)
+
+    def _set_map(self, den):
+        """Store the data of the one closed-form preimage of z = (M w + c) /
+        (d0 + d.w): z0 = c/d0, d0 N^-1 with N = M - z0 d^T, and e = d/d0.
+
+        det of the homogeneous map is d0 det N, so a singular N is a
+        degenerate map; affine maps have den = (1, 0, ..., 0) and N = M.
+        """
+        mat, off = self._coerce_map()
+        z0 = off / den[0]
+        n_mat = mat - np.outer(z0, den[1:])
+        sv = np.linalg.svd(n_mat, compute_uv=False)
+        if sv[-1] <= 1e-12 * sv[0]:
+            raise DomainFormatError(
+                f"{self.kind} map is degenerate: M - c d^T/d0 is singular within tolerance")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "denominator", den)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_z0", z0)
+        object.__setattr__(self, "_n_inv", den[0] * np.linalg.inv(n_mat))
+        object.__setattr__(self, "_e", den[1:] / den[0])
 
     def _init_defining_function(self):
         self._require(p=False, base=False, maps=False, rho=True)
@@ -197,8 +213,10 @@ def projective_image(base, matrix, offset, denominator, bounding_radius=None,
                      convexity_class="cconvex") -> DomainSpec:
     """Image of `base` under z = (matrix @ w + offset) / (d0 + d . w).
 
-    `denominator` lists the affine coefficients (d0, d1, ..., dn).  Projective
-    images of convex bases are C-convex, which is the default declaration.
+    `denominator` lists the affine coefficients (d0, d1, ..., dn) with d0 != 0.
+    The map must be nondegenerate, that is M - c d^T / d0 nonsingular, or
+    construction raises DomainFormatError.  Projective images of convex bases
+    are C-convex, which is the default declaration.
     """
     return DomainSpec(
         n=base.n, kind="projective_image", convexity_class=convexity_class,
@@ -302,53 +320,44 @@ def _residual(d, z):
         return np.abs(z).sum(axis=-1) - 1.0
     if kind == "lp_ball":
         return (np.abs(z) ** d.p).sum(axis=-1) - 1.0
-    if kind == "affine_image":
-        return _residual(d.base, (z - d.offset) @ d._matrix_inv.T)
-    if kind == "projective_image":
-        w, ok = _projective_preimage(d, z)
+    if kind in IMAGE_KINDS:
+        w, ok = _preimage(d, z)
+        if ok is None:
+            return _residual(d.base, w)
         res = np.full(z.shape[0], np.inf)
-        if np.any(ok):
-            res[ok] = _residual(d.base, w[ok])
+        res[ok] = _residual(d.base, w[ok])
         return res
     return _defining_values(d, z)
 
 
-def _projective_preimage(d, z):
-    """Solve (M - z d^T) w = z d0 - c pointwise; flags points with no preimage."""
-    d0 = d.denominator[0]
-    dv = d.denominator[1:]
-    mats = d.matrix[None, :, :] - z[:, :, None] * dv[None, None, :]
-    rhs = z * d0 - d.offset
-    dets = np.linalg.det(mats)
-    ok = np.abs(dets) > 1e-13 * (1.0 + np.abs(z).max(axis=-1)) ** d.n
-    w = np.zeros_like(z)
-    if np.any(ok):
-        w[ok] = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]
-        # guard against blow-ups on the horizon: preimage must reproduce z
-        # per-row reductions: a matmul rounds differently with the batch size
-        # (gemv for one row, gemm for many), which moved horizon decisions
-        den = d0 + np.einsum("ij,j->i", w[ok], dv)
-        good = np.abs(den) > 1e-12
-        recon = np.full_like(w[ok], np.inf)
-        recon[good] = (np.einsum("ij,kj->ik", w[ok][good], d.matrix)
-                       + d.offset) / den[good][:, None]
-        ok_idx = np.flatnonzero(ok)
-        bad = ~(np.max(np.abs(recon - z[ok]), axis=-1) < 1e-8 * (1.0 + np.abs(z[ok]).max(axis=-1)))
-        ok[ok_idx[bad]] = False
-    return w, ok
+def _preimage(d, z):
+    """Base points w = u / (1 - e.u), u = d0 N^-1 (z - z0), of image points z
+    (..., n), and the mask of points off the horizon (None: affine, no horizon).
+
+    Sherman-Morrison on N - (z - z0) d^T; the divisor is a per-row einsum, so
+    a batch rounds as its rows do one at a time.
+    """
+    u = (z - d._z0) @ d._n_inv.T
+    if d.denominator is None:
+        return u, None
+    div = 1.0 - np.einsum("...j,j->...", u, d._e)
+    ok = np.abs(div) > 1e-13 * (1.0 + np.abs(u).max(axis=-1))
+    return u / np.where(ok, div, 1.0)[..., None], ok
 
 
 def forward_map(d: DomainSpec, w):
     """Apply an image kind's forward map to base points w of shape (..., n)."""
+    if d.kind not in IMAGE_KINDS:
+        raise ArgumentError(f"{d.kind} has no forward map")
     w = np.asarray(w, dtype=complex)
-    if d.kind == "affine_image":
-        return w @ d.matrix.T + d.offset
-    if d.kind == "projective_image":
-        den = d.denominator[0] + w @ d.denominator[1:]
-        if np.any(np.abs(den) < 1e-13):
-            raise DomainFormatError("projective denominator vanishes on the base set")
-        return (w @ d.matrix.T + d.offset) / den[..., None]
-    raise ArgumentError(f"{d.kind} has no forward map")
+    z = w @ d.matrix.T + d.offset
+    if d.denominator is None:
+        # affine: the divisor is 1; skipping it halves the cost of a sample batch
+        return z
+    den = d._den[0] + w @ d._den[1:]
+    if np.any(np.abs(den) < 1e-13):
+        raise DomainFormatError("projective denominator vanishes on the base set")
+    return z / den[..., None]
 
 
 # -- ray exits ---------------------------------------------------------------
@@ -586,29 +595,19 @@ def _functional_coefficients(d, a, smooth_tol=1e-9):
         nz = mods > 0
         lam[nz] = d.p * mods[nz] ** (d.p - 2.0) * a[nz]
         return lam
-    if kind == "affine_image":
-        w = (a - d.offset) @ d._matrix_inv.T
+    if kind in IMAGE_KINDS:
+        w, ok = _preimage(d, a)
+        if ok is not None and not ok:
+            raise ArgumentError("no preimage at the requested point")
         lam_base = _functional_coefficients(d.base, w, smooth_tol)
-        return _pullback(d._matrix_inv, lam_base)
-    if kind == "projective_image":
-        w, ok = _projective_preimage(d, a[None, :])
-        if not ok[0]:
-            raise ArgumentError("no projective preimage at the requested point")
-        w = w[0]
-        lam_base = _functional_coefficients(d.base, w, smooth_tol)
-        den = complex(d.denominator[0] + w @ d.denominator[1:])
-        jac = (d.matrix - a[:, None] * d.denominator[None, 1:]) / den
-        return _pullback(np.linalg.inv(jac), lam_base)
+        # hyperplane coefficients transform by the conjugate transpose of the
+        # inverse forward derivative (M - a d^T) / (d0 + d.w)
+        jac = (d.matrix - a[:, None] * d._den[None, 1:]) / (d._den[0] + w @ d._den[1:])
+        return np.conj(np.linalg.inv(jac)).T @ lam_base
     lam = np.array([fn(*list(a) + list(np.conj(a))) for fn in d._grad_fns], dtype=complex)
     if np.linalg.norm(lam) < smooth_tol:
         raise NonsmoothBoundaryError("defining gradient degenerates at the point")
     return lam
-
-
-def _pullback(inv_jac, lam_base):
-    # hyperplane coefficients transform by the conjugate transpose of the
-    # inverse forward derivative
-    return np.conj(inv_jac).T @ lam_base
 
 
 def _validate_functional(d, tf, samples, seed):

@@ -9,7 +9,7 @@ expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -81,16 +81,7 @@ class UniversalConstants:
     weak_polydisc: float
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "c_n": self.c_n,
-            "convex_ball": self.convex_ball,
-            "convex_polydisc": self.convex_polydisc,
-            "cconvex_ball": self.cconvex_ball,
-            "cconvex_polydisc": self.cconvex_polydisc,
-            "weak_ball": self.weak_ball,
-            "weak_polydisc": self.weak_polydisc,
-        }
+        return asdict(self)
 
 
 def universal_bounds(n) -> UniversalConstants:

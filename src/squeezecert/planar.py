@@ -9,7 +9,7 @@ for products of arbitrary catalog maps through the distortion ceiling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -286,15 +286,7 @@ class ContainmentReport:
     min_slack: float
 
     def as_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n,
-            "parameter": self.parameter,
-            "radius": self.radius,
-            "samples": self.samples,
-            "violations": self.violations,
-            "min_slack": self.min_slack,
-        }
+        return asdict(self)
 
 
 def _sphere_points(n, count, rng):

@@ -12,7 +12,7 @@ expected, since boundary tangencies sample arbitrarily close to zero slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,15 +66,7 @@ class SuiteReport:
     worst_case: dict
 
     def as_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "seed": self.seed,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "worst_case": self.worst_case,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -96,21 +88,9 @@ class KappaProbeReport:
     argmin: dict
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "class": self.convexity_class,
-            "budget": self.budget,
-            "seed": self.seed,
-            "universal_s": self.universal_s,
-            "universal_s_hat": self.universal_s_hat,
-            "min_certified_s": self.min_certified_s,
-            "min_certified_s_hat": self.min_certified_s_hat,
-            "min_witness_s": self.min_witness_s,
-            "min_witness_s_hat": self.min_witness_s_hat,
-            "witness_runs": self.witness_runs,
-            "argmin": self.argmin,
-        }
+        out = asdict(self)
+        out["class"] = out.pop("convexity_class")
+        return out
 
 
 class _Tracker:

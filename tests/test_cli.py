@@ -1,5 +1,6 @@
 """Tests for the command line front end and its exit-code contract."""
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -101,9 +102,9 @@ def test_bound_writes_identical_files(polydisc_spec, tmp_path, capsys):
     out_path = str(tmp_path / "report.json")
     argv = ["bound", polydisc_spec, "--samples", "400", "--out", out_path]
     assert run_cli(argv, capsys)[0] == EXIT_OK
-    first = open(out_path, "rb").read()
+    first = pathlib.Path(out_path).read_bytes()
     assert run_cli(argv, capsys)[0] == EXIT_OK
-    assert open(out_path, "rb").read() == first
+    assert pathlib.Path(out_path).read_bytes() == first
     assert json.loads(first)["config"]["out"] == out_path
 
 
@@ -126,6 +127,18 @@ def test_bound_usage_errors(polydisc_spec, tmp_path, capsys):
     assert run_cli(["bound", polydisc_spec, "--point", "0.1,bad"], capsys)[0] == EXIT_USAGE
     assert run_cli(["bound", polydisc_spec, "--point", "0.1"], capsys)[0] == EXIT_USAGE
     assert run_cli(["bound", polydisc_spec, "--format", "csv"], capsys)[0] == EXIT_USAGE
+    # a degenerate projective map: the image of the bidisc lies in z2 = 0
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(json.dumps({
+        "n": 2, "kind": "projective_image", "base": domain_to_json(polydisc(2)),
+        "map": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "offset": [[0, 0], [0, 0]],
+                "denominator": [[1, 0], [0, 0], [0, 0]]}}))
+    assert run_cli(["bound", str(degenerate)], capsys)[0] == EXIT_USAGE
+
+
+def test_options_a_subcommand_does_not_read_are_usage_errors(capsys):
+    assert run_cli(["verify", "--tol", "1e-3"], capsys)[0] == EXIT_USAGE
+    assert run_cli(["constants", "--seed", "1"], capsys)[0] == EXIT_USAGE
 
 
 # -- verify -------------------------------------------------------------------

@@ -317,11 +317,12 @@ def test_residual_kernel_is_membership_and_row_independent(kind):
     radii = np.repeat([0.3, 0.9, 1.5, 2.5], 15)[:, None]
     # DELTA z2 - z1 = 1 is the horizon of the projective image: no preimage there
     horizon = np.array([[DELTA * s - 1.0, s] for s in (0.0, 0.5j, 2.0)])
-    # images of points near the pole 2 - w1 + DELTA w2 = 0, |z| from 1e6 to 1e10,
-    # where the horizon check decides by rounding
+    # images of the base points `pre` near the pole 2 - w1 + DELTA w2 = 0,
+    # |z| from 1e6 to 1e10, where a preimage solve loses digits to rounding
     w2 = rng.normal(size=42) + 1j * rng.normal(size=42)
     eps = 10.0 ** -rng.uniform(6, 10, size=42)
-    near_pole = np.column_stack([2.0 + DELTA * w2 - eps, w2]) / eps[:, None]
+    pre = np.column_stack([2.0 + DELTA * w2 - eps, w2])
+    near_pole = pre / eps[:, None]
     z = np.concatenate([radii * g / np.linalg.norm(g, axis=1, keepdims=True), horizon,
                         near_pole])
     res = boundary_residual(d, z)
@@ -334,7 +335,8 @@ def test_residual_kernel_is_membership_and_row_independent(kind):
     assert np.array_equal(boundary_residual(d, z.reshape(5, 21, 2)), res.reshape(5, 21))
     if kind == "projective_image":
         assert np.isinf(res[60:63]).all() and np.isfinite(res[:60]).all()
-        assert np.isinf(res[63:]).any() and np.isfinite(res[63:]).any()
+        # every near-pole point has its preimage and the base residual there
+        np.testing.assert_allclose(res[63:], np.abs(pre).max(axis=1) - 1.0, rtol=1e-12, atol=0)
 
 
 # -- declared class spot checks ---------------------------------------------
@@ -358,6 +360,12 @@ def test_construction_errors():
         affine_image(ball(2), np.zeros((2, 2)))
     with pytest.raises(DomainFormatError):
         projective_image(polydisc(2), np.eye(2), np.zeros(2), [0.0, 1.0, 0.0])
+    with pytest.raises(DomainFormatError):
+        # degenerate: the image of the bidisc lies in the line z2 = 0
+        projective_image(polydisc(2), [[1.0, 0.0], [0.0, 0.0]], [0.0, 0.0], [1.0, 0.0, 0.0])
+    # the gate is on M - c d^T / d0, not on M: w -> (1, w2) / (2 + w1) is valid
+    d = projective_image(polydisc(2), [[0.0, 0.0], [0.0, 1.0]], [1.0, 0.0], [2.0, 1.0, 0.0])
+    assert contains(d, [0.5, 0.0])
     with pytest.raises(DomainFormatError):
         defining_domain(2, "re(z3)", "convex")
     with pytest.raises(DomainFormatError):
