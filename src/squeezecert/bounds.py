@@ -49,6 +49,10 @@ BOUNDARY_SHRINK = 1.0 - 1e-9
 # projection clouds are decimated to this many points for serialization
 CLOUD_JSON_CAP = 2000
 
+# disc matching: angle bins, and the rms fit gate relative to the radius
+FIT_BINS = 100
+FIT_TOL = 1e-3
+
 # -- generic containment check ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -196,7 +200,7 @@ class PlanarProjection:
         object.__setattr__(self, "cloud", arr)
 
 
-def match_projection(cloud, fit_tol=1e-3, bins=100):
+def match_projection(cloud):
     """Fit a disc to a projection cloud; None when the fit misses.
 
     The boundary is estimated by per-angle-bin radial maxima with the uniform
@@ -208,15 +212,15 @@ def match_projection(cloud, fit_tol=1e-3, bins=100):
     dilated slightly so the whole open projection stays inside it.
     """
     cloud = np.asarray(cloud, dtype=complex).ravel()
-    if cloud.size < 50 * bins:
+    if cloud.size < 50 * FIT_BINS:
         return None
     center0 = cloud.mean()
     rel = cloud - center0
-    which = np.clip(((np.angle(rel) + np.pi) / (2 * np.pi) * bins).astype(int),
-                    0, bins - 1)
+    which = np.clip(((np.angle(rel) + np.pi) / (2 * np.pi) * FIT_BINS).astype(int),
+                    0, FIT_BINS - 1)
     radii = np.abs(rel)
-    edge = np.full(bins, np.nan, dtype=complex)
-    for b in range(bins):
+    edge = np.full(FIT_BINS, np.nan, dtype=complex)
+    for b in range(FIT_BINS):
         mask = which == b
         count = int(np.count_nonzero(mask))
         if count < 40:
@@ -226,7 +230,7 @@ def match_projection(cloud, fit_tol=1e-3, bins=100):
         # endpoint correction: E[max of m] = R * 2m/(2m+1) for uniform density
         edge[b] = center0 + rel[mask][k] * (2 * count + 1) / (2 * count)
     x, y = edge.real, edge.imag
-    lhs = np.column_stack([2 * x, 2 * y, np.ones(bins)])
+    lhs = np.column_stack([2 * x, 2 * y, np.ones(FIT_BINS)])
     sol, *_ = np.linalg.lstsq(lhs, x**2 + y**2, rcond=None)
     center = complex(sol[0], sol[1])
     rad_sq = sol[2] + sol[0] ** 2 + sol[1] ** 2
@@ -234,25 +238,25 @@ def match_projection(cloud, fit_tol=1e-3, bins=100):
         return None
     radius = float(np.sqrt(rad_sq))
     resid = np.abs(edge - center) - radius
-    if float(np.sqrt(np.mean(resid**2))) > fit_tol * radius:
+    if float(np.sqrt(np.mean(resid**2))) > FIT_TOL * radius:
         return None
-    if np.any(np.abs(cloud - center) > radius * (1.0 + 10 * fit_tol)):
+    if np.any(np.abs(cloud - center) > radius * (1.0 + 10 * FIT_TOL)):
         return None
     if abs(center) >= radius:
         return None
-    return disc_shape(center, radius * (1.0 + 3 * fit_tol))
+    return disc_shape(center, radius * (1.0 + 3 * FIT_TOL))
 
 
-def _build_projections(d, affine, cloud_samples, seed, fit_tol=1e-3):
+def _build_projections(d, affine, cloud_samples, seed):
     rng = np.random.default_rng(seed)
     clouds = interior_samples(d, cloud_samples, rng) @ affine.T
     projections = []
     for j in range(d.n):
         cloud = clouds[:, j]
-        matched = match_projection(cloud, fit_tol=fit_tol)
+        matched = match_projection(cloud)
         if matched is not None:
             # the fitted radius carries the dilation; undo it for the flag
-            fitted_r = matched.radius / (1.0 + 3 * fit_tol)
+            fitted_r = matched.radius / (1.0 + 3 * FIT_TOL)
             on_boundary = abs(abs(1.0 - matched.center) - fitted_r) <= 5e-3
         else:
             on_boundary = bool(np.min(np.abs(cloud - 1.0)) <= 2e-2)

@@ -159,11 +159,11 @@ def cmd_constants(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(args.spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"domain spec {args.spec!r} is not valid JSON: {exc}")
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise UsageError(f"cannot read domain spec {args.spec!r}: {exc}")
     domain = domain_from_json(data)
     point = _parse_point(args.point) if args.point else None
     if point is not None:

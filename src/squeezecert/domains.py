@@ -48,6 +48,10 @@ _MARCH_START = 1e-2
 _MARCH_GROWTH = 1.12
 # absolute bisection tolerance on the exit parameter
 _EXIT_TOL = 1e-12
+# rounds of rejection proposals before interior sampling gives up
+_REJECTION_ROUNDS = 400
+# moduli below this vanish; a polydisc coordinate this close to 1 touches its face
+_SMOOTH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +82,8 @@ class DomainSpec:
             raise DomainFormatError(f"unknown domain kind {self.kind!r}")
         if self.convexity_class not in ("convex", "cconvex"):
             raise DomainFormatError(f"convexity class must be convex or cconvex, got {self.convexity_class!r}")
-        if not (isinstance(self.bounding_radius, (int, float)) and self.bounding_radius > 0):
+        if isinstance(self.bounding_radius, bool) or not (
+                isinstance(self.bounding_radius, (int, float)) and self.bounding_radius > 0):
             raise DomainFormatError("bounding_radius must be a positive real")
         object.__setattr__(self, "bounding_radius", float(self.bounding_radius))
         getattr(self, f"_init_{self.kind}")()
@@ -93,7 +98,7 @@ class DomainSpec:
 
     def _init_lp_ball(self):
         self._require(p=True, base=False, maps=False, rho=False)
-        if not (isinstance(self.p, (int, float)) and self.p >= 1.0):
+        if isinstance(self.p, bool) or not (isinstance(self.p, (int, float)) and self.p >= 1.0):
             raise DomainFormatError(f"lp_ball requires real p >= 1, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 
@@ -141,6 +146,8 @@ class DomainSpec:
 
     def _init_defining_function(self):
         self._require(p=False, base=False, maps=False, rho=True)
+        if not isinstance(self.rho, str):
+            raise DomainFormatError(f"defining expression must be a string, got {self.rho!r}")
         member_fn, grad_fns = _parse_defining_expression(self.rho, self.n)
         object.__setattr__(self, "_member_fn", member_fn)
         object.__setattr__(self, "_grad_fns", grad_fns)
@@ -164,8 +171,11 @@ class DomainSpec:
             raise DomainFormatError("base dimension must match")
 
     def _coerce_map(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        off = np.asarray(self.offset, dtype=complex)
+        try:
+            mat = np.asarray(self.matrix, dtype=complex)
+            off = np.asarray(self.offset, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise DomainFormatError(f"map data must be numeric arrays: {exc}") from exc
         if mat.shape != (self.n, self.n):
             raise DomainFormatError(f"map matrix must be {self.n}x{self.n}, got {mat.shape}")
         if off.shape != (self.n,):
@@ -362,20 +372,20 @@ def forward_map(d: DomainSpec, w):
 
 # -- ray exits ---------------------------------------------------------------
 
-def ray_exit(d: DomainSpec, base, direction, tol=_EXIT_TOL) -> float:
+def ray_exit(d: DomainSpec, base, direction) -> float:
     """First t > 0 with base + t*direction outside the open domain.
 
     Bracketed by a geometric march (resolution factor ~1.12, so a sliver the
     ray leaves and re-enters between consecutive marks can be skipped), then
-    bisected to absolute tolerance `tol`; `ray_exit_batch` and the inscribed
+    bisected to absolute tolerance _EXIT_TOL; `ray_exit_batch` and the inscribed
     radius of `bounds` share the loop.  Raises RayCapError if the ray never
     leaves below the bounding radius.
     """
-    t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :], tol=tol)
+    t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :])
     return float(t[0])
 
 
-def ray_exit_batch(d: DomainSpec, base, directions, tol=_EXIT_TOL) -> np.ndarray:
+def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
     """First exits of rays base + t*directions[i]; `base` is one point (n,)
     shared by every ray or one point per ray (m, n), all inside the domain."""
     base = np.asarray(base, dtype=complex)
@@ -392,15 +402,15 @@ def ray_exit_batch(d: DomainSpec, base, directions, tol=_EXIT_TOL) -> np.ndarray
     # march cap in parameter units: bounding radius along the slowest direction
     cap = d.bounding_radius / norms.min() * 2.0
     # the closure looks `contains` up at call time, so a rebound one is used
-    return _first_exits(lambda z: contains(d, z), base, directions, cap, tol)
+    return _first_exits(lambda z: contains(d, z), base, directions, cap)
 
 
-def _first_exits(inside, bases, directions, cap, tol=_EXIT_TOL):
+def _first_exits(inside, bases, directions, cap):
     """First t > 0 with bases + t*directions outside, for a batched membership
     oracle `inside` of an open set holding every base.
 
     A geometric march brackets each crossing, then bisection narrows the
-    bracket to `tol`; RayCapError when a ray is still inside past `cap`.
+    bracket to _EXIT_TOL; RayCapError when a ray is still inside past `cap`.
     """
     def points(idx, t):
         # a shared base broadcasts; indexing it per round would cost a copy
@@ -421,7 +431,7 @@ def _first_exits(inside, bases, directions, cap, tol=_EXIT_TOL):
         t *= _MARCH_GROWTH
 
     while True:
-        todo = np.flatnonzero(hi - lo > tol)
+        todo = np.flatnonzero(hi - lo > _EXIT_TOL)
         if not todo.size:
             return lo
         mid = 0.5 * (lo[todo] + hi[todo])
@@ -499,13 +509,13 @@ def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
     return _rejection_samples(d, count, rng)
 
 
-def _rejection_samples(d, count, rng, max_rounds=400):
+def _rejection_samples(d, count, rng):
     # probe a sampling radius along the coordinate axes from the origin
     radius = 2.0 * ray_exit_batch(d, np.zeros(d.n, dtype=complex), _axis_points(d.n)).max()
     radius = min(radius, d.bounding_radius)
     out = []
     have = 0
-    for _ in range(max_rounds):
+    for _ in range(_REJECTION_ROUNDS):
         m = max(count, 4 * (count - have))
         g = rng.normal(size=(m, 2 * d.n)).view(complex)
         g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -568,13 +578,13 @@ def tangent_functional(d: DomainSpec, a, flavor, samples=1000, seed=0) -> Tangen
     return tf
 
 
-def _functional_coefficients(d, a, smooth_tol=1e-9):
+def _functional_coefficients(d, a):
     kind = d.kind
     if kind == "ball":
         return a.copy()
     if kind == "polydisc":
         mods = np.abs(a)
-        on_face = mods >= 1.0 - smooth_tol
+        on_face = mods >= 1.0 - _SMOOTH_TOL
         if on_face.sum() != 1:
             raise NonsmoothBoundaryError(
                 f"polydisc point touches {int(on_face.sum())} faces; tangent undefined")
@@ -584,12 +594,12 @@ def _functional_coefficients(d, a, smooth_tol=1e-9):
         return lam
     if kind == "l1ball":
         mods = np.abs(a)
-        if np.any(mods < smooth_tol):
+        if np.any(mods < _SMOOTH_TOL):
             raise NonsmoothBoundaryError("l1 boundary point has a vanishing coordinate")
         return a / mods
     if kind == "lp_ball":
         mods = np.abs(a)
-        if d.p == 1.0 and np.any(mods < smooth_tol):
+        if d.p == 1.0 and np.any(mods < _SMOOTH_TOL):
             raise NonsmoothBoundaryError("l1 boundary point has a vanishing coordinate")
         lam = np.zeros(d.n, dtype=complex)
         nz = mods > 0
@@ -599,13 +609,13 @@ def _functional_coefficients(d, a, smooth_tol=1e-9):
         w, ok = _preimage(d, a)
         if ok is not None and not ok:
             raise ArgumentError("no preimage at the requested point")
-        lam_base = _functional_coefficients(d.base, w, smooth_tol)
+        lam_base = _functional_coefficients(d.base, w)
         # hyperplane coefficients transform by the conjugate transpose of the
         # inverse forward derivative (M - a d^T) / (d0 + d.w)
         jac = (d.matrix - a[:, None] * d._den[None, 1:]) / (d._den[0] + w @ d._den[1:])
         return np.conj(np.linalg.inv(jac)).T @ lam_base
     lam = np.array([fn(*list(a) + list(np.conj(a))) for fn in d._grad_fns], dtype=complex)
-    if np.linalg.norm(lam) < smooth_tol:
+    if np.linalg.norm(lam) < _SMOOTH_TOL:
         raise NonsmoothBoundaryError("defining gradient degenerates at the point")
     return lam
 
@@ -666,7 +676,10 @@ def _c2pair(z) -> list:
 def _pair2c(pair) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise DomainFormatError(f"complex values are [re, im] pairs, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    try:
+        return complex(float(pair[0]), float(pair[1]))
+    except (TypeError, ValueError) as exc:
+        raise DomainFormatError(f"complex values are pairs of reals, got {pair!r}") from exc
 
 
 def domain_to_json(d: DomainSpec) -> dict:
@@ -702,10 +715,13 @@ def domain_from_json(data) -> DomainSpec:
     matrix = offset = denominator = None
     if "map" in data:
         m = data["map"]
-        matrix = [[_pair2c(v) for v in row] for row in m["matrix"]]
-        offset = [_pair2c(v) for v in m["offset"]]
-        if "denominator" in m:
-            denominator = [_pair2c(v) for v in m["denominator"]]
+        try:
+            matrix = [[_pair2c(v) for v in row] for row in m["matrix"]]
+            offset = [_pair2c(v) for v in m["offset"]]
+            if "denominator" in m:
+                denominator = [_pair2c(v) for v in m["denominator"]]
+        except (KeyError, TypeError) as exc:
+            raise DomainFormatError(f"malformed map: {exc!r}") from exc
     default_class = base.convexity_class if base is not None else "convex"
     if kind == "projective_image":
         default_class = "cconvex"

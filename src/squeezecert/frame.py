@@ -9,10 +9,10 @@ from transported tangent hyperplanes.
 
 The direction search is a batched multi-start pattern search whose best
 survivor, and then every tied candidate, is refined to the stationarity
-identity of a smooth contact.  Ties between minimizing directions are broken
-deterministically: candidates within the tie window are ordered by the
-lexicographic key (-Re v_1, |arg v_1|, -Re v_2, |arg v_2|, ...), so symmetric
-domains reproduce the same contacts run after run.
+identity of a smooth contact.  Tied exact canonical candidates are ordered
+by the key (-Re v_1, |arg v_1|, -Re v_2, ...), so the catalog bodies keep
+their contacts bit for bit; otherwise the lowest refined value wins.  The
+contacts of circular domains are then phase-normalized.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import DomainSpec, contains, ray_exit_batch, tangent_functional
+from .domains import CATALOG_KINDS, DomainSpec, contains, ray_exit_batch, tangent_functional
 from .errors import (
     AlphaBoundError,
     ArgumentError,
@@ -37,6 +37,13 @@ DEFAULT_STARTS_PER_DIM = 64
 # relative window within which exit values count as tied
 AGREE_TOL = 1e-3
 TIE_REL_WINDOW = 1e-9
+# rounding of the canonical tie key, and the stationarity refine's iteration cap
+_TIE_QUANTUM = 1e-9
+_REFINE_ITERS = 60
+# normalizer gates, relative to the functional's norm and to |alpha| = 1; a
+# frame that misses them has inexact contacts: mend the search, never widen
+TRIANGULAR_TOL = 1e-8
+ALPHA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,11 +152,11 @@ def _canonical_coeffs(basis):
     return np.array(out)
 
 
-def _tie_key(v, quantum=1e-9):
+def _tie_key(v):
     key = []
     for z in v:
-        key.append(round(-z.real / quantum) * quantum)
-        key.append(round((abs(np.angle(z)) if abs(z) > 1e-9 else 0.0) / quantum) * quantum)
+        key.append(round(-z.real / _TIE_QUANTUM) * _TIE_QUANTUM)
+        key.append(round((abs(np.angle(z)) if abs(z) > 1e-9 else 0.0) / _TIE_QUANTUM) * _TIE_QUANTUM)
     return tuple(key)
 
 
@@ -161,7 +168,9 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     (default: the full space).  Multi-start batched pattern search followed by
     the stationarity refine of the best survivor; `agreement` counts refined
     starts landing within AGREE_TOL of the best value, and a lone best start
-    raises the search_disagreement flag rather than an error.
+    raises the search_disagreement flag rather than an error.  Exact canonical
+    candidates that tie the optimum are ranked by the tie key; otherwise up to
+    24 tied candidates are refined and the lowest refined value is returned.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -230,38 +239,18 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     if tied_canonical.size:
         tied_dirs = _embed(basis, pool_coeffs[tied_canonical])
         pick = min(range(len(tied_canonical)), key=lambda i: _tie_key(tied_dirs[i]))
-        direction = tied_dirs[pick] / np.linalg.norm(tied_dirs[pick])
-        return SearchResult(direction=direction,
-                            radius=float(pool_vals[tied_canonical[pick]]),
-                            agreement=agreement, flags=flags)
-
-    # otherwise compare only stationarity-refined directions: the raw tie
-    # window admits angular dirt of order sqrt(window), and a value-blind key
-    # would latch onto whichever perturbation shifts it furthest
-    tied = np.flatnonzero(pool_vals <= window)
-    tied = tied[np.argsort(pool_vals[tied], kind="stable")][:24]
-    refined, refined_vals = [], []
-    for idx in tied:
-        v_r, val_r = _stationary_refine(d, basis, pool_coeffs[idx],
-                                        float(pool_vals[idx]), evaluate)
-        refined.append(v_r)
-        refined_vals.append(val_r)
-    refined = np.array(refined)
-    refined_vals = np.array(refined_vals)
-    snapped = _snap_directions(_embed(basis, refined))
-    snap_coeffs = snapped @ np.conj(basis.T)
-    norms = np.linalg.norm(snap_coeffs, axis=1)
-    snap_coeffs = snap_coeffs[norms > 0.5] / norms[norms > 0.5, None]
-    if snap_coeffs.shape[0]:
-        refined = np.concatenate([refined, snap_coeffs])
-        refined_vals = np.concatenate([refined_vals, evaluate(snap_coeffs)])
-    best = refined_vals.min()
-    final = np.flatnonzero(refined_vals <= best * (1.0 + 1e-11) + 1e-13)
-    tied_dirs = _embed(basis, refined[final])
-    pick = min(range(len(final)), key=lambda i: _tie_key(tied_dirs[i]))
-    direction = tied_dirs[pick] / np.linalg.norm(tied_dirs[pick])
-    return SearchResult(direction=direction,
-                        radius=float(refined_vals[final[pick]]),
+        direction, radius = tied_dirs[pick], pool_vals[tied_canonical[pick]]
+    else:
+        # refine the tied candidates and keep the lowest refined value: the raw
+        # tie window admits angular dirt of order sqrt(window), which the
+        # refine removes, and any well-converged minimizer serves the normalizer
+        tied = np.flatnonzero(pool_vals <= window)
+        tied = tied[np.argsort(pool_vals[tied], kind="stable")][:24]
+        v_best, radius = min((_stationary_refine(d, basis, pool_coeffs[idx],
+                                                 float(pool_vals[idx]), evaluate)
+                              for idx in tied), key=lambda r: r[1])
+        direction = _embed(basis, v_best)
+    return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(radius),
                         agreement=agreement, flags=flags)
 
 
@@ -320,7 +309,7 @@ def _pattern_level(evaluate, m, survivors, surv_vals, step, steps, cap):
     return int(moves.max())
 
 
-def _stationary_refine(d, basis, coeff, value, evaluate, max_iter=60):
+def _stationary_refine(d, basis, coeff, value, evaluate):
     """Drive a searched direction to the stationarity identity.
 
     Where the inscribed sphere touches a smooth boundary piece, the tangent
@@ -338,7 +327,7 @@ def _stationary_refine(d, basis, coeff, value, evaluate, max_iter=60):
     """
     flavor = "real_supporting" if d.convexity_class == "convex" else "complex_avoiding"
     v, val = coeff.copy(), value
-    for _ in range(max_iter):
+    for _ in range(_REFINE_ITERS):
         point = val * _embed(basis, v)
         try:
             lam = tangent_functional(d, point, flavor, samples=0).coefficients
@@ -365,45 +354,24 @@ def _stationary_refine(d, basis, coeff, value, evaluate, max_iter=60):
     return v, val
 
 
-def _snap_directions(dirs, zero_tol=1e-10, arg_tol=1e-10):
-    """Structured variants of numeric directions: tiny coordinates dropped,
-    arguments snapped to quarter turns, global phase rotated to make one
-    coordinate real positive.  Candidates only; each is kept by the caller
-    solely if its exit value still ties the optimum.
-
-    Both tolerances sit just above the stationarity refine's convergence
-    noise.  They must stay below the normalizer's triangularity gate: a snap
-    displaces the direction by up to the tolerance while moving the exit
-    value only quadratically, so a looser snap can slip through the value
-    tie window yet poison the transported functional."""
-    out = []
-    for v in dirs:
-        variants = [v]
-        mods = np.abs(v)
-        for l in np.flatnonzero(mods > 0.1 * mods.max()):
-            variants.append(v * (np.conj(v[l]) / mods[l]))
-        for w in variants:
-            w = w.copy()
-            m = np.abs(w)
-            w[m < zero_tol * m.max()] = 0.0
-            args = np.angle(w)
-            quarter = np.round(args / (np.pi / 2)) * (np.pi / 2)
-            close = np.abs(args - quarter) < arg_tol
-            w[close] = np.abs(w[close]) * np.exp(1j * quarter[close])
-            norm = np.linalg.norm(w)
-            if norm > 0:
-                out.append(w / norm)
-    return np.array(out) if out else np.zeros((0, dirs.shape[1]), dtype=complex)
-
-
 # -- frame construction ------------------------------------------------------
+
+def _circular(d: DomainSpec) -> bool:
+    """Whether d is invariant under z -> e^{it} z: the catalog bodies and
+    their linear (zero-offset) affine images."""
+    if d.kind in CATALOG_KINDS:
+        return True
+    return d.kind == "affine_image" and not d.offset.any() and _circular(d.base)
+
 
 def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
     """Stagewise minimal boundary contacts over shrinking complex subspaces.
 
-    Raises FrameDegenerateError if a stage radius collapses below 1e-9, and
-    validates contact orthogonality, the nondecreasing radius ladder, and that
-    every contact sits on the boundary bracket of its ray.
+    Contacts of circular domains are phase-normalized once all stages ran:
+    each is rotated so that its first coordinate above 1e-9 of its largest is
+    real positive.  Raises FrameDegenerateError if a stage radius collapses
+    below 1e-9, and validates contact orthogonality, the nondecreasing radius
+    ladder, and that every contact sits on the boundary bracket of its ray.
     """
     if not contains(d, np.zeros(d.n, dtype=complex)):
         raise ArgumentError("frame construction requires the origin inside the domain")
@@ -428,6 +396,13 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
 
     contacts = np.array(contacts)
     radii = np.array(radii)
+    if _circular(d):
+        # every phase of a contact is an equally close boundary point; rotate
+        # after the stages so that the bases they searched stay as they were
+        for c in contacts:
+            mods = np.abs(c)
+            lead = c[np.flatnonzero(mods > 1e-9 * mods.max())[0]]
+            c *= np.conj(lead) / abs(lead)
     gram = contacts @ np.conj(contacts.T)
     off = gram - np.diag(np.diagonal(gram))
     if np.abs(off).max() > 1e-9 * radii.max() ** 2:
@@ -447,15 +422,14 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
 
 # -- normalizer --------------------------------------------------------------
 
-def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0,
-                     triangular_tol=1e-8, alpha_tol=1e-9) -> Normalizer:
+def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0) -> Normalizer:
     """Assemble T from the contacts and A from transported tangent hyperplanes.
 
     The tangent flavor follows the declared class: real supporting hyperplanes
     for convex domains (pivot must come out real-positive), complex avoiding
     hyperplanes for C-convex ones.  Transported coefficients above the pivot
-    must vanish within `triangular_tol`; subdiagonal entries of A must stay
-    inside the closed unit disc within `alpha_tol`.
+    must vanish within TRIANGULAR_TOL; subdiagonal entries of A must stay
+    inside the closed unit disc within ALPHA_TOL.
     """
     n = frame.n
     if n != d.n:
@@ -483,16 +457,16 @@ def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0,
             raise TriangularityError(f"transported functional {j} vanished")
         tail = np.abs(mu[j + 1:]).max() / scale if j + 1 < n else 0.0
         tri_resid = max(tri_resid, tail)
-        if tail > triangular_tol:
+        if tail > TRIANGULAR_TOL:
             raise TriangularityError(
                 f"row {j}: coefficients past the pivot reach {tail:.3e} of the norm")
         pivot = mu[j]
-        if abs(pivot) <= triangular_tol * scale:
+        if abs(pivot) <= TRIANGULAR_TOL * scale:
             raise TriangularityError(f"row {j}: pivot vanished")
         if flavor == "real_supporting":
             rel_imag = abs(pivot.imag) / abs(pivot)
             pivot_imag = max(pivot_imag, rel_imag)
-            if rel_imag > triangular_tol or pivot.real <= 0.0:
+            if rel_imag > TRIANGULAR_TOL or pivot.real <= 0.0:
                 raise TriangularityError(
                     f"row {j}: supporting pivot {pivot:.3e} is not real-positive")
             pivot = complex(pivot.real)
@@ -500,7 +474,7 @@ def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0,
         if j:
             alpha_row = float(np.abs(row[:j]).max())
             alpha_max = max(alpha_max, alpha_row)
-            if alpha_row > 1.0 + alpha_tol:
+            if alpha_row > 1.0 + ALPHA_TOL:
                 raise AlphaBoundError(
                     f"row {j}: subdiagonal modulus {alpha_row:.12f} exceeds 1")
         rows[j, :j] = row[:j]

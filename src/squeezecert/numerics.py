@@ -18,6 +18,9 @@ from .errors import ArgumentError, RankDeficiencyError
 # Absolute tolerance for complex comparisons throughout the package.
 ABS_TOL = 1e-12
 
+# Relative singular value below which input vectors count as dependent.
+_RANK_RTOL = 1e-12
+
 # 4**n has to stay below double overflow for c_const.
 DIMENSION_CAP = 512
 
@@ -174,11 +177,11 @@ class CMatrix:
         return self.entries.shape[0]
 
 
-def unit_lower(entries, snap_tol=ABS_TOL) -> CMatrix:
+def unit_lower(entries) -> CMatrix:
     """Build a flagged unit lower triangular CMatrix, snapping structural entries.
 
-    Entries above the diagonal must vanish within `snap_tol` and the diagonal
-    must be within `snap_tol` of one; both are then snapped exactly so the
+    Entries above the diagonal must vanish within ABS_TOL and the diagonal
+    must be within ABS_TOL of one; both are then snapped exactly so the
     structural flags hold without qualification.
     """
     arr = np.array(entries, dtype=complex)
@@ -186,9 +189,9 @@ def unit_lower(entries, snap_tol=ABS_TOL) -> CMatrix:
         raise ArgumentError(f"expected a square matrix, got shape {arr.shape}")
     n = arr.shape[0]
     upper = np.triu(arr, 1)
-    if np.any(np.abs(upper) > snap_tol):
+    if np.any(np.abs(upper) > ABS_TOL):
         raise ArgumentError("upper triangular part exceeds the snap tolerance")
-    if np.any(np.abs(np.diagonal(arr) - 1.0) > snap_tol):
+    if np.any(np.abs(np.diagonal(arr) - 1.0) > ABS_TOL):
         raise ArgumentError("diagonal is not within snap tolerance of one")
     arr = np.tril(arr, -1)
     np.fill_diagonal(arr, 1.0)
@@ -273,7 +276,7 @@ def evaluate_monomials(terms, alpha) -> complex:
     return total
 
 
-def orthonormal_complement(vectors, n=None, rtol=1e-12) -> np.ndarray:
+def orthonormal_complement(vectors, n=None) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the given vectors.
 
     Orthogonality is with respect to the standard Hermitian inner product
@@ -293,7 +296,7 @@ def orthonormal_complement(vectors, n=None, rtol=1e-12) -> np.ndarray:
     # v is orthogonal to all a_i iff conj(mat) @ v = 0.
     u, s, vh = np.linalg.svd(np.conj(mat))
     scale = s[0] if s.size else 0.0
-    if scale == 0.0 or s[-1] <= rtol * scale:
+    if scale == 0.0 or s[-1] <= _RANK_RTOL * scale:
         raise RankDeficiencyError("input vectors are dependent within tolerance")
     comp = np.conj(vh[j:])
     gram = comp @ np.conj(comp.T)

@@ -134,6 +134,31 @@ def test_bound_usage_errors(polydisc_spec, tmp_path, capsys):
         "map": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "offset": [[0, 0], [0, 0]],
                 "denominator": [[1, 0], [0, 0], [0, 0]]}}))
     assert run_cli(["bound", str(degenerate)], capsys)[0] == EXIT_USAGE
+    # malformed maps, unreadable files and non-string expressions
+    base = domain_to_json(polydisc(2))
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    zero = [[0, 0], [0, 0]]
+    specs = {
+        "no_matrix": {"n": 2, "kind": "affine_image", "base": base, "map": {"offset": zero}},
+        "map_list": {"n": 2, "kind": "affine_image", "base": base, "map": [eye, zero]},
+        "matrix_int": {"n": 2, "kind": "affine_image", "base": base,
+                       "map": {"matrix": 5, "offset": zero}},
+        "not_numeric": {"n": 2, "kind": "affine_image", "base": base,
+                        "map": {"matrix": [[["a", 0], [0, 0]], eye[1]], "offset": zero}},
+        "ragged": {"n": 2, "kind": "affine_image", "base": base,
+                   "map": {"matrix": [[[1, 0]], eye[1]], "offset": zero}},
+        "rho_list": {"n": 2, "kind": "defining_function", "class": "convex", "rho": ["z1"]},
+    }
+    for name, spec in specs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        assert run_cli(["bound", str(path)], capsys)[0] == EXIT_USAGE, name
+    directory = tmp_path / "spec_dir.json"
+    directory.mkdir()
+    assert run_cli(["bound", str(directory)], capsys)[0] == EXIT_USAGE
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"n": 2, "kind": "ball\xe9"}')
+    assert run_cli(["bound", str(latin1)], capsys)[0] == EXIT_USAGE
 
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys):

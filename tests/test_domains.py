@@ -356,6 +356,11 @@ def test_construction_errors():
         DomainSpec(n=2, kind="blob", convexity_class="convex")
     with pytest.raises(DomainFormatError):
         lp_ball(2, 0.5)
+    # bool subclasses int; True is no exponent and no radius
+    with pytest.raises(DomainFormatError):
+        lp_ball(2, True)
+    with pytest.raises(DomainFormatError):
+        ball(2, bounding_radius=True)
     with pytest.raises(DomainFormatError):
         affine_image(ball(2), np.zeros((2, 2)))
     with pytest.raises(DomainFormatError):

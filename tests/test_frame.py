@@ -10,8 +10,10 @@ import pytest
 from squeezecert.domains import (
     affine_image,
     ball,
+    defining_domain,
     interior_samples,
     l1ball,
+    lp_ball,
     polydisc,
     projective_image,
     ray_exit_batch,
@@ -26,6 +28,7 @@ from squeezecert.errors import (
 from squeezecert.frame import (
     ContactFrame,
     Normalizer,
+    _circular,
     _pattern_level,
     _u_to_coeffs,
     build_frame,
@@ -269,6 +272,40 @@ def test_frame_invariants(name, make):
     for j, b in enumerate(fr.bases):
         assert b.shape == (d.n - j, d.n)
         assert np.allclose(b @ np.conj(b.T), np.eye(d.n - j), atol=1e-9)
+    if name in ("polydisc", "l1ball", "ball3", "shear"):
+        # circular domains fix each contact's phase: its lead coordinate is real positive
+        for c in fr.contacts:
+            lead = c[np.flatnonzero(np.abs(c) > 1e-9 * np.abs(c).max())[0]]
+            assert abs(lead.imag) <= 1e-15 * abs(lead) and lead.real > 0
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda: ball(2), True),
+    (lambda: polydisc(2), True),
+    (lambda: l1ball(2), True),
+    (lambda: lp_ball(2, 1.5), True),
+    (lambda: affine_image(polydisc(2), np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]])), True),
+    (lambda: translate(ball(2), np.array([0.3, -0.2j])), False),
+    (cayley_polydisc, False),
+    (lambda: defining_domain(2, "abs(z1)**2 + abs(z2)**2 - 1", "convex"), False),
+], ids=["ball", "polydisc", "l1ball", "lp_ball", "shear", "translated", "projective", "defining"])
+def test_circular_domains(make, expected):
+    assert _circular(make()) is expected
+
+
+@pytest.mark.parametrize("make,seed", [
+    (lambda: l1ball(4), 2),
+    (lambda: lp_ball(4, 1.5), 1),
+    (lambda: lp_ball(5, 1.5), 0),
+    (lambda: l1ball(6), 0),
+], ids=["l1ball(4)@2", "lp_ball(4)@1", "lp_ball(5)@0", "l1ball(6)@0"])
+def test_tied_contacts_pass_the_normalizer(make, seed):
+    # the contacts of these bodies tie along whole manifolds of minimizers;
+    # whichever refined one the search keeps, the later contacts must lie in
+    # its tangent hyperplane to the triangularity gate
+    d = make()
+    nz = build_normalizer(d, build_frame(d, seed=seed), seed=seed)
+    assert nz.margins["triangularity_residual"] <= 1e-8
 
 
 @pytest.mark.parametrize("name,make", FIXTURES, ids=[f[0] for f in FIXTURES])
