@@ -161,9 +161,10 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0):
     """Empirical inscribed radius of an open image containing 0.
 
     Sends `rays` directions on the unit boundary of the model shape out of the
-    origin and locates each first exit with the march and bisection of
-    `domains.ray_exit_batch` (parameter cap 1e8, tolerance 1e-12; RayCapError
-    when a ray never leaves).  Returns (lower, upper): upper is the sampled
+    origin and locates each first exit with the march and bisection that
+    `domains.ray_exit_batch` falls back on (parameter cap 1e8, tolerance
+    1e-12; RayCapError when a ray never leaves); the witness image has no
+    closed-form exit.  Returns (lower, upper): upper is the sampled
     minimum (a true upper bound for the inscribed radius), lower shrinks it
     by the angular-resolution correction 1 - theta^2/2 with
     theta = rays**(-1/(2n-1)).  No certification claim.

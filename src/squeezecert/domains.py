@@ -12,9 +12,13 @@ equation: gauge - 1 for catalog kinds, the base residual at the preimage for
 image kinds (one closed-form preimage shared by affine and projective maps,
 +inf on the horizon, where no preimage exists), the defining values
 otherwise; `contains` is residual < 0.  Every first exit along rays comes
-from one geometric march and bisection, `_first_exits`: ray_exit_batch (and
-through it the frame search, the C-convex spot check and the sampling
-radius of rejection sampling) and the inscribed radius of `bounds`.
+from one engine, `_first_exits`: ray_exit_batch (and through it the frame
+search, the C-convex spot check and the sampling radius of rejection
+sampling) and the inscribed radius of `bounds`.  ray_exit_batch seeds it with
+the closed-form exits of `_exact_exits` (ball and polydisc bases under any
+image chain, l1 and lp bases under affine maps), each kept only once the
+membership oracle brackets it within _EXIT_TOL; the other rays take a
+geometric march and bisection.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.
 
@@ -375,11 +379,15 @@ def forward_map(d: DomainSpec, w):
 def ray_exit(d: DomainSpec, base, direction) -> float:
     """First t > 0 with base + t*direction outside the open domain.
 
-    Bracketed by a geometric march (resolution factor ~1.12, so a sliver the
+    Kinds whose innermost base is a ball or polydisc, and l1 and lp balls
+    under affine maps, take the closed-form exit of `_exact_exits`, verified
+    by one membership test at each end of a bracket of width under _EXIT_TOL
+    around it; these exits are exact first crossings.  Every other ray is
+    bracketed by a geometric march (resolution factor ~1.12, so a sliver the
     ray leaves and re-enters between consecutive marks can be skipped), then
-    bisected to absolute tolerance _EXIT_TOL; `ray_exit_batch` and the inscribed
-    radius of `bounds` share the loop.  Raises RayCapError if the ray never
-    leaves below the bounding radius.
+    bisected to absolute tolerance _EXIT_TOL; `ray_exit_batch` and the
+    inscribed radius of `bounds` share the loop.  Raises RayCapError if the
+    ray never leaves below the bounding radius.
     """
     t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :])
     return float(t[0])
@@ -401,16 +409,21 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
         raise ArgumentError("ray base point must lie inside the domain")
     # march cap in parameter units: bounding radius along the slowest direction
     cap = d.bounding_radius / norms.min() * 2.0
+    guess = _exact_exits(d, base, directions)
     # the closure looks `contains` up at call time, so a rebound one is used
-    return _first_exits(lambda z: contains(d, z), base, directions, cap)
+    return _first_exits(lambda z: contains(d, z), base, directions, cap, guess)
 
 
-def _first_exits(inside, bases, directions, cap):
+def _first_exits(inside, bases, directions, cap, guess=None):
     """First t > 0 with bases + t*directions outside, for a batched membership
     oracle `inside` of an open set holding every base.
 
-    A geometric march brackets each crossing, then bisection narrows the
-    bracket to _EXIT_TOL; RayCapError when a ray is still inside past `cap`.
+    A finite `guess` at most `cap` brackets its ray's crossing as
+    guess -+ 0.4*_EXIT_TOL when `inside` holds at the lower end and fails at
+    the upper one.  For the other rays a geometric march brackets each
+    crossing, then bisection narrows the bracket to _EXIT_TOL; RayCapError
+    when a ray is still inside past `cap`.  Each returned t is the lower end
+    of its bracket, a point tested inside.
     """
     def points(idx, t):
         # a shared base broadcasts; indexing it per round would cost a copy
@@ -419,8 +432,17 @@ def _first_exits(inside, bases, directions, cap):
     m = directions.shape[0]
     lo = np.zeros(m)
     hi = np.full(m, np.nan)
-    t = _MARCH_START
     active = np.arange(m)
+    if guess is not None:
+        below = guess - 0.4 * _EXIT_TOL
+        above = guess + 0.4 * _EXIT_TOL
+        idx = np.flatnonzero(np.isfinite(guess) & (below > 0.0) & (guess <= cap))
+        if idx.size:
+            held = inside(points(idx, below[idx, None])) & ~inside(points(idx, above[idx, None]))
+            lo[idx[held]] = below[idx[held]]
+            hi[idx[held]] = above[idx[held]]
+            active = np.flatnonzero(np.isnan(hi))
+    t = _MARCH_START
     while active.size:
         if t > cap:
             raise RayCapError(f"{active.size} rays still inside past t = {cap:g}")
@@ -438,6 +460,93 @@ def _first_exits(inside, bases, directions, cap):
         ins = inside(points(todo, mid[:, None]))
         lo[todo[ins]] = mid[ins]
         hi[todo[~ins]] = mid[~ins]
+
+
+def _exact_exits(d, bases, directions):
+    """Closed-form first exits of the rays bases + t*directions, +inf where a
+    ray never leaves and nan where no closed form applies; None for a kind
+    with none at all.
+
+    The ray is carried down the image chain as a base path
+    w(t) = (U0 + t U1) / (alpha + beta t): each layer's preimage
+    w = u / (1 - e.u), u = d0 N^-1 (z - z0), maps such a path to another.
+    Ball and polydisc bases are left where |U0 + t U1|^2 = |alpha + beta t|^2,
+    summed over coordinates or per coordinate: a real quadratic whose
+    constant term is negative at an interior base, and which is >= 0 on a
+    projective horizon.  l1 and lp bases are solved along paths with
+    beta = 0 (every path of an affine chain), where the gauge is a norm.
+    Products are per-row einsums, so a batch rounds as its rows one at a time.
+    """
+    u0 = np.broadcast_to(bases, directions.shape)
+    u1 = directions
+    alpha = np.ones(u0.shape[0], dtype=complex)
+    beta = np.zeros(u0.shape[0], dtype=complex)
+    while d.kind in IMAGE_KINDS:
+        u0 = np.einsum("ij,kj->ik", u0 - alpha[:, None] * d._z0, d._n_inv)
+        u1 = np.einsum("ij,kj->ik", u1 - beta[:, None] * d._z0, d._n_inv)
+        if d.denominator is not None:
+            alpha = alpha - np.einsum("ij,j->i", u0, d._e)
+            beta = beta - np.einsum("ij,j->i", u1, d._e)
+        d = d.base
+    if d.kind in ("ball", "polydisc"):
+        quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
+        if d.kind == "ball":
+            quad = [c.sum(axis=-1) for c in quad]
+        else:
+            alpha, beta = alpha[:, None], beta[:, None]
+        t = _first_root(quad[0] - (beta.conj() * beta).real,
+                        quad[1] - (alpha.conj() * beta).real,
+                        quad[2] - (alpha.conj() * alpha).real)
+        return t if d.kind == "ball" else t.min(axis=-1)
+    flat = np.flatnonzero(beta == 0.0)
+    if d.kind not in ("l1ball", "lp_ball") or not flat.size:
+        return None
+    t = np.full(u0.shape[0], np.nan)
+    scale = alpha[flat, None]
+    t[flat] = _norm_exits(u0[flat] / scale, u1[flat] / scale, d.p or 1.0)
+    return t
+
+
+def _first_root(a, b, c):
+    """First positive root of a t^2 + 2 b t + c with c < 0, cancellation-free;
+    +inf where the quadratic stays negative for t > 0."""
+    disc = np.sqrt(np.maximum(b * b - a * c, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b > 0.0, -c / (b + disc), np.where(a > 0.0, (disc - b) / a, np.inf))
+
+
+# Newton rounds of `_norm_exits`; the iterates descend onto the root, so a row
+# stops when its iterate stops decreasing, well before this
+_NEWTON_ROUNDS = 60
+
+
+def _norm_exits(w0, w1, p):
+    """First t > 0 with g(w0 + t w1) = 1, g the lp norm (p >= 1), g(w0) < 1.
+
+    g is convex along the line and crosses 1 once.  Newton from the upper
+    bracket (1 + g(w0)) / g(w1) descends monotonically onto the root with any
+    subgradient; each row stops when its own iterate stops decreasing.
+    """
+    def gauge(mod):
+        return mod.sum(axis=-1) if p == 1.0 else (mod ** p).sum(axis=-1) ** (1.0 / p)
+
+    t = (1.0 + gauge(np.abs(w0))) / gauge(np.abs(w1))
+    rows = np.arange(t.size)
+    for _ in range(_NEWTON_ROUNDS):
+        if not rows.size:
+            break
+        w = w0[rows] + t[rows, None] * w1[rows]
+        mod = np.abs(w)
+        g = gauge(mod)
+        # d|w_j|/dt = Re(conj(w_j) w1_j) / |w_j|; 0 is a subgradient where w_j = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = np.where(mod > 0.0, (w.conj() * w1[rows]).real * mod ** (p - 2.0), 0.0)
+            step = (g - 1.0) / (rate.sum(axis=-1) * g ** (1.0 - p))
+        new = t[rows] - step
+        moved = (new < t[rows]) & (new > 0.0)
+        t[rows[moved]] = new[moved]
+        rows = rows[moved]
+    return t
 
 
 # -- boundary sampling -------------------------------------------------------
@@ -648,8 +757,10 @@ def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
     segment between the two first exits of a random real line through an
     interior point is gridded at 101 parameters and must stay one run of
     inside points.  Its endpoints are inside by construction, so a trial is
-    flagged only when the exit march stepped over two slivers; complex-line
-    slices are not tested.  Returns the violation count (0 is consistent).
+    flagged only when the exit march stepped over two slivers; kinds with a
+    closed-form exit take exact first crossings, so for them this branch
+    cannot flag anything (ROADMAP item 3).  Complex-line slices are not
+    tested.  Returns the violation count (0 is consistent).
     """
     rng = np.random.default_rng(seed)
     if d.convexity_class == "convex":

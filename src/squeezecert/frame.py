@@ -8,8 +8,8 @@ built from the contacts and a unit lower triangular correction A assembled
 from transported tangent hyperplanes.
 
 The direction search is a batched multi-start pattern search whose best
-survivor, and then every tied candidate, is refined to the stationarity
-identity of a smooth contact.  Tied exact canonical candidates are ordered
+survivor, and then every tied candidate, is refined by Gauss-Newton steps to
+the stationarity identity of a smooth contact.  Tied exact canonical candidates are ordered
 by the key (-Re v_1, |arg v_1|, -Re v_2, ...), so the catalog bodies keep
 their contacts bit for bit; otherwise the lowest refined value wins.  The
 contacts of circular domains are then phase-normalized.
@@ -37,9 +37,12 @@ DEFAULT_STARTS_PER_DIM = 64
 # relative window within which exit values count as tied
 AGREE_TOL = 1e-3
 TIE_REL_WINDOW = 1e-9
-# rounding of the canonical tie key, and the stationarity refine's iteration cap
+# rounding of the canonical tie key; the stationarity refine's Gauss-Newton
+# iteration cap, forward-difference step and least-squares singular value cut
 _TIE_QUANTUM = 1e-9
-_REFINE_ITERS = 60
+_REFINE_ITERS = 20
+_REFINE_STEP = 1e-7
+_REFINE_RCOND = 1e-6
 # normalizer gates, relative to the functional's norm and to |alpha| = 1; a
 # frame that misses them has inexact contacts: mend the search, never widen
 TRIANGULAR_TOL = 1e-8
@@ -309,42 +312,61 @@ def _pattern_level(evaluate, m, survivors, surv_vals, step, steps, cap):
     return int(moves.max())
 
 
+def _stationary_residual(d, basis, flavor, v, val):
+    """Real coordinates of P(lam)/|P(lam)| - v, with lam the tangent functional
+    at the exit point val*v and P the subspace projection, phase-aligned to v
+    for the complex flavor; None at a corner or where P(lam) turns away."""
+    try:
+        lam = tangent_functional(d, val * _embed(basis, v), flavor, samples=0).coefficients
+    except (NonsmoothBoundaryError, ArgumentError):
+        return None
+    w = lam @ np.conj(basis.T)
+    norm = np.linalg.norm(w)
+    s = np.vdot(w, v)
+    if norm < 1e-12 * np.linalg.norm(lam) or abs(s) < 0.5 * norm:
+        return None
+    r = (w / norm if flavor == "real_supporting" else w * (s / (abs(s) * norm))) - v
+    return np.concatenate([r.real, r.imag])
+
+
 def _stationary_refine(d, basis, coeff, value, evaluate):
     """Drive a searched direction to the stationarity identity.
 
     Where the inscribed sphere touches a smooth boundary piece, the tangent
     functional coefficients are a positive multiple of the contact direction
-    (up to phase for the complex flavor).  Replacing the direction with the
-    subspace projection of the coefficients converges at a rate set by the
-    curvature gap, and the final increment bounds how far the functional
-    still tilts away from the direction.  A real supporting functional has no
-    phase freedom, so its projection is adopted outright; that also pulls the
-    direction's global phase to the representative the normalizer needs,
-    which the exit value alone cannot see.  The complex flavor carries an
-    arbitrary functional phase and is aligned to the current iterate instead.
-    Corner contacts and any step that raises the exit value end the iteration
-    with the input kept.
+    (up to phase for the complex flavor), so the residual of
+    `_stationary_residual` vanishes.  A real supporting functional has no
+    phase freedom, which also pins the direction's global phase to the
+    representative the normalizer needs; the exit value alone cannot see it.
+    Each Gauss-Newton step takes the residual's Jacobian by forward
+    differences and the least-squares step with singular values below
+    _REFINE_RCOND of the largest dropped: minimizers that tie along a
+    manifold make the Jacobian singular there, and the step still converges
+    quadratically to one of them, which is all the normalizer needs (the
+    plain iteration v <- P(lam)/|P(lam)| contracts only at the curvature gap,
+    which vanishes on such manifolds).  Corner contacts and any step that
+    raises the exit value end the iteration with the last iterate kept.
     """
     flavor = "real_supporting" if d.convexity_class == "convex" else "complex_avoiding"
-    v, val = coeff.copy(), value
+    m = basis.shape[0]
+    v, val = coeff, value
     for _ in range(_REFINE_ITERS):
-        point = val * _embed(basis, v)
-        try:
-            lam = tangent_functional(d, point, flavor, samples=0).coefficients
-        except (NonsmoothBoundaryError, ArgumentError):
+        res = _stationary_residual(d, basis, flavor, v, val)
+        if res is None:
             break
-        w = lam @ np.conj(basis.T)
-        norm = np.linalg.norm(w)
-        s = np.vdot(w, v)
-        if norm < 1e-12 * np.linalg.norm(lam) or abs(s) < 0.5 * norm:
+        x = np.concatenate([v.real, v.imag])
+        probes = _u_to_coeffs(x + _REFINE_STEP * np.eye(2 * m), m)
+        probes /= np.linalg.norm(probes, axis=1, keepdims=True)
+        cols = [_stationary_residual(d, basis, flavor, u, t)
+                for u, t in zip(probes, evaluate(probes))]
+        if any(c is None for c in cols):
             break
-        if flavor == "real_supporting":
-            v_new = w / norm
-        else:
-            v_new = w * (s / (abs(s) * norm))
+        jac = (np.array(cols).T - res[:, None]) / _REFINE_STEP
+        x = x + np.linalg.lstsq(jac, -res, rcond=_REFINE_RCOND)[0]
+        v_new = _u_to_coeffs(x, m) / np.linalg.norm(x)
         new_val = float(evaluate(v_new[None])[0])
-        # the divergence gate must sit well above the exit-bisection noise, or
-        # curved boundaries stall the contraction at sqrt(noise) in angle
+        # exits without a closed form carry bisection noise up to 1e-12, so
+        # the divergence gate sits well above it
         if new_val > val + 1e-9:
             break
         step = np.linalg.norm(v_new - v)

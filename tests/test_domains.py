@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from squeezecert import domains as dom
 from squeezecert.domains import (
     ALL_KINDS,
     DomainSpec,
@@ -169,6 +170,83 @@ def test_ray_exit_per_ray_bases_match_one_call_per_base(kind):
     batched = ray_exit_batch(d, bases, dirs)
     single = np.concatenate([ray_exit_batch(d, b, v[None, :]) for b, v in zip(bases, dirs)])
     assert np.array_equal(batched, single)
+
+
+def closed_form_fixtures(n, rng):
+    """Bodies with a closed-form exit, and per-ray bases inside each."""
+    shear = np.eye(n, dtype=complex) + np.tril(np.full((n, n), 0.4 - 0.3j), -1)
+    # |d| sums to 1 < d0 = 2: the denominator stays off the closed polydisc
+    d = rng.normal(size=2 * n).view(complex)
+    den = np.concatenate([[2.0], d / np.abs(d).sum()])
+    pball = projective_image(
+        ball(n), np.eye(n) + 0.2 * rng.normal(size=(n, 2 * n)).view(complex),
+        0.1 * rng.normal(size=2 * n).view(complex), den)
+    pdisc = projective_image(polydisc(n), np.eye(n), np.zeros(n), den)
+    # 1 - 0.95 w1 nearly vanishes at w1 = 1, 20x closer to the horizon than at 0
+    near = projective_image(ball(n), np.eye(n), np.zeros(n), np.eye(n + 1)[0] - 0.95 * np.eye(n + 1)[1])
+    bodies = {
+        "ball": ball(n), "polydisc": polydisc(n), "l1ball": l1ball(n), "lp_ball": lp_ball(n, 1.5),
+        "shear": affine_image(polydisc(n), shear), "translate": translate(ball(n), np.full(n, 0.3)),
+        "projective_ball": pball, "projective_polydisc": pdisc,
+        "affine_of_projective": affine_image(pdisc, shear, np.full(n, 0.05j)),
+        "affine_lp": affine_image(translate(lp_ball(n, 1.5), np.full(n, 0.2)), shear),
+        "near_horizon": near,
+    }
+    m = 40
+    # bases near the horizon: base points with w1 close to 1
+    w = 0.1 * interior_samples(ball(n), m, rng)
+    w[:, 0] = 0.98 * np.exp(1j * rng.uniform(-0.3, 0.3, size=m))
+    bases = {name: forward_map(near, w) if body is near else interior_samples(body, m, rng)
+             for name, body in bodies.items()}
+    return bodies, bases
+
+
+def test_exact_exits_agree_with_the_march_and_pass_their_brackets():
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4):
+        bodies, per_ray = closed_form_fixtures(n, rng)
+        for name, d in bodies.items():
+            dirs = rng.normal(size=(per_ray[name].shape[0], 2 * n)).view(complex)
+            for bases in (np.zeros(n, dtype=complex), per_ray[name]):
+                guess = dom._exact_exits(d, bases, dirs)
+                assert guess is not None and np.isfinite(guess).all(), (n, name)
+                march = dom._first_exits(lambda z: contains(d, z), bases, dirs, cap=1e8)
+                assert np.abs(guess - march).max() <= dom._EXIT_TOL, (n, name)
+                below = bases + (guess - 0.4 * dom._EXIT_TOL)[:, None] * dirs
+                above = bases + (guess + 0.4 * dom._EXIT_TOL)[:, None] * dirs
+                assert contains(d, below).all() and not contains(d, above).any(), (n, name)
+
+
+def test_wrong_exit_guesses_fall_back_to_the_march():
+    rng = np.random.default_rng(29)
+    bodies, _ = closed_form_fixtures(3, rng)
+    for name in ("ball", "lp_ball", "projective_polydisc"):
+        d = bodies[name]
+
+        def inside(z):
+            return contains(d, z)
+
+        origin = np.zeros(3, dtype=complex)
+        dirs = rng.normal(size=(12, 6)).view(complex)
+        march = dom._first_exits(inside, origin, dirs, cap=1e3)
+        exact = dom._exact_exits(d, origin, dirs)
+        for wrong in (2.0 * exact, 0.5 * exact, np.full(12, np.inf), np.full(12, np.nan),
+                      np.full(12, -1.0), np.full(12, 2e3)):
+            assert np.array_equal(dom._first_exits(inside, origin, dirs, cap=1e3, guess=wrong), march)
+        # rows decide alone: right guesses keep their brackets, wrong ones march
+        mixed = np.where(np.arange(12) % 2 == 0, exact, 2.0 * exact)
+        got = dom._first_exits(inside, origin, dirs, cap=1e3, guess=mixed)
+        assert np.array_equal(got[1::2], march[1::2])
+        assert np.array_equal(got[::2], exact[::2] - 0.4 * dom._EXIT_TOL)
+
+
+def test_kinds_without_a_closed_form_give_no_guess():
+    dirs = np.eye(2, dtype=complex)
+    origin = np.zeros(2, dtype=complex)
+    curved = defining_domain(2, "abs(z1)**2 + abs(z2)**4 - 1", "convex")
+    tilted_l1 = projective_image(l1ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.5j])
+    assert dom._exact_exits(curved, origin, dirs) is None
+    assert dom._exact_exits(tilted_l1, origin, dirs) is None
 
 
 def test_ray_exit_per_ray_bases_must_all_be_inside():

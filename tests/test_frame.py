@@ -298,7 +298,12 @@ def test_circular_domains(make, expected):
     (lambda: lp_ball(4, 1.5), 1),
     (lambda: lp_ball(5, 1.5), 0),
     (lambda: l1ball(6), 0),
-], ids=["l1ball(4)@2", "lp_ball(4)@1", "lp_ball(5)@0", "l1ball(6)@0"])
+    (lambda: lp_ball(7, 1.5), 0),
+    (lambda: lp_ball(8, 1.5), 0),
+    (lambda: lp_ball(8, 1.5), 1),
+    (lambda: l1ball(8), 2),
+], ids=["l1ball(4)@2", "lp_ball(4)@1", "lp_ball(5)@0", "l1ball(6)@0",
+        "lp_ball(7)@0", "lp_ball(8)@0", "lp_ball(8)@1", "l1ball(8)@2"])
 def test_tied_contacts_pass_the_normalizer(make, seed):
     # the contacts of these bodies tie along whole manifolds of minimizers;
     # whichever refined one the search keeps, the later contacts must lie in
