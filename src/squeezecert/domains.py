@@ -421,9 +421,9 @@ def _first_exits(inside, bases, directions, cap, guess=None):
     A finite `guess` at most `cap` brackets its ray's crossing as
     guess -+ 0.4*_EXIT_TOL when `inside` holds at the lower end and fails at
     the upper one.  For the other rays a geometric march brackets each
-    crossing, then bisection narrows the bracket to _EXIT_TOL; RayCapError
-    when a ray is still inside past `cap`.  Each returned t is the lower end
-    of its bracket, a point tested inside.
+    crossing, then bisection narrows the bracket to _EXIT_TOL, or to one ulp
+    where that is wider; RayCapError when a ray is still inside past `cap`.
+    Each returned t is the lower end of its bracket, a point tested inside.
     """
     def points(idx, t):
         # a shared base broadcasts; indexing it per round would cost a copy
@@ -452,11 +452,16 @@ def _first_exits(inside, bases, directions, cap, guess=None):
         active = active[~out]
         t *= _MARCH_GROWTH
 
+    todo = np.arange(m)
     while True:
-        todo = np.flatnonzero(hi - lo > _EXIT_TOL)
+        todo = todo[hi[todo] - lo[todo] > _EXIT_TOL]
+        mid = 0.5 * (lo[todo] + hi[todo])
+        # past t ~ 8e3 an ulp of t exceeds _EXIT_TOL: a bracket one ulp wide
+        # cannot split, its mid rounds to an end, and the ray is done
+        split = (lo[todo] < mid) & (mid < hi[todo])
+        todo, mid = todo[split], mid[split]
         if not todo.size:
             return lo
-        mid = 0.5 * (lo[todo] + hi[todo])
         ins = inside(points(todo, mid[:, None]))
         lo[todo[ins]] = mid[ins]
         hi[todo[~ins]] = mid[~ins]

@@ -7,12 +7,12 @@ contacts so far.  The normalizer then consists of the diagonalizing map T
 built from the contacts and a unit lower triangular correction A assembled
 from transported tangent hyperplanes.
 
-The direction search is a batched multi-start pattern search whose best
-survivor, and then every tied candidate, is refined by Gauss-Newton steps to
-the stationarity identity of a smooth contact.  Tied exact canonical candidates are ordered
-by the key (-Re v_1, |arg v_1|, -Re v_2, ...), so the catalog bodies keep
-their contacts bit for bit; otherwise the lowest refined value wins.  The
-contacts of circular domains are then phase-normalized.
+The direction search is a batched multi-start compass walk whose best
+survivor is refined by Gauss-Newton steps to the stationarity identity of a
+smooth contact.  Tied exact canonical candidates are ordered by the key
+(-Re v_1, |arg v_1|, -Re v_2, ...), so the catalog bodies keep their contacts
+bit for bit; otherwise the refined survivor is the contact.  The contacts of
+circular domains are then phase-normalized.
 """
 from __future__ import annotations
 
@@ -168,12 +168,12 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     """Minimize the boundary exit distance from 0 over unit subspace directions.
 
     `subspace_basis` holds orthonormal rows spanning a complex subspace
-    (default: the full space).  Multi-start batched pattern search followed by
-    the stationarity refine of the best survivor; `agreement` counts refined
-    starts landing within AGREE_TOL of the best value, and a lone best start
-    raises the search_disagreement flag rather than an error.  Exact canonical
-    candidates that tie the optimum are ranked by the tie key; otherwise up to
-    24 tied candidates are refined and the lowest refined value is returned.
+    (default: the full space).  A multi-start batched compass walk is
+    followed by the stationarity refine of its best survivor; `agreement`
+    counts survivors (only the best one refined) within AGREE_TOL of the best
+    value, and a lone best survivor raises the search_disagreement flag rather
+    than an error.  Exact canonical candidates that tie the optimum are ranked
+    by the tie key; otherwise the refined best survivor is returned.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -210,8 +210,8 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
     budget = 400
     while step > 1e-5 and budget > 0:
-        # a level spends one iteration per move of its longest walk, plus
-        # the one that found no gain and halves the step
+        # a level spends one round per move, plus the one that found no
+        # gain and halves the step
         moves = _pattern_level(evaluate, m, survivors, surv_vals, step, steps, budget)
         if moves >= budget:
             break
@@ -225,34 +225,21 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     top = int(np.argmin(surv_vals))
     c_best, val_best = _stationary_refine(
         d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
-    survivors[top] = np.concatenate([c_best.real, c_best.imag])
     surv_vals[top] = val_best
 
     agreement = int(np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL))
     flags = () if agreement >= 2 else ("search_disagreement",)
 
-    pool_coeffs = np.concatenate([coeffs, _u_to_coeffs(survivors, m)])
-    pool_vals = np.concatenate([values, surv_vals])
-    best = pool_vals.min()
-    window = best * (1.0 + TIE_REL_WINDOW) + 1e-13
-
     # exact canonical candidates that tie the optimum win outright, so the
     # symmetric catalog bodies reproduce their contacts to the last bit
-    tied_canonical = np.flatnonzero(pool_vals[: len(canonical)] <= window)
+    window = min(values.min(), surv_vals.min()) * (1.0 + TIE_REL_WINDOW) + 1e-13
+    tied_canonical = np.flatnonzero(values[: len(canonical)] <= window)
     if tied_canonical.size:
-        tied_dirs = _embed(basis, pool_coeffs[tied_canonical])
+        tied_dirs = _embed(basis, canonical[tied_canonical])
         pick = min(range(len(tied_canonical)), key=lambda i: _tie_key(tied_dirs[i]))
-        direction, radius = tied_dirs[pick], pool_vals[tied_canonical[pick]]
+        direction, radius = tied_dirs[pick], values[tied_canonical[pick]]
     else:
-        # refine the tied candidates and keep the lowest refined value: the raw
-        # tie window admits angular dirt of order sqrt(window), which the
-        # refine removes, and any well-converged minimizer serves the normalizer
-        tied = np.flatnonzero(pool_vals <= window)
-        tied = tied[np.argsort(pool_vals[tied], kind="stable")][:24]
-        v_best, radius = min((_stationary_refine(d, basis, pool_coeffs[idx],
-                                                 float(pool_vals[idx]), evaluate)
-                              for idx in tied), key=lambda r: r[1])
-        direction = _embed(basis, v_best)
+        direction, radius = _embed(basis, c_best), val_best
     return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(radius),
                         agreement=agreement, flags=flags)
 
@@ -266,50 +253,25 @@ def _pattern(points, step, steps):
 def _pattern_level(evaluate, m, survivors, surv_vals, step, steps, cap):
     """Walk every survivor at one step size until its pattern shows no gain.
 
-    Updates `survivors` and `surv_vals` in place and returns the most moves
-    any survivor made, each capped at `cap`.  A survivor moves to the best
-    point of its pattern while that gains more than 1e-15; one that did not
-    move is not probed again.  Walks toward a coordinate axis are long (each
-    move shrinks the angle by about 1/(1 + step)), so a survivor that keeps
-    moving along one direction also has the patterns of its next positions
-    along it probed in the same call, a run twice as long each time it holds
-    (up to 32 positions).  The moves taken are the ones one probe per move
-    would take, so a level costs a few calls instead of one per move.
+    Updates `survivors` and `surv_vals` in place and returns the moves made,
+    at most `cap`.  Each round probes the pattern of every live survivor once
+    and moves each to the best point of its pattern if that gains more than
+    1e-15; a survivor that did not move is not probed again, so the live ones
+    have all made the same number of moves.
     """
-    k = survivors.shape[0]
-    moves = np.zeros(k, dtype=int)
-    last = np.full(k, -1)
-    run = np.zeros(k, dtype=int)
-    live = np.arange(k)
-    while live.size:
-        ahead = np.minimum(run[live], 32)
-        along = last[live]
-        chain = np.empty((live.size, ahead.max() + 1, 2 * m))
-        chain[:, 0] = survivors[live]
-        for t in range(ahead.max()):
-            chain[:, t + 1] = _pattern(chain[:, t], step, steps)[
-                np.arange(live.size), np.maximum(along, 0)]
-        cand = _pattern(chain, step, steps)
-        probed = np.arange(chain.shape[1]) <= ahead[:, None]
-        vals = np.full(probed.shape + (steps.shape[0],), np.inf)
-        vals[probed] = evaluate(_u_to_coeffs(cand[probed].reshape(-1, 2 * m), m)).reshape(
-            -1, steps.shape[0])
-        moving = []
-        for row, i in enumerate(live):
-            for t in range(ahead[row] + 1):
-                best = int(np.argmin(vals[row, t]))
-                if moves[i] >= cap or not vals[row, t, best] < surv_vals[i] - 1e-15:
-                    break
-                survivors[i] = cand[row, t, best]
-                surv_vals[i] = vals[row, t, best]
-                moves[i] += 1
-                run[i] = run[i] + 1 if best == last[i] else 1
-                last[i] = best
-                if t == ahead[row] or best != along[row]:
-                    moving.append(i)
-                    break
-        live = np.array(moving, dtype=int)
-    return int(moves.max())
+    moves = 0
+    live = np.arange(survivors.shape[0])
+    while live.size and moves < cap:
+        cand = _pattern(survivors[live], step, steps)
+        vals = evaluate(_u_to_coeffs(cand.reshape(-1, 2 * m), m)).reshape(live.size, -1)
+        best = np.argmin(vals, axis=1)
+        best_vals = vals[np.arange(live.size), best]
+        gain = best_vals < surv_vals[live] - 1e-15
+        survivors[live[gain]] = cand[gain, best[gain]]
+        surv_vals[live[gain]] = best_vals[gain]
+        live = live[gain]
+        moves += bool(live.size)
+    return moves
 
 
 def _stationary_residual(d, basis, flavor, v, val):

@@ -240,6 +240,19 @@ def test_wrong_exit_guesses_fall_back_to_the_march():
         assert np.array_equal(got[::2], exact[::2] - 0.4 * dom._EXIT_TOL)
 
 
+def test_bisection_stops_at_one_ulp_past_the_tolerance():
+    # past t ~ 8e3 an ulp of t exceeds _EXIT_TOL, so the bracket cannot
+    # shrink to the tolerance; it ends one ulp wide with its lower end inside
+    origin = np.zeros(2, dtype=complex)
+    edge = dom._first_exits(lambda z: np.abs(z[:, 0]) < 2e4, origin,
+                            np.eye(2, dtype=complex)[:1], cap=1e8)
+    assert edge[0] == np.nextafter(2e4, 0.0)
+    d = affine_image(ball(2), 1e4 * np.eye(2))
+    v = np.array([1.0, 0.3j])
+    t = ray_exit(d, origin, v)
+    assert contains(d, t * v) and not contains(d, np.nextafter(t, np.inf) * v)
+
+
 def test_kinds_without_a_closed_form_give_no_guess():
     dirs = np.eye(2, dtype=complex)
     origin = np.zeros(2, dtype=complex)
