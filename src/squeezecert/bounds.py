@@ -7,14 +7,16 @@ containments (the l1 simplex, the small polydisc and the small ball) are
 catalog DomainSpecs, scaled through affine_image; their boundaries are drawn
 by domains.boundary_samples and measured against the outer body's batched
 boundary residual.  On top of the certificate it builds the witness embedding
-(half-plane maps after the normalizer for convex domains; catalog Riemann
-maps of the coordinate projections for C-convex ones) and measures the
-inscribed radius of its image by batched ray exits.  The certified numbers
+into the unit polydisc (half-plane maps after the normalizer for convex
+domains; catalog Riemann maps of the coordinate projections for C-convex
+ones) and measures the inscribed radii of its image by batched ray exits; the
+ball-target witness is the same map scaled by 1/sqrt(n).  The certified numbers
 come from the closed forms; the witness numbers are labeled empirical and
 carry their sampling resolution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -40,7 +42,7 @@ from .errors import (
     ValidationFailureError,
 )
 from .frame import Normalizer, build_frame, build_normalizer, normalizer_to_json
-from .numerics import inverse_coefficients, universal_bounds
+from .numerics import _freeze, _pairs, c_const, inverse_coefficients, universal_bounds
 from .planar import PlanarShape, disc_shape, half_plane, riemann_catalog
 
 # inner boundaries are shrunk by this factor so closed-set tangencies sample clean
@@ -91,26 +93,20 @@ def containment_check(inner: DomainSpec, mapping, outer: DomainSpec, samples=200
 
 @dataclass(frozen=True)
 class WitnessMap:
-    """Injective holomorphic embedding into the model target.
+    """Injective holomorphic embedding into the unit polydisc.
 
     Normalizing affine part first, then one catalog Riemann map per
-    coordinate, then a global scale (1/sqrt(n) when the target is the ball).
-    The map fixes 0 and its image lies in the open target whenever the
-    pipeline invariants hold.
+    coordinate.  The map fixes 0 and its image lies in the open polydisc
+    whenever the pipeline invariants hold; scaled by 1/sqrt(n) it is the
+    ball-target witness.
     """
 
     domain: DomainSpec
     affine: np.ndarray
     coordinate_maps: tuple
-    target: str
-    scale: float
 
     def __post_init__(self):
-        arr = np.asarray(self.affine, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "affine", arr)
-        if self.target not in ("ball", "polydisc"):
-            raise ArgumentError(f"unknown witness target {self.target!r}")
+        _freeze(self, "affine")
 
     @property
     def n(self) -> int:
@@ -134,7 +130,6 @@ def witness_eval(w: WitnessMap, z) -> np.ndarray:
         except MapDomainError as exc:
             raise PipelineInconsistencyError(
                 f"coordinate {j} left its planar map's domain: {exc}") from exc
-    out *= w.scale
     return out[0] if scalar else out.reshape(z.shape)
 
 
@@ -142,7 +137,7 @@ def _witness_image_oracle(w: WitnessMap, affine_inv):
     """Membership oracle of the witness image, batched and exception-free."""
 
     def oracle(y):
-        y = np.asarray(y, dtype=complex) / w.scale
+        y = np.asarray(y, dtype=complex)
         inside = np.all(np.abs(y) < 1.0, axis=-1)
         if not np.any(inside):
             return inside
@@ -196,9 +191,7 @@ class PlanarProjection:
     zero_interior: bool
 
     def __post_init__(self):
-        arr = np.asarray(self.cloud, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "cloud", arr)
+        _freeze(self, "cloud")
 
 
 def match_projection(cloud):
@@ -272,6 +265,22 @@ def _build_projections(d, affine, cloud_samples, seed):
 
 # -- the certificate ----------------------------------------------------------
 
+def _model_bodies(n):
+    """The model bodies of the certificate: the l1 simplex, the polydisc of
+    radius 1/(2^n - 1) and the ball of radius 1/c_n."""
+    return (l1ball(n),
+            affine_image(polydisc(n), 1.0 / (2.0**n - 1.0) * np.eye(n)),
+            affine_image(ball(n), 1.0 / c_const(n) * np.eye(n)))
+
+
+def _class_bounds(n, convexity_class):
+    """The (ball, polydisc) universal lower bounds of a convexity class."""
+    consts = universal_bounds(n)
+    if convexity_class == "convex":
+        return consts.convex_ball, consts.convex_polydisc
+    return consts.cconvex_ball, consts.cconvex_polydisc
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Certified universal bounds plus empirical witness data for one domain."""
@@ -307,6 +316,8 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     convexity_class = convexity_class or d.convexity_class
     if convexity_class not in ("convex", "cconvex"):
         raise ArgumentError(f"unknown convexity class {convexity_class!r}")
+    if samples < 1 or rays < 1:
+        raise ArgumentError("sample and ray budgets must be positive")
     if convexity_class != d.convexity_class:
         d = replace(d, convexity_class=convexity_class)
     if spot_trials:
@@ -326,19 +337,13 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
                 f"declaration: {exc}") from exc
         raise
     n = d.n
-    consts = universal_bounds(n)
-    if convexity_class == "convex":
-        certified_s, certified_s_hat = consts.convex_ball, consts.convex_polydisc
-    else:
-        certified_s, certified_s_hat = consts.cconvex_ball, consts.cconvex_polydisc
+    certified_s, certified_s_hat = _class_bounds(n, convexity_class)
 
     a_inv = inverse_coefficients(norm.a_matrix).entries
     composite = norm.composite
     composite_inv = norm.t_inverse.entries @ a_inv
 
-    simplex = l1ball(n)
-    small_pd = affine_image(polydisc(n), 1.0 / (2.0**n - 1.0) * np.eye(n))
-    small_ball = affine_image(ball(n), 1.0 / consts.c_n * np.eye(n))
+    simplex, small_pd, small_ball = _model_bodies(n)
     margins = {}
     margins["simplex_in_domain_image"] = containment_check(
         simplex, norm.t_inverse.entries, d, samples=samples,
@@ -391,19 +396,15 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     witness_s = witness_s_hat = None
     inscribed_ball = inscribed_polydisc = None
     if coord_maps is not None:
-        w_pd = WitnessMap(domain=d, affine=composite, coordinate_maps=coord_maps,
-                          target="polydisc", scale=1.0)
-        w_ball = WitnessMap(domain=d, affine=composite, coordinate_maps=coord_maps,
-                            target="ball", scale=1.0 / np.sqrt(n))
+        witness = WitnessMap(domain=d, affine=composite, coordinate_maps=coord_maps)
+        oracle = _witness_image_oracle(witness, composite_inv)
         inscribed_polydisc = inscribed_radius_estimate(
-            _witness_image_oracle(w_pd, composite_inv), n, shape="polydisc",
-            rays=rays, seed=seed + 1)
-        inscribed_ball = inscribed_radius_estimate(
-            _witness_image_oracle(w_ball, composite_inv), n, shape="ball",
-            rays=rays, seed=seed + 2)
+            oracle, n, shape="polydisc", rays=rays, seed=seed + 1)
+        # the ball witness is the polydisc witness scaled by 1/sqrt(n)
+        inscribed_ball = tuple(r / math.sqrt(n) for r in inscribed_radius_estimate(
+            oracle, n, shape="ball", rays=rays, seed=seed + 2))
         witness_s_hat = inscribed_polydisc[0]
         witness_s = inscribed_ball[0]
-        witness = w_pd
 
     diagnostics = {
         "radii": [float(r) for r in frame.radii],
@@ -428,15 +429,13 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
 
 def _cloud_json(cloud):
     step = max(1, cloud.size // CLOUD_JSON_CAP)
-    sub = cloud[::step][:CLOUD_JSON_CAP]
-    return [[z.real, z.imag] for z in sub]
+    return _pairs(cloud[::step][:CLOUD_JSON_CAP])
 
 
 def _shape_json(shape):
     if shape is None:
         return None
-    return {"kind": shape.kind, "center": [shape.center.real, shape.center.imag],
-            "radius": shape.radius}
+    return {"kind": shape.kind, "center": _pairs(shape.center), "radius": shape.radius}
 
 
 def report_to_json(report: BoundReport) -> dict:

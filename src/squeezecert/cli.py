@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass
 
 from . import __version__
 from .bounds import certify, report_to_json
-from .domains import domain_from_json, translate
+from .domains import contains, domain_from_json, translate
 from .errors import DomainFormatError, SqueezeCertError
-from .numerics import constants_csv, constants_table
+from .numerics import _pairs, constants_csv, constants_table
 from .verify import (
     KAPPA_FAMILIES,
     kappa_probe,
@@ -135,6 +135,17 @@ def _parse_dims(text: str, limit=16) -> tuple:
     return dims
 
 
+def _count(text: str) -> int:
+    """argparse type of the sample, trial and budget counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_point(text: str) -> list:
     try:
         return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
@@ -169,10 +180,12 @@ def cmd_bound(args) -> int:
     if point is not None:
         if len(point) != domain.n:
             raise UsageError(f"point has {len(point)} coordinates, domain needs {domain.n}")
+        if not contains(domain, point):
+            raise UsageError(f"point {args.point!r} does not lie inside the domain")
         domain = translate(domain, point)
     config = RunConfig(
         command="bound", spec=args.spec, convexity_class=args.convexity_class,
-        point=None if point is None else [[z.real, z.imag] for z in point],
+        point=None if point is None else _pairs(point),
         samples=args.samples, seed=args.seed, tol=args.tol, out=args.out)
     kwargs = {} if args.samples is None else {"samples": args.samples}
     report = certify(domain, convexity_class=args.convexity_class,
@@ -219,8 +232,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_probe_kappa(args) -> int:
-    if args.budget < 1:
-        raise UsageError("--budget must be at least 1")
     dims = _parse_dims(args.n)
     if len(dims) != 1:
         raise UsageError("probe-kappa runs one dimension at a time")
@@ -242,7 +253,7 @@ _OPTIONS = {
     "seed": dict(type=int, default=0, help="run seed (default 0)"),
     "tol": dict(type=float, default=DEFAULT_TOL,
                 help="containment slack below -tol fails the run"),
-    "samples": dict(type=int, default=None,
+    "samples": dict(type=_count, default=None,
                     help="sample count override (default: module defaults)"),
     "format": dict(choices=("json", "csv"), default="json"),
     "out": dict(default=None, metavar="PATH",
@@ -278,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all", help=f"one of {SUITES}")
     p.add_argument("--n", default=None, help="dimension or range LO..HI")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_count, default=None)
     _add_options(p, "seed", "samples", "out")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("probe-kappa", help="empirical infimum probe over one family")
     p.add_argument("--family", required=True, choices=KAPPA_FAMILIES)
     p.add_argument("--n", default="2", help="dimension")
-    p.add_argument("--budget", type=int, default=100, help="domains to sweep")
+    p.add_argument("--budget", type=_count, default=100, help="domains to sweep")
     p.add_argument("--class", dest="convexity_class", choices=("convex", "cconvex"),
                    default=None, help="certification class (default: family default)")
     _add_options(p, "seed", "samples", "out")

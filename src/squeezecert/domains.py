@@ -40,6 +40,7 @@ from .errors import (
     RayCapError,
     ValidationFailureError,
 )
+from .numerics import _freeze, _pairs
 
 CATALOG_KINDS = ("ball", "polydisc", "l1ball", "lp_ball")
 IMAGE_KINDS = ("affine_image", "projective_image")
@@ -571,8 +572,7 @@ def boundary_samples(d: DomainSpec, count, rng) -> np.ndarray:
     n = d.n
     ones = np.ones(n, dtype=complex)
     if d.kind == "ball":
-        g = rng.normal(size=(count, 2 * n)).view(complex)
-        rand = g / np.linalg.norm(g, axis=1, keepdims=True)
+        rand = _sphere_draw(rng, count, n)
         corner = ones / np.sqrt(n)
     elif d.kind == "polydisc":
         rand = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(count, n)))
@@ -584,6 +584,12 @@ def boundary_samples(d: DomainSpec, count, rng) -> np.ndarray:
     else:
         raise ArgumentError(f"no boundary sampler for {d.kind}")
     return np.concatenate([_axis_points(n), np.outer(_PHASES, corner), rand])
+
+
+def _sphere_draw(rng, m, n):
+    """m uniform points of the unit sphere in C^n."""
+    g = rng.normal(size=(m, 2 * n)).view(complex)
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def _axis_points(n):
@@ -601,8 +607,7 @@ def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
     kind = d.kind
     n = d.n
     if kind == "ball":
-        g = rng.normal(size=(count, 2 * n)).view(complex)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = _sphere_draw(rng, count, n)
         r = rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / (2 * n))
         return g * r
     if kind == "polydisc":
@@ -631,8 +636,7 @@ def _rejection_samples(d, count, rng):
     have = 0
     for _ in range(_REJECTION_ROUNDS):
         m = max(count, 4 * (count - have))
-        g = rng.normal(size=(m, 2 * d.n)).view(complex)
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g = _sphere_draw(rng, m, d.n)
         r = radius * rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / (2 * d.n))
         cand = g * r
         keep = cand[_residual(d, cand) < 0.0]
@@ -664,10 +668,7 @@ class TangentFunctional:
     min_margin: float = math.nan
 
     def __post_init__(self):
-        for name in ("point", "coefficients"):
-            arr = np.asarray(getattr(self, name), dtype=complex)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "point", "coefficients")
 
 
 def tangent_functional(d: DomainSpec, a, flavor, samples=1000, seed=0) -> TangentFunctional:
@@ -773,8 +774,7 @@ def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
         mid = 0.5 * (z[:trials] + z[trials:])
         return int(np.count_nonzero(~contains(d, mid)))
     pts = interior_samples(d, trials, rng)
-    dirs = rng.normal(size=(trials, 2 * d.n)).view(complex)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = _sphere_draw(rng, trials, d.n)
     span = ray_exit_batch(d, np.concatenate([pts, pts]), np.concatenate([dirs, -dirs]))
     ts = np.linspace(-span[trials:], span[:trials], 101, axis=-1)
     mask = contains(d, pts[:, None, :] + ts[:, :, None] * dirs[:, None, :])
@@ -783,11 +783,6 @@ def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
 
 
 # -- JSON schema -------------------------------------------------------------
-
-def _c2pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
 
 def _pair2c(pair) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
@@ -806,10 +801,9 @@ def domain_to_json(d: DomainSpec) -> dict:
     if d.base is not None:
         out["base"] = domain_to_json(d.base)
     if d.matrix is not None:
-        m = {"matrix": [[_c2pair(v) for v in row] for row in d.matrix],
-             "offset": [_c2pair(v) for v in d.offset]}
+        m = {"matrix": _pairs(d.matrix), "offset": _pairs(d.offset)}
         if d.denominator is not None:
-            m["denominator"] = [_c2pair(v) for v in d.denominator]
+            m["denominator"] = _pairs(d.denominator)
         out["map"] = m
     if d.rho is not None:
         out["rho"] = d.rho

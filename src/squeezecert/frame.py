@@ -29,7 +29,7 @@ from .errors import (
     NonsmoothBoundaryError,
     TriangularityError,
 )
-from .numerics import CMatrix, orthonormal_complement, unit_lower
+from .numerics import CMatrix, _freeze, _pairs, orthonormal_complement, unit_lower
 
 DEFAULT_STARTS_PER_DIM = 64
 
@@ -59,9 +59,7 @@ class SearchResult:
     flags: tuple
 
     def __post_init__(self):
-        arr = np.asarray(self.direction, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "direction", arr)
+        _freeze(self, "direction")
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,8 @@ class ContactFrame:
     search_flags: tuple
 
     def __post_init__(self):
-        for name in ("contacts", "radii"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        frozen = []
-        for b in self.bases:
-            arr = np.asarray(b, dtype=complex)
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "bases", tuple(frozen))
+        _freeze(self, "contacts", "radii", dtype=None)
+        _freeze(self, "bases")
 
     @property
     def n(self) -> int:
@@ -483,17 +473,9 @@ def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0) -
 
 # -- serialization -----------------------------------------------------------
 
-def _cvec_json(v):
-    return [[z.real, z.imag] for z in np.asarray(v, dtype=complex)]
-
-
-def _cmat_json(m):
-    return [_cvec_json(row) for row in np.asarray(m, dtype=complex)]
-
-
 def frame_to_json(frame: ContactFrame) -> dict:
     return {
-        "contacts": _cmat_json(frame.contacts),
+        "contacts": _pairs(frame.contacts),
         "radii": [float(r) for r in frame.radii],
         "search_flags": list(frame.search_flags),
     }
@@ -502,15 +484,15 @@ def frame_to_json(frame: ContactFrame) -> dict:
 def normalizer_to_json(norm: Normalizer) -> dict:
     return {
         "frame": frame_to_json(norm.frame),
-        "t_matrix": _cmat_json(norm.t_matrix.entries),
-        "t_inverse": _cmat_json(norm.t_inverse.entries),
-        "a_matrix": _cmat_json(norm.a_matrix.entries),
+        "t_matrix": _pairs(norm.t_matrix.entries),
+        "t_inverse": _pairs(norm.t_inverse.entries),
+        "a_matrix": _pairs(norm.a_matrix.entries),
         "functionals": [
             {
-                "point": _cvec_json(tf.point),
-                "coefficients": _cvec_json(tf.coefficients),
+                "point": _pairs(tf.point),
+                "coefficients": _pairs(tf.coefficients),
                 "flavor": tf.flavor,
-                "value": [tf.value.real, tf.value.imag],
+                "value": _pairs(tf.value),
                 "samples_checked": tf.samples_checked,
                 "min_margin": tf.min_margin,
             }

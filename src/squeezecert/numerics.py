@@ -134,6 +134,26 @@ def constants_csv(n_max) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _freeze(obj, *names, dtype=complex):
+    """Set each named field of a frozen dataclass to a read-only array, or a
+    tuple field to a tuple of them."""
+    def frozen(value):
+        arr = np.asarray(value, dtype=dtype)
+        arr.setflags(write=False)
+        return arr
+
+    for name in names:
+        value = getattr(obj, name)
+        object.__setattr__(obj, name, tuple(map(frozen, value))
+                           if isinstance(value, tuple) else frozen(value))
+
+
+def _pairs(z) -> list:
+    """JSON form of complex values: each value becomes its [re, im] pair."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
+
+
 def as_cvector(z, n=None) -> np.ndarray:
     """Coerce to a finite 1-d complex vector, optionally of prescribed length."""
     arr = np.asarray(z, dtype=complex)

@@ -201,27 +201,6 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
             return 2.0 / (1.0 + w) ** 2
 
         deriv0 = 2.0 + 0.0j
-    elif kind == "disc":
-        a, big_r = shape.center, shape.radius
-        u0 = -a / big_r
-        b_fwd, b_inv, b_inv_d = _blaschke(u0)
-
-        def fwd(z):
-            z = np.asarray(z, dtype=complex)
-            u = (z - a) / big_r
-            if np.any(np.abs(u) >= 1.0):
-                raise MapDomainError("disc forward takes points of the disc")
-            return b_fwd(u)
-
-        def inv(w):
-            w = _check_disc_arg(w, "disc inverse")
-            return a + big_r * b_inv(w)
-
-        def inv_d(w):
-            w = _check_disc_arg(w, "disc inverse derivative")
-            return big_r * b_inv_d(w)
-
-        deriv0 = (big_r ** 2 - abs(a) ** 2) / big_r
     elif kind == "slit_plane":
 
         def fwd(z):
@@ -241,8 +220,11 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
 
         deriv0 = 4.0 + 0.0j
     else:
-        base = riemann_catalog(shape.base)
-        lam, beta = shape.scale, shape.offset
+        # a disc is the image of the unit disc under z -> radius z + center
+        if kind == "disc":
+            base, lam, beta = riemann_catalog(unit_disc()), shape.radius, shape.center
+        else:
+            base, lam, beta = riemann_catalog(shape.base), shape.scale, shape.offset
         u0 = complex(base.forward(np.array([-beta / lam]))[0])
         b_fwd, b_inv, b_inv_d = _blaschke(u0)
 
@@ -309,16 +291,8 @@ def tau_radius_check(n, c, samples=100_000, seed=0) -> ContainmentReport:
         raise ArgumentError("parameter c must lie in (0, 1]")
     if samples < 1:
         raise ArgumentError("sample budget must be positive")
-    radius = (c / (2.0 + c)) * (1.0 - 1e-9)
-    rng = np.random.default_rng(seed)
-    w = np.concatenate([_axis_points(n), _sphere_points(n, samples, rng)])
-    w *= radius
-    zeta = cayley_inverse(w)
-    slack = c - np.linalg.norm(zeta, axis=1)
-    return ContainmentReport(
-        check="tau_radius", n=n, parameter=float(c), radius=float(radius),
-        samples=int(w.shape[0]), violations=int(np.count_nonzero(slack < 0)),
-        min_slack=float(slack.min()))
+    return _radius_check("tau_radius", [cayley_inverse] * n, c,
+                         (c / (2.0 + c)) * (1.0 - 1e-9), samples, seed)
 
 
 def rho_radius_check(maps, c, samples=100_000, seed=0) -> ContainmentReport:
@@ -340,15 +314,22 @@ def rho_radius_check(maps, c, samples=100_000, seed=0) -> ContainmentReport:
         if mp.boundary_distance < c - 1e-12:
             raise ArgumentError(
                 f"coordinate {j}: c*disc does not fit inside the shape")
-    radius = rho(c) * (1.0 - 1e-9)
+    return _radius_check("rho_radius", [mp.inverse for mp in maps], c,
+                         rho(c) * (1.0 - 1e-9), samples, seed)
+
+
+def _radius_check(check, inverses, c, radius, samples, seed):
+    """Sample radius*ball, the axis points first, through the coordinatewise
+    `inverses` and measure the slack inside c*ball."""
+    n = len(inverses)
     rng = np.random.default_rng(seed)
     w = np.concatenate([_axis_points(n), _sphere_points(n, samples, rng)])
     w *= radius
     z = np.empty_like(w)
-    for j, mp in enumerate(maps):
-        z[:, j] = mp.inverse(w[:, j])
+    for j, inv in enumerate(inverses):
+        z[:, j] = inv(w[:, j])
     slack = c - np.linalg.norm(z, axis=1)
     return ContainmentReport(
-        check="rho_radius", n=n, parameter=float(c), radius=float(radius),
+        check=check, n=n, parameter=float(c), radius=float(radius),
         samples=int(w.shape[0]), violations=int(np.count_nonzero(slack < 0)),
         min_slack=float(slack.min()))

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import certify, containment_check
+from .bounds import _class_bounds, _model_bodies, certify, containment_check
 from .domains import (
     affine_image,
     ball,
@@ -27,13 +27,7 @@ from .domains import (
     translate,
 )
 from .errors import ArgumentError
-from .numerics import (
-    c_const,
-    count_inverse_monomials,
-    inverse_coefficients,
-    unit_lower,
-    universal_bounds,
-)
+from .numerics import _pairs, count_inverse_monomials, inverse_coefficients, unit_lower
 from .planar import (
     half_plane,
     rho_radius_check,
@@ -131,11 +125,6 @@ def _all_minus_one(n):
     return np.tril(-np.ones((n, n)), -1) + np.eye(n)
 
 
-def _cmat_pairs(mat):
-    return [[[float(z.real), float(z.imag)] for z in row]
-            for row in np.asarray(mat, dtype=complex)]
-
-
 # -- triangular coefficient suite ---------------------------------------------
 
 def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
@@ -172,7 +161,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
                 (bound - np.abs(np.tril(inv, -1))) / np.maximum(1.0, bound)))
             track.add(coeff_margin,
                       {"check": "coefficient_bound", "n": n, "trial": trial,
-                       "alpha": _cmat_pairs(alpha)})
+                       "alpha": _pairs(alpha)})
             z = rng.normal(size=(8, 2 * n)).view(complex)
             if trial == 0:
                 z[0] = 1.0
@@ -181,7 +170,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
             bound_margin = float(np.min((rhs - lhs) / (1.0 + rhs)))
             track.add(bound_margin,
                       {"check": "weighted_bound", "n": n, "trial": trial,
-                       "alpha": _cmat_pairs(alpha)})
+                       "alpha": _pairs(alpha)})
     return SuiteReport(suite="star", dims=dims, trials=trials, seed=seed,
                        violations=track.violations, worst_margin=track.worst,
                        worst_case=track.case)
@@ -202,9 +191,7 @@ def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteRep
         raise ArgumentError("trials and samples must be positive")
     track = _Tracker()
     for n in dims:
-        pd_small = affine_image(polydisc(n), 1.0 / (2.0**n - 1.0) * np.eye(n))
-        ball_small = affine_image(ball(n), 1.0 / c_const(n) * np.eye(n))
-        outer = l1ball(n)
+        outer, pd_small, ball_small = _model_bodies(n)
         for trial in range(trials):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3, n, trial)))
             alpha = _all_minus_one(n) if trial == 0 else _random_alpha(n, rng)
@@ -216,7 +203,7 @@ def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteRep
                     seed=np.random.SeedSequence(entropy=(seed, 4, n, trial)))
                 track.add(rep.min_slack,
                           {"check": label, "n": n, "trial": trial,
-                           "alpha": _cmat_pairs(alpha)})
+                           "alpha": _pairs(alpha)})
         slit_maps = [riemann_catalog(slit_plane()) for _ in range(n)]
         mixed = [riemann_catalog(k()) for k in (slit_plane, half_plane, unit_disc)]
         for ci, c in enumerate(RADIUS_PARAMETERS):
@@ -303,21 +290,21 @@ def _family_domains(family, n, budget, seed):
             s = _sweep_parameter(idx, grid, rng)
             mat = np.eye(n, dtype=complex)
             mat[1, 0] = s
-            yield affine_image(polydisc(n), mat), {"shear": [complex(s).real, complex(s).imag]}
+            yield affine_image(polydisc(n), mat), {"shear": _pairs(s)}
         elif family == "projective":
             t = _sweep_parameter(idx, grid, rng)
             den = np.zeros(n + 1, dtype=complex)
             den[0], den[1] = 2.0, t
             yield projective_image(polydisc(n), np.eye(n), np.zeros(n), den,
                                    bounding_radius=100.0), \
-                {"denominator_1": [complex(t).real, complex(t).imag]}
+                {"denominator_1": _pairs(t)}
         else:
             if idx == 0:
                 p = np.zeros(n, dtype=complex)
             else:
                 g = rng.normal(size=2 * n).view(complex)
                 p = 0.5 * rng.uniform() ** (1.0 / (2 * n)) * g / np.linalg.norm(g)
-            yield translate(ball(n), p), {"base_point": [[z.real, z.imag] for z in p]}
+            yield translate(ball(n), p), {"base_point": _pairs(p)}
 
 
 def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
@@ -337,11 +324,7 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
         raise ArgumentError("budget must be positive")
     if convexity_class is None:
         convexity_class = "cconvex" if family == "projective" else "convex"
-    consts = universal_bounds(n)
-    if convexity_class == "convex":
-        uni_s, uni_s_hat = consts.convex_ball, consts.convex_polydisc
-    else:
-        uni_s, uni_s_hat = consts.cconvex_ball, consts.cconvex_polydisc
+    uni_s, uni_s_hat = _class_bounds(n, convexity_class)
 
     min_cert_s = min_cert_s_hat = math.inf
     min_wit_s = min_wit_s_hat = None

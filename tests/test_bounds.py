@@ -1,5 +1,7 @@
 """Tests for containment checks, witness maps, and the certify pipeline."""
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from squeezecert.bounds import (
     BoundReport,
     MarginReport,
     WitnessMap,
+    _witness_image_oracle,
     certify,
     containment_check,
     inscribed_radius_estimate,
@@ -315,6 +318,12 @@ def test_certify_polydisc_as_cconvex(polydisc_cconvex_report):
     assert rep.witness_s_hat > rep.certified_s_hat
 
 
+@pytest.mark.parametrize("budget", [{"samples": 0}, {"samples": -1}, {"rays": 0}])
+def test_certify_rejects_nonpositive_budgets(budget):
+    with pytest.raises(ArgumentError, match="positive"):
+        certify(polydisc(2), spot_trials=0, **budget)
+
+
 def test_certify_class_mismatch():
     with pytest.raises(ClassMismatchError):
         certify(projective_fixture(), convexity_class="convex", seed=0)
@@ -358,10 +367,27 @@ def test_witness_target_containment(polydisc_report):
     z = interior_samples(polydisc(2), 100_000, rng)
     img = witness_eval(w, z)
     assert np.max(np.abs(img)) < 1.0
-    w_ball = WitnessMap(domain=w.domain, affine=w.affine,
-                        coordinate_maps=w.coordinate_maps, target="ball",
-                        scale=1.0 / np.sqrt(2.0))
-    assert np.max(np.linalg.norm(witness_eval(w_ball, z), axis=1)) < 1.0
+    # the ball-target witness is the polydisc witness scaled by 1/sqrt(n)
+    assert np.max(np.linalg.norm(img, axis=1)) / np.sqrt(2.0) < 1.0
+
+
+def test_witness_map_has_only_domain_affine_and_maps(polydisc_report):
+    w = polydisc_report.witness
+    assert [f.name for f in dataclasses.fields(WitnessMap)] == [
+        "domain", "affine", "coordinate_maps"]
+    assert not w.affine.flags.writeable
+
+
+@pytest.mark.parametrize("d, cls", [(l1ball(2), "convex"), (polydisc(2), "cconvex")])
+def test_inscribed_ball_is_polydisc_witness_image_over_sqrt_n(d, cls):
+    rep = certify(d, convexity_class=cls, samples=400, rays=300, seed=3, spot_trials=0)
+    assert rep.witness is not None
+    norm = rep.normalizer
+    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
+    estimate = inscribed_radius_estimate(_witness_image_oracle(rep.witness, affine_inv),
+                                         2, shape="ball", rays=300, seed=3 + 2)
+    assert rep.inscribed_ball == tuple(r / math.sqrt(2) for r in estimate)
+    assert rep.witness_s == rep.inscribed_ball[0]
 
 
 # -- serialization and determinism --------------------------------------------

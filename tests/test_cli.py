@@ -108,6 +108,30 @@ def test_bound_writes_identical_files(polydisc_spec, tmp_path, capsys):
     assert json.loads(first)["config"]["out"] == out_path
 
 
+def test_bound_point_outside_is_usage_error(polydisc_spec, capsys):
+    # outside the bidisc, and on its boundary
+    for point in ("2,0", "1,0"):
+        rc, out, err = run_cli(["bound", polydisc_spec, "--point", point], capsys)
+        assert rc == EXIT_USAGE, point
+        assert out == "" and "inside the domain" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "SPEC", "--samples", "0"],
+    ["bound", "SPEC", "--samples", "-3"],
+    ["bound", "SPEC", "--samples", "many"],
+    ["verify", "--suite", "strictness", "--samples", "0"],
+    ["verify", "--suite", "lemmas", "--samples", "0"],
+    ["verify", "--suite", "star", "--trials", "0"],
+    ["probe-kappa", "--family", "shears", "--budget", "1", "--samples", "0"],
+    ["probe-kappa", "--family", "shears", "--budget", "-1"],
+])
+def test_nonpositive_counts_are_usage_errors(polydisc_spec, argv, capsys):
+    rc, out, err = run_cli([polydisc_spec if a == "SPEC" else a for a in argv], capsys)
+    assert rc == EXIT_USAGE
+    assert out == "" and "positive integer" in err
+
+
 def test_bound_class_mismatch_exits_two(projective_spec, capsys):
     rc, _, err = run_cli(
         ["bound", projective_spec, "--class", "convex", "--samples", "400"], capsys)
