@@ -10,9 +10,12 @@ boundary residual.  On top of the certificate it builds the witness embedding
 into the unit polydisc (half-plane maps after the normalizer for convex
 domains; catalog Riemann maps of the coordinate projections for C-convex
 ones) and measures the inscribed radii of its image by batched ray exits; the
-ball-target witness is the same map scaled by 1/sqrt(n).  The certified numbers
-come from the closed forms; the witness numbers are labeled empirical and
-carry their sampling resolution.
+ball-target witness is the same map scaled by 1/sqrt(n).  The coordinate maps'
+inverses are Mobius maps, so a witness-image ray pulls back to a rational path
+whose first exit has a closed form over ball and polydisc bases; it is kept
+once the image's membership oracle brackets it, and every other ray marches.
+The certified numbers come from the closed forms; the witness numbers are
+labeled empirical and carry their sampling resolution.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import numpy as np
 from .domains import (
     DomainSpec,
     _first_exits,
+    _mobius_path_exits,
     affine_image,
     ball,
     boundary_residual,
@@ -150,19 +154,34 @@ def _witness_image_oracle(w: WitnessMap, affine_inv):
     return oracle
 
 
+def _witness_exits(w: WitnessMap, affine_inv):
+    """Closed-form first exits of witness-image rays t*v from 0, as a callable
+    of the directions (`domains._mobius_path_exits`: None unless the
+    domain's innermost base is a ball or polydisc); None unless every
+    coordinate inverse is a Mobius map."""
+    if any(mp.inverse_mobius is None for mp in w.coordinate_maps):
+        return None
+    mobius = np.array([mp.inverse_mobius for mp in w.coordinate_maps]).T
+    return lambda dirs: _mobius_path_exits(w.domain, mobius, affine_inv, dirs)
+
+
 # -- inscribed radius by batched ray exits -----------------------------------
 
-def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0):
+def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess=None):
     """Empirical inscribed radius of an open image containing 0.
 
     Sends `rays` directions on the unit boundary of the model shape out of the
-    origin and locates each first exit with the march and bisection that
-    `domains.ray_exit_batch` falls back on (parameter cap 1e8, tolerance
-    1e-12; RayCapError when a ray never leaves); the witness image has no
-    closed-form exit.  Returns (lower, upper): upper is the sampled
-    minimum (a true upper bound for the inscribed radius), lower shrinks it
-    by the angular-resolution correction 1 - theta^2/2 with
-    theta = rays**(-1/(2n-1)).  No certification claim.
+    origin and locates each first exit with the `domains` exit engine
+    (parameter cap 1e8, tolerance 1e-12; RayCapError when a ray never
+    leaves).  `guess`, when given, maps the drawn directions to closed-form
+    exits (nan where none, None for none at all), such as the witness
+    image's from `_witness_exits`; each is kept only when the oracle
+    brackets it within the tolerance, and every other ray marches and
+    bisects.
+    Returns (lower, upper): upper is the sampled minimum (a true upper bound
+    for the inscribed radius), lower shrinks it by the angular-resolution
+    correction 1 - theta^2/2 with theta = rays**(-1/(2n-1)).  No
+    certification claim.
     """
     if shape not in ("ball", "polydisc"):
         raise ArgumentError(f"inscribed shape must be ball or polydisc, got {shape!r}")
@@ -172,7 +191,8 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0):
         raise ArgumentError("inscribed radius needs 0 inside the image")
     body = ball(n) if shape == "ball" else polydisc(n)
     dirs = boundary_samples(body, rays, np.random.default_rng(seed))
-    upper = float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8).min())
+    exits = None if guess is None else guess(dirs)
+    upper = float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, guess=exits).min())
     theta = float(rays) ** (-1.0 / (2 * n - 1))
     lower = upper * max(0.0, 1.0 - 0.5 * theta**2)
     return lower, upper
@@ -398,11 +418,12 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     if coord_maps is not None:
         witness = WitnessMap(domain=d, affine=composite, coordinate_maps=coord_maps)
         oracle = _witness_image_oracle(witness, composite_inv)
+        guess = _witness_exits(witness, composite_inv)
         inscribed_polydisc = inscribed_radius_estimate(
-            oracle, n, shape="polydisc", rays=rays, seed=seed + 1)
+            oracle, n, shape="polydisc", rays=rays, seed=seed + 1, guess=guess)
         # the ball witness is the polydisc witness scaled by 1/sqrt(n)
         inscribed_ball = tuple(r / math.sqrt(n) for r in inscribed_radius_estimate(
-            oracle, n, shape="ball", rays=rays, seed=seed + 2))
+            oracle, n, shape="ball", rays=rays, seed=seed + 2, guess=guess))
         witness_s_hat = inscribed_polydisc[0]
         witness_s = inscribed_ball[0]
 

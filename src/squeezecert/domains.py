@@ -14,11 +14,14 @@ image kinds (one closed-form preimage shared by affine and projective maps,
 otherwise; `contains` is residual < 0.  Every first exit along rays comes
 from one engine, `_first_exits`: ray_exit_batch (and through it the frame
 search, the C-convex spot check and the sampling radius of rejection
-sampling) and the inscribed radius of `bounds`.  ray_exit_batch seeds it with
-the closed-form exits of `_exact_exits` (ball and polydisc bases under any
-image chain, l1 and lp bases under affine maps), each kept only once the
-membership oracle brackets it within _EXIT_TOL; the other rays take a
-geometric march and bisection.
+sampling) and the inscribed radius of `bounds`.  Both seed it with the
+closed-form exits of `_path_exits`, which carries a rational path down the
+image chain: ray_exit_batch a ray (ball and polydisc bases under any image
+chain, l1 and lp bases under affine maps), `bounds` a witness-image ray
+pulled back through Mobius coordinate maps by `_mobius_path_exits` (ball and
+polydisc bases).  Each
+exit is kept only once the membership oracle brackets it within _EXIT_TOL;
+the other rays take a geometric march and bisection.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.
 
@@ -53,6 +56,12 @@ _MARCH_START = 1e-2
 _MARCH_GROWTH = 1.12
 # absolute bisection tolerance on the exit parameter
 _EXIT_TOL = 1e-12
+# Newton rounds of the closed-form exits; each row stops on its own test,
+# well before this
+_NEWTON_ROUNDS = 60
+# Mobius paths are built in chunks of this many rays, bounding the memory of
+# their coefficients
+_PATH_CHUNK = 4096
 # rounds of rejection proposals before interior sampling gives up
 _REJECTION_ROUNDS = 400
 # moduli below this vanish; a polydisc coordinate this close to 1 touches its face
@@ -387,8 +396,9 @@ def ray_exit(d: DomainSpec, base, direction) -> float:
     bracketed by a geometric march (resolution factor ~1.12, so a sliver the
     ray leaves and re-enters between consecutive marks can be skipped), then
     bisected to absolute tolerance _EXIT_TOL; `ray_exit_batch` and the
-    inscribed radius of `bounds` share the loop.  Raises RayCapError if the
-    ray never leaves below the bounding radius.
+    inscribed radius of `bounds`, whose witness-image rays have closed-form
+    exits of their own over ball and polydisc bases, share the loop.  Raises
+    RayCapError if the ray never leaves below the bounding radius.
     """
     t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :])
     return float(t[0])
@@ -406,8 +416,6 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
     norms = np.linalg.norm(directions, axis=1)
     if np.any(norms == 0.0):
         raise ArgumentError("zero direction")
-    if not np.all(contains(d, base)):
-        raise ArgumentError("ray base point must lie inside the domain")
     # march cap in parameter units: bounding radius along the slowest direction
     cap = d.bounding_radius / norms.min() * 2.0
     guess = _exact_exits(d, base, directions)
@@ -425,10 +433,25 @@ def _first_exits(inside, bases, directions, cap, guess=None):
     crossing, then bisection narrows the bracket to _EXIT_TOL, or to one ulp
     where that is wider; RayCapError when a ray is still inside past `cap`.
     Each returned t is the lower end of its bracket, a point tested inside.
+    The bases ride on the first membership call (the lower bracket ends, or
+    the first march step); ArgumentError when one is outside.
     """
     def points(idx, t):
         # a shared base broadcasts; indexing it per round would cost a copy
         return (bases if bases.ndim == 1 else bases[idx]) + t * directions[idx]
+
+    unchecked = bases.reshape(-1, bases.shape[-1])
+
+    def first_inside(z):
+        nonlocal unchecked
+        if unchecked is None:
+            return inside(z)
+        k = unchecked.shape[0]
+        got = inside(np.concatenate([unchecked, z]))
+        unchecked = None
+        if not got[:k].all():
+            raise ArgumentError("ray base point must lie inside the domain")
+        return got[k:]
 
     m = directions.shape[0]
     lo = np.zeros(m)
@@ -439,15 +462,17 @@ def _first_exits(inside, bases, directions, cap, guess=None):
         above = guess + 0.4 * _EXIT_TOL
         idx = np.flatnonzero(np.isfinite(guess) & (below > 0.0) & (guess <= cap))
         if idx.size:
-            held = inside(points(idx, below[idx, None])) & ~inside(points(idx, above[idx, None]))
+            held = first_inside(points(idx, below[idx, None])) & ~inside(points(idx, above[idx, None]))
             lo[idx[held]] = below[idx[held]]
             hi[idx[held]] = above[idx[held]]
             active = np.flatnonzero(np.isnan(hi))
     t = _MARCH_START
     while active.size:
         if t > cap:
+            if unchecked is not None:
+                first_inside(directions[:0])
             raise RayCapError(f"{active.size} rays still inside past t = {cap:g}")
-        out = ~inside(points(active, t))
+        out = ~first_inside(points(active, t))
         hi[active[out]] = t
         lo[active[~out]] = t
         active = active[~out]
@@ -469,32 +494,78 @@ def _first_exits(inside, bases, directions, cap, guess=None):
 
 
 def _exact_exits(d, bases, directions):
-    """Closed-form first exits of the rays bases + t*directions, +inf where a
-    ray never leaves and nan where no closed form applies; None for a kind
-    with none at all.
+    """Closed-form first exits of the rays bases + t*directions: `_path_exits`
+    of the degree-1 path (bases + t directions) / 1."""
+    u = np.stack([np.broadcast_to(bases, directions.shape), directions])
+    alpha = np.zeros(u.shape[:2], dtype=complex)
+    alpha[0] = 1.0
+    return _path_exits(d, u, alpha)
 
-    The ray is carried down the image chain as a base path
-    w(t) = (U0 + t U1) / (alpha + beta t): each layer's preimage
-    w = u / (1 - e.u), u = d0 N^-1 (z - z0), maps such a path to another.
-    Ball and polydisc bases are left where |U0 + t U1|^2 = |alpha + beta t|^2,
-    summed over coordinates or per coordinate: a real quadratic whose
-    constant term is negative at an interior base, and which is >= 0 on a
-    projective horizon.  l1 and lp bases are solved along paths with
-    beta = 0 (every path of an affine chain), where the gauge is a norm.
-    Products are per-row einsums, so a batch rounds as its rows one at a time.
+
+def _mobius_path_exits(d, mobius, affine_inv, directions):
+    """Closed-form first exits of the rays t*v from 0 whose preimages
+    affine_inv psi(t v) reach d, psi_j(y) = (p_j y + q_j) / (r_j y + s_j) for
+    mobius = (p, q, r, s) (arrays over coordinates); each exit is capped at
+    the unit-polydisc clip 1/max|v_j|.  None unless d's innermost base is a
+    ball or polydisc, before any path is built.
+
+    Coordinate j of a ray pulls back to (q_j + p_j v_j t) / (s_j + r_j v_j t);
+    over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
+    preimage is a rational path of degree n.
     """
-    u0 = np.broadcast_to(bases, directions.shape)
-    u1 = directions
-    alpha = np.ones(u0.shape[0], dtype=complex)
-    beta = np.zeros(u0.shape[0], dtype=complex)
+    base = d
+    while base.kind in IMAGE_KINDS:
+        base = base.base
+    if base.kind not in ("ball", "polydisc"):
+        return None
+    p, q, r, s = mobius
+    out = np.empty(directions.shape[0])
+    for start in range(0, directions.shape[0], _PATH_CHUNK):
+        v = directions[start:start + _PATH_CHUNK]
+        num = np.stack([np.broadcast_to(q, v.shape), p * v])
+        den = np.stack([np.broadcast_to(s, v.shape), r * v])
+        alpha = den[:, :, 0]
+        x = num[:, :, :1]
+        for j in range(1, v.shape[1]):
+            x = np.concatenate([_polymul(x, den[:, :, j:j + 1]),
+                                _polymul(alpha, num[:, :, j])[..., None]], axis=-1)
+            alpha = _polymul(alpha, den[:, :, j])
+        clip = 1.0 / np.abs(v).max(axis=1)
+        t = _path_exits(d, x @ affine_inv.T, alpha, cap=clip)
+        out[start:start + _PATH_CHUNK] = np.minimum(t, clip)
+    return out
+
+
+def _path_exits(d, u, alpha, cap=None):
+    """Closed-form first exits t > 0 of the rational paths U(t) / alpha(t) in
+    the domain's coordinates, +inf where a path never leaves (below `cap`)
+    and nan where no closed form applies; None for a kind with none at all.
+
+    u (k+1, m, n) and alpha (k+1, m) hold the coefficients of t^0..t^k on a
+    leading degree axis.  The path is carried down the image chain: each
+    layer's preimage w = u / (1 - e.u), u = d0 N^-1 (z - z0), maps a rational
+    path of degree k to another.  Ball and polydisc bases are left where
+    |U(t)|^2 = |alpha(t)|^2, summed over coordinates or per coordinate: a real
+    polynomial of degree 2k whose constant term is negative at an interior
+    start, and which is >= 0 on a projective horizon.  Degree 1 solves the
+    quadratic in closed form; higher degrees take the first root below the
+    per-path `cap` that `_polynomial_exits` finds on the march grid; only
+    those bases take paths above degree 1.  l1 and lp bases are solved along
+    degree-1 paths with constant alpha (every ray of an affine chain), where
+    the gauge is a norm.  Products are per-row einsums, so a batch rounds as
+    its rows one at a time.
+    """
+    terms, m, n = u.shape
     while d.kind in IMAGE_KINDS:
-        u0 = np.einsum("ij,kj->ik", u0 - alpha[:, None] * d._z0, d._n_inv)
-        u1 = np.einsum("ij,kj->ik", u1 - beta[:, None] * d._z0, d._n_inv)
+        u = np.einsum("ij,kj->ik", (u - alpha[..., None] * d._z0).reshape(-1, n),
+                      d._n_inv).reshape(terms, m, n)
         if d.denominator is not None:
-            alpha = alpha - np.einsum("ij,j->i", u0, d._e)
-            beta = beta - np.einsum("ij,j->i", u1, d._e)
+            alpha = alpha - np.einsum("ij,j->i", u.reshape(-1, n), d._e).reshape(terms, m)
         d = d.base
     if d.kind in ("ball", "polydisc"):
+        if terms > 2:
+            return _polynomial_exits(d.kind, u, alpha, cap)
+        (u0, u1), (alpha, beta) = u, alpha
         quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
         if d.kind == "ball":
             quad = [c.sum(axis=-1) for c in quad]
@@ -504,12 +575,16 @@ def _exact_exits(d, bases, directions):
                         quad[1] - (alpha.conj() * beta).real,
                         quad[2] - (alpha.conj() * alpha).real)
         return t if d.kind == "ball" else t.min(axis=-1)
-    flat = np.flatnonzero(beta == 0.0)
-    if d.kind not in ("l1ball", "lp_ball") or not flat.size:
+    if d.kind not in ("l1ball", "lp_ball"):
         return None
-    t = np.full(u0.shape[0], np.nan)
-    scale = alpha[flat, None]
-    t[flat] = _norm_exits(u0[flat] / scale, u1[flat] / scale, d.p or 1.0)
+    flat = np.flatnonzero(alpha[1] == 0.0)
+    if not flat.size:
+        return None
+    t = np.full(m, np.nan)
+    scale = alpha[0, flat, None]
+    # a start on a projective horizon has scale 0: its guess is nan and marches
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t[flat] = _norm_exits(u[0, flat] / scale, u[1, flat] / scale, d.p or 1.0)
     return t
 
 
@@ -521,9 +596,90 @@ def _first_root(a, b, c):
         return np.where(b > 0.0, -c / (b + disc), np.where(a > 0.0, (disc - b) / a, np.inf))
 
 
-# Newton rounds of `_norm_exits`; the iterates descend onto the root, so a row
-# stops when its iterate stops decreasing, well before this
-_NEWTON_ROUNDS = 60
+def _polymul(a, b):
+    """Product of polynomials with coefficients on the leading axis."""
+    out = np.zeros((a.shape[0] + b.shape[0] - 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+                   dtype=complex)
+    for i, ai in enumerate(a):
+        out[i:i + b.shape[0]] += ai * b
+    return out
+
+
+def _polynomial_exits(kind, u, alpha, cap):
+    """First exits below `cap` of degree-k paths from a ball or polydisc base,
+    the least over coordinates for the polydisc; +inf where none.  For real t
+    |x(t)|^2 has the coefficients of conj(x) * x."""
+    den = _polymul(alpha.conj(), alpha).real
+    coords = (_polymul(u[..., j].conj(), u[..., j]).real for j in range(u.shape[-1]))
+    if kind == "ball":
+        return _first_polynomial_root(sum(coords) - den, cap)
+    return np.min([_first_polynomial_root(c - den, cap) for c in coords], axis=0)
+
+
+def _horner(c, t):
+    """Values and t-derivatives of the polynomials sum_s c[s] t^s, with
+    coefficients c (deg+1, m), at t (m,)."""
+    p = c[-1]
+    dp = np.zeros(t.shape)
+    for cs in c[-2::-1]:
+        dp = dp * t + p
+        p = p * t + cs
+    return p, dp
+
+
+def _first_polynomial_root(c, cap):
+    """First root in (0, cap] of each real polynomial column of c (negative
+    at 0), +inf where it stays <= 0 up to cap.
+
+    The first sign change is found on the march grid of `_first_exits`
+    (_MARCH_START, times _MARCH_GROWTH, below cap) with cap as its last mark,
+    so no sliver is caught less finely than by the membership march; Newton
+    steps then converge inside that bracket, bisecting whenever a step leaves
+    it.
+    """
+    grid = [_MARCH_START]
+    while grid[-1] * _MARCH_GROWTH < cap.max():
+        grid.append(grid[-1] * _MARCH_GROWTH)
+    grid = np.array(grid)
+    below = grid < cap[:, None]
+    outside = (c.T @ grid ** np.arange(c.shape[0])[:, None] > 0.0) & below
+    # a row's first outside mark; its count of marks below cap stands for cap
+    count = below.sum(axis=1)
+    first = np.where(outside.any(axis=1), outside.argmax(axis=1), count)
+    on_grid = first < count
+    rows = np.flatnonzero(on_grid | (_horner(c, cap)[0] > 0.0))
+    first = first[rows]
+    hi = np.where(on_grid[rows], grid[np.minimum(first, grid.size - 1)], cap[rows])
+    lo = np.where(first > 0, grid[first - 1], 0.0)
+    t = np.full(cap.shape, np.inf)
+    t[rows] = _bracketed_root(c[:, rows], lo, hi)
+    return t
+
+
+def _bracketed_root(c, lo, hi):
+    """A root of each polynomial column of c in [lo, hi], where it is
+    negative at lo and positive at hi: safeguarded Newton from the midpoint.
+    A row stops once its step or its bracket falls under 1e-2 _EXIT_TOL
+    (relative past 1); rounding noise in the polynomial can keep steps from
+    shrinking further."""
+    x = 0.5 * (lo + hi)
+    rows = np.arange(x.size)
+    for _ in range(_NEWTON_ROUNDS):
+        if not rows.size:
+            break
+        xr = x[rows]
+        p, dp = _horner(c[:, rows], xr)
+        neg = p < 0.0
+        lo[rows[neg]] = xr[neg]
+        hi[rows[~neg]] = xr[~neg]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = xr - p / dp
+        tol = 1e-2 * _EXIT_TOL * np.maximum(1.0, xr)
+        settled = np.abs(new - xr) <= tol
+        inner = (new > lo[rows]) & (new < hi[rows])
+        x[rows] = np.where(settled | inner, new, 0.5 * (lo[rows] + hi[rows]))
+        rows = rows[~(settled | (hi[rows] - lo[rows] <= tol))]
+    return x
 
 
 def _norm_exits(w0, w1, p):

@@ -145,6 +145,8 @@ class RiemannMap:
     `forward` sends the shape into the disc, `inverse` comes back, and
     `inverse_derivative` is the analytic derivative of the inverse, used both
     for the distortion checks and for chaining affine entries.
+    `inverse_mobius` is (p, q, r, s) for an inverse that is the Mobius map
+    w -> (p w + q) / (r w + s), and None for the slit plane.
     """
 
     shape: PlanarShape
@@ -154,6 +156,7 @@ class RiemannMap:
     derivative_at_zero: complex
     boundary_distance: float
     one_on_boundary: bool
+    inverse_mobius: tuple | None
 
 
 def _blaschke(u0):
@@ -192,6 +195,7 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
         inv = lambda w: _check_disc_arg(w, "unit_disc inverse")
         inv_d = lambda w: np.ones_like(np.asarray(w, dtype=complex))
         deriv0 = 1.0 + 0.0j
+        mobius = np.eye(2, dtype=complex)
     elif kind == "half_plane":
         fwd = cayley
         inv = cayley_inverse
@@ -201,6 +205,7 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
             return 2.0 / (1.0 + w) ** 2
 
         deriv0 = 2.0 + 0.0j
+        mobius = np.array([[2.0, 0.0], [1.0, 1.0]], dtype=complex)
     elif kind == "slit_plane":
 
         def fwd(z):
@@ -219,6 +224,7 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
             return 4.0 * (1.0 - w) / (1.0 + w) ** 3
 
         deriv0 = 4.0 + 0.0j
+        mobius = None
     else:
         # a disc is the image of the unit disc under z -> radius z + center
         if kind == "disc":
@@ -242,6 +248,12 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
 
         deriv0 = lam * complex(base.inverse_derivative(np.array([u0]))[0]) \
             * (1.0 - abs(u0) ** 2)
+        mobius = None
+        if base.inverse_mobius is not None:
+            # w -> lam * base.inverse(b_inv(w)) + beta, one matrix per layer
+            mobius = (np.array([[lam, beta], [0.0, 1.0]], dtype=complex)
+                      @ np.reshape(base.inverse_mobius, (2, 2))
+                      @ np.array([[1.0, u0], [np.conj(u0), 1.0]]))
     return RiemannMap(
         shape=shape,
         forward=fwd,
@@ -250,6 +262,7 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
         derivative_at_zero=complex(deriv0),
         boundary_distance=_shape_boundary_distance(shape, 0.0),
         one_on_boundary=_shape_boundary_distance(shape, 1.0) <= 1e-12,
+        inverse_mobius=None if mobius is None else tuple(complex(c) for c in mobius.ravel()),
     )
 
 

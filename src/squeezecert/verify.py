@@ -316,7 +316,10 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
     recenter by translation first, which is legitimate because the squeezing
     functions are invariant under biholomorphisms).  The certified minima are
     the class constants by construction; the witness minima estimate the
-    family's infimum from above and stay strictly over the constants.
+    family's infimum from above and stay strictly over the constants.  At the
+    default cloud_samples=20_000 no C-convex probe gets a witness (the
+    projection clouds are too sparse for `bounds.match_projection`), so
+    `min_witness_s` is null for the projective family.
     """
     if family not in KAPPA_FAMILIES:
         raise ArgumentError(f"unknown family {family!r}; pick one of {KAPPA_FAMILIES}")

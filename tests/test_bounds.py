@@ -10,6 +10,7 @@ from squeezecert.bounds import (
     BoundReport,
     MarginReport,
     WitnessMap,
+    _witness_exits,
     _witness_image_oracle,
     certify,
     containment_check,
@@ -18,6 +19,8 @@ from squeezecert.bounds import (
     report_to_json,
     witness_eval,
 )
+from squeezecert import bounds as bounds_module
+from squeezecert import domains as dom
 from squeezecert.domains import (
     DomainSpec,
     affine_image,
@@ -28,9 +31,11 @@ from squeezecert.domains import (
     lp_ball,
     polydisc,
     projective_image,
+    translate,
 )
 from squeezecert.errors import ArgumentError, ClassMismatchError, DomainFormatError, RayCapError
 from squeezecert.numerics import tau, unit_lower, universal_bounds, inverse_coefficients
+from squeezecert.planar import disc_shape, half_plane, riemann_catalog
 
 
 def projective_fixture():
@@ -210,6 +215,108 @@ def test_inscribed_radius_of_unbounded_image_hits_the_cap():
         inscribed_radius_estimate(lambda y: np.ones(y.shape[0], dtype=bool), 2, rays=10)
 
 
+def witness_path_fixtures(n, rng):
+    """Closed-form bases of a witness image, and ones without (l1, lp, sheared l1)."""
+    shear = np.eye(n, dtype=complex) + np.tril(np.full((n, n), 0.4 - 0.3j), -1)
+    cayley = np.concatenate([[2.0, -1.0], np.zeros(n - 1)])
+    return {
+        "ball": ball(n), "polydisc": polydisc(n), "shear": affine_image(polydisc(n), shear),
+        "translate": translate(ball(n), 0.3 * rng.normal(size=2 * n).view(complex) / n),
+        "cayley": projective_image(polydisc(n), np.eye(n), np.zeros(n), cayley,
+                                   bounding_radius=10.0),
+    }, {"l1ball": l1ball(n), "lp_ball": lp_ball(n, 1.5),
+        "shear_l1": affine_image(l1ball(n), shear)}
+
+
+def random_witness(d, maps, rng):
+    """A witness map of d with a random affine part and the given coordinate maps."""
+    n = d.n
+    affine = np.eye(n) + 0.3 * rng.normal(size=(n, 2 * n)).view(complex)
+    if maps == "half_plane":
+        coord = tuple(riemann_catalog(half_plane()) for _ in range(n))
+    else:
+        centers = 0.4 * rng.normal(size=2 * n).view(complex)
+        coord = tuple(riemann_catalog(disc_shape(c, abs(c) + rng.uniform(0.5, 2.0)))
+                      for c in centers)
+    return WitnessMap(domain=d, affine=affine, coordinate_maps=coord), np.linalg.inv(affine)
+
+
+def test_witness_path_exits_agree_with_the_march_and_pass_their_brackets():
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4):
+        closed, marching = witness_path_fixtures(n, rng)
+        for maps in ("half_plane", "disc"):
+            for name, d in closed.items():
+                w, affine_inv = random_witness(d, maps, rng)
+                oracle = _witness_image_oracle(w, affine_inv)
+                body = ball(n) if name in ("ball", "translate") else polydisc(n)
+                dirs = boundary_samples(body, 2000, rng)
+                guess = _witness_exits(w, affine_inv)(dirs)
+                assert np.isfinite(guess).all(), (n, maps, name)
+                origin = np.zeros(n, dtype=complex)
+                march = dom._first_exits(oracle, origin, dirs, cap=1e8)
+                assert np.abs(guess - march).max() <= dom._EXIT_TOL, (n, maps, name)
+                assert oracle((guess - 0.4 * dom._EXIT_TOL)[:, None] * dirs).all()
+                assert not oracle((guess + 0.4 * dom._EXIT_TOL)[:, None] * dirs).any()
+            for name, d in marching.items():
+                w, affine_inv = random_witness(d, maps, rng)
+                dirs = boundary_samples(polydisc(n), 50, rng)
+                assert _witness_exits(w, affine_inv)(dirs) is None, (n, maps, name)
+
+
+def _shear2():
+    shear = np.eye(2, dtype=complex)
+    shear[1, 0] = 0.4 - 0.3j
+    return affine_image(polydisc(2), shear)
+
+
+@pytest.mark.parametrize("d, cls, tol", [
+    pytest.param(ball(2), None, 2e-12, id="ball"),
+    pytest.param(polydisc(2), None, 2e-12, id="polydisc"),
+    pytest.param(_shear2(), None, 2e-12, id="shear"),
+    pytest.param(polydisc(2), "cconvex", 2e-12, id="polydisc_cconvex"),
+    # no closed form under an l1 or lp base: the witness marches bit for bit
+    pytest.param(l1ball(2), None, 0.0, id="l1ball"),
+    pytest.param(lp_ball(2, 1.5), None, 0.0, id="lp_ball"),
+])
+def test_witness_matches_the_marched_witness(monkeypatch, d, cls, tol):
+    def run():
+        rep = report_to_json(certify(d, convexity_class=cls, samples=400, rays=2000, seed=0))
+        w = rep.pop("witness")
+        return w, json.dumps(rep, sort_keys=True)
+
+    witness, rest = run()
+    # the reference: every witness ray marched, as before the closed form
+    monkeypatch.setattr(bounds_module, "_witness_exits", lambda w, affine_inv: None)
+    marched, marched_rest = run()
+    assert rest == marched_rest
+    assert witness["present"] and marched["present"]
+    fields = ("s", "s_hat", "inscribed_ball", "inscribed_polydisc")
+    got, want = (np.hstack([w[k] for k in fields]) for w in (witness, marched))
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+    if tol == 0.0:
+        assert witness == marched
+
+
+def test_witness_closed_form_spends_few_oracle_points_per_ray(polydisc_report):
+    # a plain counting wrapper of the oracle, as a tracer would pass, and
+    # points per requested ray, as it would count them
+    norm = polydisc_report.normalizer
+    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
+    oracle = _witness_image_oracle(polydisc_report.witness, affine_inv)
+    points = [0]
+
+    def counted(y):
+        points[0] += y.shape[0]
+        return oracle(y)
+
+    guess = _witness_exits(polydisc_report.witness, affine_inv)
+    for shape in ("ball", "polydisc"):
+        points[0] = 0
+        inscribed_radius_estimate(counted, 2, shape=shape, rays=2000, seed=1, guess=guess)
+        assert points[0] <= 3 * 2000
+
+
 # -- projection matching ------------------------------------------------------
 
 def _disc_cloud(center, radius, count, seed):
@@ -385,7 +492,8 @@ def test_inscribed_ball_is_polydisc_witness_image_over_sqrt_n(d, cls):
     norm = rep.normalizer
     affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
     estimate = inscribed_radius_estimate(_witness_image_oracle(rep.witness, affine_inv),
-                                         2, shape="ball", rays=300, seed=3 + 2)
+                                         2, shape="ball", rays=300, seed=3 + 2,
+                                         guess=_witness_exits(rep.witness, affine_inv))
     assert rep.inscribed_ball == tuple(r / math.sqrt(2) for r in estimate)
     assert rep.witness_s == rep.inscribed_ball[0]
 

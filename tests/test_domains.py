@@ -154,6 +154,38 @@ def test_ray_exit_requires_interior_base():
         ray_exit(ball(2), np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
 
+def test_ray_exit_checks_the_base_before_the_cap():
+    # the cap 2e-3 is below the first march mark, so no march step runs
+    tiny = ball(2, bounding_radius=1e-3)
+    with pytest.raises(ArgumentError, match="inside the domain"):
+        ray_exit(tiny, np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    with pytest.raises(RayCapError):
+        ray_exit(tiny, np.zeros(2), np.array([1.0, 0.0]))
+
+
+def test_ray_exit_from_a_projective_horizon_is_an_argument_error():
+    # the base sits on the horizon z1 = 1 of w -> w / (1 + w1) and the ray
+    # runs along it, so its closed-form path has a zero denominator
+    d = projective_image(l1ball(2), np.eye(2), np.zeros(2), np.array([1.0, 1.0, 0.0]),
+                         bounding_radius=10.0)
+    with pytest.raises(ArgumentError, match="inside the domain"):
+        ray_exit(d, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+
+def test_ray_exit_with_guesses_makes_two_membership_passes(monkeypatch):
+    sizes = []
+    real = dom.contains
+
+    def counted(d, z):
+        sizes.append(len(z))
+        return real(d, z)
+
+    monkeypatch.setattr(dom, "contains", counted)
+    ray_exit_batch(cayley_polydisc(), np.array([0.1, 0.05j]), np.eye(2, dtype=complex))
+    # the base rides on the lower bracket ends; then the upper ends
+    assert sizes == [1 + 2, 2]
+
+
 def test_ray_exit_cap():
     # a half-plane-like defining set is unbounded along the negative axis
     d = defining_domain(2, "re(z1) - 1", "convex", bounding_radius=50.0)
