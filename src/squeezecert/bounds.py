@@ -13,7 +13,8 @@ ones) and measures the inscribed radii of its image by batched ray exits; the
 ball-target witness is the same map scaled by 1/sqrt(n).  The coordinate maps'
 inverses are Mobius maps, so a witness-image ray pulls back to a rational path
 whose first exit has a closed form over ball and polydisc bases; it is kept
-once the image's membership oracle brackets it, and every other ray marches.
+once the image's membership oracle, which pulls back through the same Mobius
+coefficients, brackets it, and every other ray marches.
 The certified numbers come from the closed forms; the witness numbers are
 labeled empirical and carry their sampling resolution.
 """
@@ -100,9 +101,9 @@ class WitnessMap:
     """Injective holomorphic embedding into the unit polydisc.
 
     Normalizing affine part first, then one catalog Riemann map per
-    coordinate.  The map fixes 0 and its image lies in the open polydisc
-    whenever the pipeline invariants hold; scaled by 1/sqrt(n) it is the
-    ball-target witness.
+    coordinate, each with a Mobius inverse.  The map fixes 0 and its image
+    lies in the open polydisc whenever the pipeline invariants hold; scaled
+    by 1/sqrt(n) it is the ball-target witness.
     """
 
     domain: DomainSpec
@@ -111,6 +112,11 @@ class WitnessMap:
 
     def __post_init__(self):
         _freeze(self, "affine")
+        if any(mp.inverse_mobius is None for mp in self.coordinate_maps):
+            raise ArgumentError("witness coordinate maps need Mobius inverses")
+        # rows p, q, r, s over coordinates: w_j -> (p_j w_j + q_j) / (r_j w_j + s_j)
+        object.__setattr__(self, "_mobius",
+                           np.array([mp.inverse_mobius for mp in self.coordinate_maps]).T)
 
     @property
     def n(self) -> int:
@@ -138,7 +144,10 @@ def witness_eval(w: WitnessMap, z) -> np.ndarray:
 
 
 def _witness_image_oracle(w: WitnessMap, affine_inv):
-    """Membership oracle of the witness image, batched and exception-free."""
+    """Membership oracle of the witness image, batched and exception-free:
+    points of the unit polydisc pull back through the coordinate Mobius
+    inverses and `affine_inv` into the domain."""
+    p, q, r, s = w._mobius
 
     def oracle(y):
         y = np.asarray(y, dtype=complex)
@@ -146,8 +155,9 @@ def _witness_image_oracle(w: WitnessMap, affine_inv):
         if not np.any(inside):
             return inside
         back = np.empty_like(y[inside])
-        for j, mp in enumerate(w.coordinate_maps):
-            back[:, j] = mp.inverse(y[inside, j])
+        for j in range(w.n):
+            yj = y[inside, j]
+            back[:, j] = (p[j] * yj + q[j]) / (r[j] * yj + s[j])
         inside[inside.copy()] = contains(w.domain, back @ affine_inv.T)
         return inside
 
@@ -157,12 +167,8 @@ def _witness_image_oracle(w: WitnessMap, affine_inv):
 def _witness_exits(w: WitnessMap, affine_inv):
     """Closed-form first exits of witness-image rays t*v from 0, as a callable
     of the directions (`domains._mobius_path_exits`: None unless the
-    domain's innermost base is a ball or polydisc); None unless every
-    coordinate inverse is a Mobius map."""
-    if any(mp.inverse_mobius is None for mp in w.coordinate_maps):
-        return None
-    mobius = np.array([mp.inverse_mobius for mp in w.coordinate_maps]).T
-    return lambda dirs: _mobius_path_exits(w.domain, mobius, affine_inv, dirs)
+    domain's innermost base is a ball or polydisc)."""
+    return lambda dirs: _mobius_path_exits(w.domain, w._mobius, affine_inv, dirs)
 
 
 # -- inscribed radius by batched ray exits -----------------------------------

@@ -97,8 +97,9 @@ class DomainSpec:
         if self.convexity_class not in ("convex", "cconvex"):
             raise DomainFormatError(f"convexity class must be convex or cconvex, got {self.convexity_class!r}")
         if isinstance(self.bounding_radius, bool) or not (
-                isinstance(self.bounding_radius, (int, float)) and self.bounding_radius > 0):
-            raise DomainFormatError("bounding_radius must be a positive real")
+                isinstance(self.bounding_radius, (int, float))
+                and 0 < self.bounding_radius < math.inf):
+            raise DomainFormatError("bounding_radius must be a positive finite real")
         object.__setattr__(self, "bounding_radius", float(self.bounding_radius))
         getattr(self, f"_init_{self.kind}")()
 
@@ -112,8 +113,9 @@ class DomainSpec:
 
     def _init_lp_ball(self):
         self._require(p=True, base=False, maps=False, rho=False)
-        if isinstance(self.p, bool) or not (isinstance(self.p, (int, float)) and self.p >= 1.0):
-            raise DomainFormatError(f"lp_ball requires real p >= 1, got {self.p!r}")
+        if isinstance(self.p, bool) or not (
+                isinstance(self.p, (int, float)) and 1.0 <= self.p < math.inf):
+            raise DomainFormatError(f"lp_ball requires finite real p >= 1, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 
     def _init_affine_image(self):
@@ -413,11 +415,13 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
         raise ArgumentError(f"directions must have shape (m, {d.n})")
     if base.shape not in ((d.n,), directions.shape):
         raise ArgumentError(f"base must have shape ({d.n},) or {directions.shape}")
-    norms = np.linalg.norm(directions, axis=1)
-    if np.any(norms == 0.0):
-        raise ArgumentError("zero direction")
+    # moduli first: the complex norm would take inf * 0 on an infinite entry
+    norms = np.linalg.norm(np.abs(directions), axis=1)
+    slowest = norms.min()
+    if not (slowest > 0.0 and norms.max() < np.inf):
+        raise ArgumentError("directions must be finite and nonzero")
     # march cap in parameter units: bounding radius along the slowest direction
-    cap = d.bounding_radius / norms.min() * 2.0
+    cap = d.bounding_radius / slowest * 2.0
     guess = _exact_exits(d, base, directions)
     # the closure looks `contains` up at call time, so a rebound one is used
     return _first_exits(lambda z: contains(d, z), base, directions, cap, guess)

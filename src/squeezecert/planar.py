@@ -2,10 +2,14 @@
 
 The half-plane map z/(2-z) and its n-fold product drive the convex witness;
 the Riemann-map catalog (disc, half-plane, slit plane, affine images) covers
-the planar projections a bounded pipeline can actually produce.  The radius
-checks at the bottom sample the two containments that turn these maps into
-squeezing-function bounds: tau(c) for the product of half-plane maps, rho(c)
-for products of arbitrary catalog maps through the distortion ceiling.
+the planar projections a bounded pipeline can actually produce.  Every
+catalog map is derived from one normal form of its inverse, w -> lam K(M w)
++ beta, with M a Mobius matrix and K the identity or the Koebe map of the
+slit plane; discs and affine shapes compose their base's form with a disc
+automorphism.  The radius checks at the bottom sample the two containments
+that turn these maps into squeezing-function bounds: tau(c) for the product
+of half-plane maps, rho(c) for products of arbitrary catalog maps through the
+distortion ceiling.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .domains import _axis_points
+from .domains import _axis_points, _sphere_draw
 from .errors import ArgumentError, MapDomainError, UnsupportedShapeError
 from .numerics import rho
 
@@ -23,19 +27,14 @@ _EDGE = 1e-12
 # -- the Cayley-type half-plane map ------------------------------------------
 
 def cayley(z):
-    """Map {Re z < 1} onto the unit disc by z/(2-z), coordinatewise."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(z.real >= 1.0):
-        raise MapDomainError("cayley requires Re z < 1 in every coordinate")
-    return z / (2.0 - z)
+    """Map {Re z < 1} onto the unit disc by z/(2-z), coordinatewise: the half
+    plane's catalog map."""
+    return _HALF_PLANE.forward(z)
 
 
 def cayley_inverse(w):
     """Inverse map 2w/(1+w), defined on the unit disc coordinatewise."""
-    w = np.asarray(w, dtype=complex)
-    if np.any(np.abs(w) >= 1.0):
-        raise MapDomainError("cayley_inverse requires |w| < 1 in every coordinate")
-    return 2.0 * w / (1.0 + w)
+    return _HALF_PLANE.inverse(w)
 
 
 def koebe_bound(zeta):
@@ -49,9 +48,6 @@ def koebe_bound(zeta):
 
 
 # -- planar shape catalog -----------------------------------------------------
-
-_SHAPE_KINDS = ("unit_disc", "half_plane", "disc", "slit_plane", "affine")
-
 
 @dataclass(frozen=True)
 class PlanarShape:
@@ -142,11 +138,13 @@ def _shape_boundary_distance(shape, p):
 class RiemannMap:
     """Closed-form conformal equivalence (Omega, 0) -> (disc, 0).
 
-    `forward` sends the shape into the disc, `inverse` comes back, and
-    `inverse_derivative` is the analytic derivative of the inverse, used both
-    for the distortion checks and for chaining affine entries.
+    Every field is read off one normal form of the inverse, w -> lam K(M w) +
+    beta with M a 2x2 Mobius matrix and K the identity or, for slit-based
+    shapes, the Koebe map 4w/(1+w)^2.  `forward` sends the shape into the
+    disc, `inverse` comes back, and `inverse_derivative` is the analytic
+    derivative of the inverse, used for the distortion checks.
     `inverse_mobius` is (p, q, r, s) for an inverse that is the Mobius map
-    w -> (p w + q) / (r w + s), and None for the slit plane.
+    w -> (p w + q) / (r w + s), and None when K is the Koebe map.
     """
 
     shape: PlanarShape
@@ -159,19 +157,42 @@ class RiemannMap:
     inverse_mobius: tuple | None
 
 
-def _blaschke(u0):
-    conj = np.conj(u0)
+def _normal_form(shape):
+    """(M, koebe, lam, beta) of the inverse Riemann map w -> lam K(M w) + beta."""
+    kind = shape.kind
+    if kind == "unit_disc":
+        return np.eye(2, dtype=complex), False, 1.0, 0.0
+    if kind == "half_plane":
+        return np.array([[2.0, 0.0], [1.0, 1.0]], dtype=complex), False, 1.0, 0.0
+    if kind == "slit_plane":
+        return np.eye(2, dtype=complex), True, 1.0, 0.0
+    if kind == "disc":
+        # a disc is the image of the unit disc under z -> radius z + center
+        base, lam, beta = unit_disc(), shape.radius, shape.center
+    elif kind == "affine":
+        base, lam, beta = shape.base, shape.scale, shape.offset
+    else:
+        raise UnsupportedShapeError(f"unknown planar shape kind {kind!r}")
+    form = _normal_form(base)
+    # u0 is where the base map sends the point that lands on 0; the disc
+    # automorphism w -> (w + u0) / (1 + conj(u0) w) moves it back to 0
+    u0 = complex(_forward(base, form, np.array([-beta / lam]))[0])
+    m, koebe, lam0, beta0 = form
+    return (m @ np.array([[1.0, u0], [np.conj(u0), 1.0]]), koebe,
+            lam * lam0, lam * beta0 + beta)
 
-    def fwd(u):
-        return (u - u0) / (1.0 - conj * u)
 
-    def inv(w):
-        return (w + u0) / (1.0 + conj * w)
-
-    def inv_deriv(w):
-        return (1.0 - abs(u0) ** 2) / (1.0 + conj * w) ** 2
-
-    return fwd, inv, inv_deriv
+def _forward(shape, form, z):
+    """The Riemann map of `shape` at z, inverting its normal form `form`."""
+    z = np.asarray(z, dtype=complex)
+    if not np.all(_shape_contains(shape, z)):
+        raise MapDomainError(f"{shape.kind} forward is undefined outside the shape")
+    ((p, q), (r, s)), koebe, lam, beta = form
+    x = (z - beta) / lam
+    if koebe:
+        # stable branch of the inverse of the Koebe map fixing 0
+        x = x / ((2.0 - x) + 2.0 * np.sqrt(1.0 - x))
+    return (s * x - q) / (p - r * x)
 
 
 def _check_disc_arg(w, label):
@@ -187,83 +208,35 @@ def riemann_catalog(shape: PlanarShape) -> RiemannMap:
     Raises UnsupportedShapeError for kinds outside the catalog, so a caller
     matching sampled projections can fall back to the universal bound.
     """
-    kind = shape.kind
-    if kind not in _SHAPE_KINDS:
-        raise UnsupportedShapeError(f"unknown planar shape kind {kind!r}")
-    if kind == "unit_disc":
-        fwd = lambda z: _check_disc_arg(z, "unit_disc forward")
-        inv = lambda w: _check_disc_arg(w, "unit_disc inverse")
-        inv_d = lambda w: np.ones_like(np.asarray(w, dtype=complex))
-        deriv0 = 1.0 + 0.0j
-        mobius = np.eye(2, dtype=complex)
-    elif kind == "half_plane":
-        fwd = cayley
-        inv = cayley_inverse
+    form = _normal_form(shape)
+    m, koebe, lam, beta = form
+    (p, q), (r, s) = m
 
-        def inv_d(w):
-            w = _check_disc_arg(w, "half_plane inverse derivative")
-            return 2.0 / (1.0 + w) ** 2
+    def inv(w):
+        w = _check_disc_arg(w, f"{shape.kind} inverse")
+        x = (p * w + q) / (r * w + s)
+        return lam * (4.0 * x / (1.0 + x) ** 2 if koebe else x) + beta
 
-        deriv0 = 2.0 + 0.0j
-        mobius = np.array([[2.0, 0.0], [1.0, 1.0]], dtype=complex)
-    elif kind == "slit_plane":
+    def inv_d(w):
+        w = _check_disc_arg(w, f"{shape.kind} inverse derivative")
+        x = (p * w + q) / (r * w + s)
+        dk = 4.0 * (1.0 - x) / (1.0 + x) ** 3 if koebe else 1.0
+        return lam * dk * (p * s - q * r) / (r * w + s) ** 2
 
-        def fwd(z):
-            z = np.asarray(z, dtype=complex)
-            if np.any((np.abs(z.imag) < _EDGE) & (z.real >= 1.0)):
-                raise MapDomainError("slit_plane forward is undefined on the slit")
-            # stable branch of the inverse of 4w/(1+w)^2 fixing 0
-            return z / ((2.0 - z) + 2.0 * np.sqrt(1.0 - z))
-
-        def inv(w):
-            w = _check_disc_arg(w, "slit_plane inverse")
-            return 4.0 * w / (1.0 + w) ** 2
-
-        def inv_d(w):
-            w = _check_disc_arg(w, "slit_plane inverse derivative")
-            return 4.0 * (1.0 - w) / (1.0 + w) ** 3
-
-        deriv0 = 4.0 + 0.0j
-        mobius = None
-    else:
-        # a disc is the image of the unit disc under z -> radius z + center
-        if kind == "disc":
-            base, lam, beta = riemann_catalog(unit_disc()), shape.radius, shape.center
-        else:
-            base, lam, beta = riemann_catalog(shape.base), shape.scale, shape.offset
-        u0 = complex(base.forward(np.array([-beta / lam]))[0])
-        b_fwd, b_inv, b_inv_d = _blaschke(u0)
-
-        def fwd(z):
-            z = np.asarray(z, dtype=complex)
-            return b_fwd(base.forward((z - beta) / lam))
-
-        def inv(w):
-            w = _check_disc_arg(w, "affine inverse")
-            return lam * base.inverse(b_inv(w)) + beta
-
-        def inv_d(w):
-            w = _check_disc_arg(w, "affine inverse derivative")
-            return lam * base.inverse_derivative(b_inv(w)) * b_inv_d(w)
-
-        deriv0 = lam * complex(base.inverse_derivative(np.array([u0]))[0]) \
-            * (1.0 - abs(u0) ** 2)
-        mobius = None
-        if base.inverse_mobius is not None:
-            # w -> lam * base.inverse(b_inv(w)) + beta, one matrix per layer
-            mobius = (np.array([[lam, beta], [0.0, 1.0]], dtype=complex)
-                      @ np.reshape(base.inverse_mobius, (2, 2))
-                      @ np.array([[1.0, u0], [np.conj(u0), 1.0]]))
     return RiemannMap(
         shape=shape,
-        forward=fwd,
+        forward=lambda z: _forward(shape, form, z),
         inverse=inv,
         inverse_derivative=inv_d,
-        derivative_at_zero=complex(deriv0),
+        derivative_at_zero=complex(inv_d(np.zeros(1))[0]),
         boundary_distance=_shape_boundary_distance(shape, 0.0),
         one_on_boundary=_shape_boundary_distance(shape, 1.0) <= 1e-12,
-        inverse_mobius=None if mobius is None else tuple(complex(c) for c in mobius.ravel()),
+        inverse_mobius=None if koebe else tuple(
+            complex(c) for c in (np.array([[lam, beta], [0.0, 1.0]], dtype=complex) @ m).ravel()),
     )
+
+
+_HALF_PLANE = riemann_catalog(half_plane())
 
 
 # -- radius containment checks ------------------------------------------------
@@ -282,11 +255,6 @@ class ContainmentReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _sphere_points(n, count, rng):
-    z = rng.normal(size=(count, n)) + 1j * rng.normal(size=(count, n))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def tau_radius_check(n, c, samples=100_000, seed=0) -> ContainmentReport:
@@ -336,7 +304,7 @@ def _radius_check(check, inverses, c, radius, samples, seed):
     `inverses` and measure the slack inside c*ball."""
     n = len(inverses)
     rng = np.random.default_rng(seed)
-    w = np.concatenate([_axis_points(n), _sphere_points(n, samples, rng)])
+    w = np.concatenate([_axis_points(n), _sphere_draw(rng, samples, n)])
     w *= radius
     z = np.empty_like(w)
     for j, inv in enumerate(inverses):

@@ -35,7 +35,7 @@ from squeezecert.domains import (
 )
 from squeezecert.errors import ArgumentError, ClassMismatchError, DomainFormatError, RayCapError
 from squeezecert.numerics import tau, unit_lower, universal_bounds, inverse_coefficients
-from squeezecert.planar import disc_shape, half_plane, riemann_catalog
+from squeezecert.planar import disc_shape, half_plane, riemann_catalog, slit_plane
 
 
 def projective_fixture():
@@ -483,6 +483,13 @@ def test_witness_map_has_only_domain_affine_and_maps(polydisc_report):
     assert [f.name for f in dataclasses.fields(WitnessMap)] == [
         "domain", "affine", "coordinate_maps"]
     assert not w.affine.flags.writeable
+
+
+def test_witness_map_needs_mobius_coordinate_inverses():
+    # the slit plane's inverse is the Koebe map, which no Mobius matrix writes
+    maps = (riemann_catalog(half_plane()), riemann_catalog(slit_plane()))
+    with pytest.raises(ArgumentError, match="Mobius"):
+        WitnessMap(domain=polydisc(2), affine=np.eye(2), coordinate_maps=maps)
 
 
 @pytest.mark.parametrize("d, cls", [(l1ball(2), "convex"), (polydisc(2), "cconvex")])

@@ -177,6 +177,15 @@ def test_bound_usage_errors(polydisc_spec, tmp_path, capsys):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(spec))
         assert run_cli(["bound", str(path)], capsys)[0] == EXIT_USAGE, name
+    # non-finite exponents and bounding radii, as json writes them
+    for name, spec in {"p_inf": {"n": 2, "kind": "lp_ball", "p": float("inf")},
+                       "radius_inf": {"n": 2, "kind": "ball", "bounding_radius": float("inf")}
+                       }.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(spec))
+        assert "Infinity" in path.read_text()
+        rc, out, err = run_cli(["bound", str(path)], capsys)
+        assert rc == EXIT_USAGE and out == "" and "finite" in err, name
     directory = tmp_path / "spec_dir.json"
     directory.mkdir()
     assert run_cli(["bound", str(directory)], capsys)[0] == EXIT_USAGE

@@ -193,6 +193,16 @@ def test_ray_exit_cap():
         ray_exit(d, np.zeros(2), np.array([-1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_ray_exit_rejects_nonfinite_directions(bad):
+    # a nan direction must not read as an exit at the base point, nor an
+    # infinite one warn inside the norm
+    with pytest.raises(ArgumentError, match="finite"):
+        ray_exit(ball(2), np.zeros(2), [bad, 0.0])
+    with pytest.raises(ArgumentError, match="finite"):
+        ray_exit_batch(polydisc(2), np.zeros(2), [[1.0, 0.0], [bad, 1.0]])
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_ray_exit_per_ray_bases_match_one_call_per_base(kind):
     d = one_of_each_kind()[kind]
@@ -484,6 +494,16 @@ def test_construction_errors():
         lp_ball(2, True)
     with pytest.raises(DomainFormatError):
         ball(2, bounding_radius=True)
+    # a non-finite exponent or bounding radius is no body and no ray cap
+    for bad in (np.inf, np.nan):
+        with pytest.raises(DomainFormatError):
+            lp_ball(2, bad)
+        with pytest.raises(DomainFormatError):
+            ball(2, bounding_radius=bad)
+        with pytest.raises(DomainFormatError):
+            defining_domain(2, "abs(z1)**2 - 1", "convex", bounding_radius=bad)
+    with pytest.raises(DomainFormatError):
+        domain_from_json(json.loads('{"n": 2, "kind": "lp_ball", "p": Infinity}'))
     with pytest.raises(DomainFormatError):
         affine_image(ball(2), np.zeros((2, 2)))
     with pytest.raises(DomainFormatError):

@@ -117,6 +117,26 @@ def test_catalog_derivatives_match_differences(shape):
         assert abs(fd - an) < 1e-7 * max(1.0, abs(an))
 
 
+def _slit_based(shape):
+    while shape.kind == "affine":
+        shape = shape.base
+    return shape.kind == "slit_plane"
+
+
+@pytest.mark.parametrize("shape", CATALOG, ids=lambda s: s.kind)
+def test_catalog_inverse_mobius_is_the_inverse(shape):
+    mp = riemann_catalog(shape)
+    if _slit_based(shape):
+        assert mp.inverse_mobius is None
+        return
+    p, q, r, s = mp.inverse_mobius
+    w = _disc_samples(1000, seed=13)
+    want = mp.inverse(w)
+    got = (p * w + q) / (r * w + s)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+    assert abs((p * s - q * r) / s**2 - mp.derivative_at_zero) <= 1e-14 * abs(mp.derivative_at_zero)
+
+
 def test_catalog_derivative_at_zero_values():
     for shape in CATALOG:
         mp = riemann_catalog(shape)
