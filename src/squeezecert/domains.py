@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .errors import (
     ArgumentError,
@@ -45,9 +44,20 @@ from .errors import (
 )
 from .numerics import _freeze, _pairs
 
-CATALOG_KINDS = ("ball", "polydisc", "l1ball", "lp_ball")
-IMAGE_KINDS = ("affine_image", "projective_image")
-ALL_KINDS = CATALOG_KINDS + IMAGE_KINDS + ("defining_function",)
+# the optional fields each kind takes, all of them required; None elsewhere
+_KIND_FIELDS = {
+    "ball": (),
+    "polydisc": (),
+    "l1ball": (),
+    "lp_ball": ("p",),
+    "affine_image": ("base", "matrix", "offset"),
+    "projective_image": ("base", "matrix", "offset", "denominator"),
+    "defining_function": ("rho",),
+}
+_OPTIONAL_FIELDS = ("p", "base", "matrix", "offset", "denominator", "rho")
+ALL_KINDS = tuple(_KIND_FIELDS)
+IMAGE_KINDS = tuple(k for k in ALL_KINDS if "base" in _KIND_FIELDS[k])
+CATALOG_KINDS = tuple(k for k in ALL_KINDS if not {"base", "rho"} & set(_KIND_FIELDS[k]))
 
 DEFAULT_BOUNDING_RADIUS = 1e6
 
@@ -72,14 +82,18 @@ _SMOOTH_TOL = 1e-9
 class DomainSpec:
     """Closed description of a bounded domain in C^n containing reference data.
 
-    `convexity_class` is "convex" or "cconvex" and is set by the catalog
-    constructors; defining-function specs carry the user's declaration, which
-    is only spot-checked by sampling.
+    Each kind takes exactly the optional fields `_KIND_FIELDS` lists for it:
+    `p` for lp_ball; `base`, `matrix` and `offset` for both image kinds, with
+    the `denominator` (d0, ..., dn) for projective images; `rho` for a
+    defining function.  `convexity_class` is "convex" or "cconvex"; left None
+    it is derived: catalog bodies are convex, an affine image has its base's
+    class, a projective image is C-convex, and a defining function must
+    declare its own, which is only spot-checked by sampling.
     """
 
     n: int
     kind: str
-    convexity_class: str
+    convexity_class: str | None = None
     bounding_radius: float = DEFAULT_BOUNDING_RADIUS
     p: float | None = None
     base: "DomainSpec | None" = None
@@ -94,6 +108,21 @@ class DomainSpec:
         object.__setattr__(self, "n", int(self.n))
         if self.kind not in ALL_KINDS:
             raise DomainFormatError(f"unknown domain kind {self.kind!r}")
+        for name in _OPTIONAL_FIELDS:
+            have = getattr(self, name) is not None
+            if have != (name in _KIND_FIELDS[self.kind]):
+                raise DomainFormatError(f"{self.kind} {'takes no' if have else 'requires'} {name}")
+        if self.base is not None:
+            if not isinstance(self.base, DomainSpec):
+                raise DomainFormatError("base must itself be a DomainSpec")
+            if self.base.n != self.n:
+                raise DomainFormatError("base dimension must match")
+        if self.convexity_class is None:
+            if self.kind == "defining_function":
+                raise DomainFormatError("defining_function requires a declared convexity_class")
+            object.__setattr__(self, "convexity_class", (
+                "cconvex" if self.kind == "projective_image"
+                else self.base.convexity_class if self.kind == "affine_image" else "convex"))
         if self.convexity_class not in ("convex", "cconvex"):
             raise DomainFormatError(f"convexity class must be convex or cconvex, got {self.convexity_class!r}")
         if isinstance(self.bounding_radius, bool) or not (
@@ -101,52 +130,46 @@ class DomainSpec:
                 and 0 < self.bounding_radius < math.inf):
             raise DomainFormatError("bounding_radius must be a positive finite real")
         object.__setattr__(self, "bounding_radius", float(self.bounding_radius))
-        getattr(self, f"_init_{self.kind}")()
+        if self.p is not None:
+            if isinstance(self.p, bool) or not (
+                    isinstance(self.p, (int, float)) and 1.0 <= self.p < math.inf):
+                raise DomainFormatError(f"lp_ball requires finite real p >= 1, got {self.p!r}")
+            object.__setattr__(self, "p", float(self.p))
+        if self.matrix is not None:
+            self._set_map()
+        if self.rho is not None:
+            if not isinstance(self.rho, str):
+                raise DomainFormatError(f"defining expression must be a string, got {self.rho!r}")
+            member_fn, grad_fns = _parse_defining_expression(self.rho, self.n)
+            object.__setattr__(self, "_member_fn", member_fn)
+            object.__setattr__(self, "_grad_fns", grad_fns)
 
-    # -- per kind construction checks ------------------------------------
+    def _set_map(self):
+        """Check and store the map z = (M w + c) / (d0 + d.w), with the data of
+        its one closed-form preimage: z0 = c/d0, d0 N^-1 with N = M - z0 d^T,
+        and e = d/d0.
 
-    def _init_ball(self):
-        self._require(p=False, base=False, maps=False, rho=False)
-
-    _init_polydisc = _init_ball
-    _init_l1ball = _init_ball
-
-    def _init_lp_ball(self):
-        self._require(p=True, base=False, maps=False, rho=False)
-        if isinstance(self.p, bool) or not (
-                isinstance(self.p, (int, float)) and 1.0 <= self.p < math.inf):
-            raise DomainFormatError(f"lp_ball requires finite real p >= 1, got {self.p!r}")
-        object.__setattr__(self, "p", float(self.p))
-
-    def _init_affine_image(self):
-        self._require(p=False, base=True, maps=True, rho=False)
-        if self.denominator is not None:
-            raise DomainFormatError("affine_image takes no denominator")
-        den = np.zeros(self.n + 1, dtype=complex)
-        den[0] = 1.0
-        self._set_map(den)
-
-    def _init_projective_image(self):
-        self._require(p=False, base=True, maps=True, rho=False)
-        if self.denominator is None:
-            raise DomainFormatError("projective_image requires a denominator")
-        den = np.asarray(self.denominator, dtype=complex)
-        if den.shape != (self.n + 1,):
-            raise DomainFormatError(f"denominator must have length n+1={self.n + 1}, got shape {den.shape}")
+        Affine maps keep `denominator` None and map with den = (1, 0, ..., 0),
+        so N = M.  det of the homogeneous map is d0 det N, so a singular N is
+        a degenerate map.
+        """
+        n = self.n
+        try:
+            mat = np.asarray(self.matrix, dtype=complex)
+            off = np.asarray(self.offset, dtype=complex)
+            den = (np.eye(1, n + 1, dtype=complex)[0] if self.denominator is None
+                   else np.asarray(self.denominator, dtype=complex))
+        except (TypeError, ValueError) as exc:
+            raise DomainFormatError(f"map data must be numeric arrays: {exc}") from exc
+        for name, arr, shape in (("matrix", mat, (n, n)), ("offset", off, (n,)),
+                                 ("denominator", den, (n + 1,))):
+            if arr.shape != shape:
+                raise DomainFormatError(f"map {name} must have shape {shape}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise DomainFormatError("map data must be finite")
+            arr.setflags(write=False)
         if den[0] == 0:
             raise DomainFormatError("projective denominator must not vanish at the base origin")
-        den.setflags(write=False)
-        object.__setattr__(self, "denominator", den)
-        self._set_map(den)
-
-    def _set_map(self, den):
-        """Store the data of the one closed-form preimage of z = (M w + c) /
-        (d0 + d.w): z0 = c/d0, d0 N^-1 with N = M - z0 d^T, and e = d/d0.
-
-        det of the homogeneous map is d0 det N, so a singular N is a
-        degenerate map; affine maps have den = (1, 0, ..., 0) and N = M.
-        """
-        mat, off = self._coerce_map()
         z0 = off / den[0]
         n_mat = mat - np.outer(z0, den[1:])
         sv = np.linalg.svd(n_mat, compute_uv=False)
@@ -155,94 +178,53 @@ class DomainSpec:
                 f"{self.kind} map is degenerate: M - c d^T/d0 is singular within tolerance")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "offset", off)
+        if self.denominator is not None:
+            object.__setattr__(self, "denominator", den)
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_z0", z0)
         object.__setattr__(self, "_n_inv", den[0] * np.linalg.inv(n_mat))
         object.__setattr__(self, "_e", den[1:] / den[0])
-
-    def _init_defining_function(self):
-        self._require(p=False, base=False, maps=False, rho=True)
-        if not isinstance(self.rho, str):
-            raise DomainFormatError(f"defining expression must be a string, got {self.rho!r}")
-        member_fn, grad_fns = _parse_defining_expression(self.rho, self.n)
-        object.__setattr__(self, "_member_fn", member_fn)
-        object.__setattr__(self, "_grad_fns", grad_fns)
-
-    def _require(self, p, base, maps, rho):
-        for name, wanted in (("p", p), ("base", base), ("rho", rho)):
-            have = getattr(self, name) is not None
-            if have and not wanted:
-                raise DomainFormatError(f"{self.kind} takes no {name}")
-            if wanted and not have:
-                raise DomainFormatError(f"{self.kind} requires {name}")
-        have_maps = self.matrix is not None and self.offset is not None
-        if maps and not have_maps:
-            raise DomainFormatError(f"{self.kind} requires matrix and offset")
-        if not maps and (self.matrix is not None or self.offset is not None
-                         or self.denominator is not None):
-            raise DomainFormatError(f"{self.kind} takes no map data")
-        if base and not isinstance(self.base, DomainSpec):
-            raise DomainFormatError("base must itself be a DomainSpec")
-        if base and self.base.n != self.n:
-            raise DomainFormatError("base dimension must match")
-
-    def _coerce_map(self):
-        try:
-            mat = np.asarray(self.matrix, dtype=complex)
-            off = np.asarray(self.offset, dtype=complex)
-        except (TypeError, ValueError) as exc:
-            raise DomainFormatError(f"map data must be numeric arrays: {exc}") from exc
-        if mat.shape != (self.n, self.n):
-            raise DomainFormatError(f"map matrix must be {self.n}x{self.n}, got {mat.shape}")
-        if off.shape != (self.n,):
-            raise DomainFormatError(f"map offset must have length {self.n}, got {off.shape}")
-        if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(off))):
-            raise DomainFormatError("map data must be finite")
-        mat.setflags(write=False)
-        off.setflags(write=False)
-        return mat, off
 
 
 # -- catalog constructors ----------------------------------------------------
 
 def ball(n, bounding_radius=DEFAULT_BOUNDING_RADIUS) -> DomainSpec:
     """Open unit euclidean ball in C^n."""
-    return DomainSpec(n=n, kind="ball", convexity_class="convex", bounding_radius=bounding_radius)
+    return DomainSpec(n=n, kind="ball", bounding_radius=bounding_radius)
 
 
 def polydisc(n, bounding_radius=DEFAULT_BOUNDING_RADIUS) -> DomainSpec:
     """Open unit polydisc in C^n."""
-    return DomainSpec(n=n, kind="polydisc", convexity_class="convex", bounding_radius=bounding_radius)
+    return DomainSpec(n=n, kind="polydisc", bounding_radius=bounding_radius)
 
 
 def l1ball(n, bounding_radius=DEFAULT_BOUNDING_RADIUS) -> DomainSpec:
     """Open unit l1 ball {sum |z_j| < 1} in C^n."""
-    return DomainSpec(n=n, kind="l1ball", convexity_class="convex", bounding_radius=bounding_radius)
+    return DomainSpec(n=n, kind="l1ball", bounding_radius=bounding_radius)
 
 
 def lp_ball(n, p, bounding_radius=DEFAULT_BOUNDING_RADIUS) -> DomainSpec:
     """Open unit lp ball {sum |z_j|**p < 1}, p >= 1."""
-    return DomainSpec(n=n, kind="lp_ball", convexity_class="convex", p=p,
-                      bounding_radius=bounding_radius)
+    return DomainSpec(n=n, kind="lp_ball", p=p, bounding_radius=bounding_radius)
 
 
 def affine_image(base, matrix, offset=None, bounding_radius=None) -> DomainSpec:
     """Image of `base` under z = matrix @ w + offset; inherits the base class."""
     offset = np.zeros(base.n) if offset is None else offset
     return DomainSpec(
-        n=base.n, kind="affine_image", convexity_class=base.convexity_class,
+        n=base.n, kind="affine_image",
         bounding_radius=base.bounding_radius if bounding_radius is None else bounding_radius,
         base=base, matrix=matrix, offset=offset)
 
 
 def projective_image(base, matrix, offset, denominator, bounding_radius=None,
-                     convexity_class="cconvex") -> DomainSpec:
+                     convexity_class=None) -> DomainSpec:
     """Image of `base` under z = (matrix @ w + offset) / (d0 + d . w).
 
     `denominator` lists the affine coefficients (d0, d1, ..., dn) with d0 != 0.
     The map must be nondegenerate, that is M - c d^T / d0 nonsingular, or
     construction raises DomainFormatError.  Projective images of convex bases
-    are C-convex, which is the default declaration.
+    are C-convex, the class DomainSpec derives when `convexity_class` is None.
     """
     return DomainSpec(
         n=base.n, kind="projective_image", convexity_class=convexity_class,
@@ -270,6 +252,9 @@ def translate(d: DomainSpec, point) -> DomainSpec:
 # -- defining expression parsing --------------------------------------------
 
 def _parse_defining_expression(text, n):
+    # sympy takes most of the package's import time; only this parser needs it
+    import sympy as sp
+
     zs = sp.symbols(f"z1:{n + 1}", complex=True)
     ws = sp.symbols(f"_w1:{n + 1}", complex=True)
     names = {f"z{k + 1}": zs[k] for k in range(n)}
@@ -397,7 +382,9 @@ def ray_exit(d: DomainSpec, base, direction) -> float:
     around it; these exits are exact first crossings.  Every other ray is
     bracketed by a geometric march (resolution factor ~1.12, so a sliver the
     ray leaves and re-enters between consecutive marks can be skipped), then
-    bisected to absolute tolerance _EXIT_TOL; `ray_exit_batch` and the
+    bisected to tolerance _EXIT_TOL in t, taken for a direction whose largest
+    modulus lies in [2^-5, 2) (others are scaled into it by a power of two,
+    so the tolerance scales with them); `ray_exit_batch` and the
     inscribed radius of `bounds`, whose witness-image rays have closed-form
     exits of their own over ball and polydisc bases, share the loop.  Raises
     RayCapError if the ray never leaves below the bounding radius.
@@ -416,15 +403,26 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
     if base.shape not in ((d.n,), directions.shape):
         raise ArgumentError(f"base must have shape ({d.n},) or {directions.shape}")
     # moduli first: the complex norm would take inf * 0 on an infinite entry
-    norms = np.linalg.norm(np.abs(directions), axis=1)
-    slowest = norms.min()
-    if not (slowest > 0.0 and norms.max() < np.inf):
+    mod = np.abs(directions)
+    top = mod.max(axis=1)
+    least, most = top.min(), top.max()
+    if not (least > 0.0 and most < np.inf):
         raise ArgumentError("directions must be finite and nonzero")
+    # the march start and the exit tolerance are absolute in t: a row whose
+    # largest modulus leaves [2^-5, 2) (every unit vector up to n = 1024 is
+    # inside) is scaled by the power of two that brings it into [1/2, 1), and
+    # its exit scaled back; both steps are exact
+    scale = None
+    if least < 2.0 ** -5 or most >= 2.0:
+        scale = np.where((top < 2.0 ** -5) | (top >= 2.0), np.ldexp(1.0, -np.frexp(top)[1]), 1.0)
+        directions = directions * scale[:, None]
+        mod = mod * scale[:, None]
     # march cap in parameter units: bounding radius along the slowest direction
-    cap = d.bounding_radius / slowest * 2.0
+    cap = d.bounding_radius / np.linalg.norm(mod, axis=1).min() * 2.0
     guess = _exact_exits(d, base, directions)
     # the closure looks `contains` up at call time, so a rebound one is used
-    return _first_exits(lambda z: contains(d, z), base, directions, cap, guess)
+    t = _first_exits(lambda z: contains(d, z), base, directions, cap, guess)
+    return t if scale is None else t * scale
 
 
 def _first_exits(inside, bases, directions, cap, guess=None):
@@ -992,14 +990,8 @@ def domain_from_json(data) -> DomainSpec:
                 denominator = [_pair2c(v) for v in m["denominator"]]
         except (KeyError, TypeError) as exc:
             raise DomainFormatError(f"malformed map: {exc!r}") from exc
-    default_class = base.convexity_class if base is not None else "convex"
-    if kind == "projective_image":
-        default_class = "cconvex"
-    cls = data.get("class", default_class)
-    if kind == "defining_function" and "class" not in data:
-        raise DomainFormatError("defining_function requires an explicit class declaration")
     return DomainSpec(
-        n=n, kind=kind, convexity_class=cls,
+        n=n, kind=kind, convexity_class=data.get("class"),
         bounding_radius=data.get("bounding_radius", DEFAULT_BOUNDING_RADIUS),
         p=data.get("p"), base=base, matrix=matrix, offset=offset,
         denominator=denominator, rho=data.get("rho"))

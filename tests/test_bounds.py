@@ -27,6 +27,7 @@ from squeezecert.domains import (
     ball,
     boundary_residual,
     boundary_samples,
+    defining_domain,
     l1ball,
     lp_ball,
     polydisc,
@@ -436,6 +437,14 @@ def test_certify_class_mismatch():
         certify(projective_fixture(), convexity_class="convex", seed=0)
     with pytest.raises(ArgumentError):
         certify(polydisc(2), convexity_class="starlike")
+
+
+def test_certify_spot_check_refuses_a_false_convex_declaration():
+    # two bumps around z1 = +-1 joined by a waist: midpoints of interior
+    # pairs leave the domain, so the midpoint spot check fails before the frame
+    d = defining_domain(2, "abs(z1**2-1)+abs(z2)**2-1.1", "convex", bounding_radius=5.0)
+    with pytest.raises(ClassMismatchError, match="spot checks contradict the convex declaration"):
+        certify(d, seed=0)
 
 
 # -- witness evaluation -------------------------------------------------------

@@ -5,10 +5,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from squeezecert import __version__
+from squeezecert import __version__, cli
 from squeezecert.cli import EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
 from squeezecert.domains import ball, domain_to_json, polydisc, projective_image
 from squeezecert.numerics import constants_csv, universal_bounds
+from squeezecert.verify import SuiteReport
 
 
 def run_cli(argv, capsys):
@@ -192,6 +193,37 @@ def test_bound_usage_errors(polydisc_spec, tmp_path, capsys):
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"n": 2, "kind": "ball\xe9"}')
     assert run_cli(["bound", str(latin1)], capsys)[0] == EXIT_USAGE
+
+
+def test_bound_nonfinite_denominator_is_usage_error(tmp_path, capsys):
+    spec = domain_to_json(projective_image(polydisc(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0]))
+    spec["map"]["denominator"][1] = [float("inf"), 0.0]
+    path = tmp_path / "inf_denominator.json"
+    path.write_text(json.dumps(spec))
+    assert "Infinity" in path.read_text()
+    rc, out, err = run_cli(["bound", str(path)], capsys)
+    assert rc == EXIT_USAGE and out == "" and "map data must be finite" in err
+
+
+def test_bound_margins_below_tol_exit_two(ball_spec, capsys):
+    # every containment slack is below 1, so --tol -1 fails every margin
+    rc, out, err = run_cli(["bound", ball_spec, "--tol", "-1", "--samples", "400"], capsys)
+    assert rc == EXIT_PIPELINE
+    margins = sorted(json.loads(out)["result"]["margins"])
+    assert margins
+    assert err == f"pipeline check failed: {', '.join(margins)}\n"
+
+
+def test_verify_violation_exits_two(monkeypatch, capsys):
+    def violated(**kwargs):
+        return SuiteReport(suite="star", dims=(2,), trials=1, seed=0, violations=1,
+                           worst_margin=-0.5, worst_case={"n": 2})
+
+    monkeypatch.setattr(cli, "suite_star", violated)
+    rc, out, err = run_cli(["verify", "--suite", "star"], capsys)
+    assert rc == EXIT_PIPELINE
+    assert json.loads(out)["result"]["violations"] == 1
+    assert "suite star reported 1 violation(s)" in err
 
 
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys):

@@ -214,6 +214,18 @@ def test_ray_exit_per_ray_bases_match_one_call_per_base(kind):
     assert np.array_equal(batched, single)
 
 
+@pytest.mark.parametrize("scale", [1e9, 1e100, 1e200, 1e-300])
+def test_ray_exits_at_any_direction_scale(scale):
+    # each exit along e1 is 1/scale; the march start and the exit tolerance
+    # hold for directions of order one, so far scales are brought there
+    bodies = [ball(2), l1ball(2),
+              defining_domain(2, "abs(z1)**2+abs(z2)**2-1", "convex", bounding_radius=5.0)]
+    for d in bodies:
+        t = ray_exit(d, np.zeros(2), [scale, 0.0])
+        assert abs(t * scale - 1.0) < 1e-12, d.kind
+        assert contains(d, [t * scale, 0.0])
+
+
 def closed_form_fixtures(n, rng):
     """Bodies with a closed-form exit, and per-ray bases inside each."""
     shear = np.eye(n, dtype=complex) + np.tril(np.full((n, n), 0.4 - 0.3j), -1)
@@ -518,6 +530,68 @@ def test_construction_errors():
         defining_domain(2, "re(z3)", "convex")
     with pytest.raises(DomainFormatError):
         defining_domain(2, "import os", "convex")
+
+
+# the optional fields each kind takes, written out independently of the table
+KIND_FIELDS = {
+    "ball": set(), "polydisc": set(), "l1ball": set(), "lp_ball": {"p"},
+    "affine_image": {"base", "matrix", "offset"},
+    "projective_image": {"base", "matrix", "offset", "denominator"},
+    "defining_function": {"rho"},
+}
+
+
+@pytest.mark.parametrize("name", ["p", "base", "matrix", "offset", "denominator", "rho"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_each_kind_takes_exactly_its_fields(kind, name):
+    values = {"p": 1.5, "base": ball(2), "matrix": np.eye(2), "offset": np.zeros(2),
+              "denominator": [2.0, 0.5, 0.0], "rho": "abs(z1)**2 + abs(z2)**2 - 1"}
+    cls = "convex" if kind == "defining_function" else None
+    valid = {f: values[f] for f in KIND_FIELDS[kind]}
+    assert DomainSpec(n=2, kind=kind, convexity_class=cls, **valid).kind == kind
+    if name in valid:
+        del valid[name]
+        message = f"{kind} requires {name}"
+    else:
+        valid[name] = values[name]
+        message = f"{kind} takes no {name}"
+    with pytest.raises(DomainFormatError, match=f"^{message}$"):
+        DomainSpec(n=2, kind=kind, convexity_class=cls, **valid)
+
+
+def test_kind_tables_are_derived_from_the_fields():
+    assert ALL_KINDS == tuple(KIND_FIELDS)
+    assert dom.CATALOG_KINDS == ("ball", "polydisc", "l1ball", "lp_ball")
+    assert dom.IMAGE_KINDS == ("affine_image", "projective_image")
+
+
+def test_default_class_is_derived():
+    cconvex_pd = DomainSpec(n=2, kind="polydisc", convexity_class="cconvex")
+    assert [d.convexity_class for d in (ball(2), lp_ball(2, 3.0), cconvex_pd)] == \
+        ["convex", "convex", "cconvex"]
+    # an affine image takes its base's class, a projective image is C-convex
+    assert affine_image(cconvex_pd, np.eye(2)).convexity_class == "cconvex"
+    assert affine_image(ball(2), np.eye(2)).convexity_class == "convex"
+    assert cayley_polydisc().convexity_class == "cconvex"
+    assert projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                            convexity_class="convex").convexity_class == "convex"
+    # a defining function declares its class, in code and in JSON
+    with pytest.raises(DomainFormatError, match="convexity_class"):
+        DomainSpec(n=2, kind="defining_function", rho="re(z1)")
+    with pytest.raises(DomainFormatError, match="convexity_class"):
+        domain_from_json({"n": 2, "kind": "defining_function", "rho": "re(z1)"})
+    blob = {"n": 2, "kind": "affine_image", "base": domain_to_json(cconvex_pd),
+            "map": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "offset": [[0, 0], [0, 0]]}}
+    assert domain_from_json(blob).convexity_class == "cconvex"
+    blob["map"]["denominator"] = [[2, 0], [0.5, 0], [0, 0]]
+    blob["kind"], blob["base"] = "projective_image", domain_to_json(ball(2))
+    assert domain_from_json(blob).convexity_class == "cconvex"
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_nonfinite_denominators_are_format_errors(bad):
+    with pytest.raises(DomainFormatError, match="finite"):
+        projective_image(polydisc(2), np.eye(2), np.zeros(2), [2.0, bad, 0.0])
 
 
 def test_translate_recenters():
