@@ -15,12 +15,14 @@ inverses are Mobius maps, so a witness-image ray pulls back to a rational path
 whose first exit has a closed form over ball and polydisc bases; it is kept
 once the image's membership oracle, which pulls back through the same Mobius
 coefficients, brackets it, and every other ray marches.
-The certified numbers come from the closed forms; the witness numbers are
-labeled empirical and carry their sampling resolution.
+The certified numbers come from the closed forms; each witness number is the
+least exit its rays measured, so [certified, witness] brackets the inscribed
+radius of the embedding's image, up to the exit tolerance.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -59,6 +61,23 @@ CLOUD_JSON_CAP = 2000
 # disc matching: angle bins, and the rms fit gate relative to the radius
 FIT_BINS = 100
 FIT_TOL = 1e-3
+
+# least value of the integer run arguments that may be 0 (no spot check,
+# canonical frame starts only); every other count must be positive
+_LEAST = {"seed": 0, "spot_trials": 0, "n_starts": 0}
+
+
+def _check_counts(**values):
+    """Raise ArgumentError unless each named run argument is an integer at or
+    above its least value; n_starts may also be None, the frame's default."""
+    for name, value in values.items():
+        if value is None and name == "n_starts":
+            continue
+        least = _LEAST.get(name, 1)
+        if not isinstance(value, numbers.Integral) or value < least:
+            kind = "non-negative" if least == 0 else "positive"
+            raise ArgumentError(f"{name} must be a {kind} integer, got {value!r}")
+
 
 # -- generic containment check ------------------------------------------------
 
@@ -184,24 +203,18 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     image's from `_witness_exits`; each is kept only when the oracle
     brackets it within the tolerance, and every other ray marches and
     bisects.
-    Returns (lower, upper): upper is the sampled minimum (a true upper bound
-    for the inscribed radius), lower shrinks it by the angular-resolution
-    correction 1 - theta^2/2 with theta = rays**(-1/(2n-1)).  No
-    certification claim.
+    Returns the least first exit over the rays: a true upper bound for the
+    inscribed radius up to the exit tolerance, and no certification claim.
     """
     if shape not in ("ball", "polydisc"):
         raise ArgumentError(f"inscribed shape must be ball or polydisc, got {shape!r}")
-    if rays < 1:
-        raise ArgumentError("ray budget must be positive")
+    _check_counts(rays=rays)
     if not oracle(np.zeros((1, n), dtype=complex))[0]:
         raise ArgumentError("inscribed radius needs 0 inside the image")
     body = ball(n) if shape == "ball" else polydisc(n)
     dirs = boundary_samples(body, rays, np.random.default_rng(seed))
     exits = None if guess is None else guess(dirs)
-    upper = float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, guess=exits).min())
-    theta = float(rays) ** (-1.0 / (2 * n - 1))
-    lower = upper * max(0.0, 1.0 - 0.5 * theta**2)
-    return lower, upper
+    return float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, guess=exits).min())
 
 
 # -- coordinate projections and disc matching --------------------------------
@@ -317,8 +330,6 @@ class BoundReport:
     certified_s_hat: float
     witness_s: float | None
     witness_s_hat: float | None
-    inscribed_ball: tuple | None
-    inscribed_polydisc: tuple | None
     margins: dict
     diagnostics: dict
     projections: tuple
@@ -334,16 +345,17 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
 
     The certified values are the closed-form universal constants of the
     requested class; they are reported as certified conditional on the sampled
-    invariant re-checks, all of which land in `margins`.  Witness bounds (the
-    conservative lower inscribed estimates) are attached when the witness
-    embedding exists: always for the convex class, and for the C-convex class
-    exactly when every coordinate projection matches a catalog disc.
+    invariant re-checks, all of which land in `margins`.  Witness radii (the
+    measured inscribed radii of the witness image) are attached when the
+    witness embedding exists: always for the convex class, and for the
+    C-convex class exactly when every coordinate projection matches a catalog
+    disc.
     """
     convexity_class = convexity_class or d.convexity_class
     if convexity_class not in ("convex", "cconvex"):
         raise ArgumentError(f"unknown convexity class {convexity_class!r}")
-    if samples < 1 or rays < 1:
-        raise ArgumentError("sample and ray budgets must be positive")
+    _check_counts(seed=seed, samples=samples, rays=rays, cloud_samples=cloud_samples,
+                  spot_trials=spot_trials, n_starts=n_starts)
     if convexity_class != d.convexity_class:
         d = replace(d, convexity_class=convexity_class)
     if spot_trials:
@@ -420,18 +432,15 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
             coord_maps = tuple(riemann_catalog(p.matched) for p in projections)
 
     witness_s = witness_s_hat = None
-    inscribed_ball = inscribed_polydisc = None
     if coord_maps is not None:
         witness = WitnessMap(domain=d, affine=composite, coordinate_maps=coord_maps)
         oracle = _witness_image_oracle(witness, composite_inv)
         guess = _witness_exits(witness, composite_inv)
-        inscribed_polydisc = inscribed_radius_estimate(
+        witness_s_hat = inscribed_radius_estimate(
             oracle, n, shape="polydisc", rays=rays, seed=seed + 1, guess=guess)
         # the ball witness is the polydisc witness scaled by 1/sqrt(n)
-        inscribed_ball = tuple(r / math.sqrt(n) for r in inscribed_radius_estimate(
-            oracle, n, shape="ball", rays=rays, seed=seed + 2, guess=guess))
-        witness_s_hat = inscribed_polydisc[0]
-        witness_s = inscribed_ball[0]
+        witness_s = inscribed_radius_estimate(
+            oracle, n, shape="ball", rays=rays, seed=seed + 2, guess=guess) / math.sqrt(n)
 
     diagnostics = {
         "radii": [float(r) for r in frame.radii],
@@ -447,7 +456,6 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
         n=n, convexity_class=convexity_class,
         certified_s=certified_s, certified_s_hat=certified_s_hat,
         witness_s=witness_s, witness_s_hat=witness_s_hat,
-        inscribed_ball=inscribed_ball, inscribed_polydisc=inscribed_polydisc,
         margins=margins, diagnostics=diagnostics, projections=projections,
         normalizer=norm, witness=witness, seed=seed)
 
@@ -476,10 +484,6 @@ def report_to_json(report: BoundReport) -> dict:
             "present": report.witness is not None,
             "s": report.witness_s,
             "s_hat": report.witness_s_hat,
-            "inscribed_ball": None if report.inscribed_ball is None
-            else list(report.inscribed_ball),
-            "inscribed_polydisc": None if report.inscribed_polydisc is None
-            else list(report.inscribed_polydisc),
         },
         "margins": {k: v.as_dict() for k, v in report.margins.items()},
         "diagnostics": report.diagnostics,

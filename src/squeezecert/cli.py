@@ -11,6 +11,7 @@ the exact double.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -135,14 +136,16 @@ def _parse_dims(text: str, limit=16) -> tuple:
     return dims
 
 
-def _count(text: str) -> int:
-    """argparse type of the sample, trial and budget counts: an integer >= 1."""
+def _count(text: str, least=1) -> int:
+    """argparse type of the sample, trial and budget counts: an integer >= 1
+    (>= 0 for the seed)."""
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if value is None or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
     return value
 
 
@@ -250,7 +253,8 @@ def cmd_probe_kappa(args) -> int:
 
 # each subcommand declares the shared options it reads, and only those
 _OPTIONS = {
-    "seed": dict(type=int, default=0, help="run seed (default 0)"),
+    "seed": dict(type=functools.partial(_count, least=0), default=0,
+                 help="run seed (default 0)"),
     "tol": dict(type=float, default=DEFAULT_TOL,
                 help="containment slack below -tol fails the run"),
     "samples": dict(type=_count, default=None,

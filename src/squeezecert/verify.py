@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import _class_bounds, _model_bodies, certify, containment_check
+from .bounds import _check_counts, _class_bounds, _model_bodies, certify, containment_check
 from .domains import (
     affine_image,
     ball,
@@ -74,8 +74,6 @@ class KappaProbeReport:
     seed: int
     universal_s: float
     universal_s_hat: float
-    min_certified_s: float
-    min_certified_s_hat: float
     min_witness_s: float | None
     min_witness_s_hat: float | None
     witness_runs: int
@@ -137,8 +135,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     with an all-ones sample runs first and attains equality.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_star")
-    if trials < 1:
-        raise ArgumentError("trials must be positive")
+    _check_counts(seed=seed, trials=trials)
     track = _Tracker()
     for n in dims:
         if n <= SYMBOLIC_LIMIT:
@@ -187,8 +184,7 @@ def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteRep
     runs first in every dimension and is tight at the all-ones corner.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_lemmas")
-    if trials < 1 or samples < 1:
-        raise ArgumentError("trials and samples must be positive")
+    _check_counts(seed=seed, trials=trials, samples=samples)
     track = _Tracker()
     for n in dims:
         outer, pd_small, ball_small = _model_bodies(n)
@@ -314,22 +310,23 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
 
     Certification runs at the origin of each swept domain (base-point sweeps
     recenter by translation first, which is legitimate because the squeezing
-    functions are invariant under biholomorphisms).  The certified minima are
-    the class constants by construction; the witness minima estimate the
-    family's infimum from above and stay strictly over the constants.  At the
-    default cloud_samples=20_000 no C-convex probe gets a witness (the
-    projection clouds are too sparse for `bounds.match_projection`), so
-    `min_witness_s` is null for the projective family.
+    functions are invariant under biholomorphisms).  Every swept domain
+    certifies the class constants `universal_s` and `universal_s_hat`; the
+    witness minima estimate the family's infimum from above and stay strictly
+    over the constants.  At n = 2 the shear minima sit at 1/(3 sqrt 2) and 1/3
+    to 3e-13, the cap that the half-plane witness puts on every balanced
+    domain, so they measure that map rather than the family.  At the default
+    cloud_samples=20_000 no C-convex probe gets a witness (the projection
+    clouds are too sparse for `bounds.match_projection`), so `min_witness_s`
+    is null for the projective family.
     """
     if family not in KAPPA_FAMILIES:
         raise ArgumentError(f"unknown family {family!r}; pick one of {KAPPA_FAMILIES}")
-    if budget < 1:
-        raise ArgumentError("budget must be positive")
+    _check_counts(seed=seed, budget=budget)
     if convexity_class is None:
         convexity_class = "cconvex" if family == "projective" else "convex"
     uni_s, uni_s_hat = _class_bounds(n, convexity_class)
 
-    min_cert_s = min_cert_s_hat = math.inf
     min_wit_s = min_wit_s_hat = None
     witness_runs = 0
     argmin = {}
@@ -337,8 +334,6 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
         rep = certify(domain, convexity_class=convexity_class, samples=samples,
                       seed=seed, cloud_samples=cloud_samples, rays=rays,
                       spot_trials=0, n_starts=n_starts)
-        min_cert_s = min(min_cert_s, rep.certified_s)
-        min_cert_s_hat = min(min_cert_s_hat, rep.certified_s_hat)
         if rep.witness_s is None:
             continue
         witness_runs += 1
@@ -353,6 +348,5 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
     return KappaProbeReport(
         family=family, n=n, convexity_class=convexity_class, budget=budget,
         seed=seed, universal_s=uni_s, universal_s_hat=uni_s_hat,
-        min_certified_s=min_cert_s, min_certified_s_hat=min_cert_s_hat,
         min_witness_s=min_wit_s, min_witness_s_hat=min_wit_s_hat,
         witness_runs=witness_runs, argmin=argmin)

@@ -223,9 +223,6 @@ def test_criterion_8_strictness_and_probe():
         ("probe kept every witness above the universal s_hat",
          probe.min_witness_s_hat is not None
          and probe.min_witness_s_hat > probe.universal_s_hat),
-        ("probe certified floor matches the universal constants",
-         probe.min_certified_s == probe.universal_s
-         and probe.min_certified_s_hat == probe.universal_s_hat),
         ("probe swept its full budget", probe.witness_runs == 100),
     ]
     _gate(8, "strictness and kappa probe", t0, 300.0, checks)

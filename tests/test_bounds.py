@@ -179,26 +179,21 @@ def test_margin_report_dict():
 
 def test_inscribed_radius_of_ball_itself():
     oracle = lambda y: np.linalg.norm(y, axis=-1) < 1.0
-    lower, upper = inscribed_radius_estimate(oracle, 2, shape="ball",
-                                             rays=2000, seed=0)
-    assert abs(upper - 1.0) < 1e-9
-    assert lower <= upper
-    assert lower > 0.95
+    estimate = inscribed_radius_estimate(oracle, 2, shape="ball", rays=2000, seed=0)
+    assert isinstance(estimate, float)
+    assert abs(estimate - 1.0) < 1e-12
 
 
 def test_inscribed_radius_of_disc_product():
     oracle = lambda y: np.all(np.abs(y - 1.0 / 3.0) < 2.0 / 3.0, axis=-1)
-    lower, upper = inscribed_radius_estimate(oracle, 2, shape="polydisc",
-                                             rays=2000, seed=0)
-    assert abs(upper - 1.0 / 3.0) < 1e-9
-    assert lower > 1.0 / 3.0 - 5e-3
+    estimate = inscribed_radius_estimate(oracle, 2, shape="polydisc", rays=2000, seed=0)
+    assert abs(estimate - 1.0 / 3.0) < 1e-12
 
 
 def test_inscribed_radius_of_simplex_along_ball_directions():
     oracle = lambda y: np.sum(np.abs(y), axis=-1) < 1.0
-    lower, upper = inscribed_radius_estimate(oracle, 2, shape="ball",
-                                             rays=2000, seed=0)
-    assert abs(upper - 1.0 / np.sqrt(2.0)) < 1e-9
+    estimate = inscribed_radius_estimate(oracle, 2, shape="ball", rays=2000, seed=0)
+    assert abs(estimate - 1.0 / np.sqrt(2.0)) < 1e-12
 
 
 def test_inscribed_radius_argument_errors():
@@ -292,8 +287,7 @@ def test_witness_matches_the_marched_witness(monkeypatch, d, cls, tol):
     marched, marched_rest = run()
     assert rest == marched_rest
     assert witness["present"] and marched["present"]
-    fields = ("s", "s_hat", "inscribed_ball", "inscribed_polydisc")
-    got, want = (np.hstack([w[k] for k in fields]) for w in (witness, marched))
+    got, want = (np.array([w["s"], w["s_hat"]]) for w in (witness, marched))
     np.testing.assert_allclose(got, want, rtol=0, atol=tol)
     if tol == 0.0:
         assert witness == marched
@@ -361,7 +355,6 @@ def test_certify_polydisc(polydisc_report):
     assert np.abs(norm.t_matrix.entries - eye).max() < 1e-9
     assert np.abs(norm.a_matrix.entries - eye).max() < 1e-9
     assert abs(rep.witness_s_hat - 1.0 / 3.0) < 1e-3
-    assert abs(rep.inscribed_polydisc[1] - 1.0 / 3.0) < 1e-3
     for margin in rep.margins.values():
         assert margin.violations == 0
 
@@ -372,7 +365,6 @@ def test_certify_ball(ball_report):
     assert rep.certified_s == consts.convex_ball
     assert rep.witness_s > tau(1.0 / np.sqrt(5.0)) / np.sqrt(2.0) - 1e-12
     assert rep.witness_s > rep.certified_s
-    assert rep.inscribed_ball[0] <= rep.inscribed_ball[1]
 
 
 def test_certify_l1ball(l1_report):
@@ -426,10 +418,27 @@ def test_certify_polydisc_as_cconvex(polydisc_cconvex_report):
     assert rep.witness_s_hat > rep.certified_s_hat
 
 
-@pytest.mark.parametrize("budget", [{"samples": 0}, {"samples": -1}, {"rays": 0}])
+@pytest.mark.parametrize("budget", [
+    {"samples": 0}, {"samples": -1}, {"rays": 0},
+    pytest.param({"cloud_samples": 0}, id="no_cloud"),
+    pytest.param({"cloud_samples": -5}, id="negative_cloud"),
+    pytest.param({"spot_trials": -1}, id="negative_spot_trials"),
+    pytest.param({"n_starts": -3}, id="negative_starts"),
+    pytest.param({"rays": 2.5}, id="fractional_rays"),
+    pytest.param({"samples": 2.5}, id="fractional_samples"),
+    pytest.param({"seed": 1.5}, id="fractional_seed"),
+    pytest.param({"seed": -1}, id="negative_seed"),
+])
 def test_certify_rejects_nonpositive_budgets(budget):
-    with pytest.raises(ArgumentError, match="positive"):
-        certify(polydisc(2), spot_trials=0, **budget)
+    (name, _), = budget.items()
+    with pytest.raises(ArgumentError, match=f"{name} must be a (positive|non-negative) integer"):
+        certify(polydisc(2), convexity_class="cconvex", **{"spot_trials": 0, **budget})
+
+
+def test_certify_zero_spot_trials_and_starts_keep_their_meaning():
+    # no spot check, and the canonical frame starts only
+    rep = certify(polydisc(2), samples=200, rays=200, spot_trials=0, n_starts=0)
+    assert rep.diagnostics["radii"] == pytest.approx([1.0, 1.0])
 
 
 def test_certify_class_mismatch():
@@ -507,11 +516,14 @@ def test_inscribed_ball_is_polydisc_witness_image_over_sqrt_n(d, cls):
     assert rep.witness is not None
     norm = rep.normalizer
     affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
-    estimate = inscribed_radius_estimate(_witness_image_oracle(rep.witness, affine_inv),
-                                         2, shape="ball", rays=300, seed=3 + 2,
-                                         guess=_witness_exits(rep.witness, affine_inv))
-    assert rep.inscribed_ball == tuple(r / math.sqrt(2) for r in estimate)
-    assert rep.witness_s == rep.inscribed_ball[0]
+    oracle = _witness_image_oracle(rep.witness, affine_inv)
+    guess = _witness_exits(rep.witness, affine_inv)
+    # the ball witness is the polydisc witness map scaled by 1/sqrt(n)
+    ball_estimate = inscribed_radius_estimate(oracle, 2, shape="ball", rays=300,
+                                              seed=3 + 2, guess=guess)
+    assert rep.witness_s == ball_estimate / math.sqrt(2)
+    assert rep.witness_s_hat == inscribed_radius_estimate(
+        oracle, 2, shape="polydisc", rays=300, seed=3 + 1, guess=guess)
 
 
 # -- serialization and determinism --------------------------------------------
@@ -520,7 +532,7 @@ def test_report_json_schema(projective_report):
     data = report_to_json(projective_report)
     assert data["schema"] == "squeeze-cert/1"
     assert data["class"] == "cconvex"
-    assert data["witness"]["present"] is False
+    assert data["witness"] == {"present": False, "s": None, "s_hat": None}
     assert len(data["projections"]) == 2
     assert len(data["projections"][0]["cloud"]) <= 2000
     json.dumps(data)
@@ -528,6 +540,7 @@ def test_report_json_schema(projective_report):
 
 def test_report_json_convex(polydisc_report):
     data = report_to_json(polydisc_report)
+    assert set(data["witness"]) == {"present", "s", "s_hat"}
     assert data["witness"]["present"] is True
     assert data["witness"]["s_hat"] == polydisc_report.witness_s_hat
     assert data["projections"] == []

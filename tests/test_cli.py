@@ -133,6 +133,18 @@ def test_nonpositive_counts_are_usage_errors(polydisc_spec, argv, capsys):
     assert out == "" and "positive integer" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "SPEC", "--seed", "-1"],
+    ["bound", "SPEC", "--seed", "1.5"],
+    ["verify", "--suite", "star", "--n", "2", "--trials", "2", "--seed", "-1"],
+    ["probe-kappa", "--family", "shears", "--budget", "1", "--seed", "-1"],
+])
+def test_bad_seeds_are_usage_errors(polydisc_spec, argv, capsys):
+    rc, out, err = run_cli([polydisc_spec if a == "SPEC" else a for a in argv], capsys)
+    assert rc == EXIT_USAGE
+    assert out == "" and "non-negative integer" in err
+
+
 def test_bound_class_mismatch_exits_two(projective_spec, capsys):
     rc, _, err = run_cli(
         ["bound", projective_spec, "--class", "convex", "--samples", "400"], capsys)
@@ -278,7 +290,8 @@ def test_probe_kappa_shears(capsys):
     assert rc == EXIT_OK
     doc = json.loads(out)
     consts = universal_bounds(2)
-    assert doc["result"]["min_certified_s"] == consts.convex_ball
+    assert doc["result"]["universal_s"] == consts.convex_ball
+    assert "min_certified_s" not in doc["result"]
     assert doc["result"]["min_witness_s"] > consts.convex_ball
     assert doc["config"]["family"] == "shears"
 

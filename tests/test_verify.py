@@ -65,6 +65,10 @@ def test_star_rejects_bad_dims():
         suite_star(dims=())
     with pytest.raises(ArgumentError):
         suite_star(dims=(2,), trials=0)
+    with pytest.raises(ArgumentError, match="seed"):
+        suite_star(dims=(2,), trials=1, seed=-1)
+    with pytest.raises(ArgumentError, match="seed"):
+        suite_star(dims=(2,), trials=1, seed=0.5)
 
 
 def test_star_deterministic(star_report):
@@ -98,6 +102,10 @@ def test_lemmas_rejects_bad_args():
         suite_lemmas(dims=(2,), trials=0)
     with pytest.raises(ArgumentError):
         suite_lemmas(dims=(2,), samples=0)
+    with pytest.raises(ArgumentError, match="seed"):
+        suite_lemmas(dims=(2,), trials=1, seed=-1)
+    with pytest.raises(ArgumentError, match="trials"):
+        suite_lemmas(dims=(2,), trials=2.5)
     with pytest.raises(ArgumentError):
         suite_lemmas(dims=(1,))
 
@@ -156,6 +164,8 @@ def test_kappa_rejects_bad_args():
         kappa_probe("rotations")
     with pytest.raises(ArgumentError):
         kappa_probe("shears", budget=0)
+    with pytest.raises(ArgumentError, match="seed"):
+        kappa_probe("shears", budget=1, seed=-1)
 
 
 def test_kappa_base_points():
@@ -163,12 +173,13 @@ def test_kappa_base_points():
     consts = universal_bounds(2)
     assert isinstance(rep, KappaProbeReport)
     assert rep.convexity_class == "convex"
-    assert rep.min_certified_s == consts.convex_ball
-    assert rep.min_certified_s_hat == consts.convex_polydisc
+    assert (rep.universal_s, rep.universal_s_hat) == (consts.convex_ball, consts.convex_polydisc)
     assert rep.witness_runs == 3
     assert rep.min_witness_s > rep.universal_s
     assert rep.min_witness_s_hat > rep.universal_s_hat
     assert {"index", "params", "domain", "witness_s", "witness_s_hat"} <= set(rep.argmin)
+    # the class constants appear once, as universal_s and universal_s_hat
+    assert not any(key.startswith("min_certified") for key in rep.as_dict())
 
 
 def test_kappa_shears_deterministic():
@@ -183,8 +194,8 @@ def test_kappa_projective_defaults_to_cconvex():
     rep = kappa_probe("projective", n=2, budget=2, seed=0)
     consts = universal_bounds(2)
     assert rep.convexity_class == "cconvex"
-    assert rep.min_certified_s == consts.cconvex_ball
-    assert rep.min_certified_s_hat == consts.cconvex_polydisc
+    assert (rep.universal_s, rep.universal_s_hat) == (consts.cconvex_ball,
+                                                      consts.cconvex_polydisc)
     # pushforward clouds are not circular, so no witness is fabricated
     assert rep.witness_runs == 0
     assert rep.min_witness_s is None
