@@ -1,16 +1,19 @@
-"""Certify three domains end to end.
+"""Certify four domains end to end.
 
 certify wires the whole pipeline: contact frame, normalizer, containment
 margins, and, when the coordinate maps exist in closed form, an injective
 witness whose inscribed radii sit strictly above the certified constants.
-The projective image of the polydisc is C-convex but not convex; its
-projections are not discs, so no witness is fabricated and the report says
-so instead.
+The two projective images are C-convex but not convex.  A C-convex witness
+needs every coordinate projection to be a disc in closed form: a closed-form
+disc over ball bases and affine chains, none for polydisc, l1 and lp bases
+under projective maps or for defining functions.  So the projective ball gets
+a witness from its exact projection discs, while the projective polydisc gets
+none and the report says so instead.
 """
 import numpy as np
 
 from squeezecert.bounds import certify
-from squeezecert.domains import l1ball, polydisc, projective_image
+from squeezecert.domains import ball, l1ball, polydisc, projective_image
 
 
 def show(name, report):
@@ -21,8 +24,11 @@ def show(name, report):
         print(f"   gap        s = {report.witness_s - report.certified_s:+.9f}"
               f"   s_hat = {report.witness_s_hat - report.certified_s_hat:+.9f}")
     else:
-        matched = report.diagnostics["matched_projections"]
-        print(f"   witness    absent (matched projections: {matched})")
+        print("   witness    absent")
+    for j, disc in enumerate(report.projections):
+        exact = "no closed-form disc" if disc is None else (
+            f"disc about {disc.center:.6f} of radius {disc.radius:.6f}")
+        print(f"   projection {j}: {exact}")
     worst = min(report.margins.values(), key=lambda m: m.min_slack)
     print(f"   tightest margin: {worst.check} at {worst.min_slack:.3e}")
     print()
@@ -34,3 +40,7 @@ show("unit l1 ball", certify(l1ball(2), seed=0))
 proj = projective_image(polydisc(2), np.eye(2), np.zeros(2),
                         [2.0, -1.0, 0.0], bounding_radius=10.0)
 show("projective polydisc image", certify(proj, seed=0))
+
+proj_ball = projective_image(ball(2), np.eye(2), np.zeros(2),
+                             [2.0, 0.5, 0.0], bounding_radius=100.0)
+show("projective ball image", certify(proj_ball, seed=0))

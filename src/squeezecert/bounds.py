@@ -8,13 +8,17 @@ catalog DomainSpecs, scaled through affine_image; their boundaries are drawn
 by domains.boundary_samples and measured against the outer body's batched
 boundary residual.  On top of the certificate it builds the witness embedding
 into the unit polydisc (half-plane maps after the normalizer for convex
-domains; catalog Riemann maps of the coordinate projections for C-convex
-ones) and measures the inscribed radii of its image by batched ray exits; the
-ball-target witness is the same map scaled by 1/sqrt(n).  The coordinate maps'
-inverses are Mobius maps, so a witness-image ray pulls back to a rational path
-whose first exit has a closed form over ball and polydisc bases; it is kept
-once the image's membership oracle, which pulls back through the same Mobius
-coefficients, brackets it, and every other ray marches.
+domains; for C-convex ones the disc maps of the coordinate projections, each
+a closed-form disc over ball bases and affine chains, none for polydisc, l1
+and lp bases under projective maps or for defining functions, in which case
+no witness is built) and measures the inscribed radii of its image by
+batched ray exits; the ball-target witness is the same map scaled by
+1/sqrt(n).  Sampled projections only cross-check the exact discs.  The
+coordinate maps' inverses are Mobius maps, so a witness-image ray pulls back
+to a rational path whose first exit has a closed form over ball and polydisc
+bases; it is kept once the image's membership oracle, which pulls back
+through the same Mobius coefficients, brackets it, and every other ray
+marches.
 The certified numbers come from the closed forms; each witness number is the
 least exit its rays measured, so [certified, witness] brackets the inscribed
 radius of the embedding's image, up to the exit tolerance.
@@ -22,7 +26,6 @@ radius of the embedding's image, up to the exit tolerance.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -31,6 +34,7 @@ from .domains import (
     DomainSpec,
     _first_exits,
     _mobius_path_exits,
+    _projection_disc,
     affine_image,
     ball,
     boundary_residual,
@@ -49,34 +53,22 @@ from .errors import (
     ValidationFailureError,
 )
 from .frame import Normalizer, build_frame, build_normalizer, normalizer_to_json
-from .numerics import _freeze, _pairs, c_const, inverse_coefficients, universal_bounds
-from .planar import PlanarShape, disc_shape, half_plane, riemann_catalog
+from .numerics import (
+    _check_counts,
+    _freeze,
+    _pairs,
+    c_const,
+    inverse_coefficients,
+    universal_bounds,
+)
+from .planar import disc_shape, half_plane, riemann_catalog
 
 # inner boundaries are shrunk by this factor so closed-set tangencies sample clean
 BOUNDARY_SHRINK = 1.0 - 1e-9
 
-# projection clouds are decimated to this many points for serialization
-CLOUD_JSON_CAP = 2000
-
-# disc matching: angle bins, and the rms fit gate relative to the radius
-FIT_BINS = 100
-FIT_TOL = 1e-3
-
-# least value of the integer run arguments that may be 0 (no spot check,
-# canonical frame starts only); every other count must be positive
-_LEAST = {"seed": 0, "spot_trials": 0, "n_starts": 0}
-
-
-def _check_counts(**values):
-    """Raise ArgumentError unless each named run argument is an integer at or
-    above its least value; n_starts may also be None, the frame's default."""
-    for name, value in values.items():
-        if value is None and name == "n_starts":
-            continue
-        least = _LEAST.get(name, 1)
-        if not isinstance(value, numbers.Integral) or value < least:
-            kind = "non-negative" if least == 0 else "positive"
-            raise ArgumentError(f"{name} must be a {kind} integer, got {value!r}")
+# exact projection discs are dilated by 8 ulps of their radius, covering the
+# rounding of the closed form
+DISC_ROUNDING = 1.0 + 8 * np.finfo(float).eps
 
 
 # -- generic containment check ------------------------------------------------
@@ -103,6 +95,7 @@ def containment_check(inner: DomainSpec, mapping, outer: DomainSpec, samples=200
     `outer`: sign-faithful, but not a distance for image and defining-function
     kinds.
     """
+    _check_counts(samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
     pts = shrink * boundary_samples(inner, samples, rng)
     imgs = pts if mapping is None else pts @ np.asarray(mapping, dtype=complex).T
@@ -208,7 +201,7 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     """
     if shape not in ("ball", "polydisc"):
         raise ArgumentError(f"inscribed shape must be ball or polydisc, got {shape!r}")
-    _check_counts(rays=rays)
+    _check_counts(rays=rays, seed=seed)
     if not oracle(np.zeros((1, n), dtype=complex))[0]:
         raise ArgumentError("inscribed radius needs 0 inside the image")
     body = ball(n) if shape == "ball" else polydisc(n)
@@ -217,89 +210,17 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     return float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, guess=exits).min())
 
 
-# -- coordinate projections and disc matching --------------------------------
+# -- coordinate projections --------------------------------------------------
 
-@dataclass(frozen=True)
-class PlanarProjection:
-    """One coordinate projection of the normalized domain image."""
-
-    index: int
-    cloud: np.ndarray
-    matched: PlanarShape | None
-    one_on_boundary: bool
-    zero_interior: bool
-
-    def __post_init__(self):
-        _freeze(self, "cloud")
-
-
-def match_projection(cloud):
-    """Fit a disc to a projection cloud; None when the fit misses.
-
-    The boundary is estimated by per-angle-bin radial maxima with the uniform
-    density endpoint correction, then a least squares circle is fitted.  The
-    match gate is the rms deviation of the boundary estimate from the circle,
-    relative to its radius.  Clouds whose boundary sampling density is far
-    from uniform can fail to match; the caller then falls back to the
-    universal bound, which is the intended behavior.  A matched disc is
-    dilated slightly so the whole open projection stays inside it.
-    """
-    cloud = np.asarray(cloud, dtype=complex).ravel()
-    if cloud.size < 50 * FIT_BINS:
-        return None
-    center0 = cloud.mean()
-    rel = cloud - center0
-    which = np.clip(((np.angle(rel) + np.pi) / (2 * np.pi) * FIT_BINS).astype(int),
-                    0, FIT_BINS - 1)
-    radii = np.abs(rel)
-    edge = np.full(FIT_BINS, np.nan, dtype=complex)
-    for b in range(FIT_BINS):
-        mask = which == b
-        count = int(np.count_nonzero(mask))
-        if count < 40:
-            return None
-        sub = radii[mask]
-        k = int(np.argmax(sub))
-        # endpoint correction: E[max of m] = R * 2m/(2m+1) for uniform density
-        edge[b] = center0 + rel[mask][k] * (2 * count + 1) / (2 * count)
-    x, y = edge.real, edge.imag
-    lhs = np.column_stack([2 * x, 2 * y, np.ones(FIT_BINS)])
-    sol, *_ = np.linalg.lstsq(lhs, x**2 + y**2, rcond=None)
-    center = complex(sol[0], sol[1])
-    rad_sq = sol[2] + sol[0] ** 2 + sol[1] ** 2
-    if rad_sq <= 0:
-        return None
-    radius = float(np.sqrt(rad_sq))
-    resid = np.abs(edge - center) - radius
-    if float(np.sqrt(np.mean(resid**2))) > FIT_TOL * radius:
-        return None
-    if np.any(np.abs(cloud - center) > radius * (1.0 + 10 * FIT_TOL)):
-        return None
-    if abs(center) >= radius:
-        return None
-    return disc_shape(center, radius * (1.0 + 3 * FIT_TOL))
-
-
-def _build_projections(d, affine, cloud_samples, seed):
-    rng = np.random.default_rng(seed)
-    clouds = interior_samples(d, cloud_samples, rng) @ affine.T
-    projections = []
-    for j in range(d.n):
-        cloud = clouds[:, j]
-        matched = match_projection(cloud)
-        if matched is not None:
-            # the fitted radius carries the dilation; undo it for the flag
-            fitted_r = matched.radius / (1.0 + 3 * FIT_TOL)
-            on_boundary = abs(abs(1.0 - matched.center) - fitted_r) <= 5e-3
-        else:
-            on_boundary = bool(np.min(np.abs(cloud - 1.0)) <= 2e-2)
-        angles = np.angle(cloud)
-        coarse = np.clip(((angles + np.pi) / (2 * np.pi) * 36).astype(int), 0, 35)
-        zero_in = bool(np.all(np.bincount(coarse, minlength=36) > 0))
-        projections.append(PlanarProjection(
-            index=j, cloud=cloud, matched=matched,
-            one_on_boundary=on_boundary, zero_interior=zero_in))
-    return projections
+def _projection_check(d, composite, discs, samples, seed):
+    """Sampled cross-check of the exact discs: the projections of `samples`
+    interior points lie inside each disc, slack radius - |zeta - centre|."""
+    imgs = interior_samples(d, samples, np.random.default_rng(seed)) @ composite.T
+    slack = np.concatenate([disc.radius - np.abs(imgs[:, j] - disc.center)
+                            for j, disc in enumerate(discs) if disc is not None])
+    return MarginReport(check="projected interior points inside the exact discs",
+                        samples=int(slack.size), violations=int(np.count_nonzero(slack <= 0)),
+                        min_slack=float(slack.min()))
 
 
 # -- the certificate ----------------------------------------------------------
@@ -322,7 +243,12 @@ def _class_bounds(n, convexity_class):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Certified universal bounds plus empirical witness data for one domain."""
+    """Certified universal bounds plus empirical witness data for one domain.
+
+    `projections` holds, for the C-convex class, one exact disc PlanarShape or
+    None per coordinate of the normalized domain; it is empty for the convex
+    class.
+    """
 
     n: int
     convexity_class: str
@@ -348,8 +274,10 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     invariant re-checks, all of which land in `margins`.  Witness radii (the
     measured inscribed radii of the witness image) are attached when the
     witness embedding exists: always for the convex class, and for the
-    C-convex class exactly when every coordinate projection matches a catalog
-    disc.
+    C-convex class exactly when every coordinate projection of the normalized
+    domain is a disc in closed form (`domains._projection_disc`).
+    `cloud_samples` interior points cross-check those discs in the
+    `projection_discs` margin, drawn only when some coordinate has one.
     """
     convexity_class = convexity_class or d.convexity_class
     if convexity_class not in ("convex", "cconvex"):
@@ -424,12 +352,16 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     if convexity_class == "convex":
         coord_maps = tuple(riemann_catalog(half_plane()) for _ in range(n))
     else:
-        projections = tuple(_build_projections(
-            d, composite, cloud_samples,
-            np.random.SeedSequence(entropy=(seed, 31))))
+        discs = [_projection_disc(d, row) for row in composite]
+        projections = tuple(None if disc is None else disc_shape(disc[0], disc[1] * DISC_ROUNDING)
+                            for disc in discs)
         coord_maps = None
-        if all(p.matched is not None for p in projections):
-            coord_maps = tuple(riemann_catalog(p.matched) for p in projections)
+        if all(p is not None for p in projections):
+            coord_maps = tuple(riemann_catalog(p) for p in projections)
+        if any(p is not None for p in projections):
+            margins["projection_discs"] = _projection_check(
+                d, composite, projections, cloud_samples,
+                np.random.SeedSequence(entropy=(seed, 31)))
 
     witness_s = witness_s_hat = None
     if coord_maps is not None:
@@ -447,8 +379,7 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
         "alpha_max": norm.margins["alpha_max"],
         "triangularity_residual": norm.margins["triangularity_residual"],
         "search_flags": list(frame.search_flags),
-        "matched_projections": [
-            None if p.matched is None else p.matched.kind for p in projections],
+        "matched_projections": [None if p is None else p.kind for p in projections],
         "rays": rays,
         "samples": samples,
     }
@@ -462,11 +393,6 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
 
 # -- serialization -----------------------------------------------------------
 
-def _cloud_json(cloud):
-    step = max(1, cloud.size // CLOUD_JSON_CAP)
-    return _pairs(cloud[::step][:CLOUD_JSON_CAP])
-
-
 def _shape_json(shape):
     if shape is None:
         return None
@@ -474,7 +400,7 @@ def _shape_json(shape):
 
 
 def report_to_json(report: BoundReport) -> dict:
-    """JSON form of a BoundReport; projection clouds are decimated."""
+    """JSON form of a BoundReport."""
     return {
         "schema": "squeeze-cert/1",
         "n": report.n,
@@ -487,16 +413,7 @@ def report_to_json(report: BoundReport) -> dict:
         },
         "margins": {k: v.as_dict() for k, v in report.margins.items()},
         "diagnostics": report.diagnostics,
-        "projections": [
-            {
-                "index": p.index,
-                "matched": _shape_json(p.matched),
-                "one_on_boundary": p.one_on_boundary,
-                "zero_interior": p.zero_interior,
-                "cloud": _cloud_json(p.cloud),
-            }
-            for p in report.projections
-        ],
+        "projections": [_shape_json(p) for p in report.projections],
         "normalizer": normalizer_to_json(report.normalizer),
         "seed": report.seed,
     }

@@ -23,7 +23,9 @@ polydisc bases).  Each
 exit is kept only once the membership oracle brackets it within _EXIT_TOL;
 the other rays take a geometric march and bisection.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
-their images.
+their images.  `_projection_disc` gives the projection of a domain under a
+linear functional in closed form, through the support function of its
+catalog base: a disc over ball bases and affine chains.
 
 Membership, residuals, ray exits, and sampling all accept batched inputs with
 shape (..., n); everything downstream leans on that.
@@ -711,6 +713,53 @@ def _norm_exits(w0, w1, p):
         t[rows[moved]] = new[moved]
         rows = rows[moved]
     return t
+
+
+# -- coordinate projections --------------------------------------------------
+
+def _projection_disc(d, functional):
+    """(centre, radius) of the projection of d under z -> functional . z when
+    that set is a disc in closed form, else None.
+
+    The image chain composes into one homogeneous map zeta = (p0 + p.w) /
+    (q0 + q.w) over the innermost catalog base B, and zeta lies in the
+    projection exactly when |p0 - zeta q0| < h_B(p - zeta q), h_B the support
+    function of B, which is its dual norm (ball l2, polydisc l1, l1 ball
+    l-inf, lp ball lq).  With q = 0 (affine chains) that is the disc about
+    p0/q0 of radius h_B(p)/|q0|, for any base.  Over a ball base it reads
+    A|zeta|^2 - 2 Re(zeta B) + C < 0, a disc when A > 0.  Other bases under
+    projective maps, and defining functions, give None.
+    """
+    hom = np.eye(d.n + 1, dtype=complex)
+    while d.kind in IMAGE_KINDS:
+        # rows: the denominator (d0, d), then the numerator (c, M)
+        hom = hom @ np.vstack([d._den, np.column_stack([d.offset, d.matrix])])
+        d = d.base
+    if d.kind not in CATALOG_KINDS:
+        return None
+    q0, q = hom[0, 0], hom[0, 1:]
+    num = functional @ hom[1:]
+    p0, p = num[0], num[1:]
+    if not q.any():
+        return complex(p0 / q0), float(_dual_norm(d, p) / abs(q0))
+    if d.kind != "ball":
+        return None
+    a = abs(q0) ** 2 - np.vdot(q, q).real
+    if a <= 0.0:
+        return None
+    b = q0 * np.conj(p0) - np.vdot(p, q)
+    c = abs(p0) ** 2 - np.vdot(p, p).real
+    return complex(np.conj(b) / a), float(math.sqrt(abs(b) ** 2 - a * c) / a)
+
+
+def _dual_norm(d, a):
+    """sup |a . w| over the open unit body of the catalog kind d: the norm of
+    a dual to the body's lp norm, taken of a / max|a_k| so that no power of
+    a modulus overflows or vanishes."""
+    p = {"ball": 2.0, "polydisc": math.inf, "l1ball": 1.0}.get(d.kind, d.p)
+    q = 1.0 if p == math.inf else math.inf if p == 1.0 else p / (p - 1.0)
+    top = np.abs(a).max()
+    return top * np.linalg.norm(a / top, ord=q)
 
 
 # -- boundary sampling -------------------------------------------------------

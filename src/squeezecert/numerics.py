@@ -9,6 +9,7 @@ expansion.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,7 +28,26 @@ DIMENSION_CAP = 512
 # Largest coefficient of the symbolic expansion carries 2**(n-2) terms.
 SYMBOLIC_CAP = 8
 
+# least value of the integer run arguments that may be 0 (no spot check,
+# canonical frame starts only); every other count must be positive
+_LEAST = {"seed": 0, "spot_trials": 0, "n_starts": 0}
+
 CSV_HEADER = "n,c_n,convex_ball,convex_polydisc,cconvex_ball,cconvex_polydisc,weak_ball,weak_polydisc"
+
+
+def _check_counts(**values):
+    """Raise ArgumentError unless each named run argument is an integer (not a
+    bool) at or above its least value; n_starts may also be None, the frame's
+    default, and a seed a numpy SeedSequence, as the pipeline derives its
+    stage seeds."""
+    for name, value in values.items():
+        if (value is None and name == "n_starts") or (
+                name == "seed" and isinstance(value, np.random.SeedSequence)):
+            continue
+        least = _LEAST.get(name, 1)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            kind = "non-negative" if least == 0 else "positive"
+            raise ArgumentError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _check_dimension(n) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .domains import _axis_points, _sphere_draw
 from .errors import ArgumentError, MapDomainError, UnsupportedShapeError
-from .numerics import rho
+from .numerics import _check_counts, rho
 
 _EDGE = 1e-12
 
@@ -270,8 +270,7 @@ def tau_radius_check(n, c, samples=100_000, seed=0) -> ContainmentReport:
         raise ArgumentError("dimension must be at least 1")
     if not 0.0 < c <= 1.0:
         raise ArgumentError("parameter c must lie in (0, 1]")
-    if samples < 1:
-        raise ArgumentError("sample budget must be positive")
+    _check_counts(samples=samples, seed=seed)
     return _radius_check("tau_radius", [cayley_inverse] * n, c,
                          (c / (2.0 + c)) * (1.0 - 1e-9), samples, seed)
 
@@ -289,8 +288,7 @@ def rho_radius_check(maps, c, samples=100_000, seed=0) -> ContainmentReport:
         raise ArgumentError("at least one coordinate map is required")
     if not 0.0 < c <= 1.0:
         raise ArgumentError("parameter c must lie in (0, 1]")
-    if samples < 1:
-        raise ArgumentError("sample budget must be positive")
+    _check_counts(samples=samples, seed=seed)
     for j, mp in enumerate(maps):
         if mp.boundary_distance < c - 1e-12:
             raise ArgumentError(

@@ -12,11 +12,12 @@ expected, since boundary tangencies sample arbitrarily close to zero slack.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import _check_counts, _class_bounds, _model_bodies, certify, containment_check
+from .bounds import _class_bounds, _model_bodies, certify, containment_check
 from .domains import (
     affine_image,
     ball,
@@ -27,7 +28,7 @@ from .domains import (
     translate,
 )
 from .errors import ArgumentError
-from .numerics import _pairs, count_inverse_monomials, inverse_coefficients, unit_lower
+from .numerics import _check_counts, _pairs, count_inverse_monomials, inverse_coefficients, unit_lower
 from .planar import (
     half_plane,
     rho_radius_check,
@@ -103,13 +104,15 @@ class _Tracker:
 
 
 def _check_dims(dims, limit, label):
-    dims = tuple(int(n) for n in dims)
+    dims = tuple(dims)
     if not dims:
         raise ArgumentError("empty dimension list")
     for n in dims:
+        if not isinstance(n, numbers.Integral):
+            raise ArgumentError(f"{label} dimensions must be integers, got {n!r}")
         if n < 2 or n > limit:
             raise ArgumentError(f"{label} runs for 2 <= n <= {limit}, got {n}")
-    return dims
+    return tuple(map(int, dims))
 
 
 def _random_alpha(n, rng):
@@ -315,10 +318,12 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
     witness minima estimate the family's infimum from above and stay strictly
     over the constants.  At n = 2 the shear minima sit at 1/(3 sqrt 2) and 1/3
     to 3e-13, the cap that the half-plane witness puts on every balanced
-    domain, so they measure that map rather than the family.  At the default
-    cloud_samples=20_000 no C-convex probe gets a witness (the projection
-    clouds are too sparse for `bounds.match_projection`), so `min_witness_s`
-    is null for the projective family.
+    domain, so they measure that map rather than the family.  A C-convex
+    witness needs every coordinate projection to be a disc in closed form: a
+    closed-form disc over ball bases and affine chains, none for polydisc, l1
+    and lp bases under projective maps or for defining functions.  The
+    projective family maps the polydisc with denominator slope t, so only a
+    member with t = 0 gets a witness and `min_witness_s` is otherwise null.
     """
     if family not in KAPPA_FAMILIES:
         raise ArgumentError(f"unknown family {family!r}; pick one of {KAPPA_FAMILIES}")

@@ -15,7 +15,6 @@ from squeezecert.bounds import (
     certify,
     containment_check,
     inscribed_radius_estimate,
-    match_projection,
     report_to_json,
     witness_eval,
 )
@@ -119,6 +118,18 @@ def test_containment_small_polydisc_in_simplex():
     assert abs(rep.min_slack - 1.0 / 3.0) < 1e-6
 
 
+@pytest.mark.parametrize("counts", [
+    pytest.param({"samples": 0}, id="no_samples"),
+    pytest.param({"samples": 2.5}, id="fractional_samples"),
+    pytest.param({"seed": -1}, id="negative_seed"),
+    pytest.param({"seed": 1.5}, id="fractional_seed"),
+])
+def test_containment_check_rejects_bad_counts(counts):
+    (name, _), = counts.items()
+    with pytest.raises(ArgumentError, match=f"{name} must be a (positive|non-negative) integer"):
+        containment_check(scaled(polydisc(2), 1.0 / 3.0), None, l1ball(2), **counts)
+
+
 def test_containment_small_ball_in_simplex():
     rep = containment_check(scaled(ball(2), 1.0 / np.sqrt(5.0)), None,
                             l1ball(2), samples=2000, seed=0)
@@ -204,6 +215,13 @@ def test_inscribed_radius_argument_errors():
         inscribed_radius_estimate(lambda y: np.zeros(y.shape[0], dtype=bool), 2)
     with pytest.raises(ArgumentError):
         inscribed_radius_estimate(inside, 2, rays=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 0.5, "0"])
+def test_inscribed_radius_rejects_bad_seeds(seed):
+    inside = lambda y: np.linalg.norm(y, axis=-1) < 1.0
+    with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+        inscribed_radius_estimate(inside, 2, rays=10, seed=seed)
 
 
 def test_inscribed_radius_of_unbounded_image_hits_the_cap():
@@ -312,36 +330,6 @@ def test_witness_closed_form_spends_few_oracle_points_per_ray(polydisc_report):
         assert points[0] <= 3 * 2000
 
 
-# -- projection matching ------------------------------------------------------
-
-def _disc_cloud(center, radius, count, seed):
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(count, 2)).view(complex).ravel()
-    u /= np.abs(u)
-    return center + radius * u * np.sqrt(rng.uniform(size=count))
-
-
-def test_match_projection_accepts_uniform_disc():
-    cloud = _disc_cloud(-1.0, 2.0, 100_000, seed=3)
-    shape = match_projection(cloud)
-    assert shape is not None
-    assert abs(shape.center - (-1.0)) < 2e-2
-    # the matched radius carries the protective dilation
-    assert abs(shape.radius - 2.0 * 1.003) < 2e-2
-
-
-def test_match_projection_rejects_warped_cloud():
-    rng = np.random.default_rng(5)
-    w = rng.uniform(size=(100_000, 2)) ** 0.5 * np.exp(
-        1j * rng.uniform(-np.pi, np.pi, size=(100_000, 2)))
-    cloud = (-w[:, 0] + 2 * w[:, 1]) / (2 - w[:, 0])
-    assert match_projection(cloud) is None
-
-
-def test_match_projection_rejects_small_cloud():
-    assert match_projection(_disc_cloud(0.0, 1.0, 400, seed=1)) is None
-
-
 # -- certify: convex fixtures -------------------------------------------------
 
 def test_certify_polydisc(polydisc_report):
@@ -393,16 +381,13 @@ def test_certify_projective_fixture(projective_report):
     assert rep.certified_s == consts.cconvex_ball
     assert rep.certified_s_hat == consts.cconvex_polydisc
     assert rep.diagnostics["alpha_max"] <= 1.0 + 1e-9
-    assert len(rep.projections) == 2
-    for proj in rep.projections:
-        assert proj.one_on_boundary
-        assert proj.zero_interior
-        assert proj.cloud.size == 100_000
-    # no witness without a full catalog match; the report carries the clouds
-    if rep.witness is None:
-        assert rep.witness_s is None and rep.witness_s_hat is None
-    else:
-        assert rep.witness_s > rep.certified_s
+    # a polydisc base under a projective map has no closed-form projection
+    # disc, so there is no witness and nothing to cross-check
+    assert rep.projections == (None, None)
+    assert rep.diagnostics["matched_projections"] == [None, None]
+    assert rep.witness is None
+    assert rep.witness_s is None and rep.witness_s_hat is None
+    assert "projection_discs" not in rep.margins
 
 
 def test_certify_polydisc_as_cconvex(polydisc_cconvex_report):
@@ -410,12 +395,30 @@ def test_certify_polydisc_as_cconvex(polydisc_cconvex_report):
     consts = universal_bounds(2)
     assert rep.certified_s == consts.cconvex_ball
     assert rep.witness is not None
+    # the exact projections are the unit disc, so the witness is the identity
     for proj in rep.projections:
-        assert proj.matched is not None
-        assert abs(proj.matched.center) < 1e-2
-        assert abs(proj.matched.radius - 1.0) < 1e-2
-    assert rep.witness_s > rep.certified_s
-    assert rep.witness_s_hat > rep.certified_s_hat
+        assert proj.kind == "disc"
+        assert abs(proj.center) < 1e-9
+        assert abs(proj.radius - 1.0) < 1e-9
+    assert abs(rep.witness_s_hat - 1.0) < 1e-9
+    assert abs(rep.witness_s - 1.0 / math.sqrt(2.0)) < 1e-9
+    margin = rep.margins["projection_discs"]
+    assert (margin.samples, margin.violations) == (2 * 100_000, 0)
+    assert margin.min_slack >= 0.0
+
+
+def test_certify_projective_ball_gets_a_witness():
+    # the ball-based member of the projective family, as the benchmark builds it
+    d = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                         bounding_radius=100.0)
+    rep = certify(d, seed=0)
+    consts = universal_bounds(2)
+    assert rep.diagnostics["matched_projections"] == ["disc", "disc"]
+    assert rep.witness is not None
+    assert rep.witness_s > consts.cconvex_ball
+    assert rep.witness_s_hat > consts.cconvex_polydisc
+    margin = rep.margins["projection_discs"]
+    assert margin.violations == 0 and margin.min_slack >= 0.0
 
 
 @pytest.mark.parametrize("budget", [
@@ -428,6 +431,7 @@ def test_certify_polydisc_as_cconvex(polydisc_cconvex_report):
     pytest.param({"samples": 2.5}, id="fractional_samples"),
     pytest.param({"seed": 1.5}, id="fractional_seed"),
     pytest.param({"seed": -1}, id="negative_seed"),
+    pytest.param({"seed": True}, id="bool_seed"),
 ])
 def test_certify_rejects_nonpositive_budgets(budget):
     (name, _), = budget.items()
@@ -533,8 +537,15 @@ def test_report_json_schema(projective_report):
     assert data["schema"] == "squeeze-cert/1"
     assert data["class"] == "cconvex"
     assert data["witness"] == {"present": False, "s": None, "s_hat": None}
-    assert len(data["projections"]) == 2
-    assert len(data["projections"][0]["cloud"]) <= 2000
+    assert data["projections"] == [None, None]
+    json.dumps(data)
+
+
+def test_report_json_projection_discs(polydisc_cconvex_report):
+    data = report_to_json(polydisc_cconvex_report)
+    for entry, disc in zip(data["projections"], polydisc_cconvex_report.projections):
+        assert entry == {"kind": "disc", "center": [disc.center.real, disc.center.imag],
+                         "radius": disc.radius}
     json.dumps(data)
 
 

@@ -325,6 +325,77 @@ def test_ray_exit_per_ray_bases_must_all_be_inside():
         ray_exit_batch(ball(2), bases[:2], dirs)
 
 
+# -- coordinate projections --------------------------------------------------
+
+def _shear(n, s):
+    return np.eye(n) + s * np.tril(np.ones((n, n)), -1)
+
+
+def _denominator(n, *head):
+    den = np.zeros(n + 1, dtype=complex)
+    den[:len(head)] = head
+    return den
+
+
+def _projective_ball(n):
+    return projective_image(ball(n), _shear(n, 0.3 - 0.2j), 0.1 * np.ones(n),
+                            _denominator(n, 1.5, 0.3j, -0.2), bounding_radius=100.0)
+
+
+def _dft(n):
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+
+
+_DISC_CHAINS = {
+    "projective_family_ball": lambda n: projective_image(
+        ball(n), np.eye(n), np.zeros(n), _denominator(n, 2.0, 0.5), bounding_radius=100.0),
+    "projective_ball": _projective_ball,
+    "affine_l1ball": lambda n: affine_image(l1ball(n), _dft(n), 0.1 * np.ones(n)),
+    "affine_lp_ball": lambda n: affine_image(lp_ball(n, 1.5), _dft(n)),
+    "affine_lp3_ball": lambda n: affine_image(lp_ball(n, 3.0), _shear(n, 0.5)),
+    "translated_projective_ball": lambda n: translate(_projective_ball(n), 0.1j * np.ones(n)),
+    "affine_of_projective_ball": lambda n: affine_image(_projective_ball(n), _shear(n, -0.4)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("chain", sorted(_DISC_CHAINS))
+def test_projection_discs_hold_the_projected_samples(chain, n):
+    # every projected interior sample lies inside the exact disc, and the
+    # samples reach its edge, so the disc is neither too small nor too large
+    d = _DISC_CHAINS[chain](n)
+    pts = interior_samples(d, 100_000, np.random.default_rng(0))
+    for j in range(n):
+        center, radius = dom._projection_disc(d, np.eye(n)[j])
+        reach = np.abs(pts[:, j] - center).max() / radius
+        assert 0.95 < reach < 1.0
+
+
+def test_projection_discs_of_the_projective_family_ball():
+    d = _DISC_CHAINS["projective_family_ball"](2)
+    for row, (center, radius) in zip(np.eye(2), [(-2 / 15, 8 / 15), (0.0, np.sqrt(4 / 15))]):
+        got = dom._projection_disc(d, row)
+        assert abs(got[0] - center) < 1e-15 and abs(got[1] - radius) < 1e-15
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(projective_image(polydisc(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                  bounding_radius=100.0), id="projective_polydisc"),
+    pytest.param(projective_image(polydisc(3), _shear(3, 0.3), np.zeros(3),
+                                  _denominator(3, 2.0, 0.0, -0.5j),
+                                  bounding_radius=100.0), id="projective_polydisc3"),
+    pytest.param(projective_image(l1ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                  bounding_radius=100.0), id="projective_l1ball"),
+    pytest.param(projective_image(lp_ball(2, 1.5), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                  bounding_radius=100.0), id="projective_lp_ball"),
+    pytest.param(defining_domain(2, "abs(z1)**2+abs(z2)**4-1", "convex"), id="defining"),
+])
+def test_projection_discs_without_closed_form(d):
+    for row in np.eye(d.n):
+        assert dom._projection_disc(d, row) is None
+
+
 # -- interior sampling -------------------------------------------------------
 
 @pytest.mark.parametrize("make", [

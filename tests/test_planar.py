@@ -272,6 +272,25 @@ def test_radius_check_argument_validation():
         rho_radius_check([], 0.5)
 
 
+@pytest.mark.parametrize("counts", [
+    pytest.param({"samples": 2.5}, id="fractional_samples"),
+    pytest.param({"samples": 0}, id="no_samples"),
+    pytest.param({"seed": -1}, id="negative_seed"),
+    pytest.param({"seed": 0.5}, id="fractional_seed"),
+    pytest.param({"samples": True}, id="bool_samples"),
+    pytest.param({"seed": False}, id="bool_seed"),
+])
+@pytest.mark.parametrize("check", [
+    pytest.param(lambda **kw: tau_radius_check(2, 0.5, **kw), id="tau"),
+    pytest.param(lambda **kw: rho_radius_check([riemann_catalog(slit_plane())] * 2, 0.5, **kw),
+                 id="rho"),
+])
+def test_radius_checks_reject_bad_counts(check, counts):
+    (name, _), = counts.items()
+    with pytest.raises(ArgumentError, match=f"{name} must be a (positive|non-negative) integer"):
+        check(**counts)
+
+
 def test_rho_radius_smaller_than_tau_radius():
     for c in np.linspace(0.05, 0.95, 10):
         assert rho(c) < tau(c)

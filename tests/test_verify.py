@@ -71,6 +71,14 @@ def test_star_rejects_bad_dims():
         suite_star(dims=(2,), trials=1, seed=0.5)
 
 
+@pytest.mark.parametrize("dims", [(2.7,), ("3",), (2, 3.0)])
+def test_suites_refuse_non_integer_dims(dims):
+    with pytest.raises(ArgumentError, match="dimensions must be integers"):
+        suite_star(dims=dims, trials=1)
+    with pytest.raises(ArgumentError, match="dimensions must be integers"):
+        suite_lemmas(dims=dims, trials=1, samples=10)
+
+
 def test_star_deterministic(star_report):
     again = suite_star(dims=(2, 3, 4, 5), trials=25, seed=0)
     assert json.dumps(again.as_dict(), sort_keys=True) == \
@@ -196,7 +204,8 @@ def test_kappa_projective_defaults_to_cconvex():
     assert rep.convexity_class == "cconvex"
     assert (rep.universal_s, rep.universal_s_hat) == (consts.cconvex_ball,
                                                       consts.cconvex_polydisc)
-    # pushforward clouds are not circular, so no witness is fabricated
+    # a polydisc base under a projective map has no closed-form projection
+    # disc, so no witness is built
     assert rep.witness_runs == 0
     assert rep.min_witness_s is None
     assert rep.argmin == {}
