@@ -8,20 +8,21 @@ body type: the model bodies of the certificate are catalog specs, scaled
 through affine_image.
 
 One batched residual kernel per kind carries membership and the boundary
-equation: gauge - 1 for catalog kinds, the base residual at the preimage for
-image kinds (one closed-form preimage shared by affine and projective maps,
-+inf on the horizon, where no preimage exists), the defining values
-otherwise; `contains` is residual < 0.  Every first exit along rays comes
-from one engine, `_first_exits`: ray_exit_batch (and through it the frame
-search, the C-convex spot check and the sampling radius of rejection
-sampling) and the inscribed radius of `bounds`.  Both seed it with the
-closed-form exits of `_path_exits`, which carries a rational path down the
-image chain: ray_exit_batch a ray (ball and polydisc bases under any image
-chain, l1 and lp bases under affine maps), `bounds` a witness-image ray
-pulled back through Mobius coordinate maps by `_mobius_path_exits` (ball and
-polydisc bases).  Each
-exit is kept only once the membership oracle brackets it within _EXIT_TOL;
-the other rays take a geometric march and bisection.
+equation: gauge - 1 for the ball, polydisc and l1 ball, sum |z_k|^p - 1 for
+lp balls (the gauge's p-th power, not the gauge), the base residual at the
+preimage for image kinds (one closed-form preimage shared by affine and
+projective maps, +inf on the horizon, where no preimage exists), the
+defining values otherwise; `contains` is residual < 0.  Every first exit
+along rays comes from one engine, `_first_exits`: ray_exit_batch (and
+through it the frame search, the C-convex spot check and the sampling radius
+of rejection sampling) and the inscribed radius of `bounds`.  Both seed it
+with the closed-form exits of `_path_exits`, which carries a rational path
+down the image chain: ray_exit_batch a ray (ball and polydisc bases under
+any image chain, l1 and lp bases under affine maps), `bounds` a
+witness-image ray pulled back through Mobius coordinate maps by
+`_mobius_path_exits` (ball and polydisc bases).  Each exit is kept only once
+the membership oracle brackets it within _EXIT_TOL; the other rays take a
+geometric march and bisection.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.  `_projection_disc` gives the projection of a domain under a
 linear functional in closed form, through the support function of its
@@ -44,7 +45,7 @@ from .errors import (
     RayCapError,
     ValidationFailureError,
 )
-from .numerics import _freeze, _pairs
+from .numerics import _check_counts, _freeze, _pairs
 
 # the optional fields each kind takes, all of them required; None elsewhere
 _KIND_FIELDS = {
@@ -153,7 +154,8 @@ class DomainSpec:
 
         Affine maps keep `denominator` None and map with den = (1, 0, ..., 0),
         so N = M.  det of the homogeneous map is d0 det N, so a singular N is
-        a degenerate map.
+        a degenerate map.  Over a catalog base the denominator must stay off
+        the closed base, |d0| > h_B(d), or the image is unbounded.
         """
         n = self.n
         try:
@@ -172,6 +174,12 @@ class DomainSpec:
             arr.setflags(write=False)
         if den[0] == 0:
             raise DomainFormatError("projective denominator must not vanish at the base origin")
+        # d0 + d.w vanishes somewhere on the closed catalog base exactly when
+        # |d0| <= sup |d.w| there, which is the dual norm of d
+        if (self.base.kind in CATALOG_KINDS and den[1:].any()
+                and abs(den[0]) <= _dual_norm(self.base, den[1:])):
+            raise DomainFormatError(
+                "projective denominator vanishes on the closed base: the image is unbounded")
         z0 = off / den[0]
         n_mat = mat - np.outer(z0, den[1:])
         sv = np.linalg.svd(n_mat, compute_uv=False)
@@ -319,8 +327,9 @@ def _batched_residual(d, z):
 
 
 def _residual(d, z):
-    """Residuals at points z of shape (m, n): gauge - 1 for catalog kinds, the
-    base residual at the preimage for image kinds, the defining values."""
+    """Residuals at points z of shape (m, n): gauge - 1 for the ball,
+    polydisc and l1 ball, sum |z_k|^p - 1 for lp balls, the base residual at
+    the preimage for image kinds, the defining values."""
     # the array-method reductions (the sum is the one np.linalg.norm takes)
     # give the same values as the np.* wrappers and save more per call than
     # the subtraction costs; membership runs 10^5 times per certificate
@@ -864,26 +873,25 @@ class TangentFunctional:
 
     The pairing is the Hermitian inner product <z, coefficients>.  For the
     real_supporting flavor the open domain satisfies Re<z, c> < Re<a, c>; for
-    complex_avoiding it satisfies <z, c> != <a, c>.
+    complex_avoiding it satisfies <z, c> != <a, c>.  The functional itself is
+    not validated: `frame.build_normalizer` samples every contact's invariant
+    on one interior draw.
     """
 
     point: np.ndarray
     coefficients: np.ndarray
     flavor: str
     value: complex
-    samples_checked: int = 0
-    min_margin: float = math.nan
 
     def __post_init__(self):
         _freeze(self, "point", "coefficients")
 
 
-def tangent_functional(d: DomainSpec, a, flavor, samples=1000, seed=0) -> TangentFunctional:
+def tangent_functional(d: DomainSpec, a, flavor) -> TangentFunctional:
     """Supporting (real flavor) or avoiding (complex flavor) functional at a.
 
     Raises NonsmoothBoundaryError at corner points of the catalog bodies and
-    where a defining gradient degenerates; ValidationFailureError if any of
-    the sampled interior points violates the flavor's invariant.
+    where a defining gradient degenerates.
     """
     if flavor not in ("real_supporting", "complex_avoiding"):
         raise ArgumentError(f"unknown flavor {flavor!r}")
@@ -893,11 +901,8 @@ def tangent_functional(d: DomainSpec, a, flavor, samples=1000, seed=0) -> Tangen
     if abs(boundary_residual(d, a)) > 1e-6:
         raise ArgumentError("point is not on the boundary within tolerance")
     lam = _functional_coefficients(d, a)
-    value = complex(np.vdot(lam, a))
-    tf = TangentFunctional(point=a, coefficients=lam, flavor=flavor, value=value)
-    if samples:
-        tf = _validate_functional(d, tf, samples, seed)
-    return tf
+    return TangentFunctional(point=a, coefficients=lam, flavor=flavor,
+                             value=complex(np.vdot(lam, a)))
 
 
 def _functional_coefficients(d, a):
@@ -942,25 +947,6 @@ def _functional_coefficients(d, a):
     return lam
 
 
-def _validate_functional(d, tf, samples, seed):
-    rng = np.random.default_rng(seed)
-    pts = interior_samples(d, samples, rng)
-    pairings = pts @ np.conj(tf.coefficients)
-    scale = 1.0 + abs(tf.value)
-    if tf.flavor == "real_supporting":
-        margins = tf.value.real - pairings.real
-        violations = int(np.count_nonzero(margins <= -1e-12 * scale))
-    else:
-        margins = np.abs(pairings - tf.value)
-        violations = int(np.count_nonzero(margins <= 1e-12 * scale))
-    if violations:
-        raise ValidationFailureError(
-            f"{violations}/{samples} interior samples violate the {tf.flavor} invariant")
-    return TangentFunctional(
-        point=tf.point, coefficients=tf.coefficients, flavor=tf.flavor, value=tf.value,
-        samples_checked=samples, min_margin=float(margins.min()))
-
-
 # -- declared class spot checks ---------------------------------------------
 
 def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
@@ -975,6 +961,7 @@ def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
     cannot flag anything (ROADMAP item 3).  Complex-line slices are not
     tested.  Returns the violation count (0 is consistent).
     """
+    _check_counts(trials=trials, seed=seed)
     rng = np.random.default_rng(seed)
     if d.convexity_class == "convex":
         z = interior_samples(d, 2 * trials, rng)

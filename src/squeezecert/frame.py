@@ -21,15 +21,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import CATALOG_KINDS, DomainSpec, contains, ray_exit_batch, tangent_functional
+from .domains import (
+    CATALOG_KINDS,
+    DomainSpec,
+    contains,
+    interior_samples,
+    ray_exit_batch,
+    tangent_functional,
+)
 from .errors import (
     AlphaBoundError,
     ArgumentError,
     FrameDegenerateError,
     NonsmoothBoundaryError,
     TriangularityError,
+    ValidationFailureError,
 )
-from .numerics import CMatrix, _freeze, _pairs, orthonormal_complement, unit_lower
+from .numerics import CMatrix, _check_counts, _freeze, _pairs, orthonormal_complement, unit_lower
 
 DEFAULT_STARTS_PER_DIM = 64
 
@@ -47,6 +55,8 @@ _REFINE_RCOND = 1e-6
 # frame that misses them has inexact contacts: mend the search, never widen
 TRIANGULAR_TOL = 1e-8
 ALPHA_TOL = 1e-9
+# rounding allowance of the normalized hyperplane check at w = 1
+CLEARANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,8 @@ class Normalizer:
     T has rows conj(a_j)/r_j^2, so T a_j = e_j; its exact inverse has the
     contacts as columns.  Row j of A is the transported tangent hyperplane at
     a_j normalized to pivot 1, with entries above the diagonal identically
-    zero.  `margins` records the residuals measured while assembling A.
+    zero.  `margins` records the residuals measured while assembling A and
+    the least hyperplane clearance of the interior draw.
     """
 
     frame: ContactFrame
@@ -174,6 +185,7 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
         gram = basis @ np.conj(basis.T)
         if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-9):
             raise ArgumentError("subspace basis rows must be orthonormal")
+    _check_counts(n_starts=n_starts, seed=seed)
     m = basis.shape[0]
     if n_starts is None:
         n_starts = DEFAULT_STARTS_PER_DIM * m
@@ -269,7 +281,7 @@ def _stationary_residual(d, basis, flavor, v, val):
     at the exit point val*v and P the subspace projection, phase-aligned to v
     for the complex flavor; None at a corner or where P(lam) turns away."""
     try:
-        lam = tangent_functional(d, val * _embed(basis, v), flavor, samples=0).coefficients
+        lam = tangent_functional(d, val * _embed(basis, v), flavor).coefficients
     except (NonsmoothBoundaryError, ArgumentError):
         return None
     w = lam @ np.conj(basis.T)
@@ -347,6 +359,7 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
     below 1e-9, and validates contact orthogonality, the nondecreasing radius
     ladder, and that every contact sits on the boundary bracket of its ray.
     """
+    _check_counts(seed=seed, n_starts=n_starts)
     if not contains(d, np.zeros(d.n, dtype=complex)):
         raise ArgumentError("frame construction requires the origin inside the domain")
     contacts = []
@@ -401,13 +414,19 @@ def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0) -
 
     The tangent flavor follows the declared class: real supporting hyperplanes
     for convex domains (pivot must come out real-positive), complex avoiding
-    hyperplanes for C-convex ones.  Transported coefficients above the pivot
+    hyperplanes for C-convex ones.  All n functionals are checked on one draw
+    of `samples` interior points (stream (seed, 21)) in the normalized form
+    w_j = <z, lam_j>/value_j: a convex domain keeps Re w_j < 1, a C-convex one
+    w_j != 1, up to CLEARANCE_TOL, or ValidationFailureError is raised; the
+    least 1 - Re w_j or |w_j - 1| is the `hyperplane_clearance` margin.
+    Transported coefficients above the pivot
     must vanish within TRIANGULAR_TOL; subdiagonal entries of A must stay
     inside the closed unit disc within ALPHA_TOL.
     """
     n = frame.n
     if n != d.n:
         raise ArgumentError("frame dimension does not match the domain")
+    _check_counts(samples=samples, seed=seed)
     t_entries = np.conj(frame.contacts) / (frame.radii**2)[:, None]
     t_inv_entries = frame.contacts.T.copy()
     t_residual = float(np.abs(t_entries @ t_inv_entries - np.eye(n)).max())
@@ -415,16 +434,25 @@ def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0) -
         raise TriangularityError(f"contact matrix inverse residual {t_residual:.3e}")
 
     flavor = "real_supporting" if d.convexity_class == "convex" else "complex_avoiding"
+    functionals = tuple(tangent_functional(d, a, flavor) for a in frame.contacts)
+    hyperplanes = np.array([np.conj(tf.coefficients) / tf.value for tf in functionals])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 21)))
+    imgs = interior_samples(d, samples, rng) @ hyperplanes.T
+    if flavor == "real_supporting":
+        clear, floor = 1.0 - imgs.real, -CLEARANCE_TOL
+    else:
+        clear, floor = np.abs(imgs - 1.0), CLEARANCE_TOL
+    violations = int(np.count_nonzero(clear <= floor))
+    if violations:
+        raise ValidationFailureError(
+            f"{violations}/{imgs.size} normalized interior images violate the {flavor} invariant")
+
     pullback = np.conj(t_inv_entries).T
     rows = np.zeros((n, n), dtype=complex)
-    functionals = []
     tri_resid = 0.0
     pivot_imag = 0.0
     alpha_max = 0.0
-    for j in range(n):
-        tf = tangent_functional(
-            d, frame.contacts[j], flavor, samples=samples,
-            seed=np.random.SeedSequence(entropy=(seed, 17, j)))
+    for j, tf in enumerate(functionals):
         mu = pullback @ tf.coefficients
         scale = np.linalg.norm(mu)
         if scale == 0.0:
@@ -453,20 +481,20 @@ def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0) -
                     f"row {j}: subdiagonal modulus {alpha_row:.12f} exceeds 1")
         rows[j, :j] = row[:j]
         rows[j, j] = 1.0
-        functionals.append(tf)
 
     margins = {
         "t_inverse_residual": t_residual,
         "triangularity_residual": tri_resid,
         "pivot_imag_residual": pivot_imag,
         "alpha_max": alpha_max,
+        "hyperplane_clearance": float(clear.min()),
     }
     return Normalizer(
         frame=frame,
         t_matrix=CMatrix(t_entries),
         t_inverse=CMatrix(t_inv_entries),
         a_matrix=unit_lower(rows),
-        functionals=tuple(functionals),
+        functionals=functionals,
         margins=margins,
     )
 
@@ -493,8 +521,6 @@ def normalizer_to_json(norm: Normalizer) -> dict:
                 "coefficients": _pairs(tf.coefficients),
                 "flavor": tf.flavor,
                 "value": _pairs(tf.value),
-                "samples_checked": tf.samples_checked,
-                "min_margin": tf.min_margin,
             }
             for tf in norm.functionals
         ],

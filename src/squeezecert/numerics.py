@@ -51,7 +51,7 @@ def _check_counts(**values):
 
 
 def _check_dimension(n) -> int:
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ArgumentError(f"dimension must be an integer, got {n!r}")
     n = int(n)
     if n < 2:

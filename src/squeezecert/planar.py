@@ -266,11 +266,9 @@ def tau_radius_check(n, c, samples=100_000, seed=0) -> ContainmentReport:
     makes sense on the closed unit ball of parameters even though the scalar
     map tau keeps the open interval.
     """
-    if n < 1:
-        raise ArgumentError("dimension must be at least 1")
+    _check_counts(n=n, samples=samples, seed=seed)
     if not 0.0 < c <= 1.0:
         raise ArgumentError("parameter c must lie in (0, 1]")
-    _check_counts(samples=samples, seed=seed)
     return _radius_check("tau_radius", [cayley_inverse] * n, c,
                          (c / (2.0 + c)) * (1.0 - 1e-9), samples, seed)
 

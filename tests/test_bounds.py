@@ -19,6 +19,7 @@ from squeezecert.bounds import (
     witness_eval,
 )
 from squeezecert import bounds as bounds_module
+from squeezecert import frame as frame_module
 from squeezecert import domains as dom
 from squeezecert.domains import (
     DomainSpec,
@@ -450,6 +451,34 @@ def test_certify_class_mismatch():
         certify(projective_fixture(), convexity_class="convex", seed=0)
     with pytest.raises(ArgumentError):
         certify(polydisc(2), convexity_class="starlike")
+
+
+def test_certify_class_mismatch_without_spot_check_comes_from_the_normalizer():
+    with pytest.raises(ClassMismatchError, match="supporting-hyperplane validation failed"):
+        certify(projective_fixture(), convexity_class="convex", spot_trials=0, seed=0)
+
+
+@pytest.mark.parametrize("make, cls", [(lambda: polydisc(2), None),
+                                       (projective_fixture, None),
+                                       (lambda: polydisc(2), "cconvex")])
+def test_hyperplane_clearance_margin_is_the_normalizer_s(make, cls, monkeypatch):
+    draws = []
+    real = dom.interior_samples
+
+    def counted(d, count, rng):
+        draws.append(count)
+        return real(d, count, rng)
+
+    # the top-level interior draws of certify and of its normalizer
+    monkeypatch.setattr(bounds_module, "interior_samples", counted)
+    monkeypatch.setattr(frame_module, "interior_samples", counted)
+    rep = certify(make(), convexity_class=cls, samples=300, rays=300, spot_trials=0,
+                  cloud_samples=5000, seed=1)
+    margin = rep.margins["hyperplane_clearance"]
+    assert margin.min_slack == rep.normalizer.margins["hyperplane_clearance"] > 0
+    assert margin.samples == 300 * rep.n and margin.violations == 0
+    # the normalizer's one draw, plus the disc cross-check's when a disc exists
+    assert draws == [300] + ([5000] if "projection_discs" in rep.margins else [])
 
 
 def test_certify_spot_check_refuses_a_false_convex_declaration():

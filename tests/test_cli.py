@@ -217,6 +217,16 @@ def test_bound_nonfinite_denominator_is_usage_error(tmp_path, capsys):
     assert rc == EXIT_USAGE and out == "" and "map data must be finite" in err
 
 
+def test_bound_unbounded_projective_image_is_usage_error(tmp_path, capsys):
+    # d0 + d.w vanishes at the corner (-1, -1) of the closed bidisc
+    spec = domain_to_json(projective_image(polydisc(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0]))
+    spec["map"]["denominator"] = [[1.0, 0.0], [0.5, 0.0], [0.5, 0.0]]
+    path = tmp_path / "horizon.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run_cli(["bound", str(path)], capsys)
+    assert rc == EXIT_USAGE and out == "" and "vanishes on the closed base" in err
+
+
 def test_bound_margins_below_tol_exit_two(ball_spec, capsys):
     # every containment slack is below 1, so --tol -1 fails every margin
     rc, out, err = run_cli(["bound", ball_spec, "--tol", "-1", "--samples", "400"], capsys)

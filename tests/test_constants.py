@@ -56,6 +56,13 @@ def test_c_const_values_and_guards():
             c_const(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_dimension_refuses_bools(flag):
+    # a bool is an int to Python; it must not pass as dimension 1 or 0
+    with pytest.raises(ArgumentError, match=f"dimension must be an integer, got {flag}"):
+        universal_bounds(flag)
+
+
 def test_tau_rho_values_and_domains():
     assert abs(tau(1.0 / math.sqrt(5.0)) - 0.1827440) < 5e-8
     assert tau(1.0 / 3.0) == pytest.approx(1.0 / 7.0, rel=1e-15)

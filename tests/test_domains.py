@@ -164,9 +164,9 @@ def test_ray_exit_checks_the_base_before_the_cap():
 
 
 def test_ray_exit_from_a_projective_horizon_is_an_argument_error():
-    # the base sits on the horizon z1 = 1 of w -> w / (1 + w1) and the ray
+    # the base sits on the horizon z1 = 1 of w -> w / (2 + w1) and the ray
     # runs along it, so its closed-form path has a zero denominator
-    d = projective_image(l1ball(2), np.eye(2), np.zeros(2), np.array([1.0, 1.0, 0.0]),
+    d = projective_image(l1ball(2), np.eye(2), np.zeros(2), np.array([2.0, 1.0, 0.0]),
                          bounding_radius=10.0)
     with pytest.raises(ArgumentError, match="inside the domain"):
         ray_exit(d, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -450,7 +450,6 @@ def test_tangent_ball():
     tf = tangent_functional(ball(2), np.array([1.0, 0.0]), "real_supporting")
     assert np.allclose(tf.coefficients, [1.0, 0.0])
     assert tf.value == pytest.approx(1.0)
-    assert tf.min_margin > 0
 
 
 def test_tangent_polydisc_face_and_corner():
@@ -479,11 +478,9 @@ def test_tangent_affine_pullback():
 
 def test_tangent_projective_fixture():
     d = cayley_polydisc()
-    tf = tangent_functional(d, np.array([-1.0 / 3.0, 0.0]), "complex_avoiding",
-                            samples=2000, seed=4)
+    tf = tangent_functional(d, np.array([-1.0 / 3.0, 0.0]), "complex_avoiding")
     lam = tf.coefficients
     assert abs(lam[1]) < 1e-12
-    assert tf.min_margin > 0
 
 
 def test_tangent_defining_gradient():
@@ -563,6 +560,13 @@ def test_convexity_spot_checks_pass_for_catalog():
     assert convexity_spot_check(cayley_polydisc(), trials=50, seed=1) == 0
 
 
+@pytest.mark.parametrize("trials", [0, -1, True, 2.5])
+@pytest.mark.parametrize("make", [ball, lambda n: cayley_polydisc()], ids=["convex", "cconvex"])
+def test_convexity_spot_check_refuses_bad_trial_counts(make, trials):
+    with pytest.raises(ArgumentError, match="trials must be a positive integer"):
+        convexity_spot_check(make(2), trials=trials)
+
+
 # -- construction and schema -------------------------------------------------
 
 def test_construction_errors():
@@ -601,6 +605,25 @@ def test_construction_errors():
         defining_domain(2, "re(z3)", "convex")
     with pytest.raises(DomainFormatError):
         defining_domain(2, "import os", "convex")
+
+
+@pytest.mark.parametrize("base, den", [
+    (polydisc(2), [1.0, 0.5, 0.5]),   # the horizon meets the corner (-1, -1)
+    (ball(2), [1.0, 1.0, 0.0]),
+    (l1ball(2), [1.0, 1.0, 0.0]),
+    (lp_ball(2, 1.5), [1.0, -1.0j, 0.0]),
+])
+def test_projective_denominator_vanishing_on_the_closed_base_is_refused(base, den):
+    with pytest.raises(DomainFormatError, match="vanishes on the closed base"):
+        projective_image(base, np.eye(2), np.zeros(2), den)
+
+
+def test_projective_denominator_off_the_closed_base_is_accepted():
+    # |d0| just above the dual norm of d, and d = 0
+    assert contains(projective_image(polydisc(2), np.eye(2), np.zeros(2), [1.0, 0.5, 0.49]),
+                    [0.5, 0.0])
+    assert contains(projective_image(ball(2), np.eye(2), np.zeros(2), [3.0, 0.0, 0.0]),
+                    [0.3, 0.0])
 
 
 # the optional fields each kind takes, written out independently of the table

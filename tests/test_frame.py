@@ -7,6 +7,7 @@ search has no canonical direction to fall back on.
 import numpy as np
 import pytest
 
+from squeezecert import frame as frame_mod
 from squeezecert.domains import (
     affine_image,
     ball,
@@ -24,6 +25,7 @@ from squeezecert.errors import (
     FrameDegenerateError,
     NonsmoothBoundaryError,
     TriangularityError,
+    ValidationFailureError,
 )
 from squeezecert.frame import (
     ContactFrame,
@@ -87,8 +89,6 @@ def test_search_ball_rotated_subspace_ties_canonically():
 def test_search_probes_each_pattern_once(make, monkeypatch):
     # a survivor that did not move keeps its pattern until the step halves,
     # so probing it again would repeat rays whose exits are already known
-    import squeezecert.frame as frame_mod
-
     d = make()
     batches = []
     inner = frame_mod.ray_exit_batch
@@ -153,8 +153,6 @@ def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap):
 def test_search_refines_once(monkeypatch):
     # only the best survivor of the compass walk is refined; on a body with
     # no tied canonical candidate it is the contact
-    import squeezecert.frame as frame_mod
-
     d = affine_image(polydisc(2), np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]]))
     refines = []
     inner = frame_mod._stationary_refine
@@ -448,6 +446,63 @@ def test_normalizer_propagates_corner_contacts():
         build_normalizer(l1ball(2), fr)
 
 
+# -- the normalized hyperplane check ------------------------------------------
+
+def test_normalizer_refuses_the_projective_fixture_declared_convex():
+    # its contact's real supporting half-plane cuts the nonconvex domain
+    d = projective_image(polydisc(2), np.eye(2), np.zeros(2), [2.0, -1.0, 0.0],
+                         bounding_radius=10.0, convexity_class="convex")
+    fr = build_frame(d, seed=0)
+    with pytest.raises(ValidationFailureError, match="real_supporting invariant"):
+        build_normalizer(d, fr)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ball(3), lambda: l1ball(2), cayley_polydisc,
+    lambda: defining_domain(2, "abs(z1)**2 + 4*abs(z2)**2 - 1", "convex", bounding_radius=5.0),
+], ids=["ball", "l1ball", "projective", "defining"])
+def test_normalizer_checks_every_hyperplane_on_one_interior_draw(make, monkeypatch):
+    d = make()
+    fr = build_frame(d, seed=0)
+    counts = []
+    real = frame_mod.interior_samples
+
+    def counted(dom, count, rng):
+        counts.append(count)
+        return real(dom, count, rng)
+
+    monkeypatch.setattr(frame_mod, "interior_samples", counted)
+    nz = build_normalizer(d, fr, samples=300, seed=2)
+    assert counts == [300]
+    # the clearance is that of the normalized images w = composite z
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(2, 21)))
+    imgs = real(d, 300, rng) @ nz.composite.T
+    clear = 1.0 - imgs.real if d.convexity_class == "convex" else np.abs(imgs - 1.0)
+    assert 0.0 < nz.margins["hyperplane_clearance"]
+    assert nz.margins["hyperplane_clearance"] == pytest.approx(clear.min(), rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{"samples": 0}, {"samples": -5}, {"samples": True},
+                                    {"samples": 2.5}, {"seed": -1}])
+def test_normalizer_refuses_bad_counts(kwargs):
+    d = polydisc(2)
+    fr = build_frame(d, seed=0)
+    with pytest.raises(ArgumentError, match="must be a"):
+        build_normalizer(d, fr, **kwargs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_frame(polydisc(2), n_starts=-1),
+    lambda: build_frame(polydisc(2), n_starts=True),
+    lambda: build_frame(polydisc(2), seed=-1),
+    lambda: min_boundary_point(polydisc(2), n_starts=-1),
+    lambda: min_boundary_point(polydisc(2), n_starts=1.5),
+], ids=["frame_negative", "frame_bool", "frame_seed", "search_negative", "search_float"])
+def test_frame_search_refuses_bad_counts(call):
+    with pytest.raises(ArgumentError, match="must be a non-negative integer"):
+        call()
+
+
 # -- serialization ------------------------------------------------------------
 
 def test_frame_json_round_structure():
@@ -461,4 +516,6 @@ def test_frame_json_round_structure():
     assert set(ndoc) == {"frame", "t_matrix", "t_inverse", "a_matrix",
                          "functionals", "margins"}
     assert ndoc["functionals"][0]["flavor"] == "real_supporting"
+    assert set(ndoc["functionals"][0]) == {"point", "coefficients", "flavor", "value"}
+    assert ndoc["margins"]["hyperplane_clearance"] == nz.margins["hyperplane_clearance"] > 0
     assert all(isinstance(v, float) for v in ndoc["margins"].values())

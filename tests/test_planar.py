@@ -262,6 +262,9 @@ def test_rho_radius_rejects_small_shape():
 def test_radius_check_argument_validation():
     with pytest.raises(ArgumentError):
         tau_radius_check(0, 0.5)
+    for n in (2.5, True):
+        with pytest.raises(ArgumentError, match="n must be a positive integer"):
+            tau_radius_check(n, 0.5)
     with pytest.raises(ArgumentError):
         tau_radius_check(2, 0.0)
     with pytest.raises(ArgumentError):
