@@ -1,8 +1,10 @@
 """Replay the property suites at desk scale and probe a family infimum.
 
 The suites re-derive each certified layer on random instances; a clean run
-prints zero violations with the worst margin hugging zero from above, since
-the tight cases are part of every suite.  The probe sweeps sheared polydiscs
+prints zero violations with the worst margin hugging zero, since the tight
+cases are part of every suite.  The lemma suite's shear margins are closed
+forms rounded outward, so its worst margin, the all-(-1) shear's, sits
+within about 1e-14 below zero, far above the -1e-10 violation floor.  The probe sweeps sheared polydiscs
 and reports the smallest witness it saw; it estimates the family infimum
 from above and never dips under the certified floor.
 """

@@ -1,11 +1,11 @@
 """Certified universal bounds and the empirical witness embeddings.
 
 certify() runs the whole pipeline for one domain: contact frame, normalizer,
-universal constants for the declared convexity class, then sampled re-checks
-of every containment the certificate rests on.  The model bodies of those
-containments (the l1 simplex, the small polydisc and the small ball) are
-catalog DomainSpecs, scaled through affine_image; their boundaries are drawn
-by domains.boundary_samples and measured against the outer body's batched
+universal constants for the declared convexity class, then re-checks of
+every containment the certificate rests on: the shear lemma's (the small
+polydisc and ball through A inverse inside the l1 simplex) in closed form,
+rounded outward (`numerics._shear_slacks`), and the simplex inside the
+domain sampled, by domains.boundary_samples and the domain's batched
 boundary residual.  On top of the certificate it builds the witness embedding
 into the unit polydisc (half-plane maps after the normalizer for convex
 domains; for C-convex ones the disc maps of the coordinate projections, each
@@ -35,7 +35,6 @@ from .domains import (
     _first_exits,
     _mobius_path_exits,
     _projection_disc,
-    affine_image,
     ball,
     boundary_residual,
     boundary_samples,
@@ -57,7 +56,8 @@ from .numerics import (
     _check_counts,
     _freeze,
     _pairs,
-    c_const,
+    _shear_slacks,
+    _stream,
     inverse_coefficients,
     universal_bounds,
 )
@@ -75,7 +75,8 @@ DISC_ROUNDING = 1.0 + 8 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class MarginReport:
-    """Sampled slack of one containment; violations are data, not errors."""
+    """Slack of one containment; violations are data, not errors.  `samples`
+    counts the points it was measured on, 0 for a closed form."""
 
     check: str
     samples: int
@@ -87,17 +88,17 @@ class MarginReport:
 
 
 def containment_check(inner: DomainSpec, mapping, outer: DomainSpec, samples=2000,
-                      seed=0, shrink=BOUNDARY_SHRINK, name=None) -> MarginReport:
+                      seed=0, name=None) -> MarginReport:
     """Sample the inner boundary, apply the map, measure the outer slack.
 
-    `inner` is a body `boundary_samples` covers; `mapping` is None (identity)
-    or a square matrix.  The slack is the negated boundary residual of
-    `outer`: sign-faithful, but not a distance for image and defining-function
-    kinds.
+    `inner` is a body `boundary_samples` covers, its samples shrunk by
+    BOUNDARY_SHRINK; `mapping` is None (identity) or a square matrix.  The
+    slack is the negated boundary residual of `outer`: sign-faithful, but not
+    a distance for image and defining-function kinds.
     """
     _check_counts(samples=samples, seed=seed)
     rng = np.random.default_rng(seed)
-    pts = shrink * boundary_samples(inner, samples, rng)
+    pts = BOUNDARY_SHRINK * boundary_samples(inner, samples, rng)
     imgs = pts if mapping is None else pts @ np.asarray(mapping, dtype=complex).T
     slack = -boundary_residual(outer, imgs)
     return MarginReport(check=name or f"{inner.kind} in {outer.kind}",
@@ -225,14 +226,6 @@ def _projection_check(d, composite, discs, samples, seed):
 
 # -- the certificate ----------------------------------------------------------
 
-def _model_bodies(n):
-    """The model bodies of the certificate: the l1 simplex, the polydisc of
-    radius 1/(2^n - 1) and the ball of radius 1/c_n."""
-    return (l1ball(n),
-            affine_image(polydisc(n), 1.0 / (2.0**n - 1.0) * np.eye(n)),
-            affine_image(ball(n), 1.0 / c_const(n) * np.eye(n)))
-
-
 def _class_bounds(n, convexity_class):
     """The (ball, polydisc) universal lower bounds of a convexity class."""
     consts = universal_bounds(n)
@@ -270,8 +263,10 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     """Run the full pipeline and assemble the report.
 
     The certified values are the closed-form universal constants of the
-    requested class; they are reported as certified conditional on the sampled
-    invariant re-checks, all of which land in `margins`.  Witness radii (the
+    requested class; they are reported as certified conditional on the
+    invariant re-checks, closed-form or sampled, all of which land in
+    `margins`.  The seed must be an integer: the report carries it and the
+    witness rays draw from seed + 1 and seed + 2.  Witness radii (the
     measured inscribed radii of the witness image) are attached when the
     witness embedding exists: always for the convex class, and for the
     C-convex class exactly when every coordinate projection of the normalized
@@ -282,13 +277,12 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     convexity_class = convexity_class or d.convexity_class
     if convexity_class not in ("convex", "cconvex"):
         raise ArgumentError(f"unknown convexity class {convexity_class!r}")
-    _check_counts(seed=seed, samples=samples, rays=rays, cloud_samples=cloud_samples,
-                  spot_trials=spot_trials, n_starts=n_starts)
+    _check_counts(streams=False, seed=seed, samples=samples, rays=rays,
+                  cloud_samples=cloud_samples, spot_trials=spot_trials, n_starts=n_starts)
     if convexity_class != d.convexity_class:
         d = replace(d, convexity_class=convexity_class)
     if spot_trials:
-        bad = convexity_spot_check(d, trials=spot_trials,
-                                   seed=np.random.SeedSequence(entropy=(seed, 5)))
+        bad = convexity_spot_check(d, trials=spot_trials, seed=_stream(seed, 5))
         if bad:
             raise ClassMismatchError(
                 f"{bad}/{spot_trials} spot checks contradict the {convexity_class} declaration")
@@ -309,26 +303,18 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     composite = norm.composite
     composite_inv = norm.t_inverse.entries @ a_inv
 
-    simplex, small_pd, small_ball = _model_bodies(n)
     margins = {}
     margins["simplex_in_domain_image"] = containment_check(
-        simplex, norm.t_inverse.entries, d, samples=samples,
-        seed=np.random.SeedSequence(entropy=(seed, 11)),
+        l1ball(n), norm.t_inverse.entries, d, samples=samples, seed=_stream(seed, 11),
         name="simplex inside normalized domain")
-    margins["pd_in_sheared_simplex"] = containment_check(
-        small_pd, a_inv, simplex,
-        samples=samples, seed=np.random.SeedSequence(entropy=(seed, 12)),
-        name="small polydisc through A inverse")
-    margins["ball_in_sheared_simplex"] = containment_check(
-        small_ball, a_inv, simplex,
-        samples=samples, seed=np.random.SeedSequence(entropy=(seed, 13)),
-        name="small ball through A inverse")
-    # the closed ball must stay strictly inside: its boundary meeting the
-    # simplex boundary would need a fully saturated normalizer row
-    margins["closed_ball_strictness"] = containment_check(
-        small_ball, a_inv, simplex,
-        samples=samples, seed=np.random.SeedSequence(entropy=(seed, 14)),
-        shrink=1.0, name="closed ball through A inverse")
+    # closed forms over the closed bodies: the ball's slack stays positive
+    # unless a normalizer row is fully saturated
+    for key, check, slack in zip(
+            ("pd_in_sheared_simplex", "ball_in_sheared_simplex"),
+            ("small polydisc through A inverse", "small ball through A inverse"),
+            _shear_slacks(a_inv)):
+        margins[key] = MarginReport(check=check, samples=0, violations=int(slack < 0),
+                                    min_slack=slack)
 
     # build_normalizer measured this on its interior draw and refuses any
     # violation, so none is left to count
@@ -351,8 +337,7 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
             coord_maps = tuple(riemann_catalog(p) for p in projections)
         if any(p is not None for p in projections):
             margins["projection_discs"] = _projection_check(
-                d, composite, projections, cloud_samples,
-                np.random.SeedSequence(entropy=(seed, 31)))
+                d, composite, projections, cloud_samples, _stream(seed, 31))
 
     witness_s = witness_s_hat = None
     if coord_maps is not None:

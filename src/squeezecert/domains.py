@@ -4,8 +4,8 @@ A DomainSpec is a closed description of a bounded domain in C^n containing the
 origin-to-be-certified, either as a catalog body (ball, polydisc, l1 ball,
 lp ball), as an affine or projective image of another spec, or as a sublevel
 set of a user-supplied real-analytic defining expression.  It is the only
-body type: the model bodies of the certificate are catalog specs, scaled
-through affine_image.
+body type: the sampled containment checks take catalog specs and their
+affine images.
 
 One batched residual kernel per kind carries membership and the boundary
 equation: gauge - 1 for the ball, polydisc and l1 ball, sum |z_k|^p - 1 for
@@ -958,7 +958,7 @@ def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
     inside points.  Its endpoints are inside by construction, so a trial is
     flagged only when the exit march stepped over two slivers; kinds with a
     closed-form exit take exact first crossings, so for them this branch
-    cannot flag anything (ROADMAP item 3).  Complex-line slices are not
+    cannot flag anything (ROADMAP item 5).  Complex-line slices are not
     tested.  Returns the violation count (0 is consistent).
     """
     _check_counts(trials=trials, seed=seed)

@@ -37,7 +37,8 @@ from .errors import (
     TriangularityError,
     ValidationFailureError,
 )
-from .numerics import CMatrix, _check_counts, _freeze, _pairs, orthonormal_complement, unit_lower
+from .numerics import (CMatrix, _check_counts, _freeze, _pairs, _stream, orthonormal_complement,
+                       unit_lower)
 
 DEFAULT_STARTS_PER_DIM = 64
 
@@ -372,9 +373,7 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
         else:
             basis = orthonormal_complement(contacts, n=d.n)
         bases.append(basis)
-        res = min_boundary_point(
-            d, basis, n_starts=n_starts,
-            seed=np.random.SeedSequence(entropy=(seed, stage)))
+        res = min_boundary_point(d, basis, n_starts=n_starts, seed=_stream(seed, stage))
         if res.radius < 1e-9:
             raise FrameDegenerateError(f"stage {stage} radius {res.radius:.3e} collapsed")
         contacts.append(res.radius * res.direction)
@@ -436,7 +435,7 @@ def build_normalizer(d: DomainSpec, frame: ContactFrame, samples=1000, seed=0) -
     flavor = "real_supporting" if d.convexity_class == "convex" else "complex_avoiding"
     functionals = tuple(tangent_functional(d, a, flavor) for a in frame.contacts)
     hyperplanes = np.array([np.conj(tf.coefficients) / tf.value for tf in functionals])
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 21)))
+    rng = np.random.default_rng(_stream(seed, 21))
     imgs = interior_samples(d, samples, rng) @ hyperplanes.T
     if flavor == "real_supporting":
         clear, floor = 1.0 - imgs.real, -CLEARANCE_TOL

@@ -35,19 +35,29 @@ _LEAST = {"seed": 0, "spot_trials": 0, "n_starts": 0}
 CSV_HEADER = "n,c_n,convex_ball,convex_polydisc,cconvex_ball,cconvex_polydisc,weak_ball,weak_polydisc"
 
 
-def _check_counts(**values):
+def _check_counts(*, streams=True, **values):
     """Raise ArgumentError unless each named run argument is an integer (not a
     bool) at or above its least value; n_starts may also be None, the frame's
-    default, and a seed a numpy SeedSequence, as the pipeline derives its
-    stage seeds."""
+    default, and a seed a numpy SeedSequence, a stream derived by `_stream`,
+    unless `streams` is false: the entry points whose reports carry the seed
+    as an integer refuse one."""
     for name, value in values.items():
         if (value is None and name == "n_starts") or (
-                name == "seed" and isinstance(value, np.random.SeedSequence)):
+                streams and name == "seed" and isinstance(value, np.random.SeedSequence)):
             continue
         least = _LEAST.get(name, 1)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             kind = "non-negative" if least == 0 else "positive"
             raise ArgumentError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def _stream(seed, *keys) -> np.random.SeedSequence:
+    """Stream `keys` of a run seed: the entropy (seed, *keys) for an integer,
+    the spawn key extended by `keys` for a SeedSequence."""
+    if isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + keys,
+                                      pool_size=seed.pool_size)
+    return np.random.SeedSequence(entropy=(seed, *keys))
 
 
 def _check_dimension(n) -> int:
@@ -257,6 +267,20 @@ def inverse_coefficients(a: CMatrix) -> CMatrix:
         for k in range(j - 1, -1, -1):
             inv[j, k] = -np.dot(alpha[j, k:j], inv[k:j, k])
     return CMatrix(inv, lower_triangular=True, unit_diagonal=True)
+
+
+def _shear_slacks(inv) -> tuple:
+    """Slacks in the l1 simplex of the polydisc of radius 1/(2^n - 1) and the
+    ball of radius 1/c_n mapped by B = `inv`: 1 - sum |B_jk| / (2^n - 1) and
+    1 - ||column sums of |B|||_2 / c_n.  The triangle inequality makes each a
+    lower bound, exact on diagonal A and the all-(-1) shear; the sums are
+    rounded outward by 8 n ulps and each slack by one more."""
+    mods = np.abs(np.asarray(inv, dtype=complex))
+    n = mods.shape[0]
+    sups = (math.fsum(mods.ravel()) / (2.0**n - 1.0),
+            math.hypot(*(math.fsum(col) for col in mods.T)) / c_const(n))
+    inflate = 1.0 + 8 * n * np.finfo(float).eps
+    return tuple(float(np.nextafter(1.0 - inflate * sup, -np.inf)) for sup in sups)
 
 
 def solve_unit_lower(a: CMatrix, rhs) -> np.ndarray:

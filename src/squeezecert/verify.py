@@ -2,12 +2,12 @@
 
 Each suite replays one layer of the certificate against independent random
 instances: the triangular coefficient bounds and their symbolic expansion,
-the three containment lemmas, and the strictness of the witness bounds over
-the catalog fixtures.  kappa_probe sweeps a parameterized family of domains
-and records the smallest observed bounds; it never claims the infimum.
+the containment lemmas, and the strictness of the witness bounds over the
+catalog fixtures.  kappa_probe sweeps a parameterized family of domains and
+records the smallest observed bounds; it never claims the infimum.
 
-Suites fail only on violations below -1e-10: positive margins of any size are
-expected, since boundary tangencies sample arbitrarily close to zero slack.
+Suites fail only on violations below -1e-10: the tight closed-form margins
+read zero, rounded outward to about 1e-14 below it.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import _class_bounds, _model_bodies, certify, containment_check
+from .bounds import _class_bounds, certify
 from .domains import (
     affine_image,
     ball,
@@ -28,7 +28,8 @@ from .domains import (
     translate,
 )
 from .errors import ArgumentError
-from .numerics import _check_counts, _pairs, count_inverse_monomials, inverse_coefficients, unit_lower
+from .numerics import (_check_counts, _pairs, _shear_slacks, _stream, count_inverse_monomials,
+                       inverse_coefficients, unit_lower)
 from .planar import (
     half_plane,
     rho_radius_check,
@@ -138,7 +139,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     with an all-ones sample runs first and attains equality.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_star")
-    _check_counts(seed=seed, trials=trials)
+    _check_counts(streams=False, seed=seed, trials=trials)
     track = _Tracker()
     for n in dims:
         if n <= SYMBOLIC_LIMIT:
@@ -154,7 +155,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
             bound[j, :j] = 2.0 ** (j - np.arange(j) - 1)
         weights = 2.0 ** (n - 1 - np.arange(n))
         for trial in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, n, trial)))
+            rng = np.random.default_rng(_stream(seed, n, trial))
             alpha = _all_minus_one(n) if trial == 0 else _random_alpha(n, rng)
             inv = inverse_coefficients(unit_lower(alpha)).entries
             coeff_margin = float(np.min(
@@ -179,41 +180,35 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
 # -- containment lemma suite --------------------------------------------------
 
 def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteReport:
-    """Sampled containments behind the certificates.
+    """The containment lemmas behind the certificates.
 
     Random triangular shears must keep the small polydisc and the small ball
-    inside the sheared simplex; the tau radius must survive the half-plane
-    product and the rho radius the catalog map products.  The all-(-1) shear
-    runs first in every dimension and is tight at the all-ones corner.
+    inside the sheared simplex (closed forms, `numerics._shear_slacks`); the
+    tau radius must survive the half-plane product and the rho radius the
+    catalog map products, each sampled at `samples` * 10 points.  The
+    all-(-1) shear runs first in every dimension and is tight.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_lemmas")
-    _check_counts(seed=seed, trials=trials, samples=samples)
+    _check_counts(streams=False, seed=seed, trials=trials, samples=samples)
     track = _Tracker()
     for n in dims:
-        outer, pd_small, ball_small = _model_bodies(n)
         for trial in range(trials):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 3, n, trial)))
+            rng = np.random.default_rng(_stream(seed, 3, n, trial))
             alpha = _all_minus_one(n) if trial == 0 else _random_alpha(n, rng)
             inv = inverse_coefficients(unit_lower(alpha)).entries
-            for label, inner in (("polydisc_in_shear", pd_small),
-                                 ("ball_in_shear", ball_small)):
-                rep = containment_check(
-                    inner, inv, outer, samples=samples,
-                    seed=np.random.SeedSequence(entropy=(seed, 4, n, trial)))
-                track.add(rep.min_slack,
-                          {"check": label, "n": n, "trial": trial,
-                           "alpha": _pairs(alpha)})
+            for label, slack in zip(("polydisc_in_shear", "ball_in_shear"),
+                                    _shear_slacks(inv)):
+                track.add(slack, {"check": label, "n": n, "trial": trial,
+                                  "alpha": _pairs(alpha)})
         slit_maps = [riemann_catalog(slit_plane()) for _ in range(n)]
         mixed = [riemann_catalog(k()) for k in (slit_plane, half_plane, unit_disc)]
         for ci, c in enumerate(RADIUS_PARAMETERS):
-            rep = tau_radius_check(n, c, samples=samples * 10,
-                                   seed=np.random.SeedSequence(entropy=(seed, 5, n, ci)))
+            rep = tau_radius_check(n, c, samples=samples * 10, seed=_stream(seed, 5, n, ci))
             track.add(rep.min_slack, {"check": "tau_radius", "n": n, "c": c})
             rep = rho_radius_check(slit_maps, c, samples=samples * 10,
-                                   seed=np.random.SeedSequence(entropy=(seed, 6, n, ci)))
+                                   seed=_stream(seed, 6, n, ci))
             track.add(rep.min_slack, {"check": "rho_radius_slit", "n": n, "c": c})
-        rep = rho_radius_check(mixed, 1.0, samples=samples * 10,
-                               seed=np.random.SeedSequence(entropy=(seed, 7, n)))
+        rep = rho_radius_check(mixed, 1.0, samples=samples * 10, seed=_stream(seed, 7, n))
         track.add(rep.min_slack, {"check": "rho_radius_mixed", "n": n})
     return SuiteReport(suite="lemmas", dims=dims, trials=trials, seed=seed,
                        violations=track.violations, worst_margin=track.worst,
@@ -282,7 +277,7 @@ def _sweep_parameter(idx, grid, rng):
 
 def _family_domains(family, n, budget, seed):
     """Deterministic half-grid half-random parameter sweep of one family."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 9)))
+    rng = np.random.default_rng(_stream(seed, 9))
     grid = budget // 2
     for idx in range(budget):
         if family == "shears":
@@ -327,7 +322,7 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
     """
     if family not in KAPPA_FAMILIES:
         raise ArgumentError(f"unknown family {family!r}; pick one of {KAPPA_FAMILIES}")
-    _check_counts(seed=seed, budget=budget)
+    _check_counts(streams=False, seed=seed, budget=budget)
     if convexity_class is None:
         convexity_class = "cconvex" if family == "projective" else "convex"
     uni_s, uni_s_hat = _class_bounds(n, convexity_class)

@@ -119,7 +119,8 @@ def test_criterion_4_lemma_suite():
     t0 = time.monotonic()
     rep = suite_lemmas(dims=(2, 3, 4, 5), trials=1000, samples=1000, seed=0)
     checks = [
-        ("zero violations across 10^3 matrices x 10^3 samples", rep.violations == 0),
+        ("zero violations across 10^3 shears per dimension and the sampled radius checks",
+         rep.violations == 0),
         ("worst margin above -1e-10", rep.worst_margin >= -1e-10),
     ]
     # tightness of the all-(-1) shear: the equal-modulus corner of the small

@@ -35,8 +35,10 @@ from squeezecert.domains import (
     translate,
 )
 from squeezecert.errors import ArgumentError, ClassMismatchError, DomainFormatError, RayCapError
-from squeezecert.numerics import tau, unit_lower, universal_bounds, inverse_coefficients
+from squeezecert.numerics import (_shear_slacks, c_const, inverse_coefficients, tau, unit_lower,
+                                  universal_bounds)
 from squeezecert.planar import disc_shape, half_plane, riemann_catalog, slit_plane
+from squeezecert.verify import VIOLATION_TOL, _Tracker
 
 
 def projective_fixture():
@@ -161,6 +163,84 @@ def test_containment_random_triangular_shears():
                                     samples=400, seed=1)
             assert rep.violations == 0
             assert rep.min_slack >= -1e-10
+
+
+# -- shear lemma margins in closed form ---------------------------------------
+
+def _bench_fixtures():
+    """The benchmark's twelve certify fixtures, its seeded shear and base point
+    replaced by fixed ones."""
+    eye, zero = np.eye(2), np.zeros(2)
+    return [
+        ball(2), ball(3), polydisc(2), l1ball(2), lp_ball(2, 1.5),
+        affine_image(polydisc(2), np.array([[1.0, 0.0], [0.6 - 0.5j, 1.0]])),
+        translate(ball(2), np.array([0.3 + 0.1j, -0.2j])),
+        l1ball(6),
+        projective_image(polydisc(2), eye, zero, [2.0, -1.0, 0.0], bounding_radius=10.0),
+        projective_image(polydisc(2), eye, zero, [2.0, 0.5, 0.0], bounding_radius=100.0),
+        projective_image(ball(2), eye, zero, [2.0, 0.5, 0.0], bounding_radius=100.0),
+        DomainSpec(n=2, kind="polydisc", convexity_class="cconvex"),
+    ]
+
+
+def _shear_inverses():
+    """A inverse of the benchmark fixtures' normalizers, of the n = 3 shear
+    with strictly-lower entries 0.4 - 0.3j, and of 30 random shears with
+    |alpha| <= 1 in each dimension 2..5."""
+    invs = []
+    for d in _bench_fixtures():
+        norm = frame_module.build_normalizer(d, frame_module.build_frame(d, seed=0), seed=0)
+        invs.append(inverse_coefficients(norm.a_matrix).entries)
+    alpha = np.tril(np.full((3, 3), 0.4 - 0.3j), -1) + np.eye(3)
+    invs.append(inverse_coefficients(unit_lower(alpha)).entries)
+    rng = np.random.default_rng(11)
+    for n in range(2, 6):
+        for _ in range(30):
+            raw = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+            raw /= np.maximum(1.0, np.abs(raw))
+            invs.append(inverse_coefficients(unit_lower(np.tril(raw, -1) + np.eye(n))).entries)
+    return invs
+
+
+def test_shear_slacks_bound_the_sampled_slacks():
+    invs = _shear_inverses()
+    assert len(invs) == 12 + 1 + 120
+    for inv in invs:
+        n = inv.shape[0]
+        pd_slack, ball_slack = _shear_slacks(inv)
+        small_pd = scaled(polydisc(n), 1.0 / (2.0**n - 1.0))
+        small_ball = scaled(ball(n), 1.0 / c_const(n))
+        for inner, slack in ((small_pd, pd_slack), (small_ball, ball_slack)):
+            assert slack <= containment_check(inner, inv, l1ball(n), samples=200, seed=0).min_slack
+            # the closed bodies, unshrunk: A = I attains the ball's bound at
+            # the sampled all-ones corner, where the unrounded formula is 1 ulp high
+            pts = boundary_samples(inner, 200, np.random.default_rng(1))
+            assert slack <= (-boundary_residual(l1ball(n), pts @ inv.T)).min()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shear_slacks_are_exact_on_the_identity(n):
+    pd_slack, ball_slack = _shear_slacks(np.eye(n))
+    assert 0.0 <= 1.0 - n / (2.0**n - 1.0) - pd_slack <= 1e-13
+    assert 0.0 <= 1.0 - np.sqrt(n) / c_const(n) - ball_slack <= 1e-13
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_shear_slacks_all_minus_one_shear_is_tight(n):
+    alpha = np.tril(-np.ones((n, n)), -1) + np.eye(n)
+    inv = inverse_coefficients(unit_lower(alpha)).entries
+    for slack in _shear_slacks(inv):
+        assert -1e-13 <= slack <= 0.0
+
+
+def test_shear_slacks_fail_past_the_unit_disc():
+    alpha = np.tril(-np.ones((3, 3)), -1) + np.eye(3)
+    alpha[2, 0] = -1.01
+    track = _Tracker()
+    for slack in _shear_slacks(inverse_coefficients(unit_lower(alpha)).entries):
+        assert slack < VIOLATION_TOL
+        track.add(slack, {})
+    assert track.violations == 2
 
 
 def test_containment_outer_domain_spec():
@@ -371,7 +451,17 @@ def test_certify_reports_are_strict(polydisc_report, ball_report, l1_report):
         assert rep.witness_s > rep.certified_s
         assert rep.witness_s_hat > rep.certified_s_hat
         assert rep.diagnostics["alpha_max"] < 1.0
-        assert rep.margins["closed_ball_strictness"].min_slack > 0.0
+        assert rep.margins["ball_in_sheared_simplex"].min_slack > 0.0
+
+
+def test_certify_shear_margins_are_the_closed_forms(polydisc_report, projective_report):
+    for rep in (polydisc_report, projective_report):
+        inv = inverse_coefficients(rep.normalizer.a_matrix).entries
+        for key, slack in zip(("pd_in_sheared_simplex", "ball_in_sheared_simplex"),
+                              _shear_slacks(inv)):
+            margin = rep.margins[key]
+            assert (margin.samples, margin.violations, margin.min_slack) == (0, 0, slack)
+        assert "closed_ball_strictness" not in rep.margins
 
 
 # -- certify: C-convex fixtures -----------------------------------------------
@@ -433,6 +523,8 @@ def test_certify_projective_ball_gets_a_witness():
     pytest.param({"seed": 1.5}, id="fractional_seed"),
     pytest.param({"seed": -1}, id="negative_seed"),
     pytest.param({"seed": True}, id="bool_seed"),
+    # the report carries the seed as an integer
+    pytest.param({"seed": np.random.SeedSequence(0)}, id="seed_sequence"),
 ])
 def test_certify_rejects_nonpositive_budgets(budget):
     (name, _), = budget.items()

@@ -39,6 +39,7 @@ from squeezecert.frame import (
     min_boundary_point,
     normalizer_to_json,
 )
+from squeezecert.numerics import _stream
 
 
 def cayley_polydisc():
@@ -489,6 +490,29 @@ def test_normalizer_refuses_bad_counts(kwargs):
     fr = build_frame(d, seed=0)
     with pytest.raises(ArgumentError, match="must be a"):
         build_normalizer(d, fr, **kwargs)
+
+
+def test_stream_keys_an_integer_seed_or_extends_a_spawn_key():
+    ints = _stream(3, 4, 5)
+    assert ints.entropy == (3, 4, 5) and ints.spawn_key == ()
+    parent = np.random.SeedSequence(7, spawn_key=(1,))
+    child = _stream(parent, 21)
+    assert (child.entropy, child.spawn_key) == (7, (1, 21))
+    assert np.array_equal(child.generate_state(4),
+                          np.random.SeedSequence(7, spawn_key=(1, 21)).generate_state(4))
+
+
+def test_frame_and_normalizer_take_a_seed_sequence():
+    d = affine_image(l1ball(2), np.array([[1.0, 0.0], [0.4 - 0.3j, 1.0]]))
+    runs = []
+    for _ in range(2):
+        seed = np.random.SeedSequence(5)
+        fr = build_frame(d, seed=seed)
+        runs.append((fr, build_normalizer(d, fr, samples=200, seed=seed)))
+    (fr0, nz0), (fr1, nz1) = runs
+    assert np.array_equal(fr0.contacts, fr1.contacts)
+    assert np.array_equal(nz0.a_matrix.entries, nz1.a_matrix.entries)
+    assert nz0.margins == nz1.margins
 
 
 @pytest.mark.parametrize("call", [
