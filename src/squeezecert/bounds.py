@@ -190,13 +190,14 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     """Empirical inscribed radius of an open image containing 0.
 
     Sends `rays` directions on the unit boundary of the model shape out of the
-    origin and locates each first exit with the `domains` exit engine
-    (parameter cap 1e8, tolerance 1e-12; RayCapError when a ray never
-    leaves).  `guess`, when given, maps the drawn directions to closed-form
-    exits (nan where none, None for none at all), such as the witness
-    image's from `_witness_exits`; each is kept only when the oracle
-    brackets it within the tolerance, and every other ray marches and
-    bisects.
+    origin and locates their least first exit with the `domains` exit engine
+    (parameter cap 1e8, tolerance 1e-12; RayCapError only when no ray leaves
+    below the cap).  `guess`, when given, maps the drawn directions to
+    closed-form exits (nan where none, None for none at all), such as the
+    witness image's from `_witness_exits`; each is kept only when the oracle
+    brackets it within the tolerance.  Every other ray marches and bisects
+    until its bracket lies above another ray's, where it cannot hold the
+    least exit; the result is the one of running every ray to its exit.
     Returns the least first exit over the rays: a true upper bound for the
     inscribed radius up to the exit tolerance, and no certification claim.
     """
@@ -208,7 +209,8 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     body = ball(n) if shape == "ball" else polydisc(n)
     dirs = boundary_samples(body, rays, np.random.default_rng(seed))
     exits = None if guess is None else guess(dirs)
-    return float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, guess=exits).min())
+    return float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, guess=exits,
+                              least=True))
 
 
 # -- coordinate projections --------------------------------------------------

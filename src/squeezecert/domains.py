@@ -22,7 +22,8 @@ any image chain, l1 and lp bases under affine maps), `bounds` a
 witness-image ray pulled back through Mobius coordinate maps by
 `_mobius_path_exits` (ball and polydisc bases).  Each exit is kept only once
 the membership oracle brackets it within _EXIT_TOL; the other rays take a
-geometric march and bisection.
+geometric march and bisection.  `bounds` asks for the least exit alone, so
+the engine gives up each ray whose bracket lies above another ray's.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.  `_projection_disc` gives the projection of a domain under a
 linear functional in closed form, through the support function of its
@@ -395,9 +396,10 @@ def ray_exit(d: DomainSpec, base, direction) -> float:
     ray leaves and re-enters between consecutive marks can be skipped), then
     bisected to tolerance _EXIT_TOL in t, taken for a direction whose largest
     modulus lies in [2^-5, 2) (others are scaled into it by a power of two,
-    so the tolerance scales with them); `ray_exit_batch` and the
-    inscribed radius of `bounds`, whose witness-image rays have closed-form
-    exits of their own over ball and polydisc bases, share the loop.  Raises
+    so the tolerance scales with them).  `ray_exit_batch` and the inscribed
+    radius of `bounds`, whose witness-image rays have closed-form exits of
+    their own over ball and polydisc bases, share the loop; the inscribed
+    radius runs a ray only while it can still hold the least exit.  Raises
     RayCapError if the ray never leaves below the bounding radius.
     """
     t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :])
@@ -436,7 +438,7 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
     return t if scale is None else t * scale
 
 
-def _first_exits(inside, bases, directions, cap, guess=None):
+def _first_exits(inside, bases, directions, cap, guess=None, least=False):
     """First t > 0 with bases + t*directions outside, for a batched membership
     oracle `inside` of an open set holding every base.
 
@@ -448,6 +450,12 @@ def _first_exits(inside, bases, directions, cap, guess=None):
     Each returned t is the lower end of its bracket, a point tested inside.
     The bases ride on the first membership call (the lower bracket ends, or
     the first march step); ArgumentError when one is outside.
+
+    With `least`, only the least of those exits is returned, bit for bit.  A
+    ray whose lower end reaches the least upper end over all rays exits
+    strictly above the least exit, so it is given up: the march stops at the
+    first mark that reaches that bound, and bisection splits only brackets
+    below it.  RayCapError then means that no ray leaves below `cap`.
     """
     def points(idx, t):
         # a shared base broadcasts; indexing it per round would cost a copy
@@ -479,28 +487,34 @@ def _first_exits(inside, bases, directions, cap, guess=None):
             lo[idx[held]] = below[idx[held]]
             hi[idx[held]] = above[idx[held]]
             active = np.flatnonzero(np.isnan(hi))
+
+    def open_rays(idx):
+        # a lower end at the least upper end cannot hold the least exit; an
+        # unbracketed ray's upper end is nan, which the bound skips
+        return idx[lo[idx] < np.fmin.reduce(hi, initial=np.inf)] if least else idx
+
     t = _MARCH_START
     while active.size:
-        if t > cap:
+        if t > cap and not (least and np.isfinite(hi).any()):
             if unchecked is not None:
                 first_inside(directions[:0])
             raise RayCapError(f"{active.size} rays still inside past t = {cap:g}")
         out = ~first_inside(points(active, t))
         hi[active[out]] = t
         lo[active[~out]] = t
-        active = active[~out]
+        active = open_rays(active[~out])
         t *= _MARCH_GROWTH
 
     todo = np.arange(m)
     while True:
-        todo = todo[hi[todo] - lo[todo] > _EXIT_TOL]
+        todo = open_rays(todo[hi[todo] - lo[todo] > _EXIT_TOL])
         mid = 0.5 * (lo[todo] + hi[todo])
         # past t ~ 8e3 an ulp of t exceeds _EXIT_TOL: a bracket one ulp wide
         # cannot split, its mid rounds to an end, and the ray is done
         split = (lo[todo] < mid) & (mid < hi[todo])
         todo, mid = todo[split], mid[split]
         if not todo.size:
-            return lo
+            return lo.min() if least else lo
         ins = inside(points(todo, mid[:, None]))
         lo[todo[ins]] = mid[ins]
         hi[todo[~ins]] = mid[~ins]

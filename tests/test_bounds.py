@@ -310,6 +310,13 @@ def test_inscribed_radius_of_unbounded_image_hits_the_cap():
         inscribed_radius_estimate(lambda y: np.ones(y.shape[0], dtype=bool), 2, rays=10)
 
 
+def test_inscribed_radius_needs_only_one_ray_to_leave():
+    # the rays with Re v_1 <= 0 never leave the half-space; the axis ray e_1
+    # leaves at 0.5, and no other ray leaves below it
+    estimate = inscribed_radius_estimate(lambda y: y[:, 0].real < 0.5, 2, rays=100)
+    assert abs(estimate - 0.5) <= 1e-12
+
+
 def witness_path_fixtures(n, rng):
     """Closed-form bases of a witness image, and ones without (l1, lp, sheared l1)."""
     shear = np.eye(n, dtype=complex) + np.tril(np.full((n, n), 0.4 - 0.3j), -1)
@@ -359,6 +366,47 @@ def test_witness_path_exits_agree_with_the_march_and_pass_their_brackets():
                 assert _witness_exits(w, affine_inv)(dirs) is None, (n, maps, name)
 
 
+def every_exit_min(oracle, n, shape, rays, seed, guess):
+    """The least exit with every ray bisected to its own exit: the reference
+    for `inscribed_radius_estimate`, which gives up the rays that cannot hold it."""
+    body = ball(n) if shape == "ball" else polydisc(n)
+    dirs = boundary_samples(body, rays, np.random.default_rng(seed))
+    exits = None if guess is None else guess(dirs)
+    origin = np.zeros(n, dtype=complex)
+    return float(dom._first_exits(oracle, origin, dirs, cap=1e8, guess=exits).min())
+
+
+def wrong_on_some_rays(guess):
+    """The guess scaled off on two rays in three, nan on a few: those rays march."""
+    def wrong(dirs):
+        g = guess(dirs).copy()
+        g[0::3] *= 0.7
+        g[1::3] *= 1.3
+        g[::17] = np.nan
+        return g
+    return wrong
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_inscribed_radius_matches_every_ray_run_to_its_exit(n):
+    rng = np.random.default_rng(40 + n)
+    closed, marching = witness_path_fixtures(n, rng)
+    ball_rho = "+".join(f"abs(z{k + 1})**2" for k in range(n)) + "-1"
+    marching["defining_ball"] = defining_domain(n, ball_rho, "convex", bounding_radius=5.0)
+    for maps in ("half_plane", "disc"):
+        for name, d in {**closed, **marching}.items():
+            w, affine_inv = random_witness(d, maps, rng)
+            oracle = _witness_image_oracle(w, affine_inv)
+            guess = _witness_exits(w, affine_inv)
+            guesses = [guess] if name in marching else [guess, wrong_on_some_rays(guess)]
+            for shape in ("ball", "polydisc"):
+                for g in guesses:
+                    seed = int(rng.integers(1000))
+                    got = inscribed_radius_estimate(oracle, n, shape=shape, rays=600,
+                                                    seed=seed, guess=g)
+                    assert got == every_exit_min(oracle, n, shape, 600, seed, g), (maps, name)
+
+
 def _shear2():
     shear = np.eye(2, dtype=complex)
     shear[1, 0] = 0.4 - 0.3j
@@ -392,23 +440,33 @@ def test_witness_matches_the_marched_witness(monkeypatch, d, cls, tol):
         assert witness == marched
 
 
-def test_witness_closed_form_spends_few_oracle_points_per_ray(polydisc_report):
-    # a plain counting wrapper of the oracle, as a tracer would pass, and
-    # points per requested ray, as it would count them
-    norm = polydisc_report.normalizer
+def witness_points_per_ray(report, shape):
+    """Oracle points per requested ray of a report's inscribed radius, counted
+    by a plain wrapper of the oracle, as a tracer would count them."""
+    norm = report.normalizer
     affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
-    oracle = _witness_image_oracle(polydisc_report.witness, affine_inv)
+    oracle = _witness_image_oracle(report.witness, affine_inv)
     points = [0]
 
     def counted(y):
         points[0] += y.shape[0]
         return oracle(y)
 
-    guess = _witness_exits(polydisc_report.witness, affine_inv)
+    guess = _witness_exits(report.witness, affine_inv)
+    inscribed_radius_estimate(counted, report.n, shape=shape, rays=2000, seed=1, guess=guess)
+    return points[0] / 2000
+
+
+def test_witness_closed_form_spends_few_oracle_points_per_ray(polydisc_report):
     for shape in ("ball", "polydisc"):
-        points[0] = 0
-        inscribed_radius_estimate(counted, 2, shape=shape, rays=2000, seed=1, guess=guess)
-        assert points[0] <= 3 * 2000
+        assert witness_points_per_ray(polydisc_report, shape) <= 3
+
+
+def test_witness_march_spends_few_oracle_points_per_ray(l1_report):
+    # no closed form over an l1 base: every ray marches, about 72 points per
+    # ray when each runs to its own exit
+    for shape in ("ball", "polydisc"):
+        assert witness_points_per_ray(l1_report, shape) <= 40
 
 
 # -- certify: convex fixtures -------------------------------------------------
