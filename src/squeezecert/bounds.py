@@ -178,9 +178,9 @@ def _witness_image_oracle(w: WitnessMap, affine_inv):
 
 
 def _witness_exits(w: WitnessMap, affine_inv):
-    """Closed-form first exits of witness-image rays t*v from 0, as a callable
-    of the directions (`domains._mobius_path_exits`: None unless the
-    domain's innermost base is a ball or polydisc)."""
+    """Exit brackets of witness-image rays t*v from 0, as a callable of the
+    directions (`domains._mobius_path_exits`: None unless the domain's
+    innermost base is a catalog body)."""
     return lambda dirs: _mobius_path_exits(w.domain, w._mobius, affine_inv, dirs)
 
 
@@ -192,12 +192,15 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     Sends `rays` directions on the unit boundary of the model shape out of the
     origin and locates their least first exit with the `domains` exit engine
     (parameter cap 1e8, tolerance 1e-12; RayCapError only when no ray leaves
-    below the cap).  `guess`, when given, maps the drawn directions to
-    closed-form exits (nan where none, None for none at all), such as the
-    witness image's from `_witness_exits`; each is kept only when the oracle
-    brackets it within the tolerance.  Every other ray marches and bisects
-    until its bracket lies above another ray's, where it cannot hold the
-    least exit; the result is the one of running every ray to its exit.
+    below the cap).  `guess`, when given, maps the drawn directions to exit
+    brackets (lower, upper) (nan where none, None for none at all), such as
+    the witness image's from `_witness_exits`: closed-form exits over ball
+    and polydisc bases, two marks of the march from one grid scan over l1
+    and lp bases.  Each is kept only when the oracle holds at its lower end
+    and fails at its upper end.  Every other ray marches; only the brackets
+    below the least upper end are bisected, until each lies above another
+    ray's, where it cannot hold the least exit; the result is the one of
+    running every ray to its exit.
     Returns the least first exit over the rays: a true upper bound for the
     inscribed radius up to the exit tolerance, and no certification claim.
     """
@@ -208,8 +211,8 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
         raise ArgumentError("inscribed radius needs 0 inside the image")
     body = ball(n) if shape == "ball" else polydisc(n)
     dirs = boundary_samples(body, rays, np.random.default_rng(seed))
-    exits = None if guess is None else guess(dirs)
-    return float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, guess=exits,
+    bracket = None if guess is None else guess(dirs)
+    return float(_first_exits(oracle, np.zeros(n, dtype=complex), dirs, cap=1e8, bracket=bracket,
                               least=True))
 
 

@@ -16,14 +16,17 @@ defining values otherwise; `contains` is residual < 0.  Every first exit
 along rays comes from one engine, `_first_exits`: ray_exit_batch (and
 through it the frame search, the C-convex spot check and the sampling radius
 of rejection sampling) and the inscribed radius of `bounds`.  Both seed it
-with the closed-form exits of `_path_exits`, which carries a rational path
-down the image chain: ray_exit_batch a ray (ball and polydisc bases under
-any image chain, l1 and lp bases under affine maps), `bounds` a
-witness-image ray pulled back through Mobius coordinate maps by
-`_mobius_path_exits` (ball and polydisc bases).  Each exit is kept only once
-the membership oracle brackets it within _EXIT_TOL; the other rays take a
-geometric march and bisection.  `bounds` asks for the least exit alone, so
-the engine gives up each ray whose bracket lies above another ray's.
+with the exit brackets of `_path_exits`, which carries a rational path down
+the image chain: ray_exit_batch a ray, `bounds` a witness-image ray pulled
+back through Mobius coordinate maps by `_mobius_path_exits`.  Ball and
+polydisc bases, and l1 and lp bases under affine maps, give closed-form
+exits, bracketed within _EXIT_TOL; every other path over an l1 or lp base
+gives two consecutive marks of the march from one grid scan.  A bracket is
+kept once the membership oracle holds at its lower end and fails at its
+upper end, then bisected; rays over defining functions, and rays whose
+bracket fails, take a geometric march and bisection.  `bounds` asks for the
+least exit alone, so the engine gives up each ray whose bracket lies above
+another ray's.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.  `_projection_disc` gives the projection of a domain under a
 linear functional in closed form, through the support function of its
@@ -73,9 +76,13 @@ _EXIT_TOL = 1e-12
 # Newton rounds of the closed-form exits; each row stops on its own test,
 # well before this
 _NEWTON_ROUNDS = 60
-# Mobius paths are built in chunks of this many rays, bounding the memory of
-# their coefficients
-_PATH_CHUNK = 4096
+# Mobius paths are built in chunks of rays that hold about this many
+# coefficients, n + 1 per coordinate, bounding their memory
+_PATH_COEFFS = 24576
+# the grid scan of `_grid_brackets` evaluates blocks of this many marks, over
+# as many rows as keep a block within this many values
+_SCAN_MARKS = 8
+_SCAN_FLOATS = 1 << 16
 # rounds of rejection proposals before interior sampling gives up
 _REJECTION_ROUNDS = 400
 # moduli below this vanish; a polydisc coordinate this close to 1 touches its face
@@ -391,16 +398,21 @@ def ray_exit(d: DomainSpec, base, direction) -> float:
     Kinds whose innermost base is a ball or polydisc, and l1 and lp balls
     under affine maps, take the closed-form exit of `_exact_exits`, verified
     by one membership test at each end of a bracket of width under _EXIT_TOL
-    around it; these exits are exact first crossings.  Every other ray is
-    bracketed by a geometric march (resolution factor ~1.12, so a sliver the
-    ray leaves and re-enters between consecutive marks can be skipped), then
-    bisected to tolerance _EXIT_TOL in t, taken for a direction whose largest
-    modulus lies in [2^-5, 2) (others are scaled into it by a power of two,
-    so the tolerance scales with them).  `ray_exit_batch` and the inscribed
-    radius of `bounds`, whose witness-image rays have closed-form exits of
-    their own over ball and polydisc bases, share the loop; the inscribed
-    radius runs a ray only while it can still hold the least exit.  Raises
-    RayCapError if the ray never leaves below the bounding radius.
+    around it; these exits are exact first crossings.  Rays through
+    projective images of l1 and lp balls take the bracket of one grid scan
+    of their gauge residual on the marks of the march below, verified the
+    same way.  Rays over defining functions, and rays whose bracket fails,
+    are bracketed by a geometric march (resolution factor ~1.12, so a sliver
+    the ray leaves and re-enters between consecutive marks can be skipped).
+    Brackets are bisected to tolerance _EXIT_TOL in t, taken for a direction
+    whose largest modulus lies in [2^-5, 2) (others are scaled into it by a
+    power of two, so the tolerance scales with them); a grid bracket is
+    bisected exactly as the march's, so those exits are the marched ones.
+    `ray_exit_batch` and the inscribed radius of `bounds`, whose
+    witness-image rays have brackets of their own over every catalog base,
+    share the loop; the inscribed radius runs a ray only while it can still
+    hold the least exit.  Raises RayCapError if the ray never leaves below
+    the bounding radius.
     """
     t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :])
     return float(t[0])
@@ -432,24 +444,26 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
         mod = mod * scale[:, None]
     # march cap in parameter units: bounding radius along the slowest direction
     cap = d.bounding_radius / np.linalg.norm(mod, axis=1).min() * 2.0
-    guess = _exact_exits(d, base, directions)
+    bracket = _exact_exits(d, base, directions, cap)
     # the closure looks `contains` up at call time, so a rebound one is used
-    t = _first_exits(lambda z: contains(d, z), base, directions, cap, guess)
+    t = _first_exits(lambda z: contains(d, z), base, directions, cap, bracket)
     return t if scale is None else t * scale
 
 
-def _first_exits(inside, bases, directions, cap, guess=None, least=False):
+def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
     """First t > 0 with bases + t*directions outside, for a batched membership
     oracle `inside` of an open set holding every base.
 
-    A finite `guess` at most `cap` brackets its ray's crossing as
-    guess -+ 0.4*_EXIT_TOL when `inside` holds at the lower end and fails at
-    the upper one.  For the other rays a geometric march brackets each
-    crossing, then bisection narrows the bracket to _EXIT_TOL, or to one ulp
-    where that is wider; RayCapError when a ray is still inside past `cap`.
-    Each returned t is the lower end of its bracket, a point tested inside.
-    The bases ride on the first membership call (the lower bracket ends, or
-    the first march step); ArgumentError when one is outside.
+    A `bracket` (lower, upper) of arrays over the rays is kept for a ray when
+    0 <= lower, upper <= cap, `inside` holds at lower and fails at upper:
+    closed-form exits t come as t -+ 0.4*_EXIT_TOL, grid scans as two
+    consecutive marks of the march below.  The other rays march: a geometric
+    march brackets each crossing.  Bisection then narrows every bracket to
+    _EXIT_TOL, or to one ulp where that is wider; RayCapError when a ray is
+    still inside past `cap`.  Each returned t is the lower end of its
+    bracket, a point tested inside.  The bases ride on the first membership
+    call (the lower bracket ends, or the first march step); ArgumentError
+    when one is outside.
 
     With `least`, only the least of those exits is returned, bit for bit.  A
     ray whose lower end reaches the least upper end over all rays exits
@@ -478,14 +492,14 @@ def _first_exits(inside, bases, directions, cap, guess=None, least=False):
     lo = np.zeros(m)
     hi = np.full(m, np.nan)
     active = np.arange(m)
-    if guess is not None:
-        below = guess - 0.4 * _EXIT_TOL
-        above = guess + 0.4 * _EXIT_TOL
-        idx = np.flatnonzero(np.isfinite(guess) & (below > 0.0) & (guess <= cap))
+    if bracket is not None:
+        lower, upper = bracket
+        # nan and +inf ends fail these comparisons
+        idx = np.flatnonzero((lower >= 0.0) & (upper <= cap))
         if idx.size:
-            held = first_inside(points(idx, below[idx, None])) & ~inside(points(idx, above[idx, None]))
-            lo[idx[held]] = below[idx[held]]
-            hi[idx[held]] = above[idx[held]]
+            held = first_inside(points(idx, lower[idx, None])) & ~inside(points(idx, upper[idx, None]))
+            lo[idx[held]] = lower[idx[held]]
+            hi[idx[held]] = upper[idx[held]]
             active = np.flatnonzero(np.isnan(hi))
 
     def open_rays(idx):
@@ -520,21 +534,21 @@ def _first_exits(inside, bases, directions, cap, guess=None, least=False):
         hi[todo[~ins]] = mid[~ins]
 
 
-def _exact_exits(d, bases, directions):
-    """Closed-form first exits of the rays bases + t*directions: `_path_exits`
-    of the degree-1 path (bases + t directions) / 1."""
+def _exact_exits(d, bases, directions, cap):
+    """Exit brackets of the rays bases + t*directions: `_path_exits` of the
+    degree-1 path (bases + t directions) / 1."""
     u = np.stack([np.broadcast_to(bases, directions.shape), directions])
     alpha = np.zeros(u.shape[:2], dtype=complex)
     alpha[0] = 1.0
-    return _path_exits(d, u, alpha)
+    return _path_exits(d, u, alpha, cap)
 
 
 def _mobius_path_exits(d, mobius, affine_inv, directions):
-    """Closed-form first exits of the rays t*v from 0 whose preimages
+    """Exit brackets (lower, upper) of the rays t*v from 0 whose preimages
     affine_inv psi(t v) reach d, psi_j(y) = (p_j y + q_j) / (r_j y + s_j) for
-    mobius = (p, q, r, s) (arrays over coordinates); each exit is capped at
-    the unit-polydisc clip 1/max|v_j|.  None unless d's innermost base is a
-    ball or polydisc, before any path is built.
+    mobius = (p, q, r, s) (arrays over coordinates); each ray leaves the unit
+    polydisc at its clip 1/max|v_j|, the cap of its path.  None unless d's
+    innermost base is a catalog body, before any path is built.
 
     Coordinate j of a ray pulls back to (q_j + p_j v_j t) / (s_j + r_j v_j t);
     over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
@@ -543,30 +557,31 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
     base = d
     while base.kind in IMAGE_KINDS:
         base = base.base
-    if base.kind not in ("ball", "polydisc"):
+    if base.kind not in CATALOG_KINDS:
         return None
     p, q, r, s = mobius
-    out = np.empty(directions.shape[0])
-    for start in range(0, directions.shape[0], _PATH_CHUNK):
-        v = directions[start:start + _PATH_CHUNK]
+    out = np.empty((2, directions.shape[0]))
+    n = directions.shape[1]
+    chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
+    for start in range(0, directions.shape[0], chunk):
+        v = directions[start:start + chunk]
         num = np.stack([np.broadcast_to(q, v.shape), p * v])
         den = np.stack([np.broadcast_to(s, v.shape), r * v])
         alpha = den[:, :, 0]
         x = num[:, :, :1]
-        for j in range(1, v.shape[1]):
+        for j in range(1, n):
             x = np.concatenate([_polymul(x, den[:, :, j:j + 1]),
                                 _polymul(alpha, num[:, :, j])[..., None]], axis=-1)
             alpha = _polymul(alpha, den[:, :, j])
         clip = 1.0 / np.abs(v).max(axis=1)
-        t = _path_exits(d, x @ affine_inv.T, alpha, cap=clip)
-        out[start:start + _PATH_CHUNK] = np.minimum(t, clip)
-    return out
+        out[:, start:start + chunk] = _path_exits(d, x @ affine_inv.T, alpha, clip)
+    return out[0], out[1]
 
 
-def _path_exits(d, u, alpha, cap=None):
-    """Closed-form first exits t > 0 of the rational paths U(t) / alpha(t) in
-    the domain's coordinates, +inf where a path never leaves (below `cap`)
-    and nan where no closed form applies; None for a kind with none at all.
+def _path_exits(d, u, alpha, cap):
+    """Exit brackets (lower, upper) of the rational paths U(t) / alpha(t) in
+    the domain's coordinates, each taken to leave at its `cap` at the latest;
+    nan where no bracket applies, None for a kind with none at all.
 
     u (k+1, m, n) and alpha (k+1, m) hold the coefficients of t^0..t^k on a
     leading degree axis.  The path is carried down the image chain: each
@@ -576,11 +591,13 @@ def _path_exits(d, u, alpha, cap=None):
     polynomial of degree 2k whose constant term is negative at an interior
     start, and which is >= 0 on a projective horizon.  Degree 1 solves the
     quadratic in closed form; higher degrees take the first root below the
-    per-path `cap` that `_polynomial_exits` finds on the march grid; only
-    those bases take paths above degree 1.  l1 and lp bases are solved along
-    degree-1 paths with constant alpha (every ray of an affine chain), where
-    the gauge is a norm.  Products are per-row einsums, so a batch rounds as
-    its rows one at a time.
+    `cap` that `_polynomial_exits` finds on the march grid.  l1 and lp bases
+    are solved along degree-1 paths with constant alpha (every ray of an
+    affine chain), where the gauge is a norm.  These closed-form exits t come
+    as t -+ 0.4*_EXIT_TOL.  Every other l1 or lp path (projective chains, the
+    witness's paths) is bracketed by `_grid_brackets` between two marks of
+    the march.  Products are per-row einsums, so a batch rounds as its rows
+    one at a time.
     """
     terms, m, n = u.shape
     while d.kind in IMAGE_KINDS:
@@ -589,30 +606,95 @@ def _path_exits(d, u, alpha, cap=None):
         if d.denominator is not None:
             alpha = alpha - np.einsum("ij,j->i", u.reshape(-1, n), d._e).reshape(terms, m)
         d = d.base
+    scan = None
     if d.kind in ("ball", "polydisc"):
         if terms > 2:
-            return _polynomial_exits(d.kind, u, alpha, cap)
-        (u0, u1), (alpha, beta) = u, alpha
-        quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
-        if d.kind == "ball":
-            quad = [c.sum(axis=-1) for c in quad]
+            t = _polynomial_exits(d.kind, u, alpha, cap)
         else:
-            alpha, beta = alpha[:, None], beta[:, None]
-        t = _first_root(quad[0] - (beta.conj() * beta).real,
-                        quad[1] - (alpha.conj() * beta).real,
-                        quad[2] - (alpha.conj() * alpha).real)
-        return t if d.kind == "ball" else t.min(axis=-1)
-    if d.kind not in ("l1ball", "lp_ball"):
+            (u0, u1), (a0, a1) = u, alpha
+            quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
+            if d.kind == "ball":
+                quad = [c.sum(axis=-1) for c in quad]
+            else:
+                a0, a1 = a0[:, None], a1[:, None]
+            t = _first_root(quad[0] - (a1.conj() * a1).real,
+                            quad[1] - (a0.conj() * a1).real,
+                            quad[2] - (a0.conj() * a0).real)
+            if d.kind == "polydisc":
+                t = t.min(axis=-1)
+    elif d.kind in ("l1ball", "lp_ball"):
+        if terms > 2:
+            return _grid_brackets(u, alpha, cap, d.p or 1.0)
+        flat = np.flatnonzero(alpha[1] == 0.0)
+        t = np.full(m, np.nan)
+        scale = alpha[0, flat, None]
+        # a start on a projective horizon has scale 0: its exit is nan and marches
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t[flat] = _norm_exits(u[0, flat] / scale, u[1, flat] / scale, d.p or 1.0)
+        if flat.size < m:
+            scan = np.flatnonzero(alpha[1] != 0.0)
+    else:
         return None
-    flat = np.flatnonzero(alpha[1] == 0.0)
-    if not flat.size:
-        return None
-    t = np.full(m, np.nan)
-    scale = alpha[0, flat, None]
-    # a start on a projective horizon has scale 0: its guess is nan and marches
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t[flat] = _norm_exits(u[0, flat] / scale, u[1, flat] / scale, d.p or 1.0)
-    return t
+    t = np.minimum(t, cap)
+    lower, upper = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
+    if scan is not None:
+        cap = np.broadcast_to(cap, (m,))[scan]
+        lower[scan], upper[scan] = _grid_brackets(u[:, scan], alpha[:, scan], cap, d.p or 1.0)
+    return lower, upper
+
+
+def _march_grid(top):
+    """The marks of the march of `_first_exits` below `top` (always the first
+    one): _MARCH_START times _MARCH_GROWTH, accumulated as the march does."""
+    grid = [_MARCH_START]
+    while grid[-1] * _MARCH_GROWTH < top:
+        grid.append(grid[-1] * _MARCH_GROWTH)
+    return np.array(grid)
+
+
+def _grid_brackets(u, alpha, cap, p):
+    """Brackets (lower, upper) of the first exits of the paths U(t)/alpha(t)
+    from an lp base (p = 1 for l1) between two consecutive marks of the march
+    of `_first_exits`: the last mark inside and the first outside, 0 before
+    the first mark.
+
+    A mark t is outside when sum_j |U_j(t)|^p >= |alpha(t)|^p, the homogeneous
+    gauge residual, which is >= 0 on a projective horizon, so nothing divides
+    by alpha; and once t >= cap.  The values come from real Vandermonde
+    products, in blocks of _SCAN_MARKS marks and of rows that keep a block
+    within _SCAN_FLOATS values (it stays in cache); each row is scanned until
+    its first outside mark.
+    """
+    terms, m, n = u.shape
+    # the marks below the largest cap, and the next one, at or past every cap
+    grid = _march_grid(cap.max())
+    grid = np.append(grid, grid[-1] * _MARCH_GROWTH)
+    powers = grid[:, None] ** np.arange(terms)
+    first = np.empty(m, dtype=int)
+    step = max(1, _SCAN_FLOATS // (2 * (n + 1) * _SCAN_MARKS))
+    for r0 in range(0, m, step):
+        rows = np.arange(r0, min(m, r0 + step))
+        block = slice(r0, r0 + step)
+        # real and imaginary parts of U_1..U_n and alpha, rows last
+        coef = np.empty((terms, 2, n + 1, rows.size))
+        coef[:, 0, :n] = u[:, block].real.transpose(0, 2, 1)
+        coef[:, 1, :n] = u[:, block].imag.transpose(0, 2, 1)
+        coef[:, 0, n] = alpha[:, block].real
+        coef[:, 1, n] = alpha[:, block].imag
+        for k in range(0, grid.size, _SCAN_MARKS):
+            t = grid[k:k + _SCAN_MARKS]
+            vals = (powers[k:k + _SCAN_MARKS] @ coef.reshape(terms, -1)).reshape(
+                t.size, 2, n + 1, rows.size)
+            sq = vals[:, 0] * vals[:, 0] + vals[:, 1] * vals[:, 1]
+            mod = np.sqrt(sq) if p == 1.0 else sq ** (0.5 * p)
+            out = (mod[:, :n].sum(axis=1) >= mod[:, n]) | (t[:, None] >= cap[rows])
+            hit = out.any(axis=0)
+            if hit.any():
+                first[rows[hit]] = k + out[:, hit].argmax(axis=0)
+                rows, coef = rows[~hit], coef[..., ~hit]
+                if not rows.size:
+                    break
+    return np.where(first > 0, grid[first - 1], 0.0), grid[first]
 
 
 def _first_root(a, b, c):
@@ -662,23 +744,27 @@ def _first_polynomial_root(c, cap):
     (_MARCH_START, times _MARCH_GROWTH, below cap) with cap as its last mark,
     so no sliver is caught less finely than by the membership march; Newton
     steps then converge inside that bracket, bisecting whenever a step leaves
-    it.
+    it.  A row still negative at cap - 0.4*_EXIT_TOL crosses inside the exit
+    bracket of cap itself, so it is given cap: there the polynomial is
+    rounding noise, and Newton would stall on it.
     """
-    grid = [_MARCH_START]
-    while grid[-1] * _MARCH_GROWTH < cap.max():
-        grid.append(grid[-1] * _MARCH_GROWTH)
-    grid = np.array(grid)
+    grid = _march_grid(cap.max())
     below = grid < cap[:, None]
     outside = (c.T @ grid ** np.arange(c.shape[0])[:, None] > 0.0) & below
     # a row's first outside mark; its count of marks below cap stands for cap
     count = below.sum(axis=1)
     first = np.where(outside.any(axis=1), outside.argmax(axis=1), count)
     on_grid = first < count
-    rows = np.flatnonzero(on_grid | (_horner(c, cap)[0] > 0.0))
+    t = np.full(cap.shape, np.inf)
+    near = ~on_grid & (_horner(c, cap)[0] > 0.0)
+    idx = np.flatnonzero(near)
+    at_cap = idx[_horner(c[:, idx], cap[idx] - 0.4 * _EXIT_TOL)[0] < 0.0]
+    t[at_cap] = cap[at_cap]
+    near[at_cap] = False
+    rows = np.flatnonzero(on_grid | near)
     first = first[rows]
     hi = np.where(on_grid[rows], grid[np.minimum(first, grid.size - 1)], cap[rows])
     lo = np.where(first > 0, grid[first - 1], 0.0)
-    t = np.full(cap.shape, np.inf)
     t[rows] = _bracketed_root(c[:, rows], lo, hi)
     return t
 

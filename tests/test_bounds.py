@@ -318,7 +318,8 @@ def test_inscribed_radius_needs_only_one_ray_to_leave():
 
 
 def witness_path_fixtures(n, rng):
-    """Closed-form bases of a witness image, and ones without (l1, lp, sheared l1)."""
+    """Closed-form bases of a witness image, and ones whose witness paths the
+    grid scan brackets (l1, lp, sheared l1)."""
     shear = np.eye(n, dtype=complex) + np.tril(np.full((n, n), 0.4 - 0.3j), -1)
     cayley = np.concatenate([[2.0, -1.0], np.zeros(n - 1)])
     return {
@@ -346,24 +347,28 @@ def random_witness(d, maps, rng):
 def test_witness_path_exits_agree_with_the_march_and_pass_their_brackets():
     rng = np.random.default_rng(31)
     for n in (2, 3, 4):
-        closed, marching = witness_path_fixtures(n, rng)
+        closed, scanned = witness_path_fixtures(n, rng)
+        origin = np.zeros(n, dtype=complex)
         for maps in ("half_plane", "disc"):
-            for name, d in closed.items():
+            for name, d in {**closed, **scanned}.items():
                 w, affine_inv = random_witness(d, maps, rng)
                 oracle = _witness_image_oracle(w, affine_inv)
                 body = ball(n) if name in ("ball", "translate") else polydisc(n)
                 dirs = boundary_samples(body, 2000, rng)
-                guess = _witness_exits(w, affine_inv)(dirs)
-                assert np.isfinite(guess).all(), (n, maps, name)
-                origin = np.zeros(n, dtype=complex)
+                lower, upper = _witness_exits(w, affine_inv)(dirs)
+                assert np.isfinite(upper).all(), (n, maps, name)
+                assert oracle(lower[:, None] * dirs).all(), (n, maps, name)
+                assert not oracle(upper[:, None] * dirs).any(), (n, maps, name)
                 march = dom._first_exits(oracle, origin, dirs, cap=1e8)
-                assert np.abs(guess - march).max() <= dom._EXIT_TOL, (n, maps, name)
-                assert oracle((guess - 0.4 * dom._EXIT_TOL)[:, None] * dirs).all()
-                assert not oracle((guess + 0.4 * dom._EXIT_TOL)[:, None] * dirs).any()
-            for name, d in marching.items():
-                w, affine_inv = random_witness(d, maps, rng)
-                dirs = boundary_samples(polydisc(n), 50, rng)
-                assert _witness_exits(w, affine_inv)(dirs) is None, (n, maps, name)
+                if name in closed:
+                    assert np.abs(0.5 * (lower + upper) - march).max() <= dom._EXIT_TOL
+                else:
+                    # two consecutive marks of the march around its exit
+                    assert np.array_equal(upper, np.where(lower > 0.0, lower * dom._MARCH_GROWTH,
+                                                          dom._MARCH_START)), (n, maps, name)
+                    assert ((lower <= march) & (march < upper)).all(), (n, maps, name)
+                    got = dom._first_exits(oracle, origin, dirs, cap=1e8, bracket=(lower, upper))
+                    assert np.array_equal(got, march), (n, maps, name)
 
 
 def every_exit_min(oracle, n, shape, rays, seed, guess):
@@ -371,34 +376,36 @@ def every_exit_min(oracle, n, shape, rays, seed, guess):
     for `inscribed_radius_estimate`, which gives up the rays that cannot hold it."""
     body = ball(n) if shape == "ball" else polydisc(n)
     dirs = boundary_samples(body, rays, np.random.default_rng(seed))
-    exits = None if guess is None else guess(dirs)
+    bracket = None if guess is None else guess(dirs)
     origin = np.zeros(n, dtype=complex)
-    return float(dom._first_exits(oracle, origin, dirs, cap=1e8, guess=exits).min())
+    return float(dom._first_exits(oracle, origin, dirs, cap=1e8, bracket=bracket).min())
 
 
 def wrong_on_some_rays(guess):
-    """The guess scaled off on two rays in three, nan on a few: those rays march."""
+    """The brackets scaled off on two rays in three, nan on a few: those rays march."""
     def wrong(dirs):
-        g = guess(dirs).copy()
-        g[0::3] *= 0.7
-        g[1::3] *= 1.3
-        g[::17] = np.nan
-        return g
+        ends = [end.copy() for end in guess(dirs)]
+        for end in ends:
+            end[0::3] *= 0.7
+            end[1::3] *= 1.3
+            end[::17] = np.nan
+        return tuple(ends)
     return wrong
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_inscribed_radius_matches_every_ray_run_to_its_exit(n):
     rng = np.random.default_rng(40 + n)
-    closed, marching = witness_path_fixtures(n, rng)
+    closed, scanned = witness_path_fixtures(n, rng)
     ball_rho = "+".join(f"abs(z{k + 1})**2" for k in range(n)) + "-1"
-    marching["defining_ball"] = defining_domain(n, ball_rho, "convex", bounding_radius=5.0)
+    # a defining function has no bracket: every ray marches
+    marching = defining_domain(n, ball_rho, "convex", bounding_radius=5.0)
     for maps in ("half_plane", "disc"):
-        for name, d in {**closed, **marching}.items():
+        for name, d in {**closed, **scanned, "defining_ball": marching}.items():
             w, affine_inv = random_witness(d, maps, rng)
             oracle = _witness_image_oracle(w, affine_inv)
             guess = _witness_exits(w, affine_inv)
-            guesses = [guess] if name in marching else [guess, wrong_on_some_rays(guess)]
+            guesses = [guess] if d is marching else [guess, wrong_on_some_rays(guess)]
             for shape in ("ball", "polydisc"):
                 for g in guesses:
                     seed = int(rng.integers(1000))
@@ -418,7 +425,8 @@ def _shear2():
     pytest.param(polydisc(2), None, 2e-12, id="polydisc"),
     pytest.param(_shear2(), None, 2e-12, id="shear"),
     pytest.param(polydisc(2), "cconvex", 2e-12, id="polydisc_cconvex"),
-    # no closed form under an l1 or lp base: the witness marches bit for bit
+    # the grid brackets over an l1 or lp base are the march's own marks: the
+    # witness is the marched one bit for bit
     pytest.param(l1ball(2), None, 0.0, id="l1ball"),
     pytest.param(lp_ball(2, 1.5), None, 0.0, id="lp_ball"),
 ])
@@ -440,9 +448,10 @@ def test_witness_matches_the_marched_witness(monkeypatch, d, cls, tol):
         assert witness == marched
 
 
-def witness_points_per_ray(report, shape):
+def witness_points_per_ray(report, shape, bracketed=True):
     """Oracle points per requested ray of a report's inscribed radius, counted
-    by a plain wrapper of the oracle, as a tracer would count them."""
+    by a plain wrapper of the oracle, as a tracer would count them; without
+    `bracketed`, every ray marches."""
     norm = report.normalizer
     affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
     oracle = _witness_image_oracle(report.witness, affine_inv)
@@ -452,7 +461,7 @@ def witness_points_per_ray(report, shape):
         points[0] += y.shape[0]
         return oracle(y)
 
-    guess = _witness_exits(report.witness, affine_inv)
+    guess = _witness_exits(report.witness, affine_inv) if bracketed else None
     inscribed_radius_estimate(counted, report.n, shape=shape, rays=2000, seed=1, guess=guess)
     return points[0] / 2000
 
@@ -463,10 +472,56 @@ def test_witness_closed_form_spends_few_oracle_points_per_ray(polydisc_report):
 
 
 def test_witness_march_spends_few_oracle_points_per_ray(l1_report):
-    # no closed form over an l1 base: every ray marches, about 72 points per
-    # ray when each runs to its own exit
+    # every ray marched, each given up once it cannot hold the least exit:
+    # about 32 points per ray (72 when each runs to its own exit)
     for shape in ("ball", "polydisc"):
-        assert witness_points_per_ray(l1_report, shape) <= 40
+        assert witness_points_per_ray(l1_report, shape, bracketed=False) <= 40
+
+
+def test_witness_grid_brackets_spend_few_oracle_points_per_ray(l1_report):
+    # over an l1 base each ray's grid bracket is checked at both ends, and only
+    # the brackets below the least upper end are bisected
+    for shape in ("ball", "polydisc"):
+        assert witness_points_per_ray(l1_report, shape) <= 4
+
+
+def test_polynomial_root_at_the_cap_is_the_cap():
+    # |t|^2 - cap^2 plus rounding noise of a few 1e-15 crosses within an ulp
+    # or two of cap; a row on the march grid keeps its Newton root
+    rng = np.random.default_rng(47)
+    cap = rng.uniform(0.5, 2.5, size=200)
+    noise = rng.uniform(1e-15, 5e-15, size=200)
+    c = np.stack([noise - cap ** 2, np.zeros(200), np.ones(200)])
+    assert np.abs(dom._first_polynomial_root(c, cap) - cap).max() <= 1e-12
+    inner = np.stack([-0.25 * np.ones(200), np.zeros(200), np.ones(200)])
+    assert np.abs(dom._first_polynomial_root(inner, cap) - 0.5).max() <= 1e-12
+
+
+def test_cconvex_polydisc_witness_rays_do_not_stall_at_the_cap(monkeypatch):
+    # every witness ray of the C-convex polydisc crosses at its unit-polydisc
+    # clip, where its polynomial is rounding noise: no Newton rounds are spent there
+    rounds = []  # one count per call of _bracketed_root
+    in_root = [False]
+    horner, bracketed_root = dom._horner, dom._bracketed_root
+
+    def counted_horner(c, t):
+        if in_root[0]:
+            rounds[-1] += 1
+        return horner(c, t)
+
+    def counted_root(c, lo, hi):
+        rounds.append(0)
+        in_root[0] = True
+        try:
+            return bracketed_root(c, lo, hi)
+        finally:
+            in_root[0] = False
+
+    monkeypatch.setattr(dom, "_horner", counted_horner)
+    monkeypatch.setattr(dom, "_bracketed_root", counted_root)
+    rep = certify(polydisc(2), convexity_class="cconvex", seed=0)
+    assert rounds and max(rounds) <= 8
+    assert 1.0 - 1e-12 < rep.witness_s_hat < 1.0
 
 
 # -- certify: convex fixtures -------------------------------------------------

@@ -262,12 +262,13 @@ def test_exact_exits_agree_with_the_march_and_pass_their_brackets():
         for name, d in bodies.items():
             dirs = rng.normal(size=(per_ray[name].shape[0], 2 * n)).view(complex)
             for bases in (np.zeros(n, dtype=complex), per_ray[name]):
-                guess = dom._exact_exits(d, bases, dirs)
-                assert guess is not None and np.isfinite(guess).all(), (n, name)
+                lower, upper = dom._exact_exits(d, bases, dirs, 1e8)
+                assert np.isfinite(upper).all(), (n, name)
+                assert (upper - lower <= dom._EXIT_TOL).all(), (n, name)
                 march = dom._first_exits(lambda z: contains(d, z), bases, dirs, cap=1e8)
-                assert np.abs(guess - march).max() <= dom._EXIT_TOL, (n, name)
-                below = bases + (guess - 0.4 * dom._EXIT_TOL)[:, None] * dirs
-                above = bases + (guess + 0.4 * dom._EXIT_TOL)[:, None] * dirs
+                assert np.abs(0.5 * (lower + upper) - march).max() <= dom._EXIT_TOL, (n, name)
+                below = bases + lower[:, None] * dirs
+                above = bases + upper[:, None] * dirs
                 assert contains(d, below).all() and not contains(d, above).any(), (n, name)
 
 
@@ -283,15 +284,18 @@ def test_wrong_exit_guesses_fall_back_to_the_march():
         origin = np.zeros(3, dtype=complex)
         dirs = rng.normal(size=(12, 6)).view(complex)
         march = dom._first_exits(inside, origin, dirs, cap=1e3)
-        exact = dom._exact_exits(d, origin, dirs)
-        for wrong in (2.0 * exact, 0.5 * exact, np.full(12, np.inf), np.full(12, np.nan),
-                      np.full(12, -1.0), np.full(12, 2e3)):
-            assert np.array_equal(dom._first_exits(inside, origin, dirs, cap=1e3, guess=wrong), march)
-        # rows decide alone: right guesses keep their brackets, wrong ones march
-        mixed = np.where(np.arange(12) % 2 == 0, exact, 2.0 * exact)
-        got = dom._first_exits(inside, origin, dirs, cap=1e3, guess=mixed)
+        lower, upper = dom._exact_exits(d, origin, dirs, 1e3)
+        wrongs = [(2.0 * lower, 2.0 * upper), (0.5 * lower, 0.5 * upper), (upper, lower)]
+        wrongs += [(np.full(12, v), np.full(12, v)) for v in (np.inf, np.nan, -1.0, 2e3)]
+        for wrong in wrongs:
+            assert np.array_equal(dom._first_exits(inside, origin, dirs, cap=1e3, bracket=wrong),
+                                  march)
+        # rows decide alone: right brackets are kept, wrong ones march
+        even = np.arange(12) % 2 == 0
+        mixed = np.where(even, lower, 2.0 * lower), np.where(even, upper, 2.0 * upper)
+        got = dom._first_exits(inside, origin, dirs, cap=1e3, bracket=mixed)
         assert np.array_equal(got[1::2], march[1::2])
-        assert np.array_equal(got[::2], exact[::2] - 0.4 * dom._EXIT_TOL)
+        assert np.array_equal(got[::2], lower[::2])
 
 
 def test_bisection_stops_at_one_ulp_past_the_tolerance():
@@ -311,9 +315,28 @@ def test_kinds_without_a_closed_form_give_no_guess():
     dirs = np.eye(2, dtype=complex)
     origin = np.zeros(2, dtype=complex)
     curved = defining_domain(2, "abs(z1)**2 + abs(z2)**4 - 1", "convex")
-    tilted_l1 = projective_image(l1ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.5j])
-    assert dom._exact_exits(curved, origin, dirs) is None
-    assert dom._exact_exits(tilted_l1, origin, dirs) is None
+    assert dom._exact_exits(curved, origin, dirs, 1e3) is None
+
+
+@pytest.mark.parametrize("base", [l1ball(3), lp_ball(3, 1.5)], ids=["l1ball", "lp_ball"])
+def test_projective_l1_and_lp_rays_match_the_march_bit_for_bit(base):
+    # the tilted denominator leaves no ray a flat norm exit: each takes the
+    # grid scan's bracket, two consecutive marks of the march, which passes
+    # membership at both ends, so the exits are the marched ones
+    d = projective_image(base, np.eye(3) + 0.2j * np.eye(3, k=1), np.full(3, 0.05),
+                         [2.0, 0.5, 0.5j, -0.3], bounding_radius=10.0)
+    rng = np.random.default_rng(61)
+    dirs = rng.normal(size=(500, 6)).view(complex)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    origin = np.zeros(3, dtype=complex)
+    march = dom._first_exits(lambda z: contains(d, z), origin, dirs, cap=1e8)
+    assert np.array_equal(ray_exit_batch(d, origin, dirs), march)
+    lower, upper = dom._exact_exits(d, origin, dirs, 1e3)
+    assert np.array_equal(upper, np.where(lower > 0.0, lower * dom._MARCH_GROWTH,
+                                          dom._MARCH_START))
+    assert contains(d, lower[:, None] * dirs).all()
+    assert not contains(d, upper[:, None] * dirs).any()
+    assert ((lower <= march) & (march < upper)).all()
 
 
 def test_ray_exit_per_ray_bases_must_all_be_inside():
