@@ -24,6 +24,7 @@ from .errors import DomainFormatError, SqueezeCertError
 from .numerics import _pairs, constants_csv, constants_table
 from .verify import (
     KAPPA_FAMILIES,
+    NUMERIC_LIMIT,
     kappa_probe,
     suite_lemmas,
     suite_star,
@@ -116,7 +117,7 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _parse_dims(text: str, limit=16) -> tuple:
+def _parse_dims(text: str) -> tuple:
     """Dimension lists: a single value '3' or an inclusive range '2..5'."""
     text = text.strip()
     try:
@@ -131,8 +132,8 @@ def _parse_dims(text: str, limit=16) -> tuple:
     except ValueError:
         raise UsageError(f"bad dimension range {text!r}; expected N or LO..HI")
     for n in dims:
-        if n < 2 or n > limit:
-            raise UsageError(f"dimensions must lie in 2..{limit}, got {n}")
+        if n < 2 or n > NUMERIC_LIMIT:
+            raise UsageError(f"dimensions must lie in 2..{NUMERIC_LIMIT}, got {n}")
     return dims
 
 

@@ -9,28 +9,27 @@ affine images.
 
 One batched residual kernel per kind carries membership and the boundary
 equation: gauge - 1 for the ball, polydisc and l1 ball, sum |z_k|^p - 1 for
-lp balls (the gauge's p-th power, not the gauge), the base residual at the
-preimage for image kinds (one closed-form preimage shared by affine and
-projective maps, +inf on the horizon, where no preimage exists), the
-defining values otherwise; `contains` is residual < 0.  Every first exit
-along rays comes from one engine, `_first_exits`: ray_exit_batch (and
-through it the frame search, the C-convex spot check and the sampling radius
-of rejection sampling) and the inscribed radius of `bounds`.  Both seed it
-with the exit brackets of `_path_exits`, which carries a rational path down
-the image chain: ray_exit_batch a ray, `bounds` a witness-image ray pulled
-back through Mobius coordinate maps by `_mobius_path_exits`.  Ball and
-polydisc bases, and l1 and lp bases under affine maps, give closed-form
-exits, bracketed within _EXIT_TOL; every other path over an l1 or lp base
-gives two consecutive marks of the march from one grid scan.  A bracket is
-kept once the membership oracle holds at its lower end and fails at its
-upper end, then bisected; rays over defining functions, and rays whose
-bracket fails, take a geometric march and bisection.  `bounds` asks for the
-least exit alone, so the engine gives up each ray whose bracket lies above
-another ray's.
+lp balls (the gauge's p-th power, not the gauge), the body residual at the
+preimage for image kinds (one closed-form preimage of the composite map its
+chain builds at construction, +inf on its horizon), the defining values
+otherwise; `contains` is residual < 0.  Every first exit along rays comes
+from one engine, `_first_exits`: ray_exit_batch (and through it the frame
+search, the C-convex spot check and the sampling radius of rejection
+sampling) and the inscribed radius of `bounds`.  Both seed it with the exit
+brackets of `_path_exits`, which pulls a rational path back through that map:
+ray_exit_batch a ray, `bounds` a witness-image ray pulled back through Mobius
+coordinate maps by `_mobius_path_exits`.  Ball and polydisc bases, and l1 and
+lp bases under affine maps, give closed-form exits, bracketed within
+_EXIT_TOL; every other path over an l1 or lp base gives two consecutive marks
+of the march from one grid scan.  A bracket is kept once the membership
+oracle holds at its lower end and fails at its upper end, then bisected; rays
+over defining functions, and rays whose bracket fails, take a geometric march
+and bisection.  `bounds` asks for the least exit alone, so the engine gives
+up each ray whose bracket lies above another ray's.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.  `_projection_disc` gives the projection of a domain under a
 linear functional in closed form, through the support function of its
-catalog base: a disc over ball bases and affine chains.
+innermost catalog body: a disc over ball bodies and affine chains.
 
 Membership, residuals, ray exits, and sampling all accept batched inputs with
 shape (..., n); everything downstream leans on that.
@@ -67,6 +66,8 @@ IMAGE_KINDS = tuple(k for k in ALL_KINDS if "base" in _KIND_FIELDS[k])
 CATALOG_KINDS = tuple(k for k in ALL_KINDS if not {"base", "rho"} & set(_KIND_FIELDS[k]))
 
 DEFAULT_BOUNDING_RADIUS = 1e6
+# the lp exponent of each catalog body's gauge; an lp ball reads its own p
+_EXPONENTS = {"ball": 2.0, "polydisc": math.inf, "l1ball": 1.0}
 
 # geometric march used to bracket the first boundary crossing along a ray
 _MARCH_START = 1e-2
@@ -116,7 +117,7 @@ class DomainSpec:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n < 2:
             raise DomainFormatError(f"domain dimension must be an integer >= 2, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        self._store(n=int(self.n))
         if self.kind not in ALL_KINDS:
             raise DomainFormatError(f"unknown domain kind {self.kind!r}")
         for name in _OPTIONAL_FIELDS:
@@ -131,7 +132,7 @@ class DomainSpec:
         if self.convexity_class is None:
             if self.kind == "defining_function":
                 raise DomainFormatError("defining_function requires a declared convexity_class")
-            object.__setattr__(self, "convexity_class", (
+            self._store(convexity_class=(
                 "cconvex" if self.kind == "projective_image"
                 else self.base.convexity_class if self.kind == "affine_image" else "convex"))
         if self.convexity_class not in ("convex", "cconvex"):
@@ -140,30 +141,38 @@ class DomainSpec:
                 isinstance(self.bounding_radius, (int, float))
                 and 0 < self.bounding_radius < math.inf):
             raise DomainFormatError("bounding_radius must be a positive finite real")
-        object.__setattr__(self, "bounding_radius", float(self.bounding_radius))
+        self._store(bounding_radius=float(self.bounding_radius))
         if self.p is not None:
             if isinstance(self.p, bool) or not (
                     isinstance(self.p, (int, float)) and 1.0 <= self.p < math.inf):
                 raise DomainFormatError(f"lp_ball requires finite real p >= 1, got {self.p!r}")
-            object.__setattr__(self, "p", float(self.p))
+            self._store(p=float(self.p))
         if self.matrix is not None:
             self._set_map()
+        else:  # a body is its own chain, under the identity map
+            self._store(_body=self, _hom=np.eye(self.n + 1, dtype=complex), _projective=False)
         if self.rho is not None:
             if not isinstance(self.rho, str):
                 raise DomainFormatError(f"defining expression must be a string, got {self.rho!r}")
             member_fn, grad_fns = _parse_defining_expression(self.rho, self.n)
-            object.__setattr__(self, "_member_fn", member_fn)
-            object.__setattr__(self, "_grad_fns", grad_fns)
+            self._store(_member_fn=member_fn, _grad_fns=grad_fns)
+
+    def _store(self, **fields):
+        """Set fields of the frozen instance during construction."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def _set_map(self):
-        """Check and store the map z = (M w + c) / (d0 + d.w), with the data of
-        its one closed-form preimage: z0 = c/d0, d0 N^-1 with N = M - z0 d^T,
-        and e = d/d0.
+        """Check the map z = (M w + c) / (d0 + d.w), compose it with the base's
+        chain into one map z = (C v + c') / (q0 + q.v) over the innermost body
+        B (`_hom`, rows (q0, q) and (c', C); `_body`), and store the data of
+        its one closed-form preimage: z0 = c'/q0, q0 N^-1 with N = C - z0 q^T,
+        and e = q/q0.  `_projective`: some layer is projective.
 
-        Affine maps keep `denominator` None and map with den = (1, 0, ..., 0),
-        so N = M.  det of the homogeneous map is d0 det N, so a singular N is
-        a degenerate map.  Over a catalog base the denominator must stay off
-        the closed base, |d0| > h_B(d), or the image is unbounded.
+        Affine maps keep `denominator` None and map with den = (1, 0, ..., 0).
+        det of the composite is q0 det N, so a singular N is a degenerate map.
+        Over a catalog body the composite denominator must stay off the closed
+        body, |q0| > h_B(q), or the image is unbounded.
         """
         n = self.n
         try:
@@ -180,28 +189,27 @@ class DomainSpec:
             if not np.all(np.isfinite(arr)):
                 raise DomainFormatError("map data must be finite")
             arr.setflags(write=False)
-        if den[0] == 0:
+        # rows: the denominator (d0, d), then the numerator (c, M)
+        hom = np.vstack([den, np.column_stack([off, mat])]) @ self.base._hom
+        body, q0, q = self.base._body, hom[0, 0], hom[0, 1:]
+        if q0 == 0:
             raise DomainFormatError("projective denominator must not vanish at the base origin")
-        # d0 + d.w vanishes somewhere on the closed catalog base exactly when
-        # |d0| <= sup |d.w| there, which is the dual norm of d
-        if (self.base.kind in CATALOG_KINDS and den[1:].any()
-                and abs(den[0]) <= _dual_norm(self.base, den[1:])):
+        # q0 + q.v vanishes somewhere on the closed catalog body exactly when
+        # |q0| <= sup |q.v| there, which is the dual norm of q
+        if body.kind in CATALOG_KINDS and q.any() and abs(q0) <= _dual_norm(body, q):
             raise DomainFormatError(
                 "projective denominator vanishes on the closed base: the image is unbounded")
-        z0 = off / den[0]
-        n_mat = mat - np.outer(z0, den[1:])
+        z0 = hom[1:, 0] / q0
+        n_mat = hom[1:, 1:] - np.outer(z0, q)
         sv = np.linalg.svd(n_mat, compute_uv=False)
         if sv[-1] <= 1e-12 * sv[0]:
             raise DomainFormatError(
                 f"{self.kind} map is degenerate: M - c d^T/d0 is singular within tolerance")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "offset", off)
         if self.denominator is not None:
-            object.__setattr__(self, "denominator", den)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_z0", z0)
-        object.__setattr__(self, "_n_inv", den[0] * np.linalg.inv(n_mat))
-        object.__setattr__(self, "_e", den[1:] / den[0])
+            self._store(denominator=den)
+        self._store(matrix=mat, offset=off, _body=body, _hom=hom, _z0=z0,
+                    _n_inv=q0 * np.linalg.inv(n_mat), _e=q / q0,
+                    _projective=self.denominator is not None or self.base._projective)
 
 
 # -- catalog constructors ----------------------------------------------------
@@ -321,7 +329,7 @@ def boundary_residual(d: DomainSpec, a):
     """Signed residual of the kind's boundary equation (negative inside).
 
     a may be a batch of shape (..., n); a single point gives a float.  Image
-    kinds report +inf where a point has no preimage.
+    kinds report +inf on the composite map's horizon, where no preimage exists.
     """
     a, res = _batched_residual(d, a)
     return float(res) if a.ndim == 1 else res
@@ -336,8 +344,8 @@ def _batched_residual(d, z):
 
 def _residual(d, z):
     """Residuals at points z of shape (m, n): gauge - 1 for the ball,
-    polydisc and l1 ball, sum |z_k|^p - 1 for lp balls, the base residual at
-    the preimage for image kinds, the defining values."""
+    polydisc and l1 ball, sum |z_k|^p - 1 for lp balls, the innermost body's
+    residual at the preimage for image kinds, the defining values."""
     # the array-method reductions (the sum is the one np.linalg.norm takes)
     # give the same values as the np.* wrappers and save more per call than
     # the subtraction costs; membership runs 10^5 times per certificate
@@ -353,22 +361,22 @@ def _residual(d, z):
     if kind in IMAGE_KINDS:
         w, ok = _preimage(d, z)
         if ok is None:
-            return _residual(d.base, w)
+            return _residual(d._body, w)
         res = np.full(z.shape[0], np.inf)
-        res[ok] = _residual(d.base, w[ok])
+        res[ok] = _residual(d._body, w[ok])
         return res
     return _defining_values(d, z)
 
 
 def _preimage(d, z):
-    """Base points w = u / (1 - e.u), u = d0 N^-1 (z - z0), of image points z
-    (..., n), and the mask of points off the horizon (None: affine, no horizon).
+    """Body points w = u / (1 - e.u), u = q0 N^-1 (z - z0), of image points z
+    (..., n), and the mask of points off the horizon (None: an affine chain).
 
     Sherman-Morrison on N - (z - z0) d^T; the divisor is a per-row einsum, so
     a batch rounds as its rows do one at a time.
     """
     u = (z - d._z0) @ d._n_inv.T
-    if d.denominator is None:
+    if not d._projective:
         return u, None
     div = 1.0 - np.einsum("...j,j->...", u, d._e)
     ok = np.abs(div) > 1e-13 * (1.0 + np.abs(u).max(axis=-1))
@@ -384,7 +392,7 @@ def forward_map(d: DomainSpec, w):
     if d.denominator is None:
         # affine: the divisor is 1; skipping it halves the cost of a sample batch
         return z
-    den = d._den[0] + w @ d._den[1:]
+    den = d.denominator[0] + w @ d.denominator[1:]
     if np.any(np.abs(den) < 1e-13):
         raise DomainFormatError("projective denominator vanishes on the base set")
     return z / den[..., None]
@@ -554,10 +562,7 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
     over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
     preimage is a rational path of degree n.
     """
-    base = d
-    while base.kind in IMAGE_KINDS:
-        base = base.base
-    if base.kind not in CATALOG_KINDS:
+    if d._body.kind not in CATALOG_KINDS:
         return None
     p, q, r, s = mobius
     out = np.empty((2, directions.shape[0]))
@@ -584,28 +589,28 @@ def _path_exits(d, u, alpha, cap):
     nan where no bracket applies, None for a kind with none at all.
 
     u (k+1, m, n) and alpha (k+1, m) hold the coefficients of t^0..t^k on a
-    leading degree axis.  The path is carried down the image chain: each
-    layer's preimage w = u / (1 - e.u), u = d0 N^-1 (z - z0), maps a rational
-    path of degree k to another.  Ball and polydisc bases are left where
-    |U(t)|^2 = |alpha(t)|^2, summed over coordinates or per coordinate: a real
-    polynomial of degree 2k whose constant term is negative at an interior
-    start, and which is >= 0 on a projective horizon.  Degree 1 solves the
-    quadratic in closed form; higher degrees take the first root below the
-    `cap` that `_polynomial_exits` finds on the march grid.  l1 and lp bases
-    are solved along degree-1 paths with constant alpha (every ray of an
-    affine chain), where the gauge is a norm.  These closed-form exits t come
-    as t -+ 0.4*_EXIT_TOL.  Every other l1 or lp path (projective chains, the
-    witness's paths) is bracketed by `_grid_brackets` between two marks of
-    the march.  Products are per-row einsums, so a batch rounds as its rows
-    one at a time.
+    leading degree axis.  The path is pulled back to the innermost body in one
+    step: the composite map's preimage w = u / (1 - e.u), u = q0 N^-1 (z - z0),
+    maps a rational path of degree k to another.  Ball and polydisc bases are
+    left where |U(t)|^2 = |alpha(t)|^2, summed over coordinates or per
+    coordinate: a real polynomial of degree 2k whose constant term is negative
+    at an interior start, and which is >= 0 on a projective horizon.  Degree 1
+    solves the quadratic in closed form; higher degrees take the first root
+    below the `cap` that `_polynomial_exits` finds on the march grid.  l1 and
+    lp bases are solved along degree-1 paths with constant alpha (every ray of
+    an affine chain), where the gauge is a norm.  These closed-form exits t
+    come as t -+ 0.4*_EXIT_TOL.  Every other l1 or lp path (projective chains,
+    the witness's paths) is bracketed by `_grid_brackets` between two marks of
+    the march.  Products are per-row einsums, so a batch rounds as its rows one
+    at a time.
     """
     terms, m, n = u.shape
-    while d.kind in IMAGE_KINDS:
+    if d.kind in IMAGE_KINDS:
         u = np.einsum("ij,kj->ik", (u - alpha[..., None] * d._z0).reshape(-1, n),
                       d._n_inv).reshape(terms, m, n)
-        if d.denominator is not None:
+        if d._projective:
             alpha = alpha - np.einsum("ij,j->i", u.reshape(-1, n), d._e).reshape(terms, m)
-        d = d.base
+        d = d._body
     scan = None
     if d.kind in ("ball", "polydisc"):
         if terms > 2:
@@ -623,14 +628,15 @@ def _path_exits(d, u, alpha, cap):
             if d.kind == "polydisc":
                 t = t.min(axis=-1)
     elif d.kind in ("l1ball", "lp_ball"):
+        p = _EXPONENTS.get(d.kind, d.p)
         if terms > 2:
-            return _grid_brackets(u, alpha, cap, d.p or 1.0)
+            return _grid_brackets(u, alpha, cap, p)
         flat = np.flatnonzero(alpha[1] == 0.0)
         t = np.full(m, np.nan)
         scale = alpha[0, flat, None]
         # a start on a projective horizon has scale 0: its exit is nan and marches
         with np.errstate(divide="ignore", invalid="ignore"):
-            t[flat] = _norm_exits(u[0, flat] / scale, u[1, flat] / scale, d.p or 1.0)
+            t[flat] = _norm_exits(u[0, flat] / scale, u[1, flat] / scale, p)
         if flat.size < m:
             scan = np.flatnonzero(alpha[1] != 0.0)
     else:
@@ -639,7 +645,7 @@ def _path_exits(d, u, alpha, cap):
     lower, upper = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
     if scan is not None:
         cap = np.broadcast_to(cap, (m,))[scan]
-        lower[scan], upper[scan] = _grid_brackets(u[:, scan], alpha[:, scan], cap, d.p or 1.0)
+        lower[scan], upper[scan] = _grid_brackets(u[:, scan], alpha[:, scan], cap, p)
     return lower, upper
 
 
@@ -830,20 +836,16 @@ def _projection_disc(d, functional):
     """(centre, radius) of the projection of d under z -> functional . z when
     that set is a disc in closed form, else None.
 
-    The image chain composes into one homogeneous map zeta = (p0 + p.w) /
-    (q0 + q.w) over the innermost catalog base B, and zeta lies in the
-    projection exactly when |p0 - zeta q0| < h_B(p - zeta q), h_B the support
-    function of B, which is its dual norm (ball l2, polydisc l1, l1 ball
-    l-inf, lp ball lq).  With q = 0 (affine chains) that is the disc about
-    p0/q0 of radius h_B(p)/|q0|, for any base.  Over a ball base it reads
-    A|zeta|^2 - 2 Re(zeta B) + C < 0, a disc when A > 0.  Other bases under
-    projective maps, and defining functions, give None.
+    The functional and the chain's composite map `_hom` give one homogeneous
+    map zeta = (p0 + p.w) / (q0 + q.w) over the innermost catalog body B, and
+    zeta lies in the projection exactly when |p0 - zeta q0| < h_B(p - zeta q),
+    h_B the support function of B, which is its dual norm (ball l2, polydisc
+    l1, l1 ball l-inf, lp ball lq).  With q = 0 (affine chains) that is the
+    disc about p0/q0 of radius h_B(p)/|q0|, for any base.  Over a ball base it
+    reads A|zeta|^2 - 2 Re(zeta B) + C < 0, a disc when A > 0.  Other bases
+    under projective maps, and defining functions, give None.
     """
-    hom = np.eye(d.n + 1, dtype=complex)
-    while d.kind in IMAGE_KINDS:
-        # rows: the denominator (d0, d), then the numerator (c, M)
-        hom = hom @ np.vstack([d._den, np.column_stack([d.offset, d.matrix])])
-        d = d.base
+    hom, d = d._hom, d._body
     if d.kind not in CATALOG_KINDS:
         return None
     q0, q = hom[0, 0], hom[0, 1:]
@@ -865,7 +867,7 @@ def _dual_norm(d, a):
     """sup |a . w| over the open unit body of the catalog kind d: the norm of
     a dual to the body's lp norm, taken of a / max|a_k| so that no power of
     a modulus overflows or vanishes."""
-    p = {"ball": 2.0, "polydisc": math.inf, "l1ball": 1.0}.get(d.kind, d.p)
+    p = _EXPONENTS.get(d.kind, d.p)
     q = 1.0 if p == math.inf else math.inf if p == 1.0 else p / (p - 1.0)
     top = np.abs(a).max()
     return top * np.linalg.norm(a / top, ord=q)
@@ -933,7 +935,7 @@ def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
     if kind in ("l1ball", "lp_ball"):
         # exact law, p = 1 for l1: moduli**p ~ Dirichlet(2/p, .., 2/p) is the
         # cone measure of the unit sphere, scaled by the radial law u**(1/2n)
-        p = 1.0 if kind == "l1ball" else d.p
+        p = _EXPONENTS.get(kind, d.p)
         g = rng.gamma(2.0 / p, size=(count, n))
         mod = (g / g.sum(axis=1, keepdims=True)) ** (1.0 / p)
         mod *= rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / (2 * n))
@@ -1036,10 +1038,10 @@ def _functional_coefficients(d, a):
         w, ok = _preimage(d, a)
         if ok is not None and not ok:
             raise ArgumentError("no preimage at the requested point")
-        lam_base = _functional_coefficients(d.base, w)
+        lam_base = _functional_coefficients(d._body, w)
         # hyperplane coefficients transform by the conjugate transpose of the
-        # inverse forward derivative (M - a d^T) / (d0 + d.w)
-        jac = (d.matrix - a[:, None] * d._den[None, 1:]) / (d._den[0] + w @ d._den[1:])
+        # inverse derivative (C - a q^T) / (q0 + q.w) of the composite map
+        jac = (d._hom[1:, 1:] - a[:, None] * d._hom[0, 1:]) / (d._hom[0, 0] + w @ d._hom[0, 1:])
         return np.conj(np.linalg.inv(jac)).T @ lam_base
     lam = np.array([fn(*list(a) + list(np.conj(a))) for fn in d._grad_fns], dtype=complex)
     if np.linalg.norm(lam) < _SMOOTH_TOL:

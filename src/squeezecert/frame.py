@@ -345,10 +345,9 @@ def _stationary_refine(d, basis, coeff, value, evaluate):
 
 def _circular(d: DomainSpec) -> bool:
     """Whether d is invariant under z -> e^{it} z: the catalog bodies and
-    their linear (zero-offset) affine images."""
-    if d.kind in CATALOG_KINDS:
-        return True
-    return d.kind == "affine_image" and not d.offset.any() and _circular(d.base)
+    their images under a linear composite map (no offset, no denominator)."""
+    hom = d._hom
+    return d._body.kind in CATALOG_KINDS and not hom[0, 1:].any() and not hom[1:, 0].any()
 
 
 def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:

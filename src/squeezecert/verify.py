@@ -28,8 +28,8 @@ from .domains import (
     translate,
 )
 from .errors import ArgumentError
-from .numerics import (_check_counts, _pairs, _shear_slacks, _stream, count_inverse_monomials,
-                       inverse_coefficients, unit_lower)
+from .numerics import (SYMBOLIC_CAP, _check_counts, _pairs, _shear_slacks, _stream,
+                       count_inverse_monomials, inverse_coefficients, unit_lower)
 from .planar import (
     half_plane,
     rho_radius_check,
@@ -41,7 +41,6 @@ from .planar import (
 
 VIOLATION_TOL = -1e-10
 
-SYMBOLIC_LIMIT = 8
 NUMERIC_LIMIT = 16
 
 # parameters the lemma radius checks are exercised at; the closed endpoint is
@@ -142,7 +141,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     _check_counts(streams=False, seed=seed, trials=trials)
     track = _Tracker()
     for n in dims:
-        if n <= SYMBOLIC_LIMIT:
+        if n <= SYMBOLIC_CAP:
             counts = count_inverse_monomials(n)
             for j in range(n):
                 for k in range(j):

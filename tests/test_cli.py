@@ -7,7 +7,7 @@ import pytest
 
 from squeezecert import __version__, cli
 from squeezecert.cli import EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
-from squeezecert.domains import ball, domain_to_json, polydisc, projective_image
+from squeezecert.domains import affine_image, ball, domain_to_json, polydisc, projective_image
 from squeezecert.numerics import constants_csv, universal_bounds
 from squeezecert.verify import SuiteReport
 
@@ -225,6 +225,30 @@ def test_bound_unbounded_projective_image_is_usage_error(tmp_path, capsys):
     path.write_text(json.dumps(spec))
     rc, out, err = run_cli(["bound", str(path)], capsys)
     assert rc == EXIT_USAGE and out == "" and "vanishes on the closed base" in err
+
+
+def test_bound_unbounded_nested_projective_image_is_usage_error(tmp_path, capsys):
+    # bounded over ball(2), unbounded over the ball scaled by 2: the
+    # denominator is checked over the innermost body of the chain
+    scaled = affine_image(ball(2), 2.0 * np.eye(2))
+    spec = domain_to_json(projective_image(scaled, np.eye(2), np.zeros(2), [1.0, 0.3, 0.0]))
+    spec["map"]["denominator"] = [[1.0, 0.0], [0.6, 0.0], [0.0, 0.0]]
+    path = tmp_path / "nested_horizon.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run_cli(["bound", str(path)], capsys)
+    assert rc == EXIT_USAGE and out == "" and "the image is unbounded" in err
+
+
+def test_bound_recentred_projective_ball_is_clean(capsys):
+    # --point makes the nested chain translate(projective_image(ball(2), ...))
+    spec = str(pathlib.Path(__file__).parents[1] / "demos" / "projective_ball2.json")
+    rc, out, _ = run_cli(["bound", spec, "--point", "0.1,0.05j", "--samples", "400"], capsys)
+    assert rc == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["class"] == "cconvex" and result["witness"]["present"]
+    assert result["margins"]
+    for name, margin in result["margins"].items():
+        assert margin["violations"] == 0 and margin["min_slack"] > 0.0, name
 
 
 def test_bound_margins_below_tol_exit_two(ball_spec, capsys):

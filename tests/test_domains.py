@@ -641,6 +641,23 @@ def test_projective_denominator_vanishing_on_the_closed_base_is_refused(base, de
         projective_image(base, np.eye(2), np.zeros(2), den)
 
 
+def test_nested_projective_denominator_vanishing_on_the_closed_body_is_refused():
+    # over ball(2) scaled by 2 the denominator 1 + 0.6 w1 reads 1 + 1.2 v1 on
+    # the innermost ball, which vanishes at v1 = -1/1.2
+    scaled = affine_image(ball(2), 2.0 * np.eye(2))
+    with pytest.raises(DomainFormatError, match="the image is unbounded"):
+        projective_image(scaled, np.eye(2), np.zeros(2), [1.0, 0.6, 0.0])
+    with pytest.raises(DomainFormatError, match="the image is unbounded"):
+        projective_image(ball(2), np.eye(2), np.zeros(2), [1.0, 1.2, 0.0])
+    # over the ball shifted by -1/2, 1 + c w1 = (1 - c/2) + c v1: bounded
+    # exactly when |1 - c/2| > |c|, so c = 0.6 passes and c = 0.7 does not
+    shifted = translate(ball(2), [0.5, 0.0])
+    assert contains(projective_image(shifted, np.eye(2), np.zeros(2), [1.0, 0.6, 0.0]),
+                    [0.1, 0.0])
+    with pytest.raises(DomainFormatError, match="the image is unbounded"):
+        projective_image(shifted, np.eye(2), np.zeros(2), [1.0, 0.7, 0.0])
+
+
 def test_projective_denominator_off_the_closed_base_is_accepted():
     # |d0| just above the dual norm of d, and d = 0
     assert contains(projective_image(polydisc(2), np.eye(2), np.zeros(2), [1.0, 0.5, 0.49]),

@@ -301,7 +301,14 @@ def test_frame_invariants(name, make):
     (lambda: translate(ball(2), np.array([0.3, -0.2j])), False),
     (cayley_polydisc, False),
     (lambda: defining_domain(2, "abs(z1)**2 + abs(z2)**2 - 1", "convex"), False),
-], ids=["ball", "polydisc", "l1ball", "lp_ball", "shear", "translated", "projective", "defining"])
+    # the composite map decides: a linear chain, a projective map that is
+    # linear, and a linear layer over a projective one
+    (lambda: affine_image(affine_image(l1ball(2), 2.0 * np.eye(2)), [[1.0, 0.5j], [0.0, 1.0]]),
+     True),
+    (lambda: projective_image(ball(2), np.eye(2), np.zeros(2), [3.0, 0.0, 0.0]), True),
+    (lambda: affine_image(cayley_polydisc(), np.eye(2)), False),
+], ids=["ball", "polydisc", "l1ball", "lp_ball", "shear", "translated", "projective", "defining",
+        "linear_chain", "linear_projective", "linear_over_projective"])
 def test_circular_domains(make, expected):
     assert _circular(make()) is expected
 
