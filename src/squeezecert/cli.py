@@ -227,7 +227,9 @@ def cmd_verify(args) -> int:
     violations = sum(r["violations"] for r in reports)
     _write(_payload(config, {"reports": reports, "violations": violations}), args.out)
     if violations:
-        worst = min(reports, key=lambda r: r["worst_margin"])
+        # a non-finite worst margin is a fault, and ranks first
+        worst = min(reports, key=lambda r: r["worst_margin"]
+                    if math.isfinite(r["worst_margin"]) else -math.inf)
         print(f"pipeline check failed: suite {worst['suite']} reported "
               f"{violations} violation(s), worst case {worst['worst_case']}",
               file=sys.stderr)

@@ -259,14 +259,22 @@ def inverse_coefficients(a: CMatrix) -> CMatrix:
         raise ArgumentError("inverse_coefficients expects a CMatrix")
     if not (a.lower_triangular and a.unit_diagonal):
         raise ArgumentError("inverse_coefficients requires both structural flags set")
-    n = a.n
-    alpha = a.entries
-    inv = np.zeros((n, n), dtype=complex)
+    return CMatrix(_inverse_stack(a.entries[None])[0], lower_triangular=True,
+                   unit_diagonal=True)
+
+
+def _inverse_stack(alpha) -> np.ndarray:
+    """The forward recursion of `inverse_coefficients` on a stack (T, n, n) of
+    unit lower triangular entry arrays, all T matrices one entry at a time.
+    Each entry is one stacked `matmul` of a row slice by a column slice, which
+    rounds as `np.dot` of the two slices of each matrix."""
+    t, n, _ = alpha.shape
+    inv = np.zeros((t, n, n), dtype=complex)
     for j in range(n):
-        inv[j, j] = 1.0
+        inv[:, j, j] = 1.0
         for k in range(j - 1, -1, -1):
-            inv[j, k] = -np.dot(alpha[j, k:j], inv[k:j, k])
-    return CMatrix(inv, lower_triangular=True, unit_diagonal=True)
+            inv[:, j, k] = -(alpha[:, j, None, k:j] @ inv[:, k:j, k, None])[:, 0, 0]
+    return inv
 
 
 def _shear_slacks(inv) -> tuple:

@@ -6,8 +6,11 @@ the containment lemmas, and the strictness of the witness bounds over the
 catalog fixtures.  kappa_probe sweeps a parameterized family of domains and
 records the smallest observed bounds; it never claims the infimum.
 
-Suites fail only on violations below -1e-10: the tight closed-form margins
-read zero, rounded outward to about 1e-14 below it.
+The coefficient and lemma suites run each dimension's random trials as one
+stack: one draw per trial, each on its own stream, then one stacked inverse
+and one batch of margins.  Suites fail on margins below -1e-10 (the tight
+closed-form margins read zero, rounded outward to about 1e-14 below it) and
+on any non-finite margin, which is reported as the worst case.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ from .domains import (
     translate,
 )
 from .errors import ArgumentError
-from .numerics import (SYMBOLIC_CAP, _check_counts, _pairs, _shear_slacks, _stream,
-                       count_inverse_monomials, inverse_coefficients, unit_lower)
+from .numerics import (SYMBOLIC_CAP, _check_counts, _inverse_stack, _pairs, _shear_slacks,
+                       _stream, count_inverse_monomials)
 from .planar import (
     half_plane,
     rho_radius_check,
@@ -87,20 +90,31 @@ class KappaProbeReport:
 
 
 class _Tracker:
-    """Accumulates margins, counting violations and keeping the worst case."""
+    """Accumulates margins, counting violations and keeping the worst case.
+
+    The worst case is the first least margin in add order.  A non-finite
+    margin is a fault: it counts as a violation and ranks below every finite
+    one, so the first fault stays the worst case.
+    """
 
     def __init__(self):
         self.violations = 0
         self.worst = math.inf
         self.case = {}
+        self._rank = math.inf
 
     def add(self, margin, case):
-        margin = float(margin)
-        if margin < VIOLATION_TOL:
-            self.violations += 1
-        if margin < self.worst:
-            self.worst = margin
-            self.case = case
+        self.extend([margin], lambda _: case)
+
+    def extend(self, margins, case_at):
+        """Add a batch of margins in order; `case_at(i)` builds the case of
+        the i-th, called only for a new worst case."""
+        margins = np.asarray(margins, dtype=float)
+        rank = np.where(np.isfinite(margins), margins, -np.inf)
+        self.violations += int(np.count_nonzero(rank < VIOLATION_TOL))
+        i = int(np.argmin(rank))
+        if rank[i] < self._rank:
+            self._rank, self.worst, self.case = rank[i], float(margins[i]), case_at(i)
 
 
 def _check_dims(dims, limit, label):
@@ -115,15 +129,29 @@ def _check_dims(dims, limit, label):
     return tuple(map(int, dims))
 
 
-def _random_alpha(n, rng):
-    raw = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+def _shear_stack(seed, keys, n, trials, rows=0):
+    """Unit lower triangular shears for trials 0..trials-1, stacked (T, n, n),
+    and `rows` complex normal sample rows per trial, stacked (T, rows, n).
+
+    Trial 0's shear is the all-(-1) one; each later trial draws its
+    subdiagonal uniformly from the square [-1, 1]^2 on its own stream
+    `_stream(seed, *keys, trial)`, pulled radially into the closed unit disc.
+    The sample rows come from the same stream, after the shear.
+    """
+    raw = np.zeros((trials, n, n), dtype=complex)
+    z = np.empty((trials, rows, 2 * n))
+    for trial in range(0 if rows else 1, trials):
+        rng = np.random.default_rng(_stream(seed, *keys, trial))
+        if trial:
+            raw.real[trial], raw.imag[trial] = rng.uniform(-1, 1, (2, n, n))
+        if rows:
+            z[trial] = rng.normal(size=(rows, 2 * n))
     mods = np.abs(raw)
     raw[mods > 1.0] /= mods[mods > 1.0]
-    return np.tril(raw, -1) + np.eye(n)
-
-
-def _all_minus_one(n):
-    return np.tril(-np.ones((n, n)), -1) + np.eye(n)
+    raw[0] = -1.0
+    alpha = np.tril(raw, -1)
+    alpha += np.eye(n)
+    return alpha, z.view(complex)
 
 
 # -- triangular coefficient suite ---------------------------------------------
@@ -135,7 +163,9 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     coefficient satisfies |c_{j,k}| <= 2**(j-k-1), the symbolic expansion has
     exactly that many monomials (dimensions up to 8), and the l1 norm of an
     inverted sample is bounded by sum_j 2**(n-j) |Z_j|.  The all-(-1) matrix
-    with an all-ones sample runs first and attains equality.
+    with an all-ones sample runs first and attains equality.  The trials of
+    a dimension run as one stack; each draws its matrix and its 8 samples
+    from its own stream, so a trial's figures do not depend on the others.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_star")
     _check_counts(streams=False, seed=seed, trials=trials)
@@ -143,34 +173,26 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     for n in dims:
         if n <= SYMBOLIC_CAP:
             counts = count_inverse_monomials(n)
-            for j in range(n):
-                for k in range(j):
-                    expected = 2 ** (j - k - 1)
-                    track.add(0.0 if counts[j, k] == expected else -1.0,
-                              {"check": "symbolic_count", "n": n, "j": j, "k": k,
-                               "count": int(counts[j, k])})
+            rows, cols = np.tril_indices(n, -1)
+            track.extend(np.where(counts[rows, cols] == 2 ** (rows - cols - 1), 0.0, -1.0),
+                         lambda i: {"check": "symbolic_count", "n": n, "j": int(rows[i]),
+                                    "k": int(cols[i]), "count": int(counts[rows[i], cols[i]])})
         bound = np.zeros((n, n))
         for j in range(n):
             bound[j, :j] = 2.0 ** (j - np.arange(j) - 1)
         weights = 2.0 ** (n - 1 - np.arange(n))
-        for trial in range(trials):
-            rng = np.random.default_rng(_stream(seed, n, trial))
-            alpha = _all_minus_one(n) if trial == 0 else _random_alpha(n, rng)
-            inv = inverse_coefficients(unit_lower(alpha)).entries
-            coeff_margin = float(np.min(
-                (bound - np.abs(np.tril(inv, -1))) / np.maximum(1.0, bound)))
-            track.add(coeff_margin,
-                      {"check": "coefficient_bound", "n": n, "trial": trial,
-                       "alpha": _pairs(alpha)})
-            z = rng.normal(size=(8, 2 * n)).view(complex)
-            if trial == 0:
-                z[0] = 1.0
-            lhs = np.abs(z @ inv.T).sum(axis=1)
-            rhs = np.abs(z) @ weights
-            bound_margin = float(np.min((rhs - lhs) / (1.0 + rhs)))
-            track.add(bound_margin,
-                      {"check": "weighted_bound", "n": n, "trial": trial,
-                       "alpha": _pairs(alpha)})
+        alpha, z = _shear_stack(seed, (n,), n, trials, rows=8)
+        inv = _inverse_stack(alpha)
+        z[0, 0] = 1.0
+        margins = np.empty((trials, 2))
+        margins[:, 0] = np.min((bound - np.abs(np.tril(inv, -1))) / np.maximum(1.0, bound),
+                               axis=(1, 2))
+        rhs = np.abs(z) @ weights
+        z = z @ inv.transpose(0, 2, 1)  # the images; rebinding frees the draws
+        margins[:, 1] = np.min((rhs - np.abs(z).sum(axis=2)) / (1.0 + rhs), axis=1)
+        track.extend(margins.ravel(),
+                     lambda i: {"check": ("coefficient_bound", "weighted_bound")[i % 2],
+                                "n": n, "trial": i // 2, "alpha": _pairs(alpha[i // 2])})
     return SuiteReport(suite="star", dims=dims, trials=trials, seed=seed,
                        violations=track.violations, worst_margin=track.worst,
                        worst_case=track.case)
@@ -185,20 +207,17 @@ def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteRep
     inside the sheared simplex (closed forms, `numerics._shear_slacks`); the
     tau radius must survive the half-plane product and the rho radius the
     catalog map products, each sampled at `samples` * 10 points.  The
-    all-(-1) shear runs first in every dimension and is tight.
+    all-(-1) shear runs first in every dimension and is tight.  The shears
+    of a dimension run as one stack; each draws from its own stream.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_lemmas")
     _check_counts(streams=False, seed=seed, trials=trials, samples=samples)
     track = _Tracker()
     for n in dims:
-        for trial in range(trials):
-            rng = np.random.default_rng(_stream(seed, 3, n, trial))
-            alpha = _all_minus_one(n) if trial == 0 else _random_alpha(n, rng)
-            inv = inverse_coefficients(unit_lower(alpha)).entries
-            for label, slack in zip(("polydisc_in_shear", "ball_in_shear"),
-                                    _shear_slacks(inv)):
-                track.add(slack, {"check": label, "n": n, "trial": trial,
-                                  "alpha": _pairs(alpha)})
+        alpha, _ = _shear_stack(seed, (3, n), n, trials)
+        track.extend([slack for inv in _inverse_stack(alpha) for slack in _shear_slacks(inv)],
+                     lambda i: {"check": ("polydisc_in_shear", "ball_in_shear")[i % 2],
+                                "n": n, "trial": i // 2, "alpha": _pairs(alpha[i // 2])})
         slit_maps = [riemann_catalog(slit_plane()) for _ in range(n)]
         mixed = [riemann_catalog(k()) for k in (slit_plane, half_plane, unit_disc)]
         for ci, c in enumerate(RADIUS_PARAMETERS):
