@@ -140,7 +140,7 @@ def _shear_stack(seed, keys, n, trials, rows=0):
     """
     raw = np.zeros((trials, n, n), dtype=complex)
     z = np.empty((trials, rows, 2 * n))
-    for trial in range(0 if rows else 1, trials):
+    for trial in range(trials):
         rng = np.random.default_rng(_stream(seed, *keys, trial))
         if trial:
             raw.real[trial], raw.imag[trial] = rng.uniform(-1, 1, (2, n, n))
@@ -173,10 +173,10 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     for n in dims:
         if n <= SYMBOLIC_CAP:
             counts = count_inverse_monomials(n)
-            rows, cols = np.tril_indices(n, -1)
-            track.extend(np.where(counts[rows, cols] == 2 ** (rows - cols - 1), 0.0, -1.0),
-                         lambda i: {"check": "symbolic_count", "n": n, "j": int(rows[i]),
-                                    "k": int(cols[i]), "count": int(counts[rows[i], cols[i]])})
+            js, ks = np.tril_indices(n, -1)
+            track.extend(np.where(counts[js, ks] == 2 ** (js - ks - 1), 0.0, -1.0),
+                         lambda i: {"check": "symbolic_count", "n": n, "j": int(js[i]),
+                                    "k": int(ks[i]), "count": int(counts[js[i], ks[i]])})
         bound = np.zeros((n, n))
         for j in range(n):
             bound[j, :j] = 2.0 ** (j - np.arange(j) - 1)
