@@ -2,6 +2,7 @@
 byte for byte against a trial-by-trial run of the same suites kept here as a
 reference, and a non-finite margin fails a suite."""
 
+import itertools
 import json
 import math
 
@@ -174,7 +175,8 @@ def test_inverse_stack_rounds_as_the_per_matrix_recursion(n):
 # -- a non-finite margin is a violation and the worst case -------------------
 
 def _nan_at_trial(bad):
-    calls = iter(range(10**6))
+    """`_shear_slacks` with a NaN polydisc slack for trial `bad`."""
+    calls = itertools.count()
 
     def slacks(inv):
         return (math.nan, 0.0) if next(calls) == bad else _shear_slacks(inv)
