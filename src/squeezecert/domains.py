@@ -86,7 +86,8 @@ _SCAN_MARKS = 8
 _SCAN_FLOATS = 1 << 16
 # rounds of rejection proposals before interior sampling gives up
 _REJECTION_ROUNDS = 400
-# moduli below this vanish; a polydisc coordinate this close to 1 touches its face
+# moduli below this vanish; a polydisc coordinate this close to the largest
+# one, relatively, touches its face
 _SMOOTH_TOL = 1e-9
 
 
@@ -1013,7 +1014,9 @@ def _functional_coefficients(d, a):
         return a.copy()
     if kind == "polydisc":
         mods = np.abs(a)
-        on_face = mods >= 1.0 - _SMOOTH_TOL
+        # against the largest modulus, not 1: a contact is an exit's lower
+        # end, whose modulus falls short of 1 by 0.4*_EXIT_TOL over its radius
+        on_face = mods >= (1.0 - _SMOOTH_TOL) * mods.max()
         if on_face.sum() != 1:
             raise NonsmoothBoundaryError(
                 f"polydisc point touches {int(on_face.sum())} faces; tangent undefined")

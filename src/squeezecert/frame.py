@@ -7,12 +7,14 @@ contacts so far.  The normalizer then consists of the diagonalizing map T
 built from the contacts and a unit lower triangular correction A assembled
 from transported tangent hyperplanes.
 
-The direction search is a batched multi-start compass walk whose best
-survivor is refined by Gauss-Newton steps to the stationarity identity of a
-smooth contact.  Tied exact canonical candidates are ordered by the key
-(-Re v_1, |arg v_1|, -Re v_2, ...), so the catalog bodies keep their contacts
-bit for bit; otherwise the refined survivor is the contact.  The contacts of
-circular domains are then phase-normalized.
+Over a linear image of the ball or polydisc (the catalog bodies included)
+the least exit of a stage has a closed form, read off the composite map, and
+no search runs.  Every other domain takes a batched multi-start compass walk
+whose best survivor is refined by Gauss-Newton steps to the stationarity
+identity of a smooth contact.  Tied exact canonical candidates are ordered by
+the key (-Re v_1, |arg v_1|, -Re v_2, ...), so the catalog bodies keep their
+contacts bit for bit; otherwise the closed-form or refined direction is the
+contact.  The contacts of circular domains are then phase-normalized.
 """
 from __future__ import annotations
 
@@ -170,12 +172,17 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     """Minimize the boundary exit distance from 0 over unit subspace directions.
 
     `subspace_basis` holds orthonormal rows spanning a complex subspace
-    (default: the full space).  A multi-start batched compass walk is
-    followed by the stationarity refine of its best survivor; `agreement`
-    counts survivors (only the best one refined) within AGREE_TOL of the best
-    value, and a lone best survivor raises the search_disagreement flag rather
-    than an error.  Exact canonical candidates that tie the optimum are ranked
-    by the tie key; otherwise the refined best survivor is returned.
+    (default: the full space).  Over a linear image of the ball or polydisc
+    (`_circular` with such a body) the least exit has a closed form,
+    `_closed_form_coeffs`; its ray and the canonical candidates take one
+    exit batch, `n_starts` and `seed` go unused, no search flag is raised,
+    and `agreement` counts the exits within AGREE_TOL of the least.  Every
+    other domain takes a multi-start batched compass walk followed by the
+    stationarity refine of its best survivor; `agreement` counts survivors
+    (only the best one refined) within AGREE_TOL of the best value, and a
+    lone best survivor raises the search_disagreement flag rather than an
+    error.  Exact canonical candidates that tie the optimum are ranked by the
+    tie key; otherwise the closed-form or refined direction is returned.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -187,10 +194,6 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
         if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-9):
             raise ArgumentError("subspace basis rows must be orthonormal")
     _check_counts(n_starts=n_starts, seed=seed)
-    m = basis.shape[0]
-    if n_starts is None:
-        n_starts = DEFAULT_STARTS_PER_DIM * m
-    rng = np.random.default_rng(seed)
     origin = np.zeros(d.n, dtype=complex)
 
     def evaluate(coeffs):
@@ -198,6 +201,65 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
         return ray_exit_batch(d, origin, dirs)
 
     canonical = _canonical_coeffs(basis)
+    exact = _closed_form_coeffs(d, basis)
+    if exact is None:
+        values, surv_vals, c_best, val_best = _compass_search(
+            d, basis, canonical, n_starts, seed, evaluate)
+        agreement = int(np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL))
+        flags = () if agreement >= 2 else ("search_disagreement",)
+        least = min(values.min(), surv_vals.min())
+    else:
+        # the engine's bracket-checked exit, not 1/|c G|, so the frame's
+        # bracket checks keep their meaning
+        values = evaluate(np.concatenate([canonical, exact[None]]))
+        c_best, val_best, least = exact, values[-1], values.min()
+        agreement = int(np.count_nonzero(values <= least + AGREE_TOL))
+        flags = ()
+
+    # exact canonical candidates that tie the optimum win outright, so the
+    # symmetric catalog bodies reproduce their contacts to the last bit
+    window = least * (1.0 + TIE_REL_WINDOW) + 1e-13
+    tied_canonical = np.flatnonzero(values[: len(canonical)] <= window)
+    if tied_canonical.size:
+        tied_dirs = _embed(basis, canonical[tied_canonical])
+        pick = min(range(len(tied_canonical)), key=lambda i: _tie_key(tied_dirs[i]))
+        direction, radius = tied_dirs[pick], values[tied_canonical[pick]]
+    else:
+        direction, radius = _embed(basis, c_best), val_best
+    return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(radius),
+                        agreement=agreement, flags=flags)
+
+
+def _closed_form_coeffs(d, basis):
+    """Unit subspace coordinates c of the least exit over the span of the
+    `basis` rows B, for a linear image of the ball or polydisc; None for every
+    other domain.
+
+    The body point of z = c B is w = c G with G = B N^-T (N^-1 the image's
+    `_n_inv`, the identity for a catalog body), so the exit along c is
+    1/|c G| in the body's gauge and the least exit maximizes that gauge.
+    Polydisc: c = conj(G_k)/|G_k| for the column k of largest norm.  Ball:
+    c = conj(U_0), the first left singular vector of G.
+    """
+    body = d._body.kind
+    if body not in ("ball", "polydisc") or not _circular(d):
+        return None
+    g = basis if d.kind in CATALOG_KINDS else basis @ d._n_inv.T
+    if body == "polydisc":
+        col = g[:, np.argmax(np.linalg.norm(g, axis=0))]
+        return np.conj(col) / np.linalg.norm(col)
+    return np.conj(np.linalg.svd(g)[0][:, 0])
+
+
+def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
+    """Multi-start compass walk from the canonical and `n_starts` random
+    directions (default DEFAULT_STARTS_PER_DIM per complex dimension), then
+    the stationarity refine of its best survivor.  Returns the start exits,
+    the survivors' exits, and the refined survivor and its exit."""
+    m = basis.shape[0]
+    if n_starts is None:
+        n_starts = DEFAULT_STARTS_PER_DIM * m
+    rng = np.random.default_rng(seed)
     u = rng.normal(size=(n_starts, 2 * m))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     random_coeffs = _u_to_coeffs(u, m)
@@ -229,22 +291,7 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     c_best, val_best = _stationary_refine(
         d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
     surv_vals[top] = val_best
-
-    agreement = int(np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL))
-    flags = () if agreement >= 2 else ("search_disagreement",)
-
-    # exact canonical candidates that tie the optimum win outright, so the
-    # symmetric catalog bodies reproduce their contacts to the last bit
-    window = min(values.min(), surv_vals.min()) * (1.0 + TIE_REL_WINDOW) + 1e-13
-    tied_canonical = np.flatnonzero(values[: len(canonical)] <= window)
-    if tied_canonical.size:
-        tied_dirs = _embed(basis, canonical[tied_canonical])
-        pick = min(range(len(tied_canonical)), key=lambda i: _tie_key(tied_dirs[i]))
-        direction, radius = tied_dirs[pick], values[tied_canonical[pick]]
-    else:
-        direction, radius = _embed(basis, c_best), val_best
-    return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(radius),
-                        agreement=agreement, flags=flags)
+    return values, surv_vals, c_best, val_best
 
 
 def _pattern(points, step, steps):

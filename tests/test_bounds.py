@@ -625,6 +625,18 @@ def test_certify_projective_ball_gets_a_witness():
     assert margin.violations == 0 and margin.min_slack >= 0.0
 
 
+@pytest.mark.parametrize("matrix,radii", [
+    (np.diag([1.0, 1e-5, 1.0]), [1e-5, 1.0, 1.0]),
+    (np.array([[1.0, 0.0], [1e4, 1.0]]), [1e-4, 1e4]),
+], ids=["thin_axis", "steep_shear"])
+def test_certify_polydisc_images_with_small_contact_radii(matrix, radii):
+    # below radius 4e-4 a contact's face coordinate sits more than 1e-9 under
+    # 1; the face test measures against the largest modulus instead
+    rep = certify(affine_image(polydisc(len(radii)), matrix))
+    assert np.allclose(rep.diagnostics["radii"], radii, rtol=1e-6, atol=0)
+    assert all(m.violations == 0 for m in rep.margins.values())
+
+
 @pytest.mark.parametrize("budget", [
     {"samples": 0}, {"samples": -1}, {"rays": 0},
     pytest.param({"cloud_samples": 0}, id="no_cloud"),

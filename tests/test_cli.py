@@ -260,6 +260,29 @@ def test_bound_margins_below_tol_exit_two(ball_spec, capsys):
     assert err == f"pipeline check failed: {', '.join(margins)}\n"
 
 
+def _spec(tmp_path, name, d):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(domain_to_json(d)))
+    return str(path)
+
+
+def test_bound_near_singular_ball_image_exits_two(tmp_path, capsys):
+    # construction accepts the map, but its stage 0 radius, 5e-10, is below
+    # the frame's collapse floor of 1e-9
+    spec = _spec(tmp_path, "near_singular", affine_image(ball(2), [[1.0, 1.0], [1.0, 1.0 + 1e-9]]))
+    rc, out, err = run_cli(["bound", spec, "--samples", "400"], capsys)
+    assert rc == EXIT_PIPELINE
+    assert out == "" and "FrameDegenerateError" in err and "stage 0" in err
+
+
+def test_bound_thin_polydisc_image_is_clean(tmp_path, capsys):
+    # a contact radius of 1e-5 once left its face coordinate too far under 1
+    spec = _spec(tmp_path, "thin", affine_image(polydisc(3), np.diag([1.0, 1e-5, 1.0])))
+    rc, out, _ = run_cli(["bound", spec, "--samples", "400"], capsys)
+    assert rc == EXIT_OK
+    assert json.loads(out)["result"]["diagnostics"]["radii"][0] == pytest.approx(1e-5)
+
+
 def test_verify_violation_exits_two(monkeypatch, capsys):
     def violated(**kwargs):
         return SuiteReport(suite="star", dims=(2,), trials=1, seed=0, violations=1,

@@ -482,6 +482,19 @@ def test_tangent_polydisc_face_and_corner():
         tangent_functional(polydisc(2), np.array([1.0, 1.0]), "complex_avoiding")
 
 
+def test_tangent_polydisc_face_is_scale_free():
+    # a contact is an exit's lower end: on a polydisc image with radius 1e-5
+    # its face coordinate falls 4e-8 short of 1, yet it is the one face
+    d = affine_image(polydisc(3), np.diag([1.0, 1e-5, 1.0]))
+    r = ray_exit(d, np.zeros(3), np.array([0.0, 1.0, 0.0]))
+    tf = tangent_functional(d, np.array([0.0, r, 0.0]), "real_supporting")
+    assert np.flatnonzero(tf.coefficients).tolist() == [1]
+    # two faces are still a corner, whatever the scale
+    with pytest.raises(NonsmoothBoundaryError, match="touches 2 faces"):
+        tangent_functional(d, np.array([1.0 - 4e-13, 1e-5 * (1.0 - 4e-13), 0.0]),
+                           "real_supporting")
+
+
 def test_tangent_l1ball():
     tf = tangent_functional(l1ball(2), np.array([0.5, 0.5]), "real_supporting")
     assert np.allclose(tf.coefficients, [1.0, 1.0])

@@ -9,6 +9,7 @@ import pytest
 
 from squeezecert import frame as frame_mod
 from squeezecert.domains import (
+    DomainSpec,
     affine_image,
     ball,
     defining_domain,
@@ -22,7 +23,6 @@ from squeezecert.domains import (
 )
 from squeezecert.errors import (
     ArgumentError,
-    FrameDegenerateError,
     NonsmoothBoundaryError,
     TriangularityError,
     ValidationFailureError,
@@ -82,8 +82,15 @@ def test_search_ball_rotated_subspace_ties_canonically():
     assert np.allclose(res.direction, [0.0, 1.0, 0.0], atol=1e-9)
 
 
+def walked_shear():
+    # the shear of the closed-form tests, moved off the origin so that its
+    # contacts are searched: an offset leaves no closed form
+    return affine_image(polydisc(2), np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]]),
+                        np.array([0.05, -0.03j]))
+
+
 @pytest.mark.parametrize("make", [
-    lambda: affine_image(polydisc(2), np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]])),
+    lambda: walked_shear(),  # a lambda, so the case keeps its test id
     cayley_polydisc,
     lambda: translate(ball(3), np.array([0.2 - 0.1j, 0.15j, -0.25 + 0.05j])),
 ])
@@ -154,7 +161,7 @@ def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap):
 def test_search_refines_once(monkeypatch):
     # only the best survivor of the compass walk is refined; on a body with
     # no tied canonical candidate it is the contact
-    d = affine_image(polydisc(2), np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]]))
+    d = walked_shear()
     refines = []
     inner = frame_mod._stationary_refine
 
@@ -181,6 +188,63 @@ def test_search_deterministic_across_runs():
     b = min_boundary_point(l1ball(2), seed=3)
     assert np.array_equal(a.direction, b.direction)
     assert a.radius == b.radius
+
+
+# -- closed-form contacts -----------------------------------------------------
+
+def _random_map(shape, n, draw):
+    # a unit lower shear, or a unitary times a positive diagonal
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(n, draw, shape == "shear")))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if shape == "shear":
+        return np.eye(n) + 0.5 * np.tril(g, -1)
+    q, _ = np.linalg.qr(g)
+    return q @ np.diag(rng.uniform(0.3, 2.0, size=n))
+
+
+@pytest.mark.parametrize("draw", range(2))
+@pytest.mark.parametrize("shape", ["shear", "unitary_diagonal"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("body", [polydisc, ball])
+def test_closed_form_contacts_match_the_walk(body, n, shape, draw, monkeypatch):
+    # the walk, run on the same linear image with the closed form switched
+    # off, is the oracle: every stage's least exit, in its own subspace
+    d = affine_image(body(n), _random_map(shape, n, draw))
+    fr = build_frame(d, seed=0)
+    monkeypatch.setattr(frame_mod, "_closed_form_coeffs", lambda d, basis: None)
+    for stage, basis in enumerate(fr.bases):
+        exact = min_boundary_point(d, basis, seed=_stream(0, stage))
+        walked = min_boundary_point(d, basis, seed=_stream(0, stage))
+        g = basis @ np.linalg.inv(d.matrix).T
+        gauge = (np.linalg.norm(g, axis=0).max() if body is polydisc
+                 else np.linalg.svd(g, compute_uv=False)[0])
+        assert abs(exact.radius - 1.0 / gauge) <= 1e-9
+        assert abs(exact.radius - walked.radius) <= 1e-9
+        assert abs(abs(np.vdot(exact.direction, walked.direction)) - 1.0) <= 1e-9
+        assert exact.flags == ()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: polydisc(2), lambda: ball(3),
+    lambda: DomainSpec(n=2, kind="polydisc", convexity_class="cconvex"),
+], ids=["polydisc(2)", "ball(3)", "cconvex_polydisc(2)"])
+def test_closed_form_keeps_the_canonical_contact(make):
+    # e_1 ties the closed-form exit and wins the tie key; its radius is the
+    # engine's exit, the lower end of a bracket within 1e-12 of 1
+    d = make()
+    e1 = np.eye(d.n, dtype=complex)[0]
+    res = min_boundary_point(d, seed=0)
+    assert np.array_equal(res.direction, e1)
+    assert res.radius == ray_exit_batch(d, np.zeros(d.n), e1[None])[0]
+    assert abs(res.radius - 1.0) <= 1e-12
+
+
+def test_closed_form_is_for_linear_ball_and_polydisc_images_only():
+    shear = np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]])
+    assert frame_mod._closed_form_coeffs(affine_image(ball(2), shear), np.eye(2)) is not None
+    for d in (l1ball(2), affine_image(polydisc(2), shear, [0.05, 0.0]), cayley_polydisc(),
+              projective_image(ball(2), np.eye(2), np.zeros(2), [3.0, 0.5, 0.0])):
+        assert frame_mod._closed_form_coeffs(d, np.eye(2)) is None
 
 
 # -- frames for the worked examples ------------------------------------------
@@ -333,17 +397,15 @@ def test_tied_contacts_pass_the_normalizer(make, seed):
     assert nz.margins["triangularity_residual"] <= 1e-8
 
 
-def _shear(n):
-    return affine_image(polydisc(n), np.eye(n, dtype=complex)
+def _shear(n, body=polydisc):
+    return affine_image(body(n), np.eye(n, dtype=complex)
                         + np.tril(np.full((n, n), 0.4 - 0.3j), -1))
 
 
-# known failures past n = 8: the shear's stage 2 misses its global minimum
-# (0.878093 against 0.869156), and the compass budget runs out on the tied
+# known failures past n = 8: the compass budget runs out on the tied
 # manifolds of the l1 and lp balls; the fix removes these markers
 @pytest.mark.parametrize("make,seed", [
-    pytest.param(lambda: _shear(9), 0, marks=pytest.mark.xfail(
-        strict=True, raises=FrameDegenerateError, reason="missed stage minimum")),
+    (lambda: _shear(9), 0),
     pytest.param(lambda: l1ball(10), 0, marks=pytest.mark.xfail(
         strict=True, raises=TriangularityError, reason="move budget on a tied manifold")),
     pytest.param(lambda: lp_ball(13, 1.5), 1, marks=pytest.mark.xfail(
@@ -352,6 +414,16 @@ def _shear(n):
 def test_frames_past_dimension_eight(make, seed):
     d = make()
     nz = build_normalizer(d, build_frame(d, seed=seed), seed=seed)
+    assert nz.margins["triangularity_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("body", [polydisc, ball])
+@pytest.mark.parametrize("n", range(9, 17))
+def test_closed_form_shear_frames_to_dimension_sixteen(body, n):
+    # linear images of the ball and polydisc take their contacts in closed
+    # form, so the frame holds past the reach of the compass walk
+    d = _shear(n, body)
+    nz = build_normalizer(d, build_frame(d, seed=0))
     assert nz.margins["triangularity_residual"] <= 1e-8
 
 
