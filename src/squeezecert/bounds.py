@@ -194,10 +194,11 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     (parameter cap 1e8, tolerance 1e-12; RayCapError only when no ray leaves
     below the cap).  `guess`, when given, maps the drawn directions to exit
     brackets (lower, upper) (nan where none, None for none at all), such as
-    the witness image's from `_witness_exits`: closed-form exits over ball
-    and polydisc bases, two marks of the march from one grid scan over l1
-    and lp bases.  Each is kept only when the oracle holds at its lower end
-    and fails at its upper end.  Every other ray marches; only the brackets
+    the witness image's from `_witness_exits`: two marks of the march from
+    one grid scan, which over ball and polydisc bases Newton refines to a
+    closed-form exit on the rays that can hold the least exit of their
+    batch.  Each is kept only when the oracle holds at its lower end and
+    fails at its upper end.  Every other ray marches; only the brackets
     below the least upper end are bisected, until each lies above another
     ray's, where it cannot hold the least exit; the result is the one of
     running every ray to its exit.

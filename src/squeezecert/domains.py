@@ -18,10 +18,11 @@ search, the C-convex spot check and the sampling radius of rejection
 sampling) and the inscribed radius of `bounds`.  Both seed it with the exit
 brackets of `_path_exits`, which pulls a rational path back through that map:
 ray_exit_batch a ray, `bounds` a witness-image ray pulled back through Mobius
-coordinate maps by `_mobius_path_exits`.  Ball and polydisc bases, and l1 and
-lp bases under affine maps, give closed-form exits, bracketed within
-_EXIT_TOL; every other path over an l1 or lp base gives two consecutive marks
-of the march from one grid scan.  A bracket is kept once the membership
+coordinate maps by `_mobius_path_exits`.  Rays over ball and polydisc bases,
+and over l1 and lp bases under affine maps, give closed-form exits, bracketed
+within _EXIT_TOL; every other path gives two consecutive marks of the march
+from one grid scan, which Newton refines over ball and polydisc bases where
+the path can hold the least exit.  A bracket is kept once the membership
 oracle holds at its lower end and fails at its upper end, then bisected; rays
 over defining functions, and rays whose bracket fails, take a geometric march
 and bisection.  `bounds` asks for the least exit alone, so the engine gives
@@ -418,10 +419,10 @@ def ray_exit(d: DomainSpec, base, direction) -> float:
     power of two, so the tolerance scales with them); a grid bracket is
     bisected exactly as the march's, so those exits are the marched ones.
     `ray_exit_batch` and the inscribed radius of `bounds`, whose
-    witness-image rays have brackets of their own over every catalog base,
-    share the loop; the inscribed radius runs a ray only while it can still
-    hold the least exit.  Raises RayCapError if the ray never leaves below
-    the bounding radius.
+    witness-image rays take grid-scan brackets over every catalog base,
+    share the loop; the inscribed radius refines or runs a ray only while it
+    can still hold the least exit.  Raises RayCapError if the ray never
+    leaves below the bounding radius.
     """
     t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :])
     return float(t[0])
@@ -594,16 +595,17 @@ def _path_exits(d, u, alpha, cap):
     step: the composite map's preimage w = u / (1 - e.u), u = q0 N^-1 (z - z0),
     maps a rational path of degree k to another.  Ball and polydisc bases are
     left where |U(t)|^2 = |alpha(t)|^2, summed over coordinates or per
-    coordinate: a real polynomial of degree 2k whose constant term is negative
-    at an interior start, and which is >= 0 on a projective horizon.  Degree 1
-    solves the quadratic in closed form; higher degrees take the first root
-    below the `cap` that `_polynomial_exits` finds on the march grid.  l1 and
-    lp bases are solved along degree-1 paths with constant alpha (every ray of
-    an affine chain), where the gauge is a norm.  These closed-form exits t
-    come as t -+ 0.4*_EXIT_TOL.  Every other l1 or lp path (projective chains,
-    the witness's paths) is bracketed by `_grid_brackets` between two marks of
-    the march.  Products are per-row einsums, so a batch rounds as its rows one
-    at a time.
+    coordinate: real polynomials of degree 2k, negative at an interior start
+    and >= 0 on a projective horizon.  Degree 1 solves the quadratic in closed
+    form; so do l1 and lp bases along degree-1 paths with constant alpha
+    (every ray of an affine chain), where the gauge is a norm.  These exits t
+    come as t -+ 0.4*_EXIT_TOL.  Every other path (projective l1 and lp
+    chains, the witness's paths) is bracketed by `_grid_brackets` between two
+    marks of the march.  Over ball and polydisc bases `_refine_least_roots`
+    then refines only the rows that can hold the least exit of the batch;
+    the others keep valid brackets, which `_first_exits` gives up in its
+    least mode and bisects for any other caller.  Products are per-row
+    einsums, so a batch rounds as its rows one at a time.
     """
     terms, m, n = u.shape
     if d.kind in IMAGE_KINDS:
@@ -615,23 +617,27 @@ def _path_exits(d, u, alpha, cap):
     scan = None
     if d.kind in ("ball", "polydisc"):
         if terms > 2:
-            t = _polynomial_exits(d.kind, u, alpha, cap)
+            # for real t, |x(t)|^2 has the coefficients of conj(x) * x
+            coords = [_polymul(u[..., j].conj(), u[..., j]).real for j in range(n)]
+            c = np.stack([sum(coords)] if d.kind == "ball" else coords, axis=1)
+            c = c - _polymul(alpha.conj(), alpha).real[:, None]
+            bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1))
+            return _refine_least_roots(c, *bracket, cap)
+        (u0, u1), (a0, a1) = u, alpha
+        quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
+        if d.kind == "ball":
+            quad = [c.sum(axis=-1) for c in quad]
         else:
-            (u0, u1), (a0, a1) = u, alpha
-            quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
-            if d.kind == "ball":
-                quad = [c.sum(axis=-1) for c in quad]
-            else:
-                a0, a1 = a0[:, None], a1[:, None]
-            t = _first_root(quad[0] - (a1.conj() * a1).real,
-                            quad[1] - (a0.conj() * a1).real,
-                            quad[2] - (a0.conj() * a0).real)
-            if d.kind == "polydisc":
-                t = t.min(axis=-1)
+            a0, a1 = a0[:, None], a1[:, None]
+        t = _first_root(quad[0] - (a1.conj() * a1).real,
+                        quad[1] - (a0.conj() * a1).real,
+                        quad[2] - (a0.conj() * a0).real)
+        if d.kind == "polydisc":
+            t = t.min(axis=-1)
     elif d.kind in ("l1ball", "lp_ball"):
         p = _EXPONENTS.get(d.kind, d.p)
         if terms > 2:
-            return _grid_brackets(u, alpha, cap, p)
+            return _gauge_brackets(u, alpha, cap, p)
         flat = np.flatnonzero(alpha[1] == 0.0)
         t = np.full(m, np.nan)
         scale = alpha[0, flat, None]
@@ -646,62 +652,68 @@ def _path_exits(d, u, alpha, cap):
     lower, upper = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
     if scan is not None:
         cap = np.broadcast_to(cap, (m,))[scan]
-        lower[scan], upper[scan] = _grid_brackets(u[:, scan], alpha[:, scan], cap, p)
+        lower[scan], upper[scan] = _gauge_brackets(u[:, scan], alpha[:, scan], cap, p)
     return lower, upper
 
 
-def _march_grid(top):
-    """The marks of the march of `_first_exits` below `top` (always the first
-    one): _MARCH_START times _MARCH_GROWTH, accumulated as the march does."""
-    grid = [_MARCH_START]
-    while grid[-1] * _MARCH_GROWTH < top:
-        grid.append(grid[-1] * _MARCH_GROWTH)
-    return np.array(grid)
+def _grid_brackets(c, cap, outside):
+    """Brackets (lower, upper) of the first exits of paths between two
+    consecutive marks of the march of `_first_exits`: the last mark inside
+    and the first outside, 0 before the first mark.
 
-
-def _grid_brackets(u, alpha, cap, p):
-    """Brackets (lower, upper) of the first exits of the paths U(t)/alpha(t)
-    from an lp base (p = 1 for l1) between two consecutive marks of the march
-    of `_first_exits`: the last mark inside and the first outside, 0 before
-    the first mark.
-
-    A mark t is outside when sum_j |U_j(t)|^p >= |alpha(t)|^p, the homogeneous
-    gauge residual, which is >= 0 on a projective horizon, so nothing divides
-    by alpha; and once t >= cap.  The values come from real Vandermonde
-    products, in blocks of _SCAN_MARKS marks and of rows that keep a block
-    within _SCAN_FLOATS values (it stays in cache); each row is scanned until
-    its first outside mark.
+    c (k+1, channels, m) holds real polynomial channels of the paths, with
+    the coefficients of t^0..t^k on its leading axis; `outside` maps their
+    values at marks, (marks, channels, m), to the marks outside, (marks, m).
+    A mark is also outside once t >= cap.  The values come from real
+    Vandermonde products, in blocks of _SCAN_MARKS marks and of rows that
+    keep a block within _SCAN_FLOATS values (it stays in cache); each row is
+    scanned until its first outside mark.
     """
-    terms, m, n = u.shape
-    # the marks below the largest cap, and the next one, at or past every cap
-    grid = _march_grid(cap.max())
-    grid = np.append(grid, grid[-1] * _MARCH_GROWTH)
+    terms, k, m = c.shape
+    # the marks of the march, accumulated as it does, up to the first at or
+    # past every cap
+    grid, top = [_MARCH_START], cap.max()
+    while grid[-1] < top:
+        grid.append(grid[-1] * _MARCH_GROWTH)
+    grid = np.array(grid)
     powers = grid[:, None] ** np.arange(terms)
     first = np.empty(m, dtype=int)
-    step = max(1, _SCAN_FLOATS // (2 * (n + 1) * _SCAN_MARKS))
+    step = max(1, _SCAN_FLOATS // (k * _SCAN_MARKS))
     for r0 in range(0, m, step):
         rows = np.arange(r0, min(m, r0 + step))
-        block = slice(r0, r0 + step)
-        # real and imaginary parts of U_1..U_n and alpha, rows last
-        coef = np.empty((terms, 2, n + 1, rows.size))
-        coef[:, 0, :n] = u[:, block].real.transpose(0, 2, 1)
-        coef[:, 1, :n] = u[:, block].imag.transpose(0, 2, 1)
-        coef[:, 0, n] = alpha[:, block].real
-        coef[:, 1, n] = alpha[:, block].imag
-        for k in range(0, grid.size, _SCAN_MARKS):
-            t = grid[k:k + _SCAN_MARKS]
-            vals = (powers[k:k + _SCAN_MARKS] @ coef.reshape(terms, -1)).reshape(
-                t.size, 2, n + 1, rows.size)
-            sq = vals[:, 0] * vals[:, 0] + vals[:, 1] * vals[:, 1]
-            mod = np.sqrt(sq) if p == 1.0 else sq ** (0.5 * p)
-            out = (mod[:, :n].sum(axis=1) >= mod[:, n]) | (t[:, None] >= cap[rows])
+        coef = np.ascontiguousarray(c[..., r0:r0 + step])
+        for j in range(0, grid.size, _SCAN_MARKS):
+            t = grid[j:j + _SCAN_MARKS]
+            vals = (powers[j:j + _SCAN_MARKS] @ coef.reshape(terms, -1)).reshape(
+                t.size, k, rows.size)
+            out = outside(vals) | (t[:, None] >= cap[rows])
             hit = out.any(axis=0)
             if hit.any():
-                first[rows[hit]] = k + out[:, hit].argmax(axis=0)
+                first[rows[hit]] = j + out[:, hit].argmax(axis=0)
                 rows, coef = rows[~hit], coef[..., ~hit]
                 if not rows.size:
                     break
     return np.where(first > 0, grid[first - 1], 0.0), grid[first]
+
+
+def _gauge_brackets(u, alpha, cap, p):
+    """`_grid_brackets` of the paths U(t)/alpha(t) from an lp base (p = 1 for
+    l1), on channels holding the real and imaginary parts of U_1..U_n and
+    alpha.  A mark is outside where sum_j |U_j(t)|^p >= |alpha(t)|^p, the
+    homogeneous gauge residual, which is >= 0 on a projective horizon, so
+    nothing divides by alpha."""
+    terms, m, n = u.shape
+    c = np.empty((terms, 2, n + 1, m))
+    c[:, 0, :n], c[:, 1, :n] = u.real.transpose(0, 2, 1), u.imag.transpose(0, 2, 1)
+    c[:, 0, n], c[:, 1, n] = alpha.real, alpha.imag
+
+    def outside(vals):
+        parts = vals.reshape(vals.shape[0], 2, n + 1, vals.shape[-1])
+        sq = parts[:, 0] * parts[:, 0] + parts[:, 1] * parts[:, 1]
+        mod = np.sqrt(sq) if p == 1.0 else sq ** (0.5 * p)
+        return mod[:, :n].sum(axis=1) >= mod[:, n]
+
+    return _grid_brackets(c.reshape(terms, 2 * (n + 1), m), cap, outside)
 
 
 def _first_root(a, b, c):
@@ -721,20 +733,9 @@ def _polymul(a, b):
     return out
 
 
-def _polynomial_exits(kind, u, alpha, cap):
-    """First exits below `cap` of degree-k paths from a ball or polydisc base,
-    the least over coordinates for the polydisc; +inf where none.  For real t
-    |x(t)|^2 has the coefficients of conj(x) * x."""
-    den = _polymul(alpha.conj(), alpha).real
-    coords = (_polymul(u[..., j].conj(), u[..., j]).real for j in range(u.shape[-1]))
-    if kind == "ball":
-        return _first_polynomial_root(sum(coords) - den, cap)
-    return np.min([_first_polynomial_root(c - den, cap) for c in coords], axis=0)
-
-
 def _horner(c, t):
     """Values and t-derivatives of the polynomials sum_s c[s] t^s, with
-    coefficients c (deg+1, m), at t (m,)."""
+    coefficients c (deg+1, ..., m), at t (m,)."""
     p = c[-1]
     dp = np.zeros(t.shape)
     for cs in c[-2::-1]:
@@ -743,37 +744,32 @@ def _horner(c, t):
     return p, dp
 
 
-def _first_polynomial_root(c, cap):
-    """First root in (0, cap] of each real polynomial column of c (negative
-    at 0), +inf where it stays <= 0 up to cap.
+def _refine_least_roots(c, lower, upper, cap):
+    """The scan brackets (lower, upper) of polynomial channels c (k+1,
+    channels, m), set in place to exits t -+ 0.4*_EXIT_TOL on the rows that
+    can hold the least exit: those whose lower end lies below the least
+    upper end.
 
-    The first sign change is found on the march grid of `_first_exits`
-    (_MARCH_START, times _MARCH_GROWTH, below cap) with cap as its last mark,
-    so no sliver is caught less finely than by the membership march; Newton
-    steps then converge inside that bracket, bisecting whenever a step leaves
-    it.  A row still negative at cap - 0.4*_EXIT_TOL crosses inside the exit
-    bracket of cap itself, so it is given cap: there the polynomial is
-    rounding noise, and Newton would stall on it.
+    A row's exit is the least root, by `_bracketed_root` in [lower, x], of
+    its channels positive at x = min(upper, cap), or x where none is.  A
+    channel still negative at cap - 0.4*_EXIT_TOL crosses inside the exit
+    bracket of cap, where it is rounding noise and Newton would stall, so it
+    takes cap.
     """
-    grid = _march_grid(cap.max())
-    below = grid < cap[:, None]
-    outside = (c.T @ grid ** np.arange(c.shape[0])[:, None] > 0.0) & below
-    # a row's first outside mark; its count of marks below cap stands for cap
-    count = below.sum(axis=1)
-    first = np.where(outside.any(axis=1), outside.argmax(axis=1), count)
-    on_grid = first < count
-    t = np.full(cap.shape, np.inf)
-    near = ~on_grid & (_horner(c, cap)[0] > 0.0)
-    idx = np.flatnonzero(near)
-    at_cap = idx[_horner(c[:, idx], cap[idx] - 0.4 * _EXIT_TOL)[0] < 0.0]
-    t[at_cap] = cap[at_cap]
-    near[at_cap] = False
-    rows = np.flatnonzero(on_grid | near)
-    first = first[rows]
-    hi = np.where(on_grid[rows], grid[np.minimum(first, grid.size - 1)], cap[rows])
-    lo = np.where(first > 0, grid[first - 1], 0.0)
-    t[rows] = _bracketed_root(c[:, rows], lo, hi)
-    return t
+    rows = np.flatnonzero(lower < upper.min())
+    x = np.minimum(upper[rows], cap[rows])
+    ch, at = np.nonzero(_horner(c[..., rows], x)[0] > 0.0)
+    coef, hi = c[:, ch, rows[at]], x[at]
+    stall = (hi == cap[rows[at]]) & (_horner(coef, hi - 0.4 * _EXIT_TOL)[0] < 0.0)
+    roots = np.full((c.shape[1], rows.size), np.inf)
+    roots[ch[stall], at[stall]] = hi[stall]
+    newton = ~stall
+    roots[ch[newton], at[newton]] = _bracketed_root(coef[:, newton], lower[rows[at[newton]]],
+                                                    hi[newton])
+    t = roots.min(axis=0)
+    t = np.minimum(np.where(t < np.inf, t, x), cap[rows])
+    lower[rows], upper[rows] = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
+    return lower, upper
 
 
 def _bracketed_root(c, lo, hi):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -118,21 +119,35 @@ class UniversalConstants:
 
 
 def universal_bounds(n) -> UniversalConstants:
-    """Evaluate all six universal lower bounds in dimension n >= 2."""
+    """Evaluate all six universal lower bounds in dimension n >= 2, each the
+    largest double at or below its exact value (1 over a rational upper bound
+    of its denominator); `c_n` is correctly rounded."""
     n = _check_dimension(n)
-    c = c_const(n)
-    rn = math.sqrt(n)
-    two_n = float(2**n)
+    k, two_n = (4**n - 1) // 3, 2**n
+    c, rn = _sqrt_up(k), _sqrt_up(n)
     return UniversalConstants(
         n=n,
-        c_n=c,
-        convex_ball=1.0 / (rn * (2.0 * c + 1.0)),
-        convex_polydisc=1.0 / float(2 ** (n + 1) - 1),
-        cconvex_ball=1.0 / (rn * (math.sqrt(c) + math.sqrt(c + 1.0)) ** 2),
-        cconvex_polydisc=1.0 / (math.sqrt(two_n) + math.sqrt(two_n - 1.0)) ** 2,
-        weak_ball=1.0 / (rn * (4.0 * c + 2.0)),
-        weak_polydisc=1.0 / float(2 ** (n + 2) - 2),
+        c_n=c_const(n),
+        convex_ball=_down(1 / (rn * (2 * c + 1))),
+        convex_polydisc=_down(Fraction(1, 2 * two_n - 1)),
+        # (sqrt(c) + sqrt(c + 1))^2 = 2c + 1 + 2 sqrt(c^2 + c), with c^2 = k
+        cconvex_ball=_down(1 / (rn * (2 * c + 1 + 2 * _sqrt_up(k + c)))),
+        cconvex_polydisc=_down(1 / (2 * two_n - 1 + 2 * _sqrt_up(two_n * (two_n - 1)))),
+        weak_ball=_down(1 / (rn * (4 * c + 2))),
+        weak_polydisc=_down(Fraction(1, 4 * two_n - 2)),
     )
+
+
+def _sqrt_up(a) -> Fraction:
+    """An upper bound of sqrt(a), for a rational a >= 0, within 2**-127."""
+    a, scale = Fraction(a), 1 << 128
+    return Fraction(math.isqrt(a.numerator * scale * scale // a.denominator) + 1, scale)
+
+
+def _down(q) -> float:
+    """The largest double <= q, for a rational q > 0."""
+    x = float(q)
+    return x if Fraction(x) <= q else math.nextafter(x, 0.0)
 
 
 def constants_table(n_max) -> list[UniversalConstants]:

@@ -201,7 +201,8 @@ def test_criterion_7_cconvex_fixture():
         ("midpoint outside (non-convexity)", not contains(d, midpoint)),
         ("all |alpha| within 1 + 1e-9",
          rep.diagnostics["alpha_max"] <= 1.0 + 1e-9),
-        # exact doubles 0.06515837617431257 / 0.07179676972449082
+        # exact doubles 0.06515837617431255 / 0.07179676972449082, each
+        # the largest double at or below its bound
         ("certified s = 0.0651584", round(rep.certified_s, 7) == 0.0651584
          and rep.certified_s == consts.cconvex_ball),
         ("certified s_hat = 0.0717968", round(rep.certified_s_hat, 7) == 0.0717968

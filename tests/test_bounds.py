@@ -361,7 +361,14 @@ def test_witness_path_exits_agree_with_the_march_and_pass_their_brackets():
                 assert not oracle(upper[:, None] * dirs).any(), (n, maps, name)
                 march = dom._first_exits(oracle, origin, dirs, cap=1e8)
                 if name in closed:
-                    assert np.abs(0.5 * (lower + upper) - march).max() <= dom._EXIT_TOL
+                    # every bracket holds the march's exit, found to _EXIT_TOL
+                    held = (lower <= march + dom._EXIT_TOL) & (march < upper)
+                    assert held.all(), (n, maps, name)
+                    # the rows that can hold the least exit, the least one
+                    # among them, are refined to within _EXIT_TOL of the march
+                    least = lower < upper.min()
+                    assert least[np.argmin(march)], (n, maps, name)
+                    assert np.abs(0.5 * (lower + upper) - march)[least].max() <= dom._EXIT_TOL
                 else:
                     # two consecutive marks of the march around its exit
                     assert np.array_equal(upper, np.where(lower > 0.0, lower * dom._MARCH_GROWTH,
@@ -485,16 +492,102 @@ def test_witness_grid_brackets_spend_few_oracle_points_per_ray(l1_report):
         assert witness_points_per_ray(l1_report, shape) <= 4
 
 
+def _positive(vals):
+    return (vals > 0.0).any(axis=1)
+
+
+def refined_alone(c, cap):
+    """Exits of the polynomial paths with channels c (terms, channels, rows):
+    each row's grid-scan bracket refined in a batch of its own, where it can
+    hold the least exit."""
+    lower, upper = dom._grid_brackets(c, cap, _positive)
+    ends = [dom._refine_least_roots(c[..., i:i + 1], lower[i:i + 1], upper[i:i + 1],
+                                    cap[i:i + 1]) for i in range(cap.size)]
+    return np.array([0.5 * (lo[0] + hi[0]) for lo, hi in ends])
+
+
 def test_polynomial_root_at_the_cap_is_the_cap():
     # |t|^2 - cap^2 plus rounding noise of a few 1e-15 crosses within an ulp
-    # or two of cap; a row on the march grid keeps its Newton root
+    # or two of cap; a row crossing below the cap keeps its Newton root
     rng = np.random.default_rng(47)
     cap = rng.uniform(0.5, 2.5, size=200)
     noise = rng.uniform(1e-15, 5e-15, size=200)
     c = np.stack([noise - cap ** 2, np.zeros(200), np.ones(200)])
-    assert np.abs(dom._first_polynomial_root(c, cap) - cap).max() <= 1e-12
+    assert np.abs(refined_alone(c[:, None], cap) - cap).max() <= 1e-12
     inner = np.stack([-0.25 * np.ones(200), np.zeros(200), np.ones(200)])
-    assert np.abs(dom._first_polynomial_root(inner, cap) - 0.5).max() <= 1e-12
+    assert np.abs(refined_alone(inner[:, None], cap) - 0.5).max() <= 1e-12
+
+
+def test_refiner_keeps_the_lesser_root_of_two_crossings_in_one_bracket():
+    # a degree-2 path over the polydisc: coordinate 2 crosses its unit circle
+    # at 0.95 s, coordinate 1 at 0.97 s, both between the marks 0.9305 and
+    # 1.0422 of the march, so the scan stops on one bracket that holds both
+    pd = polydisc(2)
+    scale = np.linspace(0.99, 1.01, 5)
+    rot = np.exp(1j * np.array([0.3, -1.1]))
+    u = np.zeros((3, scale.size, 2), dtype=complex)
+    u[2, :, 0] = rot[0] / (0.97 * scale) ** 2
+    u[1, :, 1] = rot[1] / (0.95 * scale)
+    alpha = np.zeros((3, scale.size), dtype=complex)
+    alpha[0] = 1.0
+    cap = np.full(scale.size, 2.0)
+    marks = dom._MARCH_START * dom._MARCH_GROWTH ** np.arange(50)
+    assert not ((marks > 0.94 * 0.99) & (marks < 0.98 * 1.01)).any()
+    lower, upper = dom._path_exits(pd, u, alpha, cap)
+    assert (upper - lower <= dom._EXIT_TOL).all()
+    mid = 0.5 * (lower + upper)
+    np.testing.assert_allclose(mid, 0.95 * scale, rtol=0, atol=1e-12)
+
+    def on_path(z):
+        # the middle path, scale 1, at t = Re z
+        t = z[:, 0].real
+        return dom.contains(pd, np.stack([u[2, 2, 0] * t ** 2, u[1, 2, 1] * t], axis=-1))
+
+    march = dom._first_exits(on_path, np.zeros(1, dtype=complex), np.ones((1, 1), dtype=complex),
+                             cap=2.0)
+    assert abs(mid[2] - march[0]) <= dom._EXIT_TOL
+
+
+def test_projective_ball_witness_rows_pass_both_end_checks():
+    # the ball-shaped witness rays of the benchmark's projective family ball:
+    # rows that cross between the last mark below their cap and the cap must
+    # keep brackets that hold, refined or not
+    d = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                         bounding_radius=100.0)
+    rep = certify(d, seed=0)
+    norm = rep.normalizer
+    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
+    oracle = _witness_image_oracle(rep.witness, affine_inv)
+    # the rays of the report's ball-shaped witness figure
+    dirs = boundary_samples(ball(2), 12000, np.random.default_rng(2))
+    lower, upper = _witness_exits(rep.witness, affine_inv)(dirs)
+    assert oracle(lower[:, None] * dirs).all()
+    assert not oracle(upper[:, None] * dirs).any()
+    assert abs(lower.min() / math.sqrt(2) - rep.witness_s) <= dom._EXIT_TOL
+
+
+# seed-0 witness figures (s, s_hat); a change to the exit engine that keeps
+# its exits keeps these to _EXIT_TOL
+_PINNED_WITNESSES = {
+    "ball": (lambda: ball(2), None, 0.23570226039529585, 0.2612038749634186),
+    "polydisc": (lambda: polydisc(2), None, 0.23570226039529585, 0.33333333333302223),
+    "l1ball": (lambda: l1ball(2), None, 0.23570226039556685, 0.27396188742426075),
+    "polydisc_cconvex": (lambda: polydisc(2), "cconvex", 0.7071067811862646, 0.9999999999995998),
+    "projective_family_ball": (
+        lambda: projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                 bounding_radius=100.0), None,
+        0.5500474779442313, 0.5539288972642421),
+    "shear": (lambda: affine_image(polydisc(2), np.array([[1.0, 0.0], [0.5 + 0.3j, 1.0]])),
+              None, 0.23570226039528733, 0.3333333333330102),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_WITNESSES))
+def test_witness_figures_are_pinned(name):
+    make, cls, s, s_hat = _PINNED_WITNESSES[name]
+    rep = certify(make(), convexity_class=cls, seed=0)
+    assert abs(rep.witness_s - s) <= dom._EXIT_TOL
+    assert abs(rep.witness_s_hat - s_hat) <= dom._EXIT_TOL
 
 
 def test_cconvex_polydisc_witness_rays_do_not_stall_at_the_cap(monkeypatch):

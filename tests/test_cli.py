@@ -275,6 +275,17 @@ def test_bound_near_singular_ball_image_exits_two(tmp_path, capsys):
     assert out == "" and "FrameDegenerateError" in err and "stage 0" in err
 
 
+def test_bound_ray_past_the_bounding_radius_exits_two(tmp_path, capsys):
+    # a bounding radius of 0.4 caps every ray of the unit ball at t = 0.8,
+    # before it leaves: the frame's rays raise RayCapError and no report is written
+    spec = _spec(tmp_path, "capped", ball(2, bounding_radius=0.4))
+    report = tmp_path / "report.json"
+    rc, out, err = run_cli(["bound", spec, "--out", str(report)], capsys)
+    assert rc == EXIT_PIPELINE
+    assert out == "" and "RayCapError" in err and "still inside past t = 0.8" in err
+    assert not report.exists()
+
+
 def test_bound_thin_polydisc_image_is_clean(tmp_path, capsys):
     # a contact radius of 1e-5 once left its face coordinate too far under 1
     spec = _spec(tmp_path, "thin", affine_image(polydisc(3), np.diag([1.0, 1e-5, 1.0])))

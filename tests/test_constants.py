@@ -36,6 +36,23 @@ def test_matches_extended_precision(n):
         assert rel <= 1e-12, (n, key, rel)
 
 
+_BOUNDS = ("convex_ball", "convex_polydisc", "cconvex_ball", "cconvex_polydisc",
+           "weak_ball", "weak_polydisc")
+
+
+@pytest.mark.parametrize("n", range(2, 65))
+def test_bounds_are_rounded_down(n):
+    # a certified lower bound must not exceed its exact value: each of the six
+    # lies at or below its 60-digit value, within 4 ulps; c_n is the nearest double
+    row = universal_bounds(n).as_dict()
+    oracle = oracle_row(n)
+    with mp.workdps(60):
+        for key in _BOUNDS:
+            assert mp.mpf(row[key]) <= oracle[key], (n, key)
+            assert oracle[key] - mp.mpf(row[key]) <= 4 * math.ulp(row[key]), (n, key)
+        assert abs(mp.mpf(row["c_n"]) - oracle["c_n"]) <= 0.5 * math.ulp(row["c_n"]), n
+
+
 def test_spot_values_n2():
     u = universal_bounds(2)
     assert abs(u.c_n - 2.2360680) < 5e-8
