@@ -38,6 +38,7 @@ shape (..., n); everything downstream leans on that.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,13 +141,13 @@ class DomainSpec:
         if self.convexity_class not in ("convex", "cconvex"):
             raise DomainFormatError(f"convexity class must be convex or cconvex, got {self.convexity_class!r}")
         if isinstance(self.bounding_radius, bool) or not (
-                isinstance(self.bounding_radius, (int, float))
+                isinstance(self.bounding_radius, numbers.Real)
                 and 0 < self.bounding_radius < math.inf):
             raise DomainFormatError("bounding_radius must be a positive finite real")
         self._store(bounding_radius=float(self.bounding_radius))
         if self.p is not None:
             if isinstance(self.p, bool) or not (
-                    isinstance(self.p, (int, float)) and 1.0 <= self.p < math.inf):
+                    isinstance(self.p, numbers.Real) and 1.0 <= self.p < math.inf):
                 raise DomainFormatError(f"lp_ball requires finite real p >= 1, got {self.p!r}")
             self._store(p=float(self.p))
         if self.matrix is not None:
@@ -618,7 +619,7 @@ def _path_exits(d, u, alpha, cap):
     if d.kind in ("ball", "polydisc"):
         if terms > 2:
             # for real t, |x(t)|^2 has the coefficients of conj(x) * x
-            coords = [_polymul(u[..., j].conj(), u[..., j]).real for j in range(n)]
+            coords = np.moveaxis(_polymul(u.conj(), u).real, -1, 0)
             c = np.stack([sum(coords)] if d.kind == "ball" else coords, axis=1)
             c = c - _polymul(alpha.conj(), alpha).real[:, None]
             bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1))
@@ -725,7 +726,11 @@ def _first_root(a, b, c):
 
 
 def _polymul(a, b):
-    """Product of polynomials with coefficients on the leading axis."""
+    """Product of polynomials with coefficients on the leading axis.  The loop
+    runs over the shorter factor: against a 2-term factor each coefficient is
+    a sum of two products either way, so the order keeps every bit."""
+    if a.shape[0] > b.shape[0]:
+        a, b = b, a
     out = np.zeros((a.shape[0] + b.shape[0] - 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
                    dtype=complex)
     for i, ai in enumerate(a):

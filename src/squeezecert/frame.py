@@ -9,12 +9,14 @@ from transported tangent hyperplanes.
 
 Over a linear image of the ball or polydisc (the catalog bodies included)
 the least exit of a stage has a closed form, read off the composite map, and
-no search runs.  Every other domain takes a batched multi-start compass walk
-whose best survivor is refined by Gauss-Newton steps to the stationarity
-identity of a smooth contact.  Tied exact canonical candidates are ordered by
-the key (-Re v_1, |arg v_1|, -Re v_2, ...), so the catalog bodies keep their
-contacts bit for bit; otherwise the closed-form or refined direction is the
-contact.  The contacts of circular domains are then phase-normalized.
+no search runs.  Every other domain takes a multi-start compass walk, one
+exit batch per round over all live survivors, halving its step on a round
+with no gain, until the step or the round budget runs out; its best survivor
+is refined by Gauss-Newton steps to the stationarity identity of a smooth
+contact.  Tied exact canonical candidates are ordered by the key (-Re v_1,
+|arg v_1|, -Re v_2, ...), so the catalog bodies keep their contacts bit for
+bit; otherwise the closed-form or refined direction is the contact.  The
+contacts of circular domains are then phase-normalized.
 """
 from __future__ import annotations
 
@@ -54,6 +56,9 @@ _TIE_QUANTUM = 1e-9
 _REFINE_ITERS = 20
 _REFINE_STEP = 1e-7
 _REFINE_RCOND = 1e-6
+# the compass walk's first step, and its budget of pattern rounds in all
+_WALK_STEP = 0.25
+_WALK_ROUNDS = 400
 # normalizer gates, relative to the functional's norm and to |alpha| = 1; a
 # frame that misses them has inexact contacts: mend the search, never widen
 TRIANGULAR_TOL = 1e-8
@@ -68,7 +73,6 @@ class SearchResult:
 
     direction: np.ndarray
     radius: float
-    agreement: int
     flags: tuple
 
     def __post_init__(self):
@@ -127,11 +131,6 @@ class Normalizer:
 
 # -- direction search --------------------------------------------------------
 
-def _embed(basis, coeffs):
-    """Map complex subspace coordinates (m,) or (k, m) to ambient vectors."""
-    return coeffs @ basis
-
-
 def _u_to_coeffs(u, m):
     return u[..., :m] + 1j * u[..., m:]
 
@@ -175,14 +174,13 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     (default: the full space).  Over a linear image of the ball or polydisc
     (`_circular` with such a body) the least exit has a closed form,
     `_closed_form_coeffs`; its ray and the canonical candidates take one
-    exit batch, `n_starts` and `seed` go unused, no search flag is raised,
-    and `agreement` counts the exits within AGREE_TOL of the least.  Every
-    other domain takes a multi-start batched compass walk followed by the
-    stationarity refine of its best survivor; `agreement` counts survivors
-    (only the best one refined) within AGREE_TOL of the best value, and a
-    lone best survivor raises the search_disagreement flag rather than an
-    error.  Exact canonical candidates that tie the optimum are ranked by the
-    tie key; otherwise the closed-form or refined direction is returned.
+    exit batch, `n_starts` and `seed` go unused, and no search flag is
+    raised.  Every other domain takes the multi-start compass walk of
+    `_compass_search` followed by the stationarity refine of its best
+    survivor; a best survivor that no other survivor (unrefined) meets within
+    AGREE_TOL raises the search_disagreement flag rather than an error.
+    Exact canonical candidates that tie the optimum are ranked by the tie
+    key; otherwise the closed-form or refined direction is returned.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -197,23 +195,21 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     origin = np.zeros(d.n, dtype=complex)
 
     def evaluate(coeffs):
-        dirs = _embed(basis, coeffs)
-        return ray_exit_batch(d, origin, dirs)
+        return ray_exit_batch(d, origin, coeffs @ basis)
 
     canonical = _canonical_coeffs(basis)
     exact = _closed_form_coeffs(d, basis)
     if exact is None:
         values, surv_vals, c_best, val_best = _compass_search(
             d, basis, canonical, n_starts, seed, evaluate)
-        agreement = int(np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL))
-        flags = () if agreement >= 2 else ("search_disagreement",)
+        agreeing = np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL)
+        flags = () if agreeing >= 2 else ("search_disagreement",)
         least = min(values.min(), surv_vals.min())
     else:
         # the engine's bracket-checked exit, not 1/|c G|, so the frame's
         # bracket checks keep their meaning
         values = evaluate(np.concatenate([canonical, exact[None]]))
         c_best, val_best, least = exact, values[-1], values.min()
-        agreement = int(np.count_nonzero(values <= least + AGREE_TOL))
         flags = ()
 
     # exact canonical candidates that tie the optimum win outright, so the
@@ -221,13 +217,13 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     window = least * (1.0 + TIE_REL_WINDOW) + 1e-13
     tied_canonical = np.flatnonzero(values[: len(canonical)] <= window)
     if tied_canonical.size:
-        tied_dirs = _embed(basis, canonical[tied_canonical])
+        tied_dirs = canonical[tied_canonical] @ basis
         pick = min(range(len(tied_canonical)), key=lambda i: _tie_key(tied_dirs[i]))
         direction, radius = tied_dirs[pick], values[tied_canonical[pick]]
     else:
-        direction, radius = _embed(basis, c_best), val_best
+        direction, radius = c_best @ basis, val_best
     return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(radius),
-                        agreement=agreement, flags=flags)
+                        flags=flags)
 
 
 def _closed_form_coeffs(d, basis):
@@ -254,34 +250,45 @@ def _closed_form_coeffs(d, basis):
 def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
     """Multi-start compass walk from the canonical and `n_starts` random
     directions (default DEFAULT_STARTS_PER_DIM per complex dimension), then
-    the stationarity refine of its best survivor.  Returns the start exits,
-    the survivors' exits, and the refined survivor and its exit."""
+    the stationarity refine of its best survivor.
+
+    The 12 best starts survive.  Each round probes the compass pattern of
+    every live survivor once, on the unit sphere, and moves each to the best
+    point of its pattern if that gains more than 1e-15; a survivor that did
+    not move is not probed again at this step.  A round with no gain halves
+    the step and revives every survivor.  The walk stops below step 1e-5, or
+    after _WALK_ROUNDS rounds in all.  Returns the start exits, the
+    survivors' exits, and the refined survivor and its exit.
+    """
     m = basis.shape[0]
     if n_starts is None:
         n_starts = DEFAULT_STARTS_PER_DIM * m
     rng = np.random.default_rng(seed)
     u = rng.normal(size=(n_starts, 2 * m))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    random_coeffs = _u_to_coeffs(u, m)
-    coeffs = np.concatenate([canonical, random_coeffs])
+    coeffs = np.concatenate([canonical, _u_to_coeffs(u, m)])
     values = evaluate(coeffs)
 
-    # refine the most promising starts with a shrinking compass pattern
-    k_keep = min(12, coeffs.shape[0])
-    order = np.argsort(values, kind="stable")[:k_keep]
+    order = np.argsort(values, kind="stable")[:12]
     survivors = np.concatenate([coeffs[order].real, coeffs[order].imag], axis=1)
     surv_vals = values[order].copy()
-    step = 0.25
     steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
-    budget = 400
-    while step > 1e-5 and budget > 0:
-        # a level spends one round per move, plus the one that found no
-        # gain and halves the step
-        moves = _pattern_level(evaluate, m, survivors, surv_vals, step, steps, budget)
-        if moves >= budget:
+    step, live = _WALK_STEP, np.arange(order.size)
+    for _ in range(_WALK_ROUNDS):
+        if step <= 1e-5:
             break
-        budget -= moves + 1
-        step *= 0.5
+        cand = survivors[live, None, :] + step * steps
+        cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
+        vals = evaluate(_u_to_coeffs(cand.reshape(-1, 2 * m), m)).reshape(live.size, -1)
+        best = np.argmin(vals, axis=1)
+        best_vals = vals[np.arange(live.size), best]
+        gain = best_vals < surv_vals[live] - 1e-15
+        survivors[live[gain]] = cand[gain, best[gain]]
+        surv_vals[live[gain]] = best_vals[gain]
+        live = live[gain]
+        if not live.size:
+            step *= 0.5
+            live = np.arange(order.size)
 
     # the exit value is stationary at the minimum, so comparing values pins
     # the direction only to ~sqrt(exit tol) in angle.  At a smooth minimum the
@@ -294,42 +301,12 @@ def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
     return values, surv_vals, c_best, val_best
 
 
-def _pattern(points, step, steps):
-    """Compass pattern around each point of shape (..., 2m), on the unit sphere."""
-    cand = points[..., None, :] + step * steps
-    return cand / np.linalg.norm(cand, axis=-1, keepdims=True)
-
-
-def _pattern_level(evaluate, m, survivors, surv_vals, step, steps, cap):
-    """Walk every survivor at one step size until its pattern shows no gain.
-
-    Updates `survivors` and `surv_vals` in place and returns the moves made,
-    at most `cap`.  Each round probes the pattern of every live survivor once
-    and moves each to the best point of its pattern if that gains more than
-    1e-15; a survivor that did not move is not probed again, so the live ones
-    have all made the same number of moves.
-    """
-    moves = 0
-    live = np.arange(survivors.shape[0])
-    while live.size and moves < cap:
-        cand = _pattern(survivors[live], step, steps)
-        vals = evaluate(_u_to_coeffs(cand.reshape(-1, 2 * m), m)).reshape(live.size, -1)
-        best = np.argmin(vals, axis=1)
-        best_vals = vals[np.arange(live.size), best]
-        gain = best_vals < surv_vals[live] - 1e-15
-        survivors[live[gain]] = cand[gain, best[gain]]
-        surv_vals[live[gain]] = best_vals[gain]
-        live = live[gain]
-        moves += bool(live.size)
-    return moves
-
-
 def _stationary_residual(d, basis, flavor, v, val):
     """Real coordinates of P(lam)/|P(lam)| - v, with lam the tangent functional
     at the exit point val*v and P the subspace projection, phase-aligned to v
     for the complex flavor; None at a corner or where P(lam) turns away."""
     try:
-        lam = tangent_functional(d, val * _embed(basis, v), flavor).coefficients
+        lam = tangent_functional(d, val * (v @ basis), flavor).coefficients
     except (NonsmoothBoundaryError, ArgumentError):
         return None
     w = lam @ np.conj(basis.T)

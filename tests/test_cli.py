@@ -7,7 +7,8 @@ import pytest
 
 from squeezecert import __version__, cli
 from squeezecert.cli import EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
-from squeezecert.domains import affine_image, ball, domain_to_json, polydisc, projective_image
+from squeezecert.domains import (affine_image, ball, defining_domain, domain_to_json, polydisc,
+                                 projective_image)
 from squeezecert.numerics import constants_csv, universal_bounds
 from squeezecert.verify import SuiteReport
 
@@ -283,6 +284,19 @@ def test_bound_ray_past_the_bounding_radius_exits_two(tmp_path, capsys):
     rc, out, err = run_cli(["bound", spec, "--out", str(report)], capsys)
     assert rc == EXIT_PIPELINE
     assert out == "" and "RayCapError" in err and "still inside past t = 0.8" in err
+    assert not report.exists()
+
+
+def test_bound_thin_defining_domain_exits_two(tmp_path, capsys):
+    # a z2 semi-axis of 1e-3 fills 6e-8 of the proposal ball (radius twice
+    # the longest axis exit), so none of 640 000 proposals lands inside:
+    # interior sampling raises ValidationFailureError and no report is written
+    spec = _spec(tmp_path, "thin", defining_domain(2, "abs(z1)**2+1e6*abs(z2)**2-1", "convex",
+                                                   bounding_radius=5.0))
+    report = tmp_path / "report.json"
+    rc, out, err = run_cli(["bound", spec, "--out", str(report)], capsys)
+    assert rc == EXIT_PIPELINE
+    assert out == "" and "ValidationFailureError" in err and "domain too thin" in err
     assert not report.exists()
 
 

@@ -758,6 +758,22 @@ def test_json_round_trip_projective():
     assert json.dumps(domain_to_json(d2), sort_keys=True) == blob
 
 
+def test_numpy_real_scalars_build_and_round_trip():
+    # p and the bounding radius take numpy reals as n takes numpy integers,
+    # and store Python floats; True is still no exponent and no radius
+    for d, p, radius in ((lp_ball(2, np.int64(3)), 3.0, 1e6),
+                         (lp_ball(2, np.float32(1.5)), 1.5, 1e6),
+                         (ball(2, bounding_radius=np.int64(5)), None, 5.0)):
+        assert (d.p, d.bounding_radius) == (p, radius)
+        assert type(d.bounding_radius) is float and type(d.p) in (float, type(None))
+        d2 = domain_from_json(json.loads(json.dumps(domain_to_json(d))))
+        assert (d2.kind, d2.p, d2.bounding_radius) == (d.kind, p, radius)
+    with pytest.raises(DomainFormatError):
+        lp_ball(2, np.True_)
+    with pytest.raises(DomainFormatError):
+        ball(2, bounding_radius=True)
+
+
 def test_json_round_trip_all_kinds():
     specs = [
         ball(2), polydisc(3), l1ball(2), lp_ball(2, 2.5),

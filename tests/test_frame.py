@@ -30,8 +30,9 @@ from squeezecert.errors import (
 from squeezecert.frame import (
     ContactFrame,
     Normalizer,
+    _canonical_coeffs,
     _circular,
-    _pattern_level,
+    _compass_search,
     _u_to_coeffs,
     build_frame,
     build_normalizer,
@@ -135,27 +136,58 @@ def _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, cap):
     return moves
 
 
+def _walk_by_levels(d, basis, evaluate, step, budget):
+    # the compass search as levels under a move budget: a level spends one
+    # probe per move plus the one that found no gain, and a level that runs
+    # out of moves ends the walk
+    m = basis.shape[0]
+    rng = np.random.default_rng(0)
+    u = rng.normal(size=(frame_mod.DEFAULT_STARTS_PER_DIM * m, 2 * m))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    coeffs = np.concatenate([_canonical_coeffs(basis), _u_to_coeffs(u, m)])
+    values = evaluate(coeffs)
+    order = np.argsort(values, kind="stable")[:12]
+    survivors = np.concatenate([coeffs[order].real, coeffs[order].imag], axis=1)
+    surv_vals = values[order].copy()
+    steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
+    while step > 1e-5 and budget > 0:
+        moves = _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, budget)
+        if moves >= budget:
+            break
+        budget -= moves + 1
+        step *= 0.5
+    top = int(np.argmin(surv_vals))
+    c_best, val_best = frame_mod._stationary_refine(
+        d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
+    surv_vals[top] = val_best
+    return values, surv_vals, c_best, val_best
+
+
 @pytest.mark.parametrize("make", [lambda: polydisc(2), cayley_polydisc])
 @pytest.mark.parametrize("step", [0.25, 0.0625])
-@pytest.mark.parametrize("cap", [400, 2])
-def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap):
+@pytest.mark.parametrize("cap", [400, 2, 75])
+def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap, monkeypatch):
+    # the round loop against levels of one probe per move: the same exit
+    # batches, survivors, exits and refined contact, bit for bit; a budget of
+    # 2 rounds runs out inside the first level, one of 75 from step 0.25 after
+    # the step halved
     d = make()
-    m = 2
+    basis = np.eye(2, dtype=complex)
+    batches = {"walk": [], "levels": []}
 
-    def evaluate(coeffs):
-        return ray_exit_batch(d, np.zeros(m, dtype=complex), coeffs)
+    def logged(key):
+        def evaluate(coeffs):
+            batches[key].append(coeffs.tobytes())
+            return ray_exit_batch(d, np.zeros(2, dtype=complex), coeffs @ basis)
+        return evaluate
 
-    rng = np.random.default_rng(7)
-    start = rng.normal(size=(12, 2 * m))
-    start /= np.linalg.norm(start, axis=1, keepdims=True)
-    start_vals = evaluate(_u_to_coeffs(start, m))
-    steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
-
-    ref, ref_vals = start.copy(), start_vals.copy()
-    ref_moves = _probe_per_move(evaluate, m, ref, ref_vals, step, steps, cap)
-    got, got_vals = start.copy(), start_vals.copy()
-    assert _pattern_level(evaluate, m, got, got_vals, step, steps, cap) == ref_moves
-    assert np.array_equal(got, ref) and np.array_equal(got_vals, ref_vals)
+    monkeypatch.setattr(frame_mod, "_WALK_STEP", step)
+    monkeypatch.setattr(frame_mod, "_WALK_ROUNDS", cap)
+    got = _compass_search(d, basis, _canonical_coeffs(basis), None, 0, logged("walk"))
+    ref = _walk_by_levels(d, basis, logged("levels"), step, cap)
+    assert batches["walk"] == batches["levels"]
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
 
 
 def test_search_refines_once(monkeypatch):
