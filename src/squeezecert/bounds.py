@@ -15,10 +15,11 @@ no witness is built) and measures the inscribed radii of its image by
 batched ray exits; the ball-target witness is the same map scaled by
 1/sqrt(n).  Sampled projections only cross-check the exact discs.  The
 coordinate maps' inverses are Mobius maps, so a witness-image ray pulls back
-to a rational path whose first exit has a closed form over ball and polydisc
-bases; it is kept once the image's membership oracle, which pulls back
-through the same Mobius coefficients, brackets it, and every other ray
-marches.
+to a rational path: over ball and polydisc bases its first exit has a closed
+form, over l1 and lp bases a grid scan of the march brackets it.  A bracket
+is kept once the image's membership oracle, which pulls back through the
+same Mobius coefficients, holds at its lower end and fails at its upper end;
+only rays over defining functions, and rays whose bracket fails, march.
 The certified numbers come from the closed forms; each witness number is the
 least exit its rays measured, so [certified, witness] brackets the inscribed
 radius of the embedding's image, up to the exit tolerance.
@@ -167,11 +168,8 @@ def _witness_image_oracle(w: WitnessMap, affine_inv):
         inside = np.all(np.abs(y) < 1.0, axis=-1)
         if not np.any(inside):
             return inside
-        back = np.empty_like(y[inside])
-        for j in range(w.n):
-            yj = y[inside, j]
-            back[:, j] = (p[j] * yj + q[j]) / (r[j] * yj + s[j])
-        inside[inside.copy()] = contains(w.domain, back @ affine_inv.T)
+        y = y[inside]
+        inside[inside.copy()] = contains(w.domain, ((p * y + q) / (r * y + s)) @ affine_inv.T)
         return inside
 
     return oracle

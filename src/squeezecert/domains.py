@@ -563,7 +563,8 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
 
     Coordinate j of a ray pulls back to (q_j + p_j v_j t) / (s_j + r_j v_j t);
     over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
-    preimage is a rational path of degree n.
+    preimage is a rational path of degree n.  Each chunk of paths is refined
+    only below the least upper end of the chunks before it.
     """
     if d._body.kind not in CATALOG_KINDS:
         return None
@@ -571,6 +572,7 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
     out = np.empty((2, directions.shape[0]))
     n = directions.shape[1]
     chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
+    bound = np.inf
     for start in range(0, directions.shape[0], chunk):
         v = directions[start:start + chunk]
         num = np.stack([np.broadcast_to(q, v.shape), p * v])
@@ -582,11 +584,12 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
                                 _polymul(alpha, num[:, :, j])[..., None]], axis=-1)
             alpha = _polymul(alpha, den[:, :, j])
         clip = 1.0 / np.abs(v).max(axis=1)
-        out[:, start:start + chunk] = _path_exits(d, x @ affine_inv.T, alpha, clip)
+        out[:, start:start + chunk] = _path_exits(d, x @ affine_inv.T, alpha, clip, bound)
+        bound = min(bound, out[1, start:start + chunk].min())
     return out[0], out[1]
 
 
-def _path_exits(d, u, alpha, cap):
+def _path_exits(d, u, alpha, cap, bound=np.inf):
     """Exit brackets (lower, upper) of the rational paths U(t) / alpha(t) in
     the domain's coordinates, each taken to leave at its `cap` at the latest;
     nan where no bracket applies, None for a kind with none at all.
@@ -603,9 +606,10 @@ def _path_exits(d, u, alpha, cap):
     come as t -+ 0.4*_EXIT_TOL.  Every other path (projective l1 and lp
     chains, the witness's paths) is bracketed by `_grid_brackets` between two
     marks of the march.  Over ball and polydisc bases `_refine_least_roots`
-    then refines only the rows that can hold the least exit of the batch;
-    the others keep valid brackets, which `_first_exits` gives up in its
-    least mode and bisects for any other caller.  Products are per-row
+    then refines only the rows that can hold the least exit of the batch
+    and lie below `bound` (the least upper end of earlier batches); the
+    others keep valid brackets, which `_first_exits` gives up in its least
+    mode and bisects for any other caller.  Products are per-row
     einsums, so a batch rounds as its rows one at a time.
     """
     terms, m, n = u.shape
@@ -623,7 +627,7 @@ def _path_exits(d, u, alpha, cap):
             c = np.stack([sum(coords)] if d.kind == "ball" else coords, axis=1)
             c = c - _polymul(alpha.conj(), alpha).real[:, None]
             bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1))
-            return _refine_least_roots(c, *bracket, cap)
+            return _refine_least_roots(c, *bracket, cap, bound)
         (u0, u1), (a0, a1) = u, alpha
         quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
         if d.kind == "ball":
@@ -749,11 +753,11 @@ def _horner(c, t):
     return p, dp
 
 
-def _refine_least_roots(c, lower, upper, cap):
+def _refine_least_roots(c, lower, upper, cap, bound=np.inf):
     """The scan brackets (lower, upper) of polynomial channels c (k+1,
     channels, m), set in place to exits t -+ 0.4*_EXIT_TOL on the rows that
     can hold the least exit: those whose lower end lies below the least
-    upper end.
+    upper end and below `bound`, a least upper end known from other rows.
 
     A row's exit is the least root, by `_bracketed_root` in [lower, x], of
     its channels positive at x = min(upper, cap), or x where none is.  A
@@ -761,7 +765,7 @@ def _refine_least_roots(c, lower, upper, cap):
     bracket of cap, where it is rounding noise and Newton would stall, so it
     takes cap.
     """
-    rows = np.flatnonzero(lower < upper.min())
+    rows = np.flatnonzero(lower < min(bound, upper.min()))
     x = np.minimum(upper[rows], cap[rows])
     ch, at = np.nonzero(_horner(c[..., rows], x)[0] > 0.0)
     coef, hi = c[:, ch, rows[at]], x[at]
@@ -1064,7 +1068,7 @@ def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
     inside points.  Its endpoints are inside by construction, so a trial is
     flagged only when the exit march stepped over two slivers; kinds with a
     closed-form exit take exact first crossings, so for them this branch
-    cannot flag anything (ROADMAP item 5).  Complex-line slices are not
+    cannot flag anything (ROADMAP item 7).  Complex-line slices are not
     tested.  Returns the violation count (0 is consistent).
     """
     _check_counts(trials=trials, seed=seed)

@@ -7,10 +7,11 @@ catalog fixtures.  kappa_probe sweeps a parameterized family of domains and
 records the smallest observed bounds; it never claims the infimum.
 
 The coefficient and lemma suites run each dimension's random trials as one
-stack: one draw per trial, each on its own stream, then one stacked inverse
-and one batch of margins.  Suites fail on margins below -1e-10 (the tight
-closed-form margins read zero, rounded outward to about 1e-14 below it) and
-on any non-finite margin, which is reported as the worst case.
+stack: one trial-major draw from a shear stream and one from a sample
+stream per dimension, then one stacked inverse and one batch of margins.
+Suites fail on margins below -1e-10 (the tight closed-form margins read
+zero, rounded outward to about 1e-14 below it) and on any non-finite margin,
+which is reported as the worst case.
 """
 from __future__ import annotations
 
@@ -133,24 +134,20 @@ def _shear_stack(seed, keys, n, trials, rows=0):
     """Unit lower triangular shears for trials 0..trials-1, stacked (T, n, n),
     and `rows` complex normal sample rows per trial, stacked (T, rows, n).
 
-    Trial 0's shear is the all-(-1) one; each later trial draws its
-    subdiagonal uniformly from the square [-1, 1]^2 on its own stream
-    `_stream(seed, *keys, trial)`, pulled radially into the closed unit disc.
-    The sample rows come from the same stream, after the shear.
+    Trial 0's shear is the all-(-1) one; trial i takes slice i of two
+    trial-major draws, so its figures depend on (seed, keys, i) alone: its
+    subdiagonal uniform on the square [-1, 1]^2 from stream
+    `_stream(seed, *keys)`, pulled radially into the closed unit disc, and its
+    sample rows from stream `_stream(seed, *keys, 1)`.
     """
-    raw = np.zeros((trials, n, n), dtype=complex)
-    z = np.empty((trials, rows, 2 * n))
-    for trial in range(trials):
-        rng = np.random.default_rng(_stream(seed, *keys, trial))
-        if trial:
-            raw.real[trial], raw.imag[trial] = rng.uniform(-1, 1, (2, n, n))
-        if rows:
-            z[trial] = rng.normal(size=(rows, 2 * n))
+    shear = np.random.default_rng(_stream(seed, *keys)).uniform(-1, 1, (trials, 2, n, n))
+    raw = shear[:, 0] + 1j * shear[:, 1]
     mods = np.abs(raw)
     raw[mods > 1.0] /= mods[mods > 1.0]
     raw[0] = -1.0
     alpha = np.tril(raw, -1)
     alpha += np.eye(n)
+    z = np.random.default_rng(_stream(seed, *keys, 1)).normal(size=(trials, rows, 2 * n))
     return alpha, z.view(complex)
 
 
@@ -164,8 +161,9 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     exactly that many monomials (dimensions up to 8), and the l1 norm of an
     inverted sample is bounded by sum_j 2**(n-j) |Z_j|.  The all-(-1) matrix
     with an all-ones sample runs first and attains equality.  The trials of
-    a dimension run as one stack; each draws its matrix and its 8 samples
-    from its own stream, so a trial's figures do not depend on the others.
+    a dimension run as one stack; trial i takes slice i of one shear draw
+    and one draw of 8 samples per trial, so its figures do not depend on the
+    trial count.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_star")
     _check_counts(streams=False, seed=seed, trials=trials)
@@ -208,7 +206,7 @@ def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteRep
     tau radius must survive the half-plane product and the rho radius the
     catalog map products, each sampled at `samples` * 10 points.  The
     all-(-1) shear runs first in every dimension and is tight.  The shears
-    of a dimension run as one stack; each draws from its own stream.
+    of a dimension run as one stack, slices of one trial-major draw.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_lemmas")
     _check_counts(streams=False, seed=seed, trials=trials, samples=samples)

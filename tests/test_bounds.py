@@ -566,6 +566,46 @@ def test_projective_ball_witness_rows_pass_both_end_checks():
     assert abs(lower.min() / math.sqrt(2) - rep.witness_s) <= dom._EXIT_TOL
 
 
+def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
+    # ball(3)'s 12 000 witness rays go in chunks of 2048: Newton gets only rows
+    # whose lower end lies below the least upper end of the chunks before,
+    # and the least exit is the one of refining every chunk on its own
+    rep = certify(ball(3), seed=0)
+    norm = rep.normalizer
+    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
+    exits = _witness_exits(rep.witness, affine_inv)
+    dirs = boundary_samples(ball(3), 12000, np.random.default_rng(0))
+    path_exits, bracketed_root = dom._path_exits, dom._bracketed_root
+    running, chunks, refined = [np.inf], [0], []
+
+    def chunk_exits(d, u, alpha, cap, bound=np.inf):
+        assert bound == running[0]
+        lower, upper = path_exits(d, u, alpha, cap, bound)
+        running[0] = min(running[0], upper.min())
+        chunks[0] += 1
+        return lower, upper
+
+    def root(c, lo, hi):
+        assert (lo < running[0]).all()
+        refined.append(lo.size)
+        return bracketed_root(c, lo, hi)
+
+    monkeypatch.setattr(dom, "_path_exits", chunk_exits)
+    monkeypatch.setattr(dom, "_bracketed_root", root)
+    lower, _ = exits(dirs)
+    assert chunks[0] == 6
+    rows = sum(refined)
+    assert rows > 0
+
+    refined.clear()
+    running[0] = np.inf
+    monkeypatch.setattr(dom, "_path_exits",
+                        lambda d, u, alpha, cap, bound=np.inf: path_exits(d, u, alpha, cap))
+    alone, _ = exits(dirs)
+    assert sum(refined) > rows
+    assert lower.min() == alone.min()
+
+
 # seed-0 witness figures (s, s_hat); a change to the exit engine that keeps
 # its exits keeps these to _EXIT_TOL
 _PINNED_WITNESSES = {

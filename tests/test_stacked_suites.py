@@ -1,6 +1,8 @@
 """Stacked property suites: each suite's trials run as one stack, checked
 byte for byte against a trial-by-trial run of the same suites kept here as a
-reference, and a non-finite margin fails a suite."""
+reference, which draws trial i's shear and sample rows from the dimension's
+two streams one trial at a time; each trial's draws do not depend on the
+trial count, and a non-finite margin fails a suite."""
 
 import itertools
 import json
@@ -75,16 +77,19 @@ def _ref_star(dims, trials, seed):
         for j in range(n):
             bound[j, :j] = 2.0 ** (j - np.arange(j) - 1)
         weights = 2.0 ** (n - 1 - np.arange(n))
+        shears = np.random.default_rng(_stream(seed, n))
+        rows = np.random.default_rng(_stream(seed, n, 1))
         for trial in range(trials):
-            rng = np.random.default_rng(_stream(seed, n, trial))
-            alpha = _all_minus_one(n) if trial == 0 else _ref_alpha(n, rng)
+            # trial 0 takes its slice of the draws too, then the all-(-1) shear
+            drawn = _ref_alpha(n, shears)
+            alpha = _all_minus_one(n) if trial == 0 else drawn
             inv = inverse_coefficients(unit_lower(alpha)).entries
             coeff_margin = float(np.min(
                 (bound - np.abs(np.tril(inv, -1))) / np.maximum(1.0, bound)))
             track.add(coeff_margin,
                       {"check": "coefficient_bound", "n": n, "trial": trial,
                        "alpha": _pairs(alpha)})
-            z = rng.normal(size=(8, 2 * n)).view(complex)
+            z = rows.normal(size=(8, 2 * n)).view(complex)
             if trial == 0:
                 z[0] = 1.0
             lhs = np.abs(z @ inv.T).sum(axis=1)
@@ -101,9 +106,10 @@ def _ref_star(dims, trials, seed):
 def _ref_lemmas(dims, trials, samples, seed):
     track = _RefTracker()
     for n in dims:
+        shears = np.random.default_rng(_stream(seed, 3, n))
         for trial in range(trials):
-            rng = np.random.default_rng(_stream(seed, 3, n, trial))
-            alpha = _all_minus_one(n) if trial == 0 else _ref_alpha(n, rng)
+            drawn = _ref_alpha(n, shears)
+            alpha = _all_minus_one(n) if trial == 0 else drawn
             inv = inverse_coefficients(unit_lower(alpha)).entries
             for label, slack in zip(("polydisc_in_shear", "ball_in_shear"),
                                     _shear_slacks(inv)):
@@ -146,6 +152,47 @@ def test_star_equals_the_trial_by_trial_reference(dims, trials, seed):
 def test_lemmas_equal_the_trial_by_trial_reference(dims, trials, seed):
     assert _dump(suite_lemmas(dims=dims, trials=trials, samples=3, seed=seed)) == \
         _dump(_ref_lemmas(dims, trials, 3, seed))
+
+
+# -- one shear stream and one sample stream per dimension ------------------
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_shear_stack_prefix_is_the_shorter_stack(n):
+    alpha, z = verify._shear_stack(7, (n,), n, 2500, rows=8)
+    head, head_z = verify._shear_stack(7, (n,), n, 40, rows=8)
+    assert np.array_equal(head.view(np.uint64), alpha[:40].view(np.uint64))
+    assert np.array_equal(head_z.view(np.uint64), z[:40].view(np.uint64))
+
+
+def _drawn_streams(monkeypatch, run):
+    """The streams `run` asks `verify._stream` for, as generate_state words."""
+    states = []
+
+    def stream(*args):
+        seq = _stream(*args)
+        states.append(tuple(seq.generate_state(4)))
+        return seq
+    monkeypatch.setattr(verify, "_stream", stream)
+    run()
+    return states
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_suite_streams_are_distinct(monkeypatch, seed):
+    # the shear and sample streams of every dimension, the radius checks'
+    # streams (seed, 5, n, ci), (seed, 6, n, ci) and (seed, 7, n) of the
+    # lemma suite, across both suites at one seed
+    dims = tuple(range(2, 17))
+    shear_stacks = _drawn_streams(
+        monkeypatch, lambda: [verify._shear_stack(seed, keys, n, 2, rows=1)
+                              for n in dims for keys in ((n,), (3, n))])
+    assert len(shear_stacks) == 4 * len(dims)
+    states = _drawn_streams(monkeypatch, lambda: (
+        suite_star(dims=dims, trials=2, seed=seed),
+        suite_lemmas(dims=dims, trials=2, samples=1, seed=seed)))
+    assert set(shear_stacks) <= set(states)
+    assert len(states) == len(dims) * (2 + 2 + 3 + 3 + 1)
+    assert len(set(states)) == len(states)
 
 
 def _ref_inverse(alpha):

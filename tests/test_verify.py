@@ -11,6 +11,7 @@ from squeezecert.verify import (
     KAPPA_FAMILIES,
     KappaProbeReport,
     SuiteReport,
+    _shear_stack,
     default_strictness_fixtures,
     kappa_probe,
     suite_lemmas,
@@ -86,9 +87,15 @@ def test_star_deterministic(star_report):
 
 
 def test_star_seed_changes_cases():
-    a = suite_star(dims=(3,), trials=5, seed=1)
-    b = suite_star(dims=(3,), trials=5, seed=2)
-    assert a.worst_margin != b.worst_margin
+    # two seeds draw different shears in every trial but the fixed all-(-1)
+    # trial 0; the worst margin cannot tell them apart, as both 5-trial runs
+    # have the symbolic count at 0.0 as their worst case
+    a, _ = _shear_stack(1, (3,), 3, 5, rows=8)
+    b, _ = _shear_stack(2, (3,), 3, 5, rows=8)
+    assert np.array_equal(a[0], b[0])
+    lower = np.tril_indices(3, -1)
+    for i in range(1, 5):
+        assert (a[i][lower] != b[i][lower]).all()
 
 
 # -- containment lemma suite --------------------------------------------------
