@@ -15,18 +15,19 @@ chain builds at construction, +inf on its horizon), the defining values
 otherwise; `contains` is residual < 0.  Every first exit along rays comes
 from one engine, `_first_exits`: ray_exit_batch (and through it the frame
 search, the C-convex spot check and the sampling radius of rejection
-sampling) and the inscribed radius of `bounds`.  Both seed it with the exit
-brackets of `_path_exits`, which pulls a rational path back through that map:
-ray_exit_batch a ray, `bounds` a witness-image ray pulled back through Mobius
-coordinate maps by `_mobius_path_exits`.  Rays over ball and polydisc bases,
-and over l1 and lp bases under affine maps, give closed-form exits, bracketed
-within _EXIT_TOL; every other path gives two consecutive marks of the march
-from one grid scan, which Newton refines over ball and polydisc bases where
-the path can hold the least exit.  A bracket is kept once the membership
-oracle holds at its lower end and fails at its upper end, then bisected; rays
-over defining functions, and rays whose bracket fails, take a geometric march
-and bisection.  `bounds` asks for the least exit alone, so the engine gives
-up each ray whose bracket lies above another ray's.
+sampling) and the inscribed radius of `bounds`.  Both seed it with exit
+brackets taken through that map: ray_exit_batch from `_exact_exits`, a ray
+pulled back to a degree-1 path, `bounds` from `_path_exits`, a witness-image
+ray pulled back through Mobius coordinate maps by `_mobius_path_exits`.
+Rays over ball and polydisc bases, and over l1 and lp bases under affine
+maps, give closed-form exits, bracketed within _EXIT_TOL; every other path
+gives two consecutive marks of the march from one grid scan, which Newton
+refines over ball and polydisc bases where the path can hold the least
+exit.  One membership call tests the bases and both ends of every bracket;
+a bracket that holds is bisected, and rays over defining functions, and
+rays whose bracket fails, take a geometric march and bisection.  `bounds`
+asks for the least exit alone, so the engine gives up each ray whose
+bracket lies above another ray's.
 `boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
 their images.  `_projection_disc` gives the projection of a domain under a
 linear functional in closed form, through the support function of its
@@ -82,6 +83,10 @@ _NEWTON_ROUNDS = 60
 # Mobius paths are built in chunks of rays that hold about this many
 # coefficients, n + 1 per coordinate, bounding their memory
 _PATH_COEFFS = 24576
+# one membership call tests both bracket ends of up to this many rays; a
+# large batch (a witness's 12 000 rays) goes in blocks, which bound the
+# points held at once
+_CHECK_ROWS = 4096
 # the grid scan of `_grid_brackets` evaluates blocks of this many marks, over
 # as many rows as keep a block within this many values
 _SCAN_MARKS = 8
@@ -407,23 +412,19 @@ def ray_exit(d: DomainSpec, base, direction) -> float:
     """First t > 0 with base + t*direction outside the open domain.
 
     Kinds whose innermost base is a ball or polydisc, and l1 and lp balls
-    under affine maps, take the closed-form exit of `_exact_exits`, verified
-    by one membership test at each end of a bracket of width under _EXIT_TOL
-    around it; these exits are exact first crossings.  Rays through
-    projective images of l1 and lp balls take the bracket of one grid scan
-    of their gauge residual on the marks of the march below, verified the
-    same way.  Rays over defining functions, and rays whose bracket fails,
-    are bracketed by a geometric march (resolution factor ~1.12, so a sliver
-    the ray leaves and re-enters between consecutive marks can be skipped).
-    Brackets are bisected to tolerance _EXIT_TOL in t, taken for a direction
-    whose largest modulus lies in [2^-5, 2) (others are scaled into it by a
-    power of two, so the tolerance scales with them); a grid bracket is
-    bisected exactly as the march's, so those exits are the marched ones.
-    `ray_exit_batch` and the inscribed radius of `bounds`, whose
-    witness-image rays take grid-scan brackets over every catalog base,
-    share the loop; the inscribed radius refines or runs a ray only while it
-    can still hold the least exit.  Raises RayCapError if the ray never
-    leaves below the bounding radius.
+    under affine maps, take the closed-form exit of `_exact_exits`; rays
+    through projective images of l1 and lp balls take the bracket of one
+    grid scan of their gauge residual on the marks of the march.  One
+    membership call tests the base and both ends of the bracket, which is
+    kept when it holds; closed-form exits are then exact first crossings.
+    Rays over defining functions, and rays whose bracket fails, take a
+    geometric march (resolution factor ~1.12, so a sliver the ray leaves and
+    re-enters between consecutive marks can be skipped).  Brackets are
+    bisected to tolerance _EXIT_TOL in t, taken for a direction whose
+    largest modulus lies in [2^-5, 2) (others are scaled into it by a power
+    of two, so the tolerance scales with them); a grid bracket is bisected
+    exactly as the march's, so those exits are the marched ones.  Raises
+    RayCapError if the ray never leaves below the bounding radius.
     """
     t = ray_exit_batch(d, base, np.asarray(direction, dtype=complex)[None, :])
     return float(t[0])
@@ -431,13 +432,16 @@ def ray_exit(d: DomainSpec, base, direction) -> float:
 
 def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
     """First exits of rays base + t*directions[i]; `base` is one point (n,)
-    shared by every ray or one point per ray (m, n), all inside the domain."""
+    shared by every ray or one point per ray (m, n), all inside the domain.
+    An empty batch gives an empty array."""
     base = np.asarray(base, dtype=complex)
     directions = np.asarray(directions, dtype=complex)
     if directions.ndim != 2 or directions.shape[1] != d.n:
         raise ArgumentError(f"directions must have shape (m, {d.n})")
     if base.shape not in ((d.n,), directions.shape):
         raise ArgumentError(f"base must have shape ({d.n},) or {directions.shape}")
+    if not directions.shape[0]:
+        return np.empty(0)
     # moduli first: the complex norm would take inf * 0 on an infinite entry
     mod = np.abs(directions)
     top = mod.max(axis=1)
@@ -454,7 +458,8 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
         directions = directions * scale[:, None]
         mod = mod * scale[:, None]
     # march cap in parameter units: bounding radius along the slowest direction
-    cap = d.bounding_radius / np.linalg.norm(mod, axis=1).min() * 2.0
+    # (the norm as np.linalg.norm takes it, without its call overhead)
+    cap = d.bounding_radius / np.sqrt((mod * mod).sum(axis=1)).min() * 2.0
     bracket = _exact_exits(d, base, directions, cap)
     # the closure looks `contains` up at call time, so a rebound one is used
     t = _first_exits(lambda z: contains(d, z), base, directions, cap, bracket)
@@ -468,13 +473,14 @@ def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
     A `bracket` (lower, upper) of arrays over the rays is kept for a ray when
     0 <= lower, upper <= cap, `inside` holds at lower and fails at upper:
     closed-form exits t come as t -+ 0.4*_EXIT_TOL, grid scans as two
-    consecutive marks of the march below.  The other rays march: a geometric
-    march brackets each crossing.  Bisection then narrows every bracket to
-    _EXIT_TOL, or to one ulp where that is wider; RayCapError when a ray is
-    still inside past `cap`.  Each returned t is the lower end of its
-    bracket, a point tested inside.  The bases ride on the first membership
-    call (the lower bracket ends, or the first march step); ArgumentError
-    when one is outside.
+    consecutive marks of the march below.  One membership call tests the
+    bases and both ends of every bracket, and only the rays whose bracket
+    fails, or that have none, march: a geometric march brackets each
+    crossing.  Bisection then narrows every bracket to _EXIT_TOL, or to one
+    ulp where that is wider; RayCapError when a ray is still inside past
+    `cap`.  Each returned t is the lower end of its bracket, a point tested
+    inside.  The bases ride on the first membership call; ArgumentError when
+    one is outside.
 
     With `least`, only the least of those exits is returned, bit for bit.  A
     ray whose lower end reaches the least upper end over all rays exits
@@ -506,12 +512,17 @@ def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
     if bracket is not None:
         lower, upper = bracket
         # nan and +inf ends fail these comparisons
-        idx = np.flatnonzero((lower >= 0.0) & (upper <= cap))
-        if idx.size:
-            held = first_inside(points(idx, lower[idx, None])) & ~inside(points(idx, upper[idx, None]))
-            lo[idx[held]] = lower[idx[held]]
-            hi[idx[held]] = upper[idx[held]]
-            active = np.flatnonzero(np.isnan(hi))
+        idx = ((lower >= 0.0) & (upper <= cap)).nonzero()[0]
+        for start in range(0, idx.size, _CHECK_ROWS):
+            rows = idx[start:start + _CHECK_ROWS]
+            got = first_inside(points(np.concatenate([rows, rows]),
+                                      np.concatenate([lower[rows], upper[rows]])[:, None]))
+            held = rows[got[:rows.size] & ~got[rows.size:]]
+            lo[held], hi[held] = lower[held], upper[held]
+        active = np.isnan(hi).nonzero()[0]
+        # every bracket held and is narrow: the bisection below has no work
+        if not active.size and (hi - lo <= _EXIT_TOL).all():
+            return lo.min() if least else lo
 
     def open_rays(idx):
         # a lower end at the least upper end cannot hold the least exit; an
@@ -546,12 +557,84 @@ def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
 
 
 def _exact_exits(d, bases, directions, cap):
-    """Exit brackets of the rays bases + t*directions: `_path_exits` of the
-    degree-1 path (bases + t directions) / 1."""
-    u = np.stack([np.broadcast_to(bases, directions.shape), directions])
-    alpha = np.zeros(u.shape[:2], dtype=complex)
-    alpha[0] = 1.0
-    return _path_exits(d, u, alpha, cap)
+    """Exit brackets of the rays bases + t*directions: `_line_exits` of the
+    degree-1 paths (bases + t directions) / 1 pulled back by `_pull_back`, a
+    shared base as one row; None unless the innermost body is a catalog one."""
+    if d._body.kind not in CATALOG_KINDS:
+        return None
+    u0 = bases.reshape(-1, d.n)
+    k = u0.shape[0]
+    alpha = np.repeat(np.array([1.0, 0.0], dtype=complex), [k, directions.shape[0]])
+    body, u, alpha = _pull_back(d, np.concatenate([u0, directions]), alpha)
+    # under an affine chain alpha stays (1, 0), which _line_exits takes as None
+    a0, a1 = (alpha[:k], alpha[k:]) if d._projective else (None, None)
+    return _line_exits(body, u[:k], u[k:], a0, a1, cap)
+
+
+def _line_exits(d, u0, u1, a0, a1, cap):
+    """Exit brackets (lower, upper) of the degree-1 paths (u0 + t u1) /
+    (a0 + t a1) from the catalog body d, at `cap` at the latest; u0 and a0
+    hold one row shared by every path or one per path, and a0 = a1 = None
+    stands for rays, a0 = 1 and a1 = 0.
+
+    Ball and polydisc bodies are left where |u0 + t u1|^2 = |a0 + t a1|^2,
+    summed over coordinates or per coordinate, a quadratic; l1 and lp bodies,
+    along paths with a1 = 0 (every ray of an affine chain), where their gauge
+    is a norm.  These closed-form exits t come as t -+ 0.4*_EXIT_TOL; the
+    other paths (projective l1 and lp chains) take `_gauge_brackets`.
+    Products are per row, so a batch rounds as its rows one at a time.
+    """
+    m = u1.shape[0]
+    scan = None
+    if d.kind in ("ball", "polydisc"):
+        u0c = u0.conj()
+        a, b, c = (u1.conj() * u1).real, (u0c * u1).real, (u0c * u0).real
+        if d.kind == "ball":
+            a, b, c = a.sum(axis=-1), b.sum(axis=-1), c.sum(axis=-1)
+        elif a0 is not None:
+            a0, a1 = a0[:, None], a1[:, None]
+        if a0 is None:
+            c = c - 1.0
+        else:
+            a, b, c = (a - (a1.conj() * a1).real, b - (a0.conj() * a1).real,
+                       c - (a0.conj() * a0).real)
+        t = _first_root(a, b, c)
+        if d.kind == "polydisc":
+            t = t.min(axis=-1)
+    else:
+        p = _EXPONENTS.get(d.kind, d.p)
+        u0 = np.broadcast_to(u0, u1.shape)
+        if a0 is None:
+            t = _norm_exits(u0, u1, p)
+        else:
+            a0, flat = np.broadcast_to(a0, (m,)), a1 == 0.0
+            t = np.full(m, np.nan)
+            scale = a0[flat, None]
+            # a start on a projective horizon has scale 0: its exit is nan and marches
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t[flat] = _norm_exits(u0[flat] / scale, u1[flat] / scale, p)
+            if not flat.all():
+                scan = np.flatnonzero(~flat)
+    t = np.minimum(t, cap)
+    lower, upper = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
+    if scan is not None:
+        lower[scan], upper[scan] = _gauge_brackets(
+            np.stack([u0[scan], u1[scan]]), np.stack([a0[scan], a1[scan]]),
+            np.broadcast_to(cap, (m,))[scan], p)
+    return lower, upper
+
+
+def _pull_back(d, u, alpha):
+    """d's innermost body and the coefficient rows u (r, n), alpha (r,) of
+    paths U(t) / alpha(t) pulled back to it: the composite map's preimage
+    w = u / (1 - e.u), u = q0 N^-1 (z - z0), maps each row on its own (in
+    per-row einsums, so a batch rounds as its rows one at a time)."""
+    if d.kind not in IMAGE_KINDS:
+        return d, u, alpha
+    u = np.einsum("ij,kj->ik", u - alpha[:, None] * d._z0, d._n_inv)
+    if d._projective:
+        alpha = alpha - np.einsum("ij,j->i", u, d._e)
+    return d._body, u, alpha
 
 
 def _mobius_path_exits(d, mobius, affine_inv, directions):
@@ -590,75 +673,36 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
 
 
 def _path_exits(d, u, alpha, cap, bound=np.inf):
-    """Exit brackets (lower, upper) of the rational paths U(t) / alpha(t) in
-    the domain's coordinates, each taken to leave at its `cap` at the latest;
-    nan where no bracket applies, None for a kind with none at all.
+    """Exit brackets (lower, upper) of the rational paths U(t) / alpha(t) of
+    degree k >= 2 in the domain's coordinates, each taken to leave at its
+    `cap` at the latest; None for a kind with none.
 
     u (k+1, m, n) and alpha (k+1, m) hold the coefficients of t^0..t^k on a
-    leading degree axis.  The path is pulled back to the innermost body in one
-    step: the composite map's preimage w = u / (1 - e.u), u = q0 N^-1 (z - z0),
-    maps a rational path of degree k to another.  Ball and polydisc bases are
-    left where |U(t)|^2 = |alpha(t)|^2, summed over coordinates or per
-    coordinate: real polynomials of degree 2k, negative at an interior start
-    and >= 0 on a projective horizon.  Degree 1 solves the quadratic in closed
-    form; so do l1 and lp bases along degree-1 paths with constant alpha
-    (every ray of an affine chain), where the gauge is a norm.  These exits t
-    come as t -+ 0.4*_EXIT_TOL.  Every other path (projective l1 and lp
-    chains, the witness's paths) is bracketed by `_grid_brackets` between two
-    marks of the march.  Over ball and polydisc bases `_refine_least_roots`
-    then refines only the rows that can hold the least exit of the batch
-    and lie below `bound` (the least upper end of earlier batches); the
-    others keep valid brackets, which `_first_exits` gives up in its least
-    mode and bisects for any other caller.  Products are per-row
-    einsums, so a batch rounds as its rows one at a time.
+    leading degree axis; `_pull_back` takes the paths to the innermost body.
+    Each path is bracketed by `_grid_brackets` between two marks of the
+    march: ball and polydisc bases on |U(t)|^2 - |alpha(t)|^2, summed over
+    coordinates or per coordinate (real polynomials of degree 2k, negative at
+    an interior start and >= 0 on a projective horizon), l1 and lp bases by
+    `_gauge_brackets`.  Over ball and polydisc bases `_refine_least_roots`
+    then refines only the rows that can hold the least exit of the batch and
+    lie below `bound` (the least upper end of earlier batches); the others
+    keep valid brackets, which `_first_exits` gives up in its least mode and
+    bisects for any other caller.  Rays, the degree-1 paths, take
+    `_exact_exits`.
     """
     terms, m, n = u.shape
-    if d.kind in IMAGE_KINDS:
-        u = np.einsum("ij,kj->ik", (u - alpha[..., None] * d._z0).reshape(-1, n),
-                      d._n_inv).reshape(terms, m, n)
-        if d._projective:
-            alpha = alpha - np.einsum("ij,j->i", u.reshape(-1, n), d._e).reshape(terms, m)
-        d = d._body
-    scan = None
+    d, u, alpha = _pull_back(d, u.reshape(-1, n), alpha.reshape(-1))
+    u, alpha = u.reshape(terms, m, n), alpha.reshape(terms, m)
     if d.kind in ("ball", "polydisc"):
-        if terms > 2:
-            # for real t, |x(t)|^2 has the coefficients of conj(x) * x
-            coords = np.moveaxis(_polymul(u.conj(), u).real, -1, 0)
-            c = np.stack([sum(coords)] if d.kind == "ball" else coords, axis=1)
-            c = c - _polymul(alpha.conj(), alpha).real[:, None]
-            bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1))
-            return _refine_least_roots(c, *bracket, cap, bound)
-        (u0, u1), (a0, a1) = u, alpha
-        quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
-        if d.kind == "ball":
-            quad = [c.sum(axis=-1) for c in quad]
-        else:
-            a0, a1 = a0[:, None], a1[:, None]
-        t = _first_root(quad[0] - (a1.conj() * a1).real,
-                        quad[1] - (a0.conj() * a1).real,
-                        quad[2] - (a0.conj() * a0).real)
-        if d.kind == "polydisc":
-            t = t.min(axis=-1)
-    elif d.kind in ("l1ball", "lp_ball"):
-        p = _EXPONENTS.get(d.kind, d.p)
-        if terms > 2:
-            return _gauge_brackets(u, alpha, cap, p)
-        flat = np.flatnonzero(alpha[1] == 0.0)
-        t = np.full(m, np.nan)
-        scale = alpha[0, flat, None]
-        # a start on a projective horizon has scale 0: its exit is nan and marches
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t[flat] = _norm_exits(u[0, flat] / scale, u[1, flat] / scale, p)
-        if flat.size < m:
-            scan = np.flatnonzero(alpha[1] != 0.0)
-    else:
-        return None
-    t = np.minimum(t, cap)
-    lower, upper = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
-    if scan is not None:
-        cap = np.broadcast_to(cap, (m,))[scan]
-        lower[scan], upper[scan] = _gauge_brackets(u[:, scan], alpha[:, scan], cap, p)
-    return lower, upper
+        # for real t, |x(t)|^2 has the coefficients of conj(x) * x
+        coords = np.moveaxis(_polymul(u.conj(), u).real, -1, 0)
+        c = np.stack([sum(coords)] if d.kind == "ball" else coords, axis=1)
+        c = c - _polymul(alpha.conj(), alpha).real[:, None]
+        bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1))
+        return _refine_least_roots(c, *bracket, cap, bound)
+    if d.kind in ("l1ball", "lp_ball"):
+        return _gauge_brackets(u, alpha, cap, _EXPONENTS.get(d.kind, d.p))
+    return None
 
 
 def _grid_brackets(c, cap, outside):

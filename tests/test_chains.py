@@ -23,7 +23,6 @@ from squeezecert.domains import (
 
 # the body kernels the reference walk ends in, taken before any patching
 _BODY_RESIDUAL = dom._residual
-_BODY_PATH_EXITS = dom._path_exits
 _BODY_FUNCTIONAL = dom._functional_coefficients
 
 
@@ -58,16 +57,14 @@ def _walk_residual(d, z):
     return res
 
 
-def _walk_path_exits(d, u, alpha, cap):
-    terms, m, n = u.shape
+def _walk_pull_back(d, u, alpha):
     while d.kind in IMAGE_KINDS:
         _, z0, n_inv, e = _layer_map(d)
-        u = np.einsum("ij,kj->ik", (u - alpha[..., None] * z0).reshape(-1, n),
-                      n_inv).reshape(terms, m, n)
+        u = np.einsum("ij,kj->ik", u - alpha[:, None] * z0, n_inv)
         if d.denominator is not None:
-            alpha = alpha - np.einsum("ij,j->i", u.reshape(-1, n), e).reshape(terms, m)
+            alpha = alpha - np.einsum("ij,j->i", u, e)
         d = d.base
-    return _BODY_PATH_EXITS(d, u, alpha, cap)
+    return d, u, alpha
 
 
 def _walk_functional(d, a):
@@ -84,7 +81,7 @@ def _walked(monkeypatch, fn, *args):
     """fn(*args) with every reader walking the chain one layer at a time."""
     with monkeypatch.context() as mp:
         mp.setattr(dom, "_residual", _walk_residual)
-        mp.setattr(dom, "_path_exits", _walk_path_exits)
+        mp.setattr(dom, "_pull_back", _walk_pull_back)
         mp.setattr(dom, "_functional_coefficients", _walk_functional)
         return fn(*args)
 

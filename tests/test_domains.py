@@ -172,7 +172,7 @@ def test_ray_exit_from_a_projective_horizon_is_an_argument_error():
         ray_exit(d, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 
 
-def test_ray_exit_with_guesses_makes_two_membership_passes(monkeypatch):
+def test_ray_exit_with_guesses_makes_one_membership_pass(monkeypatch):
     sizes = []
     real = dom.contains
 
@@ -182,8 +182,14 @@ def test_ray_exit_with_guesses_makes_two_membership_passes(monkeypatch):
 
     monkeypatch.setattr(dom, "contains", counted)
     ray_exit_batch(cayley_polydisc(), np.array([0.1, 0.05j]), np.eye(2, dtype=complex))
-    # the base rides on the lower bracket ends; then the upper ends
-    assert sizes == [1 + 2, 2]
+    # the base, the lower bracket ends and the upper ends in one call
+    assert sizes == [1 + 2 + 2]
+
+
+@pytest.mark.parametrize("base", [np.zeros(2), np.zeros((0, 2))], ids=["shared", "per_ray"])
+def test_ray_exit_batch_of_no_rays_is_empty(base):
+    t = ray_exit_batch(ball(2), base, np.zeros((0, 2)))
+    assert t.shape == (0,) and t.dtype == float
 
 
 def test_ray_exit_cap():
@@ -346,6 +352,178 @@ def test_ray_exit_per_ray_bases_must_all_be_inside():
         ray_exit_batch(ball(2), bases, dirs)
     with pytest.raises(ArgumentError):
         ray_exit_batch(ball(2), bases[:2], dirs)
+
+
+# -- the two-pass engine, kept as a bit-for-bit reference --------------------
+
+def _two_pass_first_exits(inside, bases, directions, cap, bracket=None, least=False):
+    """`_first_exits` as it was when one membership call tested the bases and
+    the lower bracket ends and a second one the upper ends."""
+    def points(idx, t):
+        return (bases if bases.ndim == 1 else bases[idx]) + t * directions[idx]
+
+    unchecked = bases.reshape(-1, bases.shape[-1])
+
+    def first_inside(z):
+        nonlocal unchecked
+        if unchecked is None:
+            return inside(z)
+        k = unchecked.shape[0]
+        got = inside(np.concatenate([unchecked, z]))
+        unchecked = None
+        if not got[:k].all():
+            raise ArgumentError("ray base point must lie inside the domain")
+        return got[k:]
+
+    m = directions.shape[0]
+    lo = np.zeros(m)
+    hi = np.full(m, np.nan)
+    active = np.arange(m)
+    if bracket is not None:
+        lower, upper = bracket
+        idx = np.flatnonzero((lower >= 0.0) & (upper <= cap))
+        if idx.size:
+            held = first_inside(points(idx, lower[idx, None])) & ~inside(points(idx, upper[idx, None]))
+            lo[idx[held]] = lower[idx[held]]
+            hi[idx[held]] = upper[idx[held]]
+            active = np.flatnonzero(np.isnan(hi))
+
+    def open_rays(idx):
+        return idx[lo[idx] < np.fmin.reduce(hi, initial=np.inf)] if least else idx
+
+    t = dom._MARCH_START
+    while active.size:
+        if t > cap and not (least and np.isfinite(hi).any()):
+            if unchecked is not None:
+                first_inside(directions[:0])
+            raise RayCapError(f"{active.size} rays still inside past t = {cap:g}")
+        out = ~first_inside(points(active, t))
+        hi[active[out]] = t
+        lo[active[~out]] = t
+        active = open_rays(active[~out])
+        t *= dom._MARCH_GROWTH
+
+    todo = np.arange(m)
+    while True:
+        todo = open_rays(todo[hi[todo] - lo[todo] > dom._EXIT_TOL])
+        mid = 0.5 * (lo[todo] + hi[todo])
+        split = (lo[todo] < mid) & (mid < hi[todo])
+        todo, mid = todo[split], mid[split]
+        if not todo.size:
+            return lo.min() if least else lo
+        ins = inside(points(todo, mid[:, None]))
+        lo[todo[ins]] = mid[ins]
+        hi[todo[~ins]] = mid[~ins]
+
+
+def _stacked_exact_exits(d, bases, directions, cap):
+    """`_exact_exits` as it was: the degree-1 branch of `_path_exits` on the
+    path (bases + t directions) / 1, stacked on a leading degree axis, with
+    every base pulled back on its own row."""
+    u = np.stack([np.broadcast_to(bases, directions.shape), directions])
+    alpha = np.zeros(u.shape[:2], dtype=complex)
+    alpha[0] = 1.0
+    terms, m, n = u.shape
+    if d.kind in dom.IMAGE_KINDS:
+        u = np.einsum("ij,kj->ik", (u - alpha[..., None] * d._z0).reshape(-1, n),
+                      d._n_inv).reshape(terms, m, n)
+        if d._projective:
+            alpha = alpha - np.einsum("ij,j->i", u.reshape(-1, n), d._e).reshape(terms, m)
+        d = d._body
+    scan = None
+    if d.kind in ("ball", "polydisc"):
+        (u0, u1), (a0, a1) = u, alpha
+        quad = [(u1.conj() * u1).real, (u0.conj() * u1).real, (u0.conj() * u0).real]
+        if d.kind == "ball":
+            quad = [c.sum(axis=-1) for c in quad]
+        else:
+            a0, a1 = a0[:, None], a1[:, None]
+        t = dom._first_root(quad[0] - (a1.conj() * a1).real,
+                            quad[1] - (a0.conj() * a1).real,
+                            quad[2] - (a0.conj() * a0).real)
+        if d.kind == "polydisc":
+            t = t.min(axis=-1)
+    elif d.kind in ("l1ball", "lp_ball"):
+        p = dom._EXPONENTS.get(d.kind, d.p)
+        flat = np.flatnonzero(alpha[1] == 0.0)
+        t = np.full(m, np.nan)
+        scale = alpha[0, flat, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t[flat] = dom._norm_exits(u[0, flat] / scale, u[1, flat] / scale, p)
+        if flat.size < m:
+            scan = np.flatnonzero(alpha[1] != 0.0)
+    else:
+        return None
+    t = np.minimum(t, cap)
+    lower, upper = t - 0.4 * dom._EXIT_TOL, t + 0.4 * dom._EXIT_TOL
+    if scan is not None:
+        cap = np.broadcast_to(cap, (m,))[scan]
+        lower[scan], upper[scan] = dom._gauge_brackets(u[:, scan], alpha[:, scan], cap, p)
+    return lower, upper
+
+
+def _exits_or_error(d, bases, dirs):
+    try:
+        return ray_exit_batch(d, bases, dirs).tobytes()
+    except (ArgumentError, RayCapError) as exc:
+        return type(exc), str(exc)
+
+
+def _two_pass_exits_or_error(monkeypatch, d, bases, dirs):
+    with monkeypatch.context() as mp:
+        mp.setattr(dom, "_exact_exits", _stacked_exact_exits)
+        mp.setattr(dom, "_first_exits", _two_pass_first_exits)
+        return _exits_or_error(d, bases, dirs)
+
+
+def _projective_lp(base):
+    # the tilted denominator leaves no ray a flat norm exit: grid brackets
+    return projective_image(base, np.eye(3) + 0.2j * np.eye(3, k=1), np.full(3, 0.05),
+                            [2.0, 0.5, 0.5j, -0.3], bounding_radius=10.0)
+
+
+def test_ray_exits_match_the_two_pass_engine_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(37)
+    cases = []
+    for n in (2, 3):
+        bodies, per_ray = closed_form_fixtures(n, rng)
+        cases += [(d, per_ray[name]) for name, d in bodies.items()]
+    cases += [(d, 0.5 * interior_samples(d, 40, rng)) for d in one_of_each_kind().values()]
+    for base in (l1ball(3), lp_ball(3, 1.5)):
+        d = _projective_lp(base)
+        cases.append((d, 0.3 * interior_samples(d, 40, rng)))
+        # the denominator w -> 2 + 0.5 w1 is constant along e2: half the rays
+        # keep a flat norm exit, the others take grid brackets
+        d = projective_image(base, np.eye(3), np.zeros(3), [2.0, 0.5, 0.0, 0.0],
+                             bounding_radius=10.0)
+        cases.append((d, 0.3 * interior_samples(d, 40, rng)))
+    checked = 0
+    for d, rows in cases:
+        m, n = rows.shape
+        dirs = rng.normal(size=(m, 2 * n)).view(complex)
+        dirs[::2, 0] = 0.0
+        # rows scaled by 2^-k and 2^k leave [2^-5, 2) and are brought back
+        scaled = dirs * np.ldexp(1.0, rng.integers(-12, 13, size=m))[:, None]
+        for bases in (np.zeros(n, dtype=complex), rows):
+            for v in (dirs, scaled):
+                got = _exits_or_error(d, bases, v)
+                assert isinstance(got, bytes), (d.kind, got)
+                assert got == _two_pass_exits_or_error(monkeypatch, d, bases, v), d.kind
+                checked += 1
+    assert checked == 4 * len(cases)
+    # a ray past its bounding radius, a base outside, a base on the horizon
+    eye = np.eye(2, dtype=complex)
+    horizon = projective_image(l1ball(2), np.eye(2), np.zeros(2), [2.0, 1.0, 0.0],
+                               bounding_radius=10.0)
+    refused = [(affine_image(ball(2), np.diag([1.0, 10.0]), bounding_radius=3.0), np.zeros(2), eye),
+               (affine_image(l1ball(2), np.eye(2), bounding_radius=0.3), np.zeros(2), eye),
+               (ball(2), np.array([[0.1, 0.0], [2.0, 0.0]]), eye),
+               (horizon, np.array([1.0, 0.0]), eye[1:])]
+    for d, bases, v in refused:
+        got = _exits_or_error(d, bases, v)
+        assert got == _two_pass_exits_or_error(monkeypatch, d, bases, v), d.kind
+        assert got[0] in (ArgumentError, RayCapError)
+    assert _exits_or_error(*refused[0]) == (RayCapError, "1 rays still inside past t = 6")
 
 
 # -- coordinate projections --------------------------------------------------

@@ -7,7 +7,7 @@ search has no canonical direction to fall back on.
 import numpy as np
 import pytest
 
-from squeezecert import frame as frame_mod
+from squeezecert import domains as dom, frame as frame_mod, verify
 from squeezecert.domains import (
     DomainSpec,
     affine_image,
@@ -114,6 +114,33 @@ def test_search_probes_each_pattern_once(make, monkeypatch):
     patterns = [b[i:i + width].tobytes() for b in loop for i in range(0, len(b), width)]
     assert len(patterns) > 100
     assert len(set(patterns)) == len(patterns)
+
+
+def test_walk_exit_batches_make_one_membership_call_each(monkeypatch):
+    # every walk ray has a closed-form bracket that holds within _EXIT_TOL, so
+    # one membership call takes the base and both ends and settles the batch
+    projective = next(d for d, params in verify._family_domains("projective", 2, 4, 0)
+                      if params["denominator_1"] != [0.0, 0.0])
+    calls, per_batch = [0], []
+    contains, inner = dom.contains, frame_mod.ray_exit_batch
+
+    def counted(d, z):
+        calls[0] += 1
+        return contains(d, z)
+
+    def logged(d, base, dirs):
+        calls[0] = 0
+        out = inner(d, base, dirs)
+        per_batch.append(calls[0])
+        return out
+
+    monkeypatch.setattr(dom, "contains", counted)
+    monkeypatch.setattr(frame_mod, "ray_exit_batch", logged)
+    for d in (l1ball(6), projective):
+        per_batch.clear()
+        build_frame(d, seed=0)
+        assert len(per_batch) > 100
+        assert set(per_batch) == {1}
 
 
 def _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, cap):
