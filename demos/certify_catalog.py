@@ -8,12 +8,13 @@ needs every coordinate projection to be a disc in closed form: a closed-form
 disc over ball bases and affine chains, none for polydisc, l1 and lp bases
 under projective maps or for defining functions.  So the projective ball gets
 a witness from its exact projection discs, while the projective polydisc gets
-none and the report says so instead.
+none and the report says so instead.  An lp ball with p < 2 takes its frame
+contacts in closed form, so its first frame radius is Hoelder's n^(1/2 - 1/p).
 """
 import numpy as np
 
 from squeezecert.bounds import certify
-from squeezecert.domains import ball, l1ball, polydisc, projective_image
+from squeezecert.domains import ball, l1ball, lp_ball, polydisc, projective_image
 
 
 def show(name, report):
@@ -44,3 +45,7 @@ show("projective polydisc image", certify(proj, seed=0))
 proj_ball = projective_image(ball(2), np.eye(2), np.zeros(2),
                              [2.0, 0.5, 0.0], bounding_radius=100.0)
 show("projective ball image", certify(proj_ball, seed=0))
+
+lp12 = certify(lp_ball(12, 1.5), seed=0)
+print(f"lp ball (n = 12, p = 1.5): first frame radius {lp12.diagnostics['radii'][0]:.12f}"
+      f"   n^(1/2 - 1/p) = {12 ** (0.5 - 1 / 1.5):.12f}")

@@ -9,14 +9,17 @@ from transported tangent hyperplanes.
 
 Over a linear image of the ball or polydisc (the catalog bodies included)
 the least exit of a stage has a closed form, read off the composite map, and
-no search runs.  Every other domain takes a multi-start compass walk, one
-exit batch per round over all live survivors, halving its step on a round
-with no gain, until the step or the round budget runs out; its best survivor
-is refined by Gauss-Newton steps to the stationarity identity of a smooth
-contact.  Tied exact canonical candidates are ordered by the key (-Re v_1,
-|arg v_1|, -Re v_2, ...), so the catalog bodies keep their contacts bit for
-bit; otherwise the closed-form or refined direction is the contact.  The
-contacts of circular domains are then phase-normalized.
+no search runs.  So has a catalog l1 or lp ball's, by Hoelder: over a stage
+subspace that holds a DFT column (p < 2) or a coordinate axis (p >= 2), that
+unit vector's exit n^(1/2 - 1/p), or 1, is the least.  Every other domain
+takes a multi-start compass walk, one exit batch per round over all live
+survivors, halving its step on a round with no gain, until the step or the
+round budget runs out; its best survivor is refined by Gauss-Newton steps to
+the stationarity identity of a smooth contact.  Tied exact canonical
+candidates are ordered by the key (-Re v_1, |arg v_1|, -Re v_2, ...), so the
+catalog bodies keep their contacts bit for bit; otherwise the closed-form or
+refined direction is the contact.  The contacts of circular domains are then
+phase-normalized.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import (
+    _EXPONENTS,
     CATALOG_KINDS,
     DomainSpec,
     contains,
@@ -172,13 +176,15 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
 
     `subspace_basis` holds orthonormal rows spanning a complex subspace
     (default: the full space).  Over a linear image of the ball or polydisc
-    (`_circular` with such a body) the least exit has a closed form,
-    `_closed_form_coeffs`; its ray and the canonical candidates take one
-    exit batch, `n_starts` and `seed` go unused, and no search flag is
-    raised.  Every other domain takes the multi-start compass walk of
-    `_compass_search` followed by the stationarity refine of its best
-    survivor; a best survivor that no other survivor (unrefined) meets within
-    AGREE_TOL raises the search_disagreement flag rather than an error.
+    (`_circular` with such a body), and over a catalog l1 or lp ball whose
+    subspace holds a DFT column (p < 2) or a coordinate axis (p >= 2), the
+    least exit has a closed form, `_closed_form_coeffs`; its ray and the
+    canonical candidates take one exit batch, `n_starts` and `seed` go
+    unused, and no search flag is raised.  Every other domain takes the
+    multi-start compass walk of `_compass_search` followed by the
+    stationarity refine of its best survivor; a best survivor that no other
+    survivor (unrefined) meets within AGREE_TOL raises the
+    search_disagreement flag rather than an error.
     Exact canonical candidates that tie the optimum are ranked by the tie
     key; otherwise the closed-form or refined direction is returned.
     """
@@ -228,15 +234,32 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
 
 def _closed_form_coeffs(d, basis):
     """Unit subspace coordinates c of the least exit over the span of the
-    `basis` rows B, for a linear image of the ball or polydisc; None for every
-    other domain.
+    `basis` rows B, for a linear image of the ball or polydisc, or for a
+    catalog l1 or lp ball with a fitting unit vector in that span; None for
+    every other domain.
 
     The body point of z = c B is w = c G with G = B N^-T (N^-1 the image's
     `_n_inv`, the identity for a catalog body), so the exit along c is
     1/|c G| in the body's gauge and the least exit maximizes that gauge.
     Polydisc: c = conj(G_k)/|G_k| for the column k of largest norm.  Ball:
-    c = conj(U_0), the first left singular vector of G.
+    c = conj(U_0), the first left singular vector of G.  An lp ball's exit
+    along a unit u is 1/|u|_p, and by Hoelder |u|_p <= n^(1/p - 1/2) for
+    p < 2, with equality iff every |u_j| = n^(-1/2), and |u|_p <= 1 for
+    p >= 2, with equality on the axes.  So the first DFT column
+    exp(2 pi i jk/n)/sqrt(n) (p < 2) or axis (p >= 2) whose projection on the
+    span has norm within 1e-12 of 1 is a least exit; the columns are
+    orthonormal, so each stage after column contacts holds one.
     """
+    if d.kind in ("l1ball", "lp_ball"):
+        n = d.n
+        if _EXPONENTS.get(d.kind, d.p) < 2.0:
+            cols = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
+        else:
+            cols = np.eye(n, dtype=complex)
+        coeffs = cols @ np.conj(basis.T)
+        norms = np.linalg.norm(coeffs, axis=1)
+        hit = np.flatnonzero(np.abs(norms - 1.0) <= 1e-12)
+        return coeffs[hit[0]] / norms[hit[0]] if hit.size else None
     body = d._body.kind
     if body not in ("ball", "polydisc") or not _circular(d):
         return None

@@ -758,6 +758,17 @@ def test_certify_projective_ball_gets_a_witness():
     assert margin.violations == 0 and margin.min_slack >= 0.0
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("make", [
+    ball, polydisc, l1ball, lambda n: lp_ball(n, 1.5), lambda n: lp_ball(n, 3.0),
+], ids=["ball", "polydisc", "l1ball", "lp_ball(1.5)", "lp_ball(3)"])
+def test_certify_runs_on_every_catalog_kind_to_dimension_eight(make, n):
+    rep = certify(make(n), seed=0)
+    assert rep.witness_s > rep.certified_s
+    assert rep.witness_s_hat > rep.certified_s_hat
+    assert all(m.violations == 0 for m in rep.margins.values())
+
+
 @pytest.mark.parametrize("matrix,radii", [
     (np.diag([1.0, 1e-5, 1.0]), [1e-5, 1.0, 1.0]),
     (np.array([[1.0, 0.0], [1e4, 1.0]]), [1e-4, 1e4]),

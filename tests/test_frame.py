@@ -136,6 +136,8 @@ def test_walk_exit_batches_make_one_membership_call_each(monkeypatch):
 
     monkeypatch.setattr(dom, "contains", counted)
     monkeypatch.setattr(frame_mod, "ray_exit_batch", logged)
+    # the l1 ball's contacts have a closed form; switched off, its stages walk
+    monkeypatch.setattr(frame_mod, "_closed_form_coeffs", lambda d, basis: None)
     for d in (l1ball(6), projective):
         per_batch.clear()
         build_frame(d, seed=0)
@@ -298,12 +300,39 @@ def test_closed_form_keeps_the_canonical_contact(make):
     assert abs(res.radius - 1.0) <= 1e-12
 
 
-def test_closed_form_is_for_linear_ball_and_polydisc_images_only():
+def test_closed_form_is_for_linear_images_and_catalog_lp_balls_only():
     shear = np.array([[1.0, 0.0], [0.6 + 0.2j, 1.0]])
-    assert frame_mod._closed_form_coeffs(affine_image(ball(2), shear), np.eye(2)) is not None
-    for d in (l1ball(2), affine_image(polydisc(2), shear, [0.05, 0.0]), cayley_polydisc(),
+    for d in (affine_image(ball(2), shear), l1ball(2)):
+        assert frame_mod._closed_form_coeffs(d, np.eye(2)) is not None
+    for d in (affine_image(l1ball(2), shear), affine_image(polydisc(2), shear, [0.05, 0.0]),
+              cayley_polydisc(),
               projective_image(ball(2), np.eye(2), np.zeros(2), [3.0, 0.5, 0.0])):
         assert frame_mod._closed_form_coeffs(d, np.eye(2)) is None
+
+
+def _holder_radius(d):
+    # an lp ball's least exit over any subspace that holds a DFT column
+    # (p < 2) or a coordinate axis (p >= 2)
+    p = 1.0 if d.kind == "l1ball" else d.p
+    return d.n ** (0.5 - 1.0 / p) if p < 2.0 else 1.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closed_form_lp_contacts_match_the_walk(n, p, monkeypatch):
+    # the walk, run with the closed form switched off, is the oracle: it finds
+    # no exit below the Hoelder radius in any stage's subspace
+    d = l1ball(n) if p == 1.0 else lp_ball(n, p)
+    fr = build_frame(d, seed=0)
+    assert all(frame_mod._closed_form_coeffs(d, basis) is not None for basis in fr.bases)
+    exact = [min_boundary_point(d, basis, seed=_stream(0, stage))
+             for stage, basis in enumerate(fr.bases)]
+    monkeypatch.setattr(frame_mod, "_closed_form_coeffs", lambda d, basis: None)
+    for stage, (basis, res) in enumerate(zip(fr.bases, exact)):
+        walked = min_boundary_point(d, basis, seed=_stream(0, stage))
+        assert abs(res.radius - _holder_radius(d)) <= 1e-9
+        assert res.radius <= walked.radius + 1e-9
+        assert res.flags == ()
 
 
 # -- frames for the worked examples ------------------------------------------
@@ -447,11 +476,12 @@ def test_circular_domains(make, expected):
     (lambda: l1ball(8), 2),
 ], ids=["l1ball(4)@2", "lp_ball(4)@1", "lp_ball(5)@0", "l1ball(6)@0",
         "lp_ball(7)@0", "lp_ball(8)@0", "lp_ball(8)@1", "l1ball(8)@2"])
-def test_tied_contacts_pass_the_normalizer(make, seed):
+def test_tied_contacts_pass_the_normalizer(make, seed, monkeypatch):
     # the contacts of these bodies tie along whole manifolds of minimizers;
-    # whichever refined one the search keeps, the later contacts must lie in
-    # its tangent hyperplane to the triangularity gate
+    # whichever refined one the walk keeps (the closed form switched off), the
+    # later contacts must lie in its tangent hyperplane to the triangularity gate
     d = make()
+    monkeypatch.setattr(frame_mod, "_closed_form_coeffs", lambda d, basis: None)
     nz = build_normalizer(d, build_frame(d, seed=seed), seed=seed)
     assert nz.margins["triangularity_residual"] <= 1e-8
 
@@ -461,18 +491,33 @@ def _shear(n, body=polydisc):
                         + np.tril(np.full((n, n), 0.4 - 0.3j), -1))
 
 
-# known failures past n = 8: the compass budget runs out on the tied
-# manifolds of the l1 and lp balls; the fix removes these markers
+# the compass budget runs out on the tied manifolds of the l1 and lp balls
+# past n = 8; their closed-form contacts hold there
 @pytest.mark.parametrize("make,seed", [
     (lambda: _shear(9), 0),
-    pytest.param(lambda: l1ball(10), 0, marks=pytest.mark.xfail(
-        strict=True, raises=TriangularityError, reason="move budget on a tied manifold")),
-    pytest.param(lambda: lp_ball(13, 1.5), 1, marks=pytest.mark.xfail(
-        strict=True, raises=TriangularityError, reason="move budget on a tied manifold")),
+    (lambda: l1ball(10), 0),
+    (lambda: lp_ball(13, 1.5), 1),
 ], ids=["shear(9)@0", "l1ball(10)@0", "lp_ball(13)@1"])
 def test_frames_past_dimension_eight(make, seed):
     d = make()
     nz = build_normalizer(d, build_frame(d, seed=seed), seed=seed)
+    assert nz.margins["triangularity_residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("n", range(9, 17))
+def test_closed_form_lp_frames_to_dimension_sixteen(n, p, seed, monkeypatch):
+    # every stage of a catalog l1 or lp ball takes its contact in closed form
+    d = l1ball(n) if p == 1.0 else lp_ball(n, p)
+
+    def walk(*args):
+        raise AssertionError("a stage walked")
+
+    monkeypatch.setattr(frame_mod, "_compass_search", walk)
+    fr = build_frame(d, seed=seed)
+    assert np.abs(fr.radii - _holder_radius(d)).max() <= 1e-9
+    nz = build_normalizer(d, fr, seed=seed)
     assert nz.margins["triangularity_residual"] <= 1e-8
 
 
