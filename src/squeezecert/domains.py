@@ -18,7 +18,8 @@ search, the C-convex spot check and the sampling radius of rejection
 sampling) and the inscribed radius of `bounds`.  Both seed it with exit
 brackets taken through that map: ray_exit_batch from `_exact_exits`, a ray
 pulled back to a degree-1 path, `bounds` from `_path_exits`, a witness-image
-ray pulled back through Mobius coordinate maps by `_mobius_path_exits`.
+ray pulled back through Mobius coordinate maps by `_mobius_path_exits`; every
+chain, affine or projective, pulls a path back in one form, U(t) / alpha(t).
 Rays over ball and polydisc bases, and over l1 and lp bases under affine
 maps, give closed-form exits, bracketed within _EXIT_TOL; every other path
 gives two consecutive marks of the march from one grid scan, which Newton
@@ -175,7 +176,8 @@ class DomainSpec:
         chain into one map z = (C v + c') / (q0 + q.v) over the innermost body
         B (`_hom`, rows (q0, q) and (c', C); `_body`), and store the data of
         its one closed-form preimage: z0 = c'/q0, q0 N^-1 with N = C - z0 q^T,
-        and e = q/q0.  `_projective`: some layer is projective.
+        and e = q/q0.  `_projective`: some layer is projective (read by
+        `_preimage` alone, which skips the divisor 1 - e.u of affine chains).
 
         Affine maps keep `denominator` None and map with den = (1, 0, ..., 0).
         det of the composite is q0 det N, so a singular N is a degenerate map.
@@ -558,66 +560,56 @@ def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
 
 def _exact_exits(d, bases, directions, cap):
     """Exit brackets of the rays bases + t*directions: `_line_exits` of the
-    degree-1 paths (bases + t directions) / 1 pulled back by `_pull_back`, a
-    shared base as one row; None unless the innermost body is a catalog one."""
+    degree-1 paths (bases + t directions) / 1 pulled back by `_pull_back` (an
+    affine chain keeps the 1), a shared base as one row; None unless the
+    innermost body is a catalog one."""
     if d._body.kind not in CATALOG_KINDS:
         return None
     u0 = bases.reshape(-1, d.n)
     k = u0.shape[0]
     alpha = np.repeat(np.array([1.0, 0.0], dtype=complex), [k, directions.shape[0]])
     body, u, alpha = _pull_back(d, np.concatenate([u0, directions]), alpha)
-    # under an affine chain alpha stays (1, 0), which _line_exits takes as None
-    a0, a1 = (alpha[:k], alpha[k:]) if d._projective else (None, None)
-    return _line_exits(body, u[:k], u[k:], a0, a1, cap)
+    return _line_exits(body, u[:k], u[k:], alpha[:k], alpha[k:], cap)
 
 
 def _line_exits(d, u0, u1, a0, a1, cap):
     """Exit brackets (lower, upper) of the degree-1 paths (u0 + t u1) /
     (a0 + t a1) from the catalog body d, at `cap` at the latest; u0 and a0
-    hold one row shared by every path or one per path, and a0 = a1 = None
-    stands for rays, a0 = 1 and a1 = 0.
+    hold one row shared by every path or one per path.
 
     Ball and polydisc bodies are left where |u0 + t u1|^2 = |a0 + t a1|^2,
     summed over coordinates or per coordinate, a quadratic; l1 and lp bodies,
-    along paths with a1 = 0 (every ray of an affine chain), where their gauge
-    is a norm.  These closed-form exits t come as t -+ 0.4*_EXIT_TOL; the
-    other paths (projective l1 and lp chains) take `_gauge_brackets`.
+    along paths with a1 = 0 (every ray of an affine chain, with a0 = 1), where
+    their gauge is a norm.  These closed-form exits t come as t -+ 0.4*_EXIT_TOL;
+    the other paths (projective l1 and lp chains) take `_gauge_brackets`.
     Products are per row, so a batch rounds as its rows one at a time.
     """
     m = u1.shape[0]
-    scan = None
     if d.kind in ("ball", "polydisc"):
         u0c = u0.conj()
         a, b, c = (u1.conj() * u1).real, (u0c * u1).real, (u0c * u0).real
         if d.kind == "ball":
             a, b, c = a.sum(axis=-1), b.sum(axis=-1), c.sum(axis=-1)
-        elif a0 is not None:
-            a0, a1 = a0[:, None], a1[:, None]
-        if a0 is None:
-            c = c - 1.0
         else:
-            a, b, c = (a - (a1.conj() * a1).real, b - (a0.conj() * a1).real,
-                       c - (a0.conj() * a0).real)
+            a0, a1 = a0[:, None], a1[:, None]
+        a, b, c = (a - (a1.conj() * a1).real, b - (a0.conj() * a1).real,
+                   c - (a0.conj() * a0).real)
         t = _first_root(a, b, c)
         if d.kind == "polydisc":
             t = t.min(axis=-1)
+        scan = ()
     else:
         p = _EXPONENTS.get(d.kind, d.p)
-        u0 = np.broadcast_to(u0, u1.shape)
-        if a0 is None:
-            t = _norm_exits(u0, u1, p)
-        else:
-            a0, flat = np.broadcast_to(a0, (m,)), a1 == 0.0
-            t = np.full(m, np.nan)
-            scale = a0[flat, None]
-            # a start on a projective horizon has scale 0: its exit is nan and marches
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t[flat] = _norm_exits(u0[flat] / scale, u1[flat] / scale, p)
-            if not flat.all():
-                scan = np.flatnonzero(~flat)
+        u0, a0, flat = np.broadcast_to(u0, u1.shape), np.broadcast_to(a0, (m,)), a1 == 0.0
+        t = np.full(m, np.nan)
+        scale = a0[flat, None]
+        # a start on a projective horizon has scale 0: its exit is nan and marches
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t[flat] = _norm_exits(u0[flat] / scale, u1[flat] / scale, p)
+        scan = np.flatnonzero(~flat)
     t = np.minimum(t, cap)
     lower, upper = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
-    if scan is not None:
+    if len(scan):
         lower[scan], upper[scan] = _gauge_brackets(
             np.stack([u0[scan], u1[scan]]), np.stack([a0[scan], a1[scan]]),
             np.broadcast_to(cap, (m,))[scan], p)
@@ -628,13 +620,12 @@ def _pull_back(d, u, alpha):
     """d's innermost body and the coefficient rows u (r, n), alpha (r,) of
     paths U(t) / alpha(t) pulled back to it: the composite map's preimage
     w = u / (1 - e.u), u = q0 N^-1 (z - z0), maps each row on its own (in
-    per-row einsums, so a batch rounds as its rows one at a time)."""
+    per-row einsums, so a batch rounds as its rows one at a time); e = 0
+    under an affine chain, which leaves alpha exactly as it came."""
     if d.kind not in IMAGE_KINDS:
         return d, u, alpha
     u = np.einsum("ij,kj->ik", u - alpha[:, None] * d._z0, d._n_inv)
-    if d._projective:
-        alpha = alpha - np.einsum("ij,j->i", u, d._e)
-    return d._body, u, alpha
+    return d._body, u, alpha - np.einsum("ij,j->i", u, d._e)
 
 
 def _mobius_path_exits(d, mobius, affine_inv, directions):
@@ -932,9 +923,10 @@ def boundary_samples(d: DomainSpec, count, rng) -> np.ndarray:
     """Boundary points of a ball, polydisc or l1 ball, or of an image of one.
 
     The axis points and the all-ones corner under the four quarter phases
-    lead the block, followed by `count` random boundary points; image kinds
-    map their base's samples forward.
+    lead the block, followed by `count` random boundary points (a positive
+    integer); image kinds map their base's samples forward.
     """
+    _check_counts(count=count)
     if d.kind in IMAGE_KINDS:
         return forward_map(d, boundary_samples(d.base, count, rng))
     n = d.n
@@ -972,6 +964,7 @@ def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
     """Draw `count` interior points: uniform for the catalog kinds, pushed
     forward from the base for image kinds, by rejection from a ball for
     defining functions."""
+    _check_counts(count=count)
     kind = d.kind
     n = d.n
     if kind == "ball":

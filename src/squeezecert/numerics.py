@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -32,8 +32,6 @@ SYMBOLIC_CAP = 8
 # least value of the integer run arguments that may be 0 (no spot check,
 # canonical frame starts only); every other count must be positive
 _LEAST = {"seed": 0, "spot_trials": 0, "n_starts": 0}
-
-CSV_HEADER = "n,c_n,convex_ball,convex_polydisc,cconvex_ball,cconvex_polydisc,weak_ball,weak_polydisc"
 
 
 def _check_counts(*, streams=True, **values):
@@ -156,26 +154,15 @@ def constants_table(n_max) -> list[UniversalConstants]:
 
 
 def constants_csv(n_max) -> str:
-    """CSV table of the universal constants for n in 2..n_max.
+    """CSV table of the universal constants for n in 2..n_max, one column per
+    field of UniversalConstants.
 
     Reals carry 17 significant digits so every cell round-trips to the exact
     double.
     """
-    lines = [CSV_HEADER]
+    lines = [",".join(f.name for f in fields(UniversalConstants))]
     for row in constants_table(n_max):
-        cells = [str(row.n)] + [
-            format(value, ".17g")
-            for value in (
-                row.c_n,
-                row.convex_ball,
-                row.convex_polydisc,
-                row.cconvex_ball,
-                row.cconvex_polydisc,
-                row.weak_ball,
-                row.weak_polydisc,
-            )
-        ]
-        lines.append(",".join(cells))
+        lines.append(",".join(format(value, ".17g") for value in astuple(row)))
     return "\n".join(lines) + "\n"
 
 

@@ -260,10 +260,8 @@ def suite_strictness(fixtures=None, seed=0, samples=1000, rays=4000) -> SuiteRep
         rep = certify(domain, convexity_class=cls, samples=samples, seed=seed,
                       rays=rays, spot_trials=0)
         alpha = np.abs(rep.normalizer.a_matrix.entries)
-        n = rep.n
-        if n >= 2:
-            gap = min(max(1.0 - alpha[j, k] for k in range(j)) for j in range(1, n))
-            track.add(gap, {"check": "row_saturation_gap", "fixture": name})
+        gap = min(max(1.0 - alpha[j, k] for k in range(j)) for j in range(1, rep.n))
+        track.add(gap, {"check": "row_saturation_gap", "fixture": name})
         if rep.witness is None:
             track.add(-1.0, {"check": "witness_missing", "fixture": name})
             continue

@@ -20,6 +20,7 @@ from squeezecert.domains import (
     tangent_functional,
     translate,
 )
+from squeezecert.planar import half_plane, riemann_catalog
 
 # the body kernels the reference walk ends in, taken before any patching
 _BODY_RESIDUAL = dom._residual
@@ -133,6 +134,7 @@ SINGLE = {
     "l1ball": lambda: l1ball(3),
     "lp_ball": lambda: lp_ball(2, 1.5),
     "affine_lp_ball": lambda: affine_image(lp_ball(2, 3.0), _shear(2, 0.5j), [0.1, 0.0]),
+    "affine_polydisc": lambda: affine_image(polydisc(2), _shear(2, 0.3 - 0.2j), [0.05, -0.1j]),
     "projective_ball": _projective_ball2,
     "projective_polydisc": lambda: _projective_polydisc(3),
     "projective_l1ball": lambda: projective_image(l1ball(2), np.eye(2), np.zeros(2),
@@ -191,6 +193,12 @@ def test_single_layer_chains_match_the_layer_walk_bit_for_bit(name, monkeypatch)
     np.testing.assert_array_equal(contains(d, pts), _walked(monkeypatch, contains, d, pts))
     np.testing.assert_array_equal(ray_exit_batch(d, bases, dirs),
                                   _walked(monkeypatch, ray_exit_batch, d, bases, dirs))
+    # witness-image rays: half-plane Mobius coordinate maps under a fixed affine_inv
+    mobius = np.array([riemann_catalog(half_plane()).inverse_mobius] * d.n).T
+    affine_inv = 0.6 * _shear(d.n, 0.2 - 0.1j)
+    np.testing.assert_array_equal(
+        dom._mobius_path_exits(d, mobius, affine_inv, dirs),
+        _walked(monkeypatch, dom._mobius_path_exits, d, mobius, affine_inv, dirs))
     for a in edge[:10]:
         if d.kind in ("polydisc", "l1ball"):
             break  # ray exits land on faces, where these bodies have corners

@@ -55,6 +55,13 @@ def test_constants_csv(capsys):
     assert "0.12921951994641218" in out
 
 
+def test_constants_csv_header_names_the_columns(capsys):
+    rc, out, _ = run_cli(["constants", "--n-max", "2", "--format", "csv"], capsys)
+    assert rc == EXIT_OK
+    assert out.splitlines()[1] == ("n,c_n,convex_ball,convex_polydisc,cconvex_ball,"
+                                   "cconvex_polydisc,weak_ball,weak_polydisc")
+
+
 def test_constants_json(capsys):
     rc, out, _ = run_cli(["constants", "--n-max", "2"], capsys)
     assert rc == EXIT_OK
@@ -297,6 +304,21 @@ def test_bound_thin_defining_domain_exits_two(tmp_path, capsys):
     rc, out, err = run_cli(["bound", spec, "--out", str(report)], capsys)
     assert rc == EXIT_PIPELINE
     assert out == "" and "ValidationFailureError" in err and "domain too thin" in err
+    assert not report.exists()
+
+
+def test_bound_degenerate_defining_gradient_exits_two(tmp_path, capsys):
+    # rho = (|z|^2 - 1)^3 cuts out the unit ball, but its gradient vanishes on
+    # the whole boundary: the normalizer's tangent functionals raise
+    # NonsmoothBoundaryError and no report is written
+    spec = _spec(tmp_path, "cubed", defining_domain(2, "(abs(z1)**2+abs(z2)**2-1)**3", "convex",
+                                                    bounding_radius=5.0))
+    report = tmp_path / "report.json"
+    rc, out, err = run_cli(["bound", spec, "--out", str(report)], capsys)
+    assert rc == EXIT_PIPELINE
+    assert out == ""
+    assert err == ("pipeline check failed: NonsmoothBoundaryError: "
+                   "defining gradient degenerates at the point\n")
     assert not report.exists()
 
 

@@ -12,6 +12,7 @@ from squeezecert.domains import (
     affine_image,
     ball,
     boundary_residual,
+    boundary_samples,
     contains,
     convexity_spot_check,
     defining_domain,
@@ -643,6 +644,18 @@ def test_lp_sampler_marginal_matches_rejection_from_polydisc():
         p_ours, p_ref = np.mean(ours < r), np.mean(ref < r)
         sigma = np.sqrt(p_ref * (1 - p_ref) * (1 / ours.size + 1 / ref.size))
         assert abs(p_ours - p_ref) < 5.0 * sigma
+
+
+@pytest.mark.parametrize("count", [-1, 0, 2.5, True])
+@pytest.mark.parametrize("sampler", [interior_samples, boundary_samples])
+@pytest.mark.parametrize("make", [
+    lambda: polydisc(2),
+    lambda: affine_image(ball(2), [[1.0, 0.5j], [0.0, 2.0]]),
+    lambda: defining_domain(2, "abs(z1)**2 + 4*abs(z2)**2 - 1", "convex", bounding_radius=5.0),
+], ids=["catalog", "image", "defining"])
+def test_samplers_refuse_bad_counts(make, sampler, count):
+    with pytest.raises(ArgumentError, match="count must be a positive integer"):
+        sampler(make(), count, np.random.default_rng(0))
 
 
 # -- tangent functionals -----------------------------------------------------
