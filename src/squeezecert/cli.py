@@ -37,7 +37,11 @@ EXIT_USAGE = 64
 
 SCHEMA = "squeeze-cert/cli-1"
 
-SUITES = ("star", "lemmas", "strictness", "all")
+# the options each suite reads, with the keyword each fills
+_SUITE_OPTIONS = {"star": {"n": "dims", "trials": "trials"},
+                  "lemmas": {"n": "dims", "trials": "trials", "samples": "samples"},
+                  "strictness": {"samples": "samples"}}
+SUITES = (*_SUITE_OPTIONS, "all")
 
 # margin below which a certified report's own containment checks count as a
 # pipeline failure; certify is stricter internally, this is the outer net
@@ -150,6 +154,17 @@ def _count(text: str, least=1) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    """argparse type of --tol: a finite real (nan or inf turns the gate off)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
+
+
 def _parse_point(text: str) -> list:
     try:
         return [complex(part.strip().replace(" ", "")) for part in text.split(",")]
@@ -210,20 +225,20 @@ def cmd_verify(args) -> int:
     config = RunConfig(command="verify", n=args.n, suite=args.suite,
                        trials=args.trials, samples=args.samples, seed=args.seed,
                        out=args.out)
-    selected = ("star", "lemmas", "strictness") if args.suite == "all" else (args.suite,)
+    selected = tuple(_SUITE_OPTIONS) if args.suite == "all" else (args.suite,)
+    given = {name: value for name, value in
+             (("n", dims), ("trials", args.trials), ("samples", args.samples))
+             if value is not None}
+    for name in given:
+        if not any(name in _SUITE_OPTIONS[suite] for suite in selected):
+            raise UsageError(f"suite {args.suite} does not read --{name}")
     reports = []
     for name in selected:
-        kwargs = {"seed": args.seed}
-        if name in ("star", "lemmas"):
-            if dims is not None:
-                kwargs["dims"] = dims
-            if args.trials is not None:
-                kwargs["trials"] = args.trials
-        if name in ("lemmas", "strictness") and args.samples is not None:
-            kwargs["samples"] = args.samples
+        kwargs = {key: given[option] for option, key in _SUITE_OPTIONS[name].items()
+                  if option in given}
         runner = {"star": suite_star, "lemmas": suite_lemmas,
                   "strictness": suite_strictness}[name]
-        reports.append(runner(**kwargs).as_dict())
+        reports.append(runner(seed=args.seed, **kwargs).as_dict())
     violations = sum(r["violations"] for r in reports)
     _write(_payload(config, {"reports": reports, "violations": violations}), args.out)
     if violations:
@@ -258,7 +273,7 @@ def cmd_probe_kappa(args) -> int:
 _OPTIONS = {
     "seed": dict(type=functools.partial(_count, least=0), default=0,
                  help="run seed (default 0)"),
-    "tol": dict(type=float, default=DEFAULT_TOL,
+    "tol": dict(type=_finite, default=DEFAULT_TOL,
                 help="containment slack below -tol fails the run"),
     "samples": dict(type=_count, default=None,
                     help="sample count override (default: module defaults)"),

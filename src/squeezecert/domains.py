@@ -8,7 +8,7 @@ body type: the sampled containment checks take catalog specs and their
 affine images.
 
 One batched residual kernel per kind carries membership and the boundary
-equation: gauge - 1 for the ball, polydisc and l1 ball, sum |z_k|^p - 1 for
+equation: gauge - 1 for the ball and polydisc, sum |z_k|^p - 1 for l1 and
 lp balls (the gauge's p-th power, not the gauge), the body residual at the
 preimage for image kinds (one closed-form preimage of the composite map its
 chain builds at construction, +inf on its horizon), the defining values
@@ -29,10 +29,11 @@ a bracket that holds is bisected, and rays over defining functions, and
 rays whose bracket fails, take a geometric march and bisection.  `bounds`
 asks for the least exit alone, so the engine gives up each ray whose
 bracket lies above another ray's.
-`boundary_samples` draws boundary points of the ball, polydisc and l1 ball and
-their images.  `_projection_disc` gives the projection of a domain under a
-linear functional in closed form, through the support function of its
-innermost catalog body: a disc over ball bodies and affine chains.
+`boundary_samples` draws boundary points of the ball, the polydisc, the l1
+ball (every lp ball at p = 1) and their images.  `_projection_disc` gives
+the projection of a domain under a linear functional in closed form,
+through the support function of its innermost catalog body: a disc over
+ball bodies and affine chains.
 
 Membership, residuals, ray exits, and sampling all accept batched inputs with
 shape (..., n); everything downstream leans on that.
@@ -70,7 +71,7 @@ IMAGE_KINDS = tuple(k for k in ALL_KINDS if "base" in _KIND_FIELDS[k])
 CATALOG_KINDS = tuple(k for k in ALL_KINDS if not {"base", "rho"} & set(_KIND_FIELDS[k]))
 
 DEFAULT_BOUNDING_RADIUS = 1e6
-# the lp exponent of each catalog body's gauge; an lp ball reads its own p
+# the lp exponent of each catalog body's gauge, its `_p`; an lp ball reads its p
 _EXPONENTS = {"ball": 2.0, "polydisc": math.inf, "l1ball": 1.0}
 
 # geometric march used to bracket the first boundary crossing along a ray
@@ -156,6 +157,7 @@ class DomainSpec:
                     isinstance(self.p, numbers.Real) and 1.0 <= self.p < math.inf):
                 raise DomainFormatError(f"lp_ball requires finite real p >= 1, got {self.p!r}")
             self._store(p=float(self.p))
+        self._store(_p=_EXPONENTS.get(self.kind, self.p))
         if self.matrix is not None:
             self._set_map()
         else:  # a body is its own chain, under the identity map
@@ -353,8 +355,8 @@ def _batched_residual(d, z):
 
 
 def _residual(d, z):
-    """Residuals at points z of shape (m, n): gauge - 1 for the ball,
-    polydisc and l1 ball, sum |z_k|^p - 1 for lp balls, the innermost body's
+    """Residuals at points z of shape (m, n): gauge - 1 for the ball and
+    polydisc, sum |z_k|^p - 1 for l1 and lp balls, the innermost body's
     residual at the preimage for image kinds, the defining values."""
     # the array-method reductions (the sum is the one np.linalg.norm takes)
     # give the same values as the np.* wrappers and save more per call than
@@ -364,10 +366,9 @@ def _residual(d, z):
         return np.sqrt((z.conj() * z).real.sum(axis=-1)) - 1.0
     if kind == "polydisc":
         return np.abs(z).max(axis=-1) - 1.0
-    if kind == "l1ball":
-        return np.abs(z).sum(axis=-1) - 1.0
-    if kind == "lp_ball":
-        return (np.abs(z) ** d.p).sum(axis=-1) - 1.0
+    if kind in ("l1ball", "lp_ball"):
+        mod = np.abs(z)  # the plain sum at p = 1: a power of 1 costs a copy
+        return (mod if d._p == 1.0 else mod ** d._p).sum(axis=-1) - 1.0
     if kind in IMAGE_KINDS:
         w, ok = _preimage(d, z)
         if ok is None:
@@ -599,20 +600,19 @@ def _line_exits(d, u0, u1, a0, a1, cap):
             t = t.min(axis=-1)
         scan = ()
     else:
-        p = _EXPONENTS.get(d.kind, d.p)
         u0, a0, flat = np.broadcast_to(u0, u1.shape), np.broadcast_to(a0, (m,)), a1 == 0.0
         t = np.full(m, np.nan)
         scale = a0[flat, None]
         # a start on a projective horizon has scale 0: its exit is nan and marches
         with np.errstate(divide="ignore", invalid="ignore"):
-            t[flat] = _norm_exits(u0[flat] / scale, u1[flat] / scale, p)
+            t[flat] = _norm_exits(u0[flat] / scale, u1[flat] / scale, d._p)
         scan = np.flatnonzero(~flat)
     t = np.minimum(t, cap)
     lower, upper = t - 0.4 * _EXIT_TOL, t + 0.4 * _EXIT_TOL
     if len(scan):
         lower[scan], upper[scan] = _gauge_brackets(
             np.stack([u0[scan], u1[scan]]), np.stack([a0[scan], a1[scan]]),
-            np.broadcast_to(cap, (m,))[scan], p)
+            np.broadcast_to(cap, (m,))[scan], d._p)
     return lower, upper
 
 
@@ -692,7 +692,7 @@ def _path_exits(d, u, alpha, cap, bound=np.inf):
         bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1))
         return _refine_least_roots(c, *bracket, cap, bound)
     if d.kind in ("l1ball", "lp_ball"):
-        return _gauge_brackets(u, alpha, cap, _EXPONENTS.get(d.kind, d.p))
+        return _gauge_brackets(u, alpha, cap, d._p)
     return None
 
 
@@ -750,7 +750,7 @@ def _gauge_brackets(u, alpha, cap, p):
     def outside(vals):
         parts = vals.reshape(vals.shape[0], 2, n + 1, vals.shape[-1])
         sq = parts[:, 0] * parts[:, 0] + parts[:, 1] * parts[:, 1]
-        mod = np.sqrt(sq) if p == 1.0 else sq ** (0.5 * p)
+        mod = sq ** (0.5 * p)
         return mod[:, :n].sum(axis=1) >= mod[:, n]
 
     return _grid_brackets(c.reshape(terms, 2 * (n + 1), m), cap, outside)
@@ -908,7 +908,7 @@ def _dual_norm(d, a):
     """sup |a . w| over the open unit body of the catalog kind d: the norm of
     a dual to the body's lp norm, taken of a / max|a_k| so that no power of
     a modulus overflows or vanishes."""
-    p = _EXPONENTS.get(d.kind, d.p)
+    p = d._p
     q = 1.0 if p == math.inf else math.inf if p == 1.0 else p / (p - 1.0)
     top = np.abs(a).max()
     return top * np.linalg.norm(a / top, ord=q)
@@ -920,29 +920,27 @@ _PHASES = np.array([1.0, -1.0, 1j, -1j])
 
 
 def boundary_samples(d: DomainSpec, count, rng) -> np.ndarray:
-    """Boundary points of a ball, polydisc or l1 ball, or of an image of one.
+    """Boundary points of a ball, polydisc or l1 ball (an lp ball at p = 1),
+    or of an image of one.
 
-    The axis points and the all-ones corner under the four quarter phases
-    lead the block, followed by `count` random boundary points (a positive
-    integer); image kinds map their base's samples forward.
+    The axis points and the corner n^(-1/p) (1, ..., 1) under the four
+    quarter phases lead the block, followed by `count` random boundary points
+    (a positive integer); image kinds map their base's samples forward.
     """
     _check_counts(count=count)
     if d.kind in IMAGE_KINDS:
         return forward_map(d, boundary_samples(d.base, count, rng))
     n = d.n
-    ones = np.ones(n, dtype=complex)
     if d.kind == "ball":
         rand = _sphere_draw(rng, count, n)
-        corner = ones / np.sqrt(n)
     elif d.kind == "polydisc":
         rand = np.exp(1j * rng.uniform(-np.pi, np.pi, size=(count, n)))
-        corner = ones
-    elif d.kind == "l1ball":
+    elif d._p == 1.0:
         mod = rng.dirichlet(np.ones(n), size=count)
         rand = mod * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(count, n)))
-        corner = ones / n
     else:
         raise ArgumentError(f"no boundary sampler for {d.kind}")
+    corner = np.ones(n, dtype=complex) / n ** (1.0 / d._p)
     return np.concatenate([_axis_points(n), np.outer(_PHASES, corner), rand])
 
 
@@ -976,9 +974,9 @@ def interior_samples(d: DomainSpec, count, rng) -> np.ndarray:
         arg = rng.uniform(-np.pi, np.pi, size=(count, n))
         return mod * np.exp(1j * arg)
     if kind in ("l1ball", "lp_ball"):
-        # exact law, p = 1 for l1: moduli**p ~ Dirichlet(2/p, .., 2/p) is the
-        # cone measure of the unit sphere, scaled by the radial law u**(1/2n)
-        p = _EXPONENTS.get(kind, d.p)
+        # exact law: moduli**p ~ Dirichlet(2/p, .., 2/p) is the cone measure
+        # of the unit sphere, scaled by the radial law u**(1/2n)
+        p = d._p
         g = rng.gamma(2.0 / p, size=(count, n))
         mod = (g / g.sum(axis=1, keepdims=True)) ** (1.0 / p)
         mod *= rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / (2 * n))
@@ -996,10 +994,7 @@ def _rejection_samples(d, count, rng):
     out = []
     have = 0
     for _ in range(_REJECTION_ROUNDS):
-        m = max(count, 4 * (count - have))
-        g = _sphere_draw(rng, m, d.n)
-        r = radius * rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / (2 * d.n))
-        cand = g * r
+        cand = radius * interior_samples(ball(d.n), max(count, 4 * (count - have)), rng)
         keep = cand[_residual(d, cand) < 0.0]
         if keep.size:
             out.append(keep)
@@ -1066,18 +1061,15 @@ def _functional_coefficients(d, a):
         k = int(np.flatnonzero(on_face)[0])
         lam[k] = a[k]
         return lam
-    if kind == "l1ball":
-        mods = np.abs(a)
-        if np.any(mods < _SMOOTH_TOL):
-            raise NonsmoothBoundaryError("l1 boundary point has a vanishing coordinate")
-        return a / mods
-    if kind == "lp_ball":
-        mods = np.abs(a)
-        if d.p == 1.0 and np.any(mods < _SMOOTH_TOL):
-            raise NonsmoothBoundaryError("l1 boundary point has a vanishing coordinate")
+    if kind in ("l1ball", "lp_ball"):
+        p, mods = d._p, np.abs(a)
+        if p == 1.0:
+            if np.any(mods < _SMOOTH_TOL):
+                raise NonsmoothBoundaryError("l1 boundary point has a vanishing coordinate")
+            return a / mods
         lam = np.zeros(d.n, dtype=complex)
         nz = mods > 0
-        lam[nz] = d.p * mods[nz] ** (d.p - 2.0) * a[nz]
+        lam[nz] = p * mods[nz] ** (p - 2.0) * a[nz]
         return lam
     if kind in IMAGE_KINDS:
         w, ok = _preimage(d, a)
@@ -1105,7 +1097,7 @@ def convexity_spot_check(d: DomainSpec, trials=200, seed=0) -> int:
     inside points.  Its endpoints are inside by construction, so a trial is
     flagged only when the exit march stepped over two slivers; kinds with a
     closed-form exit take exact first crossings, so for them this branch
-    cannot flag anything (ROADMAP item 7).  Complex-line slices are not
+    cannot flag anything (ROADMAP item 9).  Complex-line slices are not
     tested.  Returns the violation count (0 is consistent).
     """
     _check_counts(trials=trials, seed=seed)

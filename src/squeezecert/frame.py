@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import (
-    _EXPONENTS,
     CATALOG_KINDS,
     DomainSpec,
     contains,
@@ -252,7 +251,7 @@ def _closed_form_coeffs(d, basis):
     """
     if d.kind in ("l1ball", "lp_ball"):
         n = d.n
-        if _EXPONENTS.get(d.kind, d.p) < 2.0:
+        if d._p < 2.0:
             cols = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
         else:
             cols = np.eye(n, dtype=complex)

@@ -26,6 +26,7 @@ from .domains import (
     affine_image,
     ball,
     domain_to_json,
+    interior_samples,
     l1ball,
     polydisc,
     projective_image,
@@ -307,11 +308,8 @@ def _family_domains(family, n, budget, seed):
                                    bounding_radius=100.0), \
                 {"denominator_1": _pairs(t)}
         else:
-            if idx == 0:
-                p = np.zeros(n, dtype=complex)
-            else:
-                g = rng.normal(size=2 * n).view(complex)
-                p = 0.5 * rng.uniform() ** (1.0 / (2 * n)) * g / np.linalg.norm(g)
+            p = (np.zeros(n, dtype=complex) if idx == 0
+                 else 0.5 * interior_samples(ball(n), 1, rng)[0])
             yield translate(ball(n), p), {"base_point": _pairs(p)}
 
 
@@ -333,6 +331,9 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
     and lp bases under projective maps or for defining functions.  The
     projective family maps the polydisc with denominator slope t, so only a
     member with t = 0 gets a witness and `min_witness_s` is otherwise null.
+    `cloud_samples` sizes only the `projection_discs` cross-check of members
+    whose projections are exact discs; under the default classes only a
+    projective member with slope exactly t = 0 draws it.
     """
     if family not in KAPPA_FAMILIES:
         raise ArgumentError(f"unknown family {family!r}; pick one of {KAPPA_FAMILIES}")

@@ -172,6 +172,10 @@ def test_bound_usage_errors(polydisc_spec, tmp_path, capsys):
     assert run_cli(["bound", polydisc_spec, "--point", "0.1,bad"], capsys)[0] == EXIT_USAGE
     assert run_cli(["bound", polydisc_spec, "--point", "0.1"], capsys)[0] == EXIT_USAGE
     assert run_cli(["bound", polydisc_spec, "--format", "csv"], capsys)[0] == EXIT_USAGE
+    # a non-finite tol would turn the margin gate off (nan, inf) or fail every margin
+    for tol in ("nan", "inf", "-inf"):
+        rc, out, err = run_cli(["bound", polydisc_spec, f"--tol={tol}"], capsys)
+        assert rc == EXIT_USAGE and out == "" and "finite real" in err, tol
     # a degenerate projective map: the image of the bidisc lies in z2 = 0
     degenerate = tmp_path / "degenerate.json"
     degenerate.write_text(json.dumps({
@@ -345,6 +349,11 @@ def test_verify_violation_exits_two(monkeypatch, capsys):
 def test_options_a_subcommand_does_not_read_are_usage_errors(capsys):
     assert run_cli(["verify", "--tol", "1e-3"], capsys)[0] == EXIT_USAGE
     assert run_cli(["constants", "--seed", "1"], capsys)[0] == EXIT_USAGE
+    # nor may an option that the selected suite does not read
+    for argv, option in ((["verify", "--suite", "strictness", "--n", "3"], "--n"),
+                         (["verify", "--suite", "star", "--samples", "100"], "--samples")):
+        rc, out, err = run_cli(argv, capsys)
+        assert rc == EXIT_USAGE and out == "" and option in err, argv
 
 
 # -- verify -------------------------------------------------------------------

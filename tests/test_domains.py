@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from squeezecert import build_frame, certify, frame_to_json, report_to_json
 from squeezecert import domains as dom
+from squeezecert.cli import _emit_json
 from squeezecert.domains import (
     ALL_KINDS,
     DomainSpec,
@@ -34,6 +36,7 @@ from squeezecert.errors import (
     DomainFormatError,
     NonsmoothBoundaryError,
     RayCapError,
+    SqueezeCertError,
 )
 
 
@@ -619,6 +622,49 @@ def test_lp_sampler_at_p_one_is_the_l1_sampler(n):
     a = interior_samples(l1ball(n), 500, np.random.default_rng(n))
     b = interior_samples(lp_ball(n, 1.0), 500, np.random.default_rng(n))
     assert a.tobytes() == b.tobytes()
+
+
+def _outcome(fn):
+    """fn()'s value as bytes, or the class and message of the error it raised."""
+    try:
+        out = fn()
+    except SqueezeCertError as exc:
+        return type(exc).__name__, str(exc)
+    return _emit_json(out).encode() if isinstance(out, dict) else np.asarray(out).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_l1ball_is_the_lp_ball_at_p_one_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    mat = np.eye(n, dtype=complex) + 0.3j * np.eye(n, k=1) + 0.2 * np.eye(n, k=-1)
+    den = np.zeros(n + 1, dtype=complex)
+    den[0], den[1], den[n] = 2.0, 0.5, -0.4j
+    z = rng.normal(size=(300, 2 * n)).view(complex) * rng.uniform(0.0, 2.0, size=(300, 1)) / n
+    dirs = rng.normal(size=(40, 2 * n)).view(complex)
+    bases = 0.05 * rng.normal(size=(40, 2 * n)).view(complex) / n
+
+    def chain(body):
+        return (body, affine_image(body, mat, 0.1 * mat[:, 0]),
+                projective_image(body, mat, np.zeros(n), den, bounding_radius=100.0))
+
+    def probe(d):
+        exits = ray_exit_batch(d, np.zeros(n), dirs)
+        return [_outcome(fn) for fn in (
+            lambda: boundary_residual(d, z), lambda: exits,
+            lambda: ray_exit_batch(d, bases, dirs),
+            lambda: interior_samples(d, 200, np.random.default_rng(n)),
+            lambda: boundary_samples(d, 200, np.random.default_rng(n)),
+            *(lambda t=t, v=v: tangent_functional(d, t * v, "real_supporting").coefficients
+              for t, v in zip(exits[:10], dirs)))]
+
+    small = dict(samples=200, rays=400, cloud_samples=1000, spot_trials=20, seed=n)
+    for l1, lp in zip(chain(l1ball(n)), chain(lp_ball(n, 1.0))):
+        assert probe(l1) == probe(lp), l1.kind
+        if l1.kind != "projective_image":
+            assert (_outcome(lambda: report_to_json(certify(l1, **small)))
+                    == _outcome(lambda: report_to_json(certify(lp, **small)))), l1.kind
+    assert (_outcome(lambda: frame_to_json(build_frame(l1ball(n), seed=0)))
+            == _outcome(lambda: frame_to_json(build_frame(lp_ball(n, 1.0), seed=0))))
 
 
 @pytest.mark.parametrize("n,p", [(5, 1.5), (3, 3.0)])
