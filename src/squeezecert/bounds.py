@@ -316,7 +316,7 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     for key, check, slack in zip(
             ("pd_in_sheared_simplex", "ball_in_sheared_simplex"),
             ("small polydisc through A inverse", "small ball through A inverse"),
-            _shear_slacks(a_inv)):
+            _shear_slacks(a_inv).tolist()):
         margins[key] = MarginReport(check=check, samples=0, violations=int(slack < 0),
                                     min_slack=slack)
 

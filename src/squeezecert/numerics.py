@@ -279,18 +279,20 @@ def _inverse_stack(alpha) -> np.ndarray:
     return inv
 
 
-def _shear_slacks(inv) -> tuple:
-    """Slacks in the l1 simplex of the polydisc of radius 1/(2^n - 1) and the
-    ball of radius 1/c_n mapped by B = `inv`: 1 - sum |B_jk| / (2^n - 1) and
-    1 - ||column sums of |B|||_2 / c_n.  The triangle inequality makes each a
-    lower bound, exact on diagonal A and the all-(-1) shear; the sums are
-    rounded outward by 8 n ulps and each slack by one more."""
+def _shear_slacks(inv) -> np.ndarray:
+    """Slacks (..., 2), or (2,) for one matrix, in the l1 simplex of the polydisc
+    of radius 1/(2^n - 1) and the ball of radius 1/c_n mapped by each B of a
+    stack `inv` (..., n, n): 1 - sum |B_jk| / (2^n - 1) and 1 - ||column sums
+    of |B|||_2 / c_n, lower bounds by the triangle inequality, exact on diagonal
+    A and the all-(-1) shear.  Each matrix's sums run on its own Python floats,
+    rounded outward by 8 n ulps and each slack by one more, as if it ran alone."""
     mods = np.abs(np.asarray(inv, dtype=complex))
-    n = mods.shape[0]
-    sups = (math.fsum(mods.ravel()) / (2.0**n - 1.0),
-            math.hypot(*(math.fsum(col) for col in mods.T)) / c_const(n))
-    inflate = 1.0 + 8 * n * np.finfo(float).eps
-    return tuple(float(np.nextafter(1.0 - inflate * sup, -np.inf)) for sup in sups)
+    n, slacks = mods.shape[-1], np.empty(mods.shape[:-2] + (2,))
+    divs, inflate = (2.0**n - 1.0, c_const(n)), 1.0 + 8 * n * math.ulp(1.0)
+    for row, m in zip(slacks.reshape(-1, 2), mods.reshape(-1, n, n)):
+        sups = (math.fsum(m.ravel().tolist()), math.hypot(*map(math.fsum, m.T.tolist())))
+        row[:] = [math.nextafter(1.0 - inflate * (s / d), -math.inf) for s, d in zip(sups, divs)]
+    return slacks
 
 
 def solve_unit_lower(a: CMatrix, rhs) -> np.ndarray:

@@ -176,9 +176,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
             track.extend(np.where(counts[js, ks] == 2 ** (js - ks - 1), 0.0, -1.0),
                          lambda i: {"check": "symbolic_count", "n": n, "j": int(js[i]),
                                     "k": int(ks[i]), "count": int(counts[js[i], ks[i]])})
-        bound = np.zeros((n, n))
-        for j in range(n):
-            bound[j, :j] = 2.0 ** (j - np.arange(j) - 1)
+        bound = np.tril(2.0 ** (np.subtract.outer(np.arange(n), np.arange(n)) - 1.0), -1)
         weights = 2.0 ** (n - 1 - np.arange(n))
         alpha, z = _shear_stack(seed, (n,), n, trials, rows=8)
         inv = _inverse_stack(alpha)
@@ -207,14 +205,14 @@ def suite_lemmas(dims=(2, 3, 4, 5), trials=100, samples=200, seed=0) -> SuiteRep
     tau radius must survive the half-plane product and the rho radius the
     catalog map products, each sampled at `samples` * 10 points.  The
     all-(-1) shear runs first in every dimension and is tight.  The shears
-    of a dimension run as one stack, slices of one trial-major draw.
+    of a dimension run as one stack, one trial-major draw, slacked in one call.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_lemmas")
     _check_counts(streams=False, seed=seed, trials=trials, samples=samples)
     track = _Tracker()
     for n in dims:
         alpha, _ = _shear_stack(seed, (3, n), n, trials)
-        track.extend([slack for inv in _inverse_stack(alpha) for slack in _shear_slacks(inv)],
+        track.extend(_shear_slacks(_inverse_stack(alpha)).ravel(),
                      lambda i: {"check": ("polydisc_in_shear", "ball_in_shear")[i % 2],
                                 "n": n, "trial": i // 2, "alpha": _pairs(alpha[i // 2])})
         slit_maps = [riemann_catalog(slit_plane()) for _ in range(n)]

@@ -272,6 +272,26 @@ def test_bound_margins_below_tol_exit_two(ball_spec, capsys):
     assert err == f"pipeline check failed: {', '.join(margins)}\n"
 
 
+@pytest.mark.parametrize("option,value,expected", [
+    # a negative tol fails the margins below |tol|, the sampled simplex one among them
+    ("--tol", "-1e-3", EXIT_PIPELINE),
+    ("--tol", "-.5", EXIT_PIPELINE),
+    ("--point", "-0.1,0", EXIT_OK),
+])
+def test_negative_values_parse_as_separate_arguments(ball_spec, option, value, expected,
+                                                     capsys):
+    # argparse alone reads only -N and -N.N as values, and -1e-3 as an option
+    base = ["bound", ball_spec, "--samples", "400"]
+    rc, out, err = run_cli(base + [option, value], capsys)
+    assert (rc, out, err) == run_cli(base + [f"{option}={value}"], capsys)
+    assert rc == expected
+    config = json.loads(out)["config"]
+    if option == "--tol":
+        assert config["tol"] == float(value)
+    else:
+        assert config["point"] == [[-0.1, 0.0], [0.0, 0.0]]
+
+
 def _spec(tmp_path, name, d):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(domain_to_json(d)))

@@ -1,10 +1,10 @@
 """Stacked property suites: each suite's trials run as one stack, checked
 byte for byte against a trial-by-trial run of the same suites kept here as a
 reference, which draws trial i's shear and sample rows from the dimension's
-two streams one trial at a time; each trial's draws do not depend on the
-trial count, and a non-finite margin fails a suite."""
+two streams one trial at a time and takes its shear slacks from a per-matrix
+copy of the closed forms; each trial's draws do not depend on the trial count,
+and a non-finite margin fails a suite."""
 
-import itertools
 import json
 import math
 
@@ -19,6 +19,7 @@ from squeezecert.numerics import (
     _pairs,
     _shear_slacks,
     _stream,
+    c_const,
     count_inverse_monomials,
     inverse_coefficients,
     unit_lower,
@@ -103,6 +104,17 @@ def _ref_star(dims, trials, seed):
                        worst_case=track.case)
 
 
+def _ref_shear_slacks(inv):
+    """The per-matrix slacks as `numerics._shear_slacks` computed them before
+    it took stacks, kept here as an independent reference."""
+    mods = np.abs(np.asarray(inv, dtype=complex))
+    n = mods.shape[0]
+    sups = (math.fsum(mods.ravel()) / (2.0**n - 1.0),
+            math.hypot(*(math.fsum(col) for col in mods.T)) / c_const(n))
+    inflate = 1.0 + 8 * n * np.finfo(float).eps
+    return tuple(float(np.nextafter(1.0 - inflate * sup, -np.inf)) for sup in sups)
+
+
 def _ref_lemmas(dims, trials, samples, seed):
     track = _RefTracker()
     for n in dims:
@@ -112,7 +124,7 @@ def _ref_lemmas(dims, trials, samples, seed):
             alpha = _all_minus_one(n) if trial == 0 else drawn
             inv = inverse_coefficients(unit_lower(alpha)).entries
             for label, slack in zip(("polydisc_in_shear", "ball_in_shear"),
-                                    _shear_slacks(inv)):
+                                    _ref_shear_slacks(inv)):
                 track.add(slack, {"check": label, "n": n, "trial": trial,
                                   "alpha": _pairs(alpha)})
         slit_maps = [riemann_catalog(slit_plane()) for _ in range(n)]
@@ -219,14 +231,48 @@ def test_inverse_stack_rounds_as_the_per_matrix_recursion(n):
                               ref.view(np.uint64))
 
 
+# -- the stacked shear slacks round as the per-matrix reference --------------
+
+def _slack_stack(n):
+    """200 inverses: suite-drawn shears, the identity, the all-(-1) shear and
+    shears with entries past the unit disc."""
+    alpha, _ = verify._shear_stack(11, (3, n), n, 200)
+    alpha[1] = np.eye(n)
+    alpha[2] = _all_minus_one(n)
+    rng = np.random.default_rng(n)
+    past = rng.uniform(1.0, 3.0, (20, n, n)) * np.exp(2j * np.pi * rng.uniform(size=(20, n, n)))
+    alpha[3:23] = np.tril(past, -1) + np.eye(n)
+    return _inverse_stack(alpha)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_shear_slacks_equal_the_per_matrix_reference(n):
+    inv = _slack_stack(n)
+    ref = np.array([_ref_shear_slacks(m) for m in inv])
+    assert np.array_equal(_shear_slacks(inv).view(np.uint64), ref.view(np.uint64))
+    # the stack past the unit disc has failing slacks, the identity none
+    assert (ref[3:23] < 0).any() and (ref[1] > 0).all()
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_shear_slacks_shapes(n):
+    inv = _slack_stack(n)
+    assert _shear_slacks(inv[0]).shape == (2,)
+    assert _shear_slacks(inv).shape == (200, 2)
+    assert _shear_slacks(inv[:0]).shape == (0, 2)
+    assert _shear_slacks(inv.reshape(4, 50, n, n)).shape == (4, 50, 2)
+    assert np.array_equal(_shear_slacks(inv[7]).view(np.uint64),
+                          _shear_slacks(inv)[7].view(np.uint64))
+
+
 # -- a non-finite margin is a violation and the worst case -------------------
 
 def _nan_at_trial(bad):
-    """`_shear_slacks` with a NaN polydisc slack for trial `bad`."""
-    calls = itertools.count()
-
+    """`_shear_slacks` with a NaN polydisc slack at row `bad` of the stack."""
     def slacks(inv):
-        return (math.nan, 0.0) if next(calls) == bad else _shear_slacks(inv)
+        out = _shear_slacks(inv)
+        out[bad, 0] = math.nan
+        return out
     return slacks
 
 
