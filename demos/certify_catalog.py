@@ -10,6 +10,8 @@ under projective maps or for defining functions.  So the projective ball gets
 a witness from its exact projection discs, while the projective polydisc gets
 none and the report says so instead.  An lp ball with p < 2 takes its frame
 contacts in closed form, so its first frame radius is Hoelder's n^(1/2 - 1/p).
+The polydisc report's witness is evaluated at one interior point, and its
+own membership test confirms that the value lies in its image.
 """
 import numpy as np
 
@@ -35,7 +37,14 @@ def show(name, report):
     print()
 
 
-show("unit polydisc", certify(polydisc(2), seed=0))
+unit_polydisc = certify(polydisc(2), seed=0)
+show("unit polydisc", unit_polydisc)
+witness = unit_polydisc.witness
+z = np.array([[0.3, 0.2j]])
+image = witness(z)
+print(f"unit polydisc witness at ({z[0, 0]:.1f}, {z[0, 1]:.1f}): "
+      f"({image[0, 0]:.6f}, {image[0, 1]:.6f}), in its image: {witness.contains(image)[0]}")
+print()
 show("unit l1 ball", certify(l1ball(2), seed=0))
 
 proj = projective_image(polydisc(2), np.eye(2), np.zeros(2),

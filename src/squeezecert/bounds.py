@@ -13,13 +13,16 @@ a closed-form disc over ball bases and affine chains, none for polydisc, l1
 and lp bases under projective maps or for defining functions, in which case
 no witness is built) and measures the inscribed radii of its image by
 batched ray exits; the ball-target witness is the same map scaled by
-1/sqrt(n).  Sampled projections only cross-check the exact discs.  The
-coordinate maps' inverses are Mobius maps, so a witness-image ray pulls back
-to a rational path: over ball and polydisc bases its first exit has a closed
-form, over l1 and lp bases a grid scan of the march brackets it.  A bracket
-is kept once the image's membership oracle, which pulls back through the
-same Mobius coefficients, holds at its lower end and fails at its upper end;
-only rays over defining functions, and rays whose bracket fails, march.
+1/sqrt(n).  Sampled projections only cross-check the exact discs.  One
+WitnessMap holds the map and its inverse chain and answers for its image:
+evaluation (calling it), membership (`contains`), exit brackets (`exits`)
+and both radii (`radii`).  The coordinate maps' inverses are Mobius maps,
+so a witness-image ray pulls back to a rational path: over ball and
+polydisc bases its first exit has a closed form, over l1 and lp bases a
+grid scan of the march brackets it.  A bracket is kept once the image's
+membership oracle, which pulls back through the same Mobius coefficients,
+holds at its lower end and fails at its upper end; only rays over defining
+functions, and rays whose bracket fails, march.
 The certified numbers come from the closed forms; each witness number is the
 least exit its rays measured, so [certified, witness] brackets the inscribed
 radius of the embedding's image, up to the exit tolerance.
@@ -45,13 +48,7 @@ from .domains import (
     l1ball,
     polydisc,
 )
-from .errors import (
-    ArgumentError,
-    ClassMismatchError,
-    MapDomainError,
-    PipelineInconsistencyError,
-    ValidationFailureError,
-)
+from .errors import ArgumentError, ClassMismatchError, ValidationFailureError
 from .frame import Normalizer, build_frame, build_normalizer, normalizer_to_json
 from .numerics import (
     _check_counts,
@@ -117,15 +114,19 @@ class WitnessMap:
     Normalizing affine part first, then one catalog Riemann map per
     coordinate, each with a Mobius inverse.  The map fixes 0 and its image
     lies in the open polydisc whenever the pipeline invariants hold; scaled
-    by 1/sqrt(n) it is the ball-target witness.
+    by 1/sqrt(n) it is the ball-target witness.  `inverse`, the affine
+    part's inverse, is a field and not derived: certify passes t_inverse A^-1
+    (exact contacts as columns, then the forward recursion), which
+    np.linalg.inv(affine) does not reproduce bit for bit.
     """
 
     domain: DomainSpec
     affine: np.ndarray
+    inverse: np.ndarray
     coordinate_maps: tuple
 
     def __post_init__(self):
-        _freeze(self, "affine")
+        _freeze(self, "affine", "inverse")
         if any(mp.inverse_mobius is None for mp in self.coordinate_maps):
             raise ArgumentError("witness coordinate maps need Mobius inverses")
         # rows p, q, r, s over coordinates: w_j -> (p_j w_j + q_j) / (r_j w_j + s_j)
@@ -136,50 +137,41 @@ class WitnessMap:
     def n(self) -> int:
         return self.affine.shape[0]
 
+    def __call__(self, z) -> np.ndarray:
+        """The map at points of shape (..., n).  A coordinate outside its
+        planar map's domain raises that map's MapDomainError."""
+        z = np.asarray(z, dtype=complex)
+        y = z.reshape(-1, self.n) @ self.affine.T
+        return np.stack([mp.forward(y[:, j]) for j, mp in enumerate(self.coordinate_maps)],
+                        axis=-1).reshape(z.shape)
 
-def witness_eval(w: WitnessMap, z) -> np.ndarray:
-    """Evaluate the witness at points of shape (..., n).
-
-    A coordinate falling outside its planar map's domain means some upstream
-    invariant was violated, so it surfaces as PipelineInconsistencyError.
-    """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 1
-    pts = z.reshape(-1, w.n)
-    y = pts @ w.affine.T
-    out = np.empty_like(y)
-    for j, mp in enumerate(w.coordinate_maps):
-        try:
-            out[:, j] = mp.forward(y[:, j])
-        except MapDomainError as exc:
-            raise PipelineInconsistencyError(
-                f"coordinate {j} left its planar map's domain: {exc}") from exc
-    return out[0] if scalar else out.reshape(z.shape)
-
-
-def _witness_image_oracle(w: WitnessMap, affine_inv):
-    """Membership oracle of the witness image, batched and exception-free:
-    points of the unit polydisc pull back through the coordinate Mobius
-    inverses and `affine_inv` into the domain."""
-    p, q, r, s = w._mobius
-
-    def oracle(y):
+    def contains(self, y) -> np.ndarray:
+        """Membership of points y in the image, batched and exception-free:
+        points of the unit polydisc pull back through the coordinate Mobius
+        inverses and `inverse` into the domain."""
+        p, q, r, s = self._mobius
         y = np.asarray(y, dtype=complex)
         inside = np.all(np.abs(y) < 1.0, axis=-1)
         if not np.any(inside):
             return inside
         y = y[inside]
-        inside[inside.copy()] = contains(w.domain, ((p * y + q) / (r * y + s)) @ affine_inv.T)
+        inside[inside.copy()] = contains(self.domain, ((p * y + q) / (r * y + s)) @ self.inverse.T)
         return inside
 
-    return oracle
+    def exits(self, dirs):
+        """Exit brackets of image rays t*v from 0 (`domains._mobius_path_exits`:
+        None unless the domain's innermost base is a catalog body)."""
+        return _mobius_path_exits(self.domain, self._mobius, self.inverse, dirs)
 
-
-def _witness_exits(w: WitnessMap, affine_inv):
-    """Exit brackets of witness-image rays t*v from 0, as a callable of the
-    directions (`domains._mobius_path_exits`: None unless the domain's
-    innermost base is a catalog body)."""
-    return lambda dirs: _mobius_path_exits(w.domain, w._mobius, affine_inv, dirs)
+    def radii(self, rays, seed):
+        """(s, s_hat): the measured inscribed ball and polydisc radii of the
+        image, the polydisc's rays drawn from seed + 1 and the ball's from
+        seed + 2; the ball witness is this map scaled by 1/sqrt(n)."""
+        s_hat = inscribed_radius_estimate(self.contains, self.n, shape="polydisc", rays=rays,
+                                          seed=seed + 1, guess=self.exits)
+        s = inscribed_radius_estimate(self.contains, self.n, shape="ball", rays=rays,
+                                      seed=seed + 2, guess=self.exits)
+        return s / math.sqrt(self.n), s_hat
 
 
 # -- inscribed radius by batched ray exits -----------------------------------
@@ -192,7 +184,7 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     (parameter cap 1e8, tolerance 1e-12; RayCapError only when no ray leaves
     below the cap).  `guess`, when given, maps the drawn directions to exit
     brackets (lower, upper) (nan where none, None for none at all), such as
-    the witness image's from `_witness_exits`: two marks of the march from
+    the witness image's from `WitnessMap.exits`: two marks of the march from
     one grid scan, which over ball and polydisc bases Newton refines to a
     closed-form exit on the rays that can hold the least exit of their
     batch.  Each is kept only when the oracle holds at its lower end and
@@ -305,7 +297,6 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
 
     a_inv = inverse_coefficients(norm.a_matrix).entries
     composite = norm.composite
-    composite_inv = norm.t_inverse.entries @ a_inv
 
     margins = {}
     margins["simplex_in_domain_image"] = containment_check(
@@ -345,14 +336,9 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
 
     witness_s = witness_s_hat = None
     if coord_maps is not None:
-        witness = WitnessMap(domain=d, affine=composite, coordinate_maps=coord_maps)
-        oracle = _witness_image_oracle(witness, composite_inv)
-        guess = _witness_exits(witness, composite_inv)
-        witness_s_hat = inscribed_radius_estimate(
-            oracle, n, shape="polydisc", rays=rays, seed=seed + 1, guess=guess)
-        # the ball witness is the polydisc witness scaled by 1/sqrt(n)
-        witness_s = inscribed_radius_estimate(
-            oracle, n, shape="ball", rays=rays, seed=seed + 2, guess=guess) / math.sqrt(n)
+        witness = WitnessMap(domain=d, affine=composite, inverse=norm.t_inverse.entries @ a_inv,
+                             coordinate_maps=coord_maps)
+        witness_s, witness_s_hat = witness.radii(rays, seed)
 
     diagnostics = {
         "radii": [float(r) for r in frame.radii],

@@ -51,7 +51,3 @@ class MapDomainError(SqueezeCertError, ValueError):
 
 class ClassMismatchError(SqueezeCertError):
     """Raised when a domain is certified under a convexity class it fails."""
-
-
-class PipelineInconsistencyError(SqueezeCertError):
-    """Raised when composed pipeline stages disagree about a point."""

@@ -319,11 +319,13 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
     Certification runs at the origin of each swept domain (base-point sweeps
     recenter by translation first, which is legitimate because the squeezing
     functions are invariant under biholomorphisms).  Every swept domain
-    certifies the class constants `universal_s` and `universal_s_hat`; the
-    witness minima estimate the family's infimum from above and stay strictly
-    over the constants.  At n = 2 the shear minima sit at 1/(3 sqrt 2) and 1/3
-    to 3e-13, the cap that the half-plane witness puts on every balanced
-    domain, so they measure that map rather than the family.  A C-convex
+    certifies the class constants `universal_s` and `universal_s_hat`, and
+    the witness minima stay strictly over them.  The minima measure the
+    witness construction, not the family, whose values are known: shear and
+    projective members are biholomorphic to the polydisc, so s = 1/sqrt(n)
+    and s_hat = 1, and base-point members are translates of the ball, so
+    s = 1.  At n = 2 the shear minima sit at 1/(3 sqrt 2) and 1/3 to 3e-13,
+    the cap that the half-plane witness puts on every balanced domain.  A C-convex
     witness needs every coordinate projection to be a disc in closed form: a
     closed-form disc over ball bases and affine chains, none for polydisc, l1
     and lp bases under projective maps or for defining functions.  The

@@ -10,13 +10,10 @@ from squeezecert.bounds import (
     BoundReport,
     MarginReport,
     WitnessMap,
-    _witness_exits,
-    _witness_image_oracle,
     certify,
     containment_check,
     inscribed_radius_estimate,
     report_to_json,
-    witness_eval,
 )
 from squeezecert import bounds as bounds_module
 from squeezecert import frame as frame_module
@@ -28,13 +25,15 @@ from squeezecert.domains import (
     boundary_residual,
     boundary_samples,
     defining_domain,
+    interior_samples,
     l1ball,
     lp_ball,
     polydisc,
     projective_image,
     translate,
 )
-from squeezecert.errors import ArgumentError, ClassMismatchError, DomainFormatError, RayCapError
+from squeezecert.errors import (ArgumentError, ClassMismatchError, DomainFormatError,
+                                MapDomainError, RayCapError)
 from squeezecert.numerics import (_shear_slacks, c_const, inverse_coefficients, tau, unit_lower,
                                   universal_bounds)
 from squeezecert.planar import disc_shape, half_plane, riemann_catalog, slit_plane
@@ -341,7 +340,8 @@ def random_witness(d, maps, rng):
         centers = 0.4 * rng.normal(size=2 * n).view(complex)
         coord = tuple(riemann_catalog(disc_shape(c, abs(c) + rng.uniform(0.5, 2.0)))
                       for c in centers)
-    return WitnessMap(domain=d, affine=affine, coordinate_maps=coord), np.linalg.inv(affine)
+    return WitnessMap(domain=d, affine=affine, inverse=np.linalg.inv(affine),
+                      coordinate_maps=coord)
 
 
 def test_witness_path_exits_agree_with_the_march_and_pass_their_brackets():
@@ -351,11 +351,11 @@ def test_witness_path_exits_agree_with_the_march_and_pass_their_brackets():
         origin = np.zeros(n, dtype=complex)
         for maps in ("half_plane", "disc"):
             for name, d in {**closed, **scanned}.items():
-                w, affine_inv = random_witness(d, maps, rng)
-                oracle = _witness_image_oracle(w, affine_inv)
+                w = random_witness(d, maps, rng)
+                oracle = w.contains
                 body = ball(n) if name in ("ball", "translate") else polydisc(n)
                 dirs = boundary_samples(body, 2000, rng)
-                lower, upper = _witness_exits(w, affine_inv)(dirs)
+                lower, upper = w.exits(dirs)
                 assert np.isfinite(upper).all(), (n, maps, name)
                 assert oracle(lower[:, None] * dirs).all(), (n, maps, name)
                 assert not oracle(upper[:, None] * dirs).any(), (n, maps, name)
@@ -409,9 +409,9 @@ def test_inscribed_radius_matches_every_ray_run_to_its_exit(n):
     marching = defining_domain(n, ball_rho, "convex", bounding_radius=5.0)
     for maps in ("half_plane", "disc"):
         for name, d in {**closed, **scanned, "defining_ball": marching}.items():
-            w, affine_inv = random_witness(d, maps, rng)
-            oracle = _witness_image_oracle(w, affine_inv)
-            guess = _witness_exits(w, affine_inv)
+            w = random_witness(d, maps, rng)
+            oracle = w.contains
+            guess = w.exits
             guesses = [guess] if d is marching else [guess, wrong_on_some_rays(guess)]
             for shape in ("ball", "polydisc"):
                 for g in guesses:
@@ -445,7 +445,7 @@ def test_witness_matches_the_marched_witness(monkeypatch, d, cls, tol):
 
     witness, rest = run()
     # the reference: every witness ray marched, as before the closed form
-    monkeypatch.setattr(bounds_module, "_witness_exits", lambda w, affine_inv: None)
+    monkeypatch.setattr(bounds_module.WitnessMap, "exits", lambda self, dirs: None)
     marched, marched_rest = run()
     assert rest == marched_rest
     assert witness["present"] and marched["present"]
@@ -459,16 +459,14 @@ def witness_points_per_ray(report, shape, bracketed=True):
     """Oracle points per requested ray of a report's inscribed radius, counted
     by a plain wrapper of the oracle, as a tracer would count them; without
     `bracketed`, every ray marches."""
-    norm = report.normalizer
-    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
-    oracle = _witness_image_oracle(report.witness, affine_inv)
+    oracle = report.witness.contains
     points = [0]
 
     def counted(y):
         points[0] += y.shape[0]
         return oracle(y)
 
-    guess = _witness_exits(report.witness, affine_inv) if bracketed else None
+    guess = report.witness.exits if bracketed else None
     inscribed_radius_estimate(counted, report.n, shape=shape, rays=2000, seed=1, guess=guess)
     return points[0] / 2000
 
@@ -555,12 +553,10 @@ def test_projective_ball_witness_rows_pass_both_end_checks():
     d = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
                          bounding_radius=100.0)
     rep = certify(d, seed=0)
-    norm = rep.normalizer
-    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
-    oracle = _witness_image_oracle(rep.witness, affine_inv)
+    oracle = rep.witness.contains
     # the rays of the report's ball-shaped witness figure
     dirs = boundary_samples(ball(2), 12000, np.random.default_rng(2))
-    lower, upper = _witness_exits(rep.witness, affine_inv)(dirs)
+    lower, upper = rep.witness.exits(dirs)
     assert oracle(lower[:, None] * dirs).all()
     assert not oracle(upper[:, None] * dirs).any()
     assert abs(lower.min() / math.sqrt(2) - rep.witness_s) <= dom._EXIT_TOL
@@ -571,9 +567,7 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
     # whose lower end lies below the least upper end of the chunks before,
     # and the least exit is the one of refining every chunk on its own
     rep = certify(ball(3), seed=0)
-    norm = rep.normalizer
-    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
-    exits = _witness_exits(rep.witness, affine_inv)
+    exits = rep.witness.exits
     dirs = boundary_samples(ball(3), 12000, np.random.default_rng(0))
     path_exits, bracketed_root = dom._path_exits, dom._bracketed_root
     running, chunks, refined = [np.inf], [0], []
@@ -854,17 +848,17 @@ def test_certify_spot_check_refuses_a_false_convex_declaration():
 
 def test_witness_eval_known_points(polydisc_report):
     w = polydisc_report.witness
-    assert np.allclose(witness_eval(w, np.zeros(2)), 0.0, atol=1e-14)
-    assert np.allclose(witness_eval(w, np.array([-1.0, 0.0])),
+    assert np.allclose(w(np.zeros(2)), 0.0, atol=1e-14)
+    assert np.allclose(w(np.array([-1.0, 0.0])),
                        [-1.0 / 3.0, 0.0], atol=1e-12)
-    assert np.allclose(witness_eval(w, np.array([0.3, 0.0])),
+    assert np.allclose(w(np.array([0.3, 0.0])),
                        [0.3 / 1.7, 0.0], atol=1e-12)
 
 
 def test_witness_eval_batch_shape(polydisc_report):
     w = polydisc_report.witness
     z = np.zeros((5, 4, 2), dtype=complex)
-    assert witness_eval(w, z).shape == (5, 4, 2)
+    assert w(z).shape == (5, 4, 2)
 
 
 def test_witness_injectivity_sampling(l1_report):
@@ -872,7 +866,7 @@ def test_witness_injectivity_sampling(l1_report):
     rng = np.random.default_rng(2)
     from squeezecert.domains import interior_samples
     z = interior_samples(l1ball(2), 20_000, rng)
-    img = witness_eval(w, z)
+    img = w(z)
     a, b = img[:10_000], img[10_000:]
     za, zb = z[:10_000], z[10_000:]
     apart = np.linalg.norm(za - zb, axis=1) >= 1e-6
@@ -884,7 +878,7 @@ def test_witness_target_containment(polydisc_report):
     rng = np.random.default_rng(4)
     from squeezecert.domains import interior_samples
     z = interior_samples(polydisc(2), 100_000, rng)
-    img = witness_eval(w, z)
+    img = w(z)
     assert np.max(np.abs(img)) < 1.0
     # the ball-target witness is the polydisc witness scaled by 1/sqrt(n)
     assert np.max(np.linalg.norm(img, axis=1)) / np.sqrt(2.0) < 1.0
@@ -893,31 +887,57 @@ def test_witness_target_containment(polydisc_report):
 def test_witness_map_has_only_domain_affine_and_maps(polydisc_report):
     w = polydisc_report.witness
     assert [f.name for f in dataclasses.fields(WitnessMap)] == [
-        "domain", "affine", "coordinate_maps"]
+        "domain", "affine", "inverse", "coordinate_maps"]
     assert not w.affine.flags.writeable
+    assert not w.inverse.flags.writeable
+
+
+# the benchmark fixtures with a witness at seed 0: the eight convex catalog
+# ones, the projective family ball and the C-convex polydisc
+_WITNESS_FIXTURES = dict(zip(
+    ["ball2", "ball3", "polydisc2", "l1ball2", "lp_ball2", "shear2", "translated_ball2", "l1ball6",
+     "projective_family_ball2", "polydisc2_cconvex"],
+    _bench_fixtures()[:8] + _bench_fixtures()[10:]))
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_FIXTURES))
+def test_witness_round_trip(name):
+    d = _WITNESS_FIXTURES[name]
+    w = certify(d, seed=0).witness
+    assert w is not None
+    img = w(interior_samples(d, 2000, np.random.default_rng(0)))
+    assert np.abs(img).max() < 1.0
+    assert w.contains(img).all()
+    assert np.abs(w.inverse @ w.affine - np.eye(d.n)).max() <= 1e-12
+
+
+def test_witness_raises_its_map_domain_error_past_the_hyperplane(polydisc_report):
+    # the half-plane witness sends (-1, 0) to (-1/3, 0); (1.5, 0) lies past
+    # the normalized hyperplane Re w_1 = 1, outside the first coordinate map
+    with pytest.raises(MapDomainError):
+        polydisc_report.witness(np.array([1.5, 0.0]))
 
 
 def test_witness_map_needs_mobius_coordinate_inverses():
     # the slit plane's inverse is the Koebe map, which no Mobius matrix writes
     maps = (riemann_catalog(half_plane()), riemann_catalog(slit_plane()))
     with pytest.raises(ArgumentError, match="Mobius"):
-        WitnessMap(domain=polydisc(2), affine=np.eye(2), coordinate_maps=maps)
+        WitnessMap(domain=polydisc(2), affine=np.eye(2), inverse=np.eye(2), coordinate_maps=maps)
 
 
 @pytest.mark.parametrize("d, cls", [(l1ball(2), "convex"), (polydisc(2), "cconvex")])
 def test_inscribed_ball_is_polydisc_witness_image_over_sqrt_n(d, cls):
     rep = certify(d, convexity_class=cls, samples=400, rays=300, seed=3, spot_trials=0)
     assert rep.witness is not None
-    norm = rep.normalizer
-    affine_inv = norm.t_inverse.entries @ inverse_coefficients(norm.a_matrix).entries
-    oracle = _witness_image_oracle(rep.witness, affine_inv)
-    guess = _witness_exits(rep.witness, affine_inv)
+    oracle = rep.witness.contains
+    guess = rep.witness.exits
     # the ball witness is the polydisc witness map scaled by 1/sqrt(n)
     ball_estimate = inscribed_radius_estimate(oracle, 2, shape="ball", rays=300,
                                               seed=3 + 2, guess=guess)
     assert rep.witness_s == ball_estimate / math.sqrt(2)
     assert rep.witness_s_hat == inscribed_radius_estimate(
         oracle, 2, shape="polydisc", rays=300, seed=3 + 1, guess=guess)
+    assert rep.witness.radii(300, 3) == (rep.witness_s, rep.witness_s_hat)
 
 
 # -- serialization and determinism --------------------------------------------
