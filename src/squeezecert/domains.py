@@ -53,7 +53,7 @@ from .errors import (
     RayCapError,
     ValidationFailureError,
 )
-from .numerics import _check_counts, _freeze, _pairs
+from .numerics import _check_counts, _freeze, _frozen, _pairs
 
 # the optional fields each kind takes, all of them required; None elsewhere
 _KIND_FIELDS = {
@@ -188,10 +188,8 @@ class DomainSpec:
         """
         n = self.n
         try:
-            mat = np.asarray(self.matrix, dtype=complex)
-            off = np.asarray(self.offset, dtype=complex)
-            den = (np.eye(1, n + 1, dtype=complex)[0] if self.denominator is None
-                   else np.asarray(self.denominator, dtype=complex))
+            mat, off = _frozen(self.matrix), _frozen(self.offset)
+            den = _frozen(np.eye(1, n + 1)[0] if self.denominator is None else self.denominator)
         except (TypeError, ValueError) as exc:
             raise DomainFormatError(f"map data must be numeric arrays: {exc}") from exc
         for name, arr, shape in (("matrix", mat, (n, n)), ("offset", off, (n,)),
@@ -200,7 +198,6 @@ class DomainSpec:
                 raise DomainFormatError(f"map {name} must have shape {shape}, got {arr.shape}")
             if not np.all(np.isfinite(arr)):
                 raise DomainFormatError("map data must be finite")
-            arr.setflags(write=False)
         # rows: the denominator (d0, d), then the numerator (c, M)
         hom = np.vstack([den, np.column_stack([off, mat])]) @ self.base._hom
         body, q0, q = self.base._body, hom[0, 0], hom[0, 1:]

@@ -15,11 +15,10 @@ unit vector's exit n^(1/2 - 1/p), or 1, is the least.  Every other domain
 takes a multi-start compass walk, one exit batch per round over all live
 survivors, halving its step on a round with no gain, until the step or the
 round budget runs out; its best survivor is refined by Gauss-Newton steps to
-the stationarity identity of a smooth contact.  Tied exact canonical
-candidates are ordered by the key (-Re v_1, |arg v_1|, -Re v_2, ...), so the
-catalog bodies keep their contacts bit for bit; otherwise the closed-form or
-refined direction is the contact.  The contacts of circular domains are then
-phase-normalized.
+the stationarity identity of a smooth contact.  The closed-form or refined
+direction is the contact: the normal form takes any closest boundary point,
+so no rule ranks equally close ones.  The contacts of circular domains are
+then phase-normalized.
 """
 from __future__ import annotations
 
@@ -31,6 +30,7 @@ import numpy as np
 from .domains import (
     CATALOG_KINDS,
     DomainSpec,
+    _sphere_draw,
     contains,
     interior_samples,
     ray_exit_batch,
@@ -49,13 +49,10 @@ from .numerics import (CMatrix, _check_counts, _freeze, _pairs, _stream, orthono
 
 DEFAULT_STARTS_PER_DIM = 64
 
-# agreement window used to flag unreliable multi-start convergence, and the
-# relative window within which exit values count as tied
+# agreement window used to flag unreliable multi-start convergence
 AGREE_TOL = 1e-3
-TIE_REL_WINDOW = 1e-9
-# rounding of the canonical tie key; the stationarity refine's Gauss-Newton
-# iteration cap, forward-difference step and least-squares singular value cut
-_TIE_QUANTUM = 1e-9
+# the stationarity refine's Gauss-Newton iteration cap, forward-difference
+# step and least-squares singular value cut
 _REFINE_ITERS = 20
 _REFINE_STEP = 1e-7
 _REFINE_RCOND = 1e-6
@@ -161,14 +158,6 @@ def _canonical_coeffs(basis):
     return np.array(out)
 
 
-def _tie_key(v):
-    key = []
-    for z in v:
-        key.append(round(-z.real / _TIE_QUANTUM) * _TIE_QUANTUM)
-        key.append(round((abs(np.angle(z)) if abs(z) > 1e-9 else 0.0) / _TIE_QUANTUM) * _TIE_QUANTUM)
-    return tuple(key)
-
-
 def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
                        seed=0) -> SearchResult:
     """Minimize the boundary exit distance from 0 over unit subspace directions.
@@ -177,15 +166,13 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     (default: the full space).  Over a linear image of the ball or polydisc
     (`_circular` with such a body), and over a catalog l1 or lp ball whose
     subspace holds a DFT column (p < 2) or a coordinate axis (p >= 2), the
-    least exit has a closed form, `_closed_form_coeffs`; its ray and the
-    canonical candidates take one exit batch, `n_starts` and `seed` go
-    unused, and no search flag is raised.  Every other domain takes the
-    multi-start compass walk of `_compass_search` followed by the
-    stationarity refine of its best survivor; a best survivor that no other
-    survivor (unrefined) meets within AGREE_TOL raises the
-    search_disagreement flag rather than an error.
-    Exact canonical candidates that tie the optimum are ranked by the tie
-    key; otherwise the closed-form or refined direction is returned.
+    least exit has a closed form, `_closed_form_coeffs`; its ray alone takes
+    one exit batch, `n_starts` and `seed` go unused, and no search flag is
+    raised.  Every other domain takes the multi-start compass walk of
+    `_compass_search` followed by the stationarity refine of its best
+    survivor; a best survivor that no other survivor (unrefined) meets within
+    AGREE_TOL raises the search_disagreement flag rather than an error.  The
+    closed-form or refined direction is returned.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -202,32 +189,19 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     def evaluate(coeffs):
         return ray_exit_batch(d, origin, coeffs @ basis)
 
-    canonical = _canonical_coeffs(basis)
     exact = _closed_form_coeffs(d, basis)
     if exact is None:
-        values, surv_vals, c_best, val_best = _compass_search(
-            d, basis, canonical, n_starts, seed, evaluate)
+        surv_vals, c_best, val_best = _compass_search(
+            d, basis, _canonical_coeffs(basis), n_starts, seed, evaluate)
         agreeing = np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL)
         flags = () if agreeing >= 2 else ("search_disagreement",)
-        least = min(values.min(), surv_vals.min())
     else:
         # the engine's bracket-checked exit, not 1/|c G|, so the frame's
         # bracket checks keep their meaning
-        values = evaluate(np.concatenate([canonical, exact[None]]))
-        c_best, val_best, least = exact, values[-1], values.min()
+        c_best, val_best = exact, evaluate(exact[None])[0]
         flags = ()
-
-    # exact canonical candidates that tie the optimum win outright, so the
-    # symmetric catalog bodies reproduce their contacts to the last bit
-    window = least * (1.0 + TIE_REL_WINDOW) + 1e-13
-    tied_canonical = np.flatnonzero(values[: len(canonical)] <= window)
-    if tied_canonical.size:
-        tied_dirs = canonical[tied_canonical] @ basis
-        pick = min(range(len(tied_canonical)), key=lambda i: _tie_key(tied_dirs[i]))
-        direction, radius = tied_dirs[pick], values[tied_canonical[pick]]
-    else:
-        direction, radius = c_best @ basis, val_best
-    return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(radius),
+    direction = c_best @ basis
+    return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(val_best),
                         flags=flags)
 
 
@@ -270,25 +244,23 @@ def _closed_form_coeffs(d, basis):
 
 
 def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
-    """Multi-start compass walk from the canonical and `n_starts` random
-    directions (default DEFAULT_STARTS_PER_DIM per complex dimension), then
-    the stationarity refine of its best survivor.
+    """Multi-start compass walk from the `canonical` directions and
+    `n_starts` uniform ones of the unit sphere, drawn by `_sphere_draw` from
+    `seed` (default DEFAULT_STARTS_PER_DIM per complex dimension), then the
+    stationarity refine of its best survivor.
 
     The 12 best starts survive.  Each round probes the compass pattern of
     every live survivor once, on the unit sphere, and moves each to the best
     point of its pattern if that gains more than 1e-15; a survivor that did
     not move is not probed again at this step.  A round with no gain halves
     the step and revives every survivor.  The walk stops below step 1e-5, or
-    after _WALK_ROUNDS rounds in all.  Returns the start exits, the
-    survivors' exits, and the refined survivor and its exit.
+    after _WALK_ROUNDS rounds in all.  Returns the survivors' exits, and the
+    refined survivor and its exit.
     """
     m = basis.shape[0]
     if n_starts is None:
         n_starts = DEFAULT_STARTS_PER_DIM * m
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(n_starts, 2 * m))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    coeffs = np.concatenate([canonical, _u_to_coeffs(u, m)])
+    coeffs = np.concatenate([canonical, _sphere_draw(np.random.default_rng(seed), n_starts, m)])
     values = evaluate(coeffs)
 
     order = np.argsort(values, kind="stable")[:12]
@@ -320,7 +292,7 @@ def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
     c_best, val_best = _stationary_refine(
         d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
     surv_vals[top] = val_best
-    return values, surv_vals, c_best, val_best
+    return surv_vals, c_best, val_best
 
 
 def _stationary_residual(d, basis, flavor, v, val):
@@ -399,11 +371,13 @@ def _circular(d: DomainSpec) -> bool:
 def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
     """Stagewise minimal boundary contacts over shrinking complex subspaces.
 
-    Contacts of circular domains are phase-normalized once all stages ran:
-    each is rotated so that its first coordinate above 1e-9 of its largest is
-    real positive.  Raises FrameDegenerateError if a stage radius collapses
-    below 1e-9, and validates contact orthogonality, the nondecreasing radius
-    ladder, and that every contact sits on the boundary bracket of its ray.
+    Stage k searches from stream (seed, 41, k), a first key that no other
+    draw of the package uses.  Contacts of circular domains are
+    phase-normalized once all stages ran: each is rotated so that its first
+    coordinate above 1e-9 of its largest is real positive.  Raises
+    FrameDegenerateError if a stage radius collapses below 1e-9, and
+    validates contact orthogonality, the nondecreasing radius ladder, and
+    that every contact sits on the boundary bracket of its ray.
     """
     _check_counts(seed=seed, n_starts=n_starts)
     if not contains(d, np.zeros(d.n, dtype=complex)):
@@ -418,7 +392,7 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
         else:
             basis = orthonormal_complement(contacts, n=d.n)
         bases.append(basis)
-        res = min_boundary_point(d, basis, n_starts=n_starts, seed=_stream(seed, stage))
+        res = min_boundary_point(d, basis, n_starts=n_starts, seed=_stream(seed, 41, stage))
         if res.radius < 1e-9:
             raise FrameDegenerateError(f"stage {stage} radius {res.radius:.3e} collapsed")
         contacts.append(res.radius * res.direction)

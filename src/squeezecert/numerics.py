@@ -166,18 +166,20 @@ def constants_csv(n_max) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _freeze(obj, *names, dtype=complex):
-    """Set each named field of a frozen dataclass to a read-only array, or a
-    tuple field to a tuple of them."""
-    def frozen(value):
-        arr = np.asarray(value, dtype=dtype)
-        arr.setflags(write=False)
-        return arr
+def _frozen(value, dtype=complex) -> np.ndarray:
+    """A read-only copy of `value`, so the caller's own array stays writable."""
+    arr = np.array(value, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
+
+def _freeze(obj, *names, dtype=complex):
+    """Set each named field of a frozen dataclass to a read-only copy, or a
+    tuple field to a tuple of them."""
     for name in names:
         value = getattr(obj, name)
-        object.__setattr__(obj, name, tuple(map(frozen, value))
-                           if isinstance(value, tuple) else frozen(value))
+        object.__setattr__(obj, name, tuple(_frozen(v, dtype) for v in value)
+                           if isinstance(value, tuple) else _frozen(value, dtype))
 
 
 def _pairs(z) -> list:

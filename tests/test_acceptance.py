@@ -105,7 +105,7 @@ def test_criterion_3_l1ball_pipeline():
     consts = universal_bounds(2)
     checks = [
         ("radii 1/sqrt(2)", np.abs(radii - 1 / math.sqrt(2)).max() <= 1e-6),
-        ("T = [[1,1],[1,-1]] under the tie-break",
+        ("T = [[1,1],[1,-1]] from the DFT contacts",
          np.abs(t - expected_t).max() < 1e-9),
         ("A identity", np.abs(a - np.eye(2)).max() < 1e-9),
         ("certified s equals the universal constant", rep.certified_s == consts.convex_ball),

@@ -892,6 +892,23 @@ def test_witness_map_has_only_domain_affine_and_maps(polydisc_report):
     assert not w.inverse.flags.writeable
 
 
+def test_stored_arrays_are_read_only_copies_of_the_callers():
+    # a frozen field or map datum is a copy: the caller may go on writing
+    # into its own array, and the stored one refuses writes
+    m = np.array([[1.0, 0.0], [0.4 - 0.3j, 1.0]])
+    den = np.array([3.0, 0.5, 0.0], dtype=complex)
+    d = projective_image(affine_image(polydisc(2), m), m, np.zeros(2, dtype=complex), den)
+    inv = np.linalg.inv(m)
+    w = WitnessMap(domain=polydisc(2), affine=m, inverse=inv,
+                   coordinate_maps=tuple(riemann_catalog(half_plane()) for _ in range(2)))
+    for mine, stored in ((m, d.matrix), (m, d.base.matrix), (den, d.denominator),
+                         (m, w.affine), (inv, w.inverse)):
+        assert stored is not mine and np.array_equal(stored, mine)
+        assert mine.flags.writeable and not stored.flags.writeable
+    m[1, 0] = 0.0
+    assert d.matrix[1, 0] == 0.4 - 0.3j and w.affine[1, 0] == 0.4 - 0.3j
+
+
 # the benchmark fixtures with a witness at seed 0: the eight convex catalog
 # ones, the projective family ball and the C-convex polydisc
 _WITNESS_FIXTURES = dict(zip(

@@ -4,10 +4,12 @@ Worked examples pin the catalog fixtures to their closed-form frames; the
 invariant tests exercise generic affine and projective images where the
 search has no canonical direction to fall back on.
 """
+import sys
+
 import numpy as np
 import pytest
 
-from squeezecert import domains as dom, frame as frame_mod, verify
+from squeezecert import bounds as bounds_mod, domains as dom, frame as frame_mod, verify
 from squeezecert.domains import (
     DomainSpec,
     affine_image,
@@ -73,14 +75,16 @@ def test_search_ball_subspace_returns_first_basis_vector():
     assert np.allclose(res.direction, basis[0], atol=1e-9)
 
 
-def test_search_ball_rotated_subspace_ties_canonically():
-    # every direction ties on the ball; the combination candidates let the
-    # tie-break recover a coordinate axis even from a rotated basis
+def test_search_ball_rotated_subspace_returns_a_unit_span_direction():
+    # every direction of the span ties on the ball, and any of them is a
+    # contact: the search returns one unit direction inside the span
     basis = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, -1.0]], dtype=complex)
     basis /= np.sqrt(2.0)
     res = min_boundary_point(ball(3), subspace_basis=basis, seed=0)
-    assert abs(res.radius - 1.0) < 1e-9
-    assert np.allclose(res.direction, [0.0, 1.0, 0.0], atol=1e-9)
+    assert abs(res.radius - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(res.direction) - 1.0) <= 1e-12
+    in_span = (res.direction @ np.conj(basis.T)) @ basis
+    assert np.abs(in_span - res.direction).max() <= 1e-12
 
 
 def walked_shear():
@@ -170,10 +174,8 @@ def _walk_by_levels(d, basis, evaluate, step, budget):
     # probe per move plus the one that found no gain, and a level that runs
     # out of moves ends the walk
     m = basis.shape[0]
-    rng = np.random.default_rng(0)
-    u = rng.normal(size=(frame_mod.DEFAULT_STARTS_PER_DIM * m, 2 * m))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    coeffs = np.concatenate([_canonical_coeffs(basis), _u_to_coeffs(u, m)])
+    starts = dom._sphere_draw(np.random.default_rng(0), frame_mod.DEFAULT_STARTS_PER_DIM * m, m)
+    coeffs = np.concatenate([_canonical_coeffs(basis), starts])
     values = evaluate(coeffs)
     order = np.argsort(values, kind="stable")[:12]
     survivors = np.concatenate([coeffs[order].real, coeffs[order].imag], axis=1)
@@ -189,7 +191,7 @@ def _walk_by_levels(d, basis, evaluate, step, budget):
     c_best, val_best = frame_mod._stationary_refine(
         d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
     surv_vals[top] = val_best
-    return values, surv_vals, c_best, val_best
+    return surv_vals, c_best, val_best
 
 
 @pytest.mark.parametrize("make", [lambda: polydisc(2), cayley_polydisc])
@@ -220,8 +222,8 @@ def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap, mon
 
 
 def test_search_refines_once(monkeypatch):
-    # only the best survivor of the compass walk is refined; on a body with
-    # no tied canonical candidate it is the contact
+    # only the best survivor of the compass walk is refined, and it is the
+    # contact
     d = walked_shear()
     refines = []
     inner = frame_mod._stationary_refine
@@ -290,7 +292,7 @@ def test_closed_form_contacts_match_the_walk(body, n, shape, draw, monkeypatch):
     lambda: DomainSpec(n=2, kind="polydisc", convexity_class="cconvex"),
 ], ids=["polydisc(2)", "ball(3)", "cconvex_polydisc(2)"])
 def test_closed_form_keeps_the_canonical_contact(make):
-    # e_1 ties the closed-form exit and wins the tie key; its radius is the
+    # the closed form reads e_1 off the identity map; its radius is the
     # engine's exit, the lower end of a bracket within 1e-12 of 1
     d = make()
     e1 = np.eye(d.n, dtype=complex)[0]
@@ -335,6 +337,20 @@ def test_closed_form_lp_contacts_match_the_walk(n, p, monkeypatch):
         assert res.flags == ()
 
 
+def test_closed_form_frames_send_one_ray_per_stage(monkeypatch):
+    # a closed-form stage evaluates its own ray and nothing beside it
+    batches = []
+    inner = frame_mod.ray_exit_batch
+
+    def logged(d, base, dirs, *args, **kwargs):
+        batches.append(len(dirs))
+        return inner(d, base, dirs, *args, **kwargs)
+
+    monkeypatch.setattr(frame_mod, "ray_exit_batch", logged)
+    build_frame(l1ball(6), seed=0)
+    assert batches == [1] * 6
+
+
 # -- frames for the worked examples ------------------------------------------
 
 def test_polydisc_frame_and_normalizer_are_identity():
@@ -372,11 +388,14 @@ def test_ball3_frame_is_orthonormal_triple():
 def test_projective_fixture_frame_and_normalizer():
     d = cayley_polydisc()
     fr = build_frame(d, seed=0)
-    assert np.allclose(fr.contacts, [[-1 / 3, 0.0], [0.0, 0.5]], atol=1e-9)
+    # the first contact is the one closest point; every phase of the second
+    # is an equally close contact, so it, T and A are pinned up to phase
+    assert np.allclose(fr.contacts[0], [-1 / 3, 0.0], atol=1e-9)
+    assert np.allclose(np.abs(fr.contacts[1]), [0.0, 0.5], atol=1e-9)
     assert np.allclose(fr.radii, [1 / 3, 0.5], atol=1e-9)
     nz = build_normalizer(d, fr)
-    assert np.allclose(nz.t_matrix.entries, [[-3.0, 0.0], [0.0, 2.0]], atol=1e-7)
-    assert np.allclose(nz.a_matrix.entries, [[1.0, 0.0], [1 / 3, 1.0]], atol=1e-7)
+    assert np.allclose(np.abs(nz.t_matrix.entries), [[3.0, 0.0], [0.0, 2.0]], atol=1e-7)
+    assert np.allclose(np.abs(nz.a_matrix.entries), [[1.0, 0.0], [1 / 3, 1.0]], atol=1e-7)
     assert nz.margins["alpha_max"] <= 1.0 + 1e-9
 
 
@@ -683,6 +702,34 @@ def test_stream_keys_an_integer_seed_or_extends_a_spawn_key():
     assert (child.entropy, child.spawn_key) == (7, (1, 21))
     assert np.array_equal(child.generate_state(4),
                           np.random.SeedSequence(7, spawn_key=(1, 21)).generate_state(4))
+
+
+def test_no_two_purposes_share_a_stream(monkeypatch):
+    # each call site of `_stream` is one purpose: the frame stages, the spot
+    # check, the normalizer's draw, the containment and projection checks and
+    # the probe's family sweep.  SeedSequence pads keys with zeros, so keys
+    # are compared by their generate_state words; a 16-dimensional body has
+    # frame stages 0..15 and the probe's certify runs stages 0..9
+    words = {}
+
+    def stream(*args):
+        seq = _stream(*args)
+        caller = sys._getframe(1)
+        site = (caller.f_code.co_filename, caller.f_lineno)
+        words.setdefault(site, set()).add(tuple(seq.generate_state(4)))
+        return seq
+
+    for module in (frame_mod, bounds_mod, verify):
+        monkeypatch.setattr(module, "_stream", stream)
+    small = {"samples": 50, "rays": 50}
+    bounds_mod.certify(DomainSpec(n=16, kind="polydisc", convexity_class="cconvex"),
+                       spot_trials=4, cloud_samples=100, **small)
+    verify.kappa_probe("shears", n=10, budget=1, **small)
+    assert len(words) == 6
+    sites = list(words)
+    for i, a in enumerate(sites):
+        for b in sites[i + 1:]:
+            assert not words[a] & words[b], (a, b)
 
 
 def test_frame_and_normalizer_take_a_seed_sequence():
