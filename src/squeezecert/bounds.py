@@ -345,6 +345,7 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
         "alpha_max": norm.margins["alpha_max"],
         "triangularity_residual": norm.margins["triangularity_residual"],
         "search_flags": list(frame.search_flags),
+        "frame_stages": [dict(c) for c in frame.stages],
         "matched_projections": [None if p is None else p.kind for p in projections],
         "rays": rays,
         "samples": samples,

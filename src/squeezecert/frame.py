@@ -13,12 +13,14 @@ no search runs.  So has a catalog l1 or lp ball's, by Hoelder: over a stage
 subspace that holds a DFT column (p < 2) or a coordinate axis (p >= 2), that
 unit vector's exit n^(1/2 - 1/p), or 1, is the least.  Every other domain
 takes a multi-start compass walk, one exit batch per round over all live
-survivors, halving its step on a round with no gain, until the step or the
-round budget runs out; its best survivor is refined by Gauss-Newton steps to
-the stationarity identity of a smooth contact.  The closed-form or refined
-direction is the contact: the normal form takes any closest boundary point,
-so no rule ranks equally close ones.  The contacts of circular domains are
-then phase-normalized.
+survivors, halving its step on a round with no gain.  At each such level end
+a best survivor that held still through the level is refined by Gauss-Newton
+steps to the stationarity identity of a smooth contact, and a refine that
+converges ends the walk; only where none does is the walk run down to its
+step floor or round budget and its best survivor refined there.  The
+closed-form or refined direction is the contact: the normal form takes any
+closest boundary point, so no rule ranks equally close ones.  The contacts of
+circular domains are then phase-normalized.
 """
 from __future__ import annotations
 
@@ -69,11 +71,17 @@ CLEARANCE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Outcome of one subspace direction search."""
+    """Outcome of one subspace direction search.
+
+    `counts` holds the search's deterministic work: `search` ("closed_form"
+    or "walked"), compass `rounds`, `refines` (stationarity refine calls) and
+    `exit_batches` (ray exit calls).
+    """
 
     direction: np.ndarray
     radius: float
     flags: tuple
+    counts: dict
 
     def __post_init__(self):
         _freeze(self, "direction")
@@ -85,12 +93,14 @@ class ContactFrame:
 
     `bases[j]` spans the complex subspace searched at stage j: the full space
     first, then the orthogonal complement of the contacts found so far.
+    `stages[j]` is that stage's search `counts`.
     """
 
     contacts: np.ndarray     # (n, n), row j is the j-th contact point
     radii: np.ndarray        # (n,), nondecreasing
     bases: tuple             # n orthonormal row bases, shapes (n-j, n)
     search_flags: tuple
+    stages: tuple = ()
 
     def __post_init__(self):
         _freeze(self, "contacts", "radii", dtype=None)
@@ -169,10 +179,12 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     least exit has a closed form, `_closed_form_coeffs`; its ray alone takes
     one exit batch, `n_starts` and `seed` go unused, and no search flag is
     raised.  Every other domain takes the multi-start compass walk of
-    `_compass_search` followed by the stationarity refine of its best
-    survivor; a best survivor that no other survivor (unrefined) meets within
-    AGREE_TOL raises the search_disagreement flag rather than an error.  The
-    closed-form or refined direction is returned.
+    `_compass_search`, which ends on the first converged stationarity refine
+    of a best survivor that held still through a level, or else refines its
+    best survivor at the step floor; a contact that no other survivor meets
+    within AGREE_TOL (after an early stop, refined in turn) raises the
+    search_disagreement flag rather than an error.  The closed-form or
+    refined direction is returned, with the search's `counts`.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -185,24 +197,28 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
             raise ArgumentError("subspace basis rows must be orthonormal")
     _check_counts(n_starts=n_starts, seed=seed)
     origin = np.zeros(d.n, dtype=complex)
+    exit_batches = 0
 
     def evaluate(coeffs):
+        nonlocal exit_batches
+        exit_batches += 1
         return ray_exit_batch(d, origin, coeffs @ basis)
 
     exact = _closed_form_coeffs(d, basis)
     if exact is None:
-        surv_vals, c_best, val_best = _compass_search(
+        c_best, val_best, agree, rounds, refines = _compass_search(
             d, basis, _canonical_coeffs(basis), n_starts, seed, evaluate)
-        agreeing = np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL)
-        flags = () if agreeing >= 2 else ("search_disagreement",)
+        counts = {"search": "walked", "rounds": rounds, "refines": refines}
+        flags = () if agree else ("search_disagreement",)
     else:
         # the engine's bracket-checked exit, not 1/|c G|, so the frame's
         # bracket checks keep their meaning
         c_best, val_best = exact, evaluate(exact[None])[0]
+        counts = {"search": "closed_form", "rounds": 0, "refines": 0}
         flags = ()
     direction = c_best @ basis
     return SearchResult(direction=direction / np.linalg.norm(direction), radius=float(val_best),
-                        flags=flags)
+                        flags=flags, counts={**counts, "exit_batches": exit_batches})
 
 
 def _closed_form_coeffs(d, basis):
@@ -246,16 +262,27 @@ def _closed_form_coeffs(d, basis):
 def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
     """Multi-start compass walk from the `canonical` directions and
     `n_starts` uniform ones of the unit sphere, drawn by `_sphere_draw` from
-    `seed` (default DEFAULT_STARTS_PER_DIM per complex dimension), then the
-    stationarity refine of its best survivor.
+    `seed` (default DEFAULT_STARTS_PER_DIM per complex dimension), ended by
+    the stationarity refine of its best survivor.
 
     The 12 best starts survive.  Each round probes the compass pattern of
     every live survivor once, on the unit sphere, and moves each to the best
     point of its pattern if that gains more than 1e-15; a survivor that did
-    not move is not probed again at this step.  A round with no gain halves
-    the step and revives every survivor.  The walk stops below step 1e-5, or
-    after _WALK_ROUNDS rounds in all.  Returns the survivors' exits, and the
-    refined survivor and its exit.
+    not move is not probed again at this step.  A round with no gain ends a
+    level: if the best survivor held still through it, it is refined, and a
+    converged refine is the contact and ends the walk (the normalizer refuses
+    a corner contact, so the answer is a smooth stationary one).  Otherwise
+    the step halves and every survivor is revived.  Held still is the guard:
+    a survivor still moving at a coarse step may be converging on a face
+    that is not the closest.  Past step 1e-5, or after _WALK_ROUNDS rounds in
+    all, the best survivor is refined and kept, converged or not.  A
+    survivor that has not moved since its refine is not refined again.
+
+    Returns the contact's coefficients and exit, whether some other survivor
+    agrees with it within AGREE_TOL, and the walk's rounds and refine calls.
+    After an early stop the other survivors, not walked to the end, are
+    refined in order of value until one agrees; after the full walk their
+    exits are compared as they stand.
     """
     m = basis.shape[0]
     if n_starts is None:
@@ -268,9 +295,19 @@ def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
     surv_vals = values[order].copy()
     steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
     step, live = _WALK_STEP, np.arange(order.size)
-    for _ in range(_WALK_ROUNDS):
-        if step <= 1e-5:
-            break
+    still = np.ones(order.size, dtype=bool)
+    rounds = 0
+    refined = {}  # by survivor bytes: an unmoved survivor's refine repeats
+
+    def refine(i):
+        key = survivors[i].tobytes()
+        if key not in refined:
+            refined[key] = _stationary_refine(
+                d, basis, _u_to_coeffs(survivors[i], m), surv_vals[i], evaluate)
+        return refined[key]
+
+    while rounds < _WALK_ROUNDS and step > 1e-5:
+        rounds += 1
         cand = survivors[live, None, :] + step * steps
         cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
         vals = evaluate(_u_to_coeffs(cand.reshape(-1, 2 * m), m)).reshape(live.size, -1)
@@ -279,20 +316,31 @@ def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
         gain = best_vals < surv_vals[live] - 1e-15
         survivors[live[gain]] = cand[gain, best[gain]]
         surv_vals[live[gain]] = best_vals[gain]
+        still[live[gain]] = False
         live = live[gain]
-        if not live.size:
-            step *= 0.5
-            live = np.arange(order.size)
+        if live.size:
+            continue
+        top = int(np.argmin(surv_vals))
+        if still[top]:
+            c_best, val_best, converged = refine(top)
+            if converged:
+                agree = any(surv_vals[i] <= val_best + AGREE_TOL
+                            or refine(i)[1] <= val_best + AGREE_TOL
+                            for i in np.argsort(surv_vals, kind="stable") if i != top)
+                return c_best, val_best, agree, rounds, len(refined)
+        step *= 0.5
+        live = np.arange(order.size)
+        still[:] = True
 
     # the exit value is stationary at the minimum, so comparing values pins
     # the direction only to ~sqrt(exit tol) in angle.  At a smooth minimum the
     # supporting functional is parallel to the conjugate direction, and
     # iterating on that identity recovers the remaining digits.
     top = int(np.argmin(surv_vals))
-    c_best, val_best = _stationary_refine(
-        d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
+    c_best, val_best, _ = refine(top)
     surv_vals[top] = val_best
-    return surv_vals, c_best, val_best
+    agree = np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL) >= 2
+    return c_best, val_best, agree, rounds, len(refined)
 
 
 def _stationary_residual(d, basis, flavor, v, val):
@@ -329,6 +377,8 @@ def _stationary_refine(d, basis, coeff, value, evaluate):
     plain iteration v <- P(lam)/|P(lam)| contracts only at the curvature gap,
     which vanishes on such manifolds).  Corner contacts and any step that
     raises the exit value end the iteration with the last iterate kept.
+    Returns the iterate, its exit, and whether the iteration converged: a
+    Gauss-Newton step below 1e-14 that did not raise the exit.
     """
     flavor = "real_supporting" if d.convexity_class == "convex" else "complex_avoiding"
     m = basis.shape[0]
@@ -355,8 +405,8 @@ def _stationary_refine(d, basis, coeff, value, evaluate):
         step = np.linalg.norm(v_new - v)
         v, val = v_new, new_val
         if step < 1e-14:
-            break
-    return v, val
+            return v, val, True
+    return v, val, False
 
 
 # -- frame construction ------------------------------------------------------
@@ -386,6 +436,7 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
     radii = []
     bases = []
     flags = []
+    stages = []
     for stage in range(d.n):
         if stage == 0:
             basis = np.eye(d.n, dtype=complex)
@@ -398,6 +449,7 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
         contacts.append(res.radius * res.direction)
         radii.append(res.radius)
         flags.extend(f"stage{stage}:{f}" for f in res.flags)
+        stages.append(res.counts)
 
     contacts = np.array(contacts)
     radii = np.array(radii)
@@ -422,7 +474,7 @@ def build_frame(d: DomainSpec, seed=0, n_starts=None) -> ContactFrame:
         if d.convexity_class == "convex" and contains(d, (radii[j] + 1e-9) * unit):
             raise FrameDegenerateError(f"contact {j} is not an outer boundary bracket")
     return ContactFrame(contacts=contacts, radii=radii, bases=tuple(bases),
-                        search_flags=tuple(flags))
+                        search_flags=tuple(flags), stages=tuple(stages))
 
 
 # -- normalizer --------------------------------------------------------------

@@ -331,6 +331,9 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
     and lp bases under projective maps or for defining functions.  The
     projective family maps the polydisc with denominator slope t, so only a
     member with t = 0 gets a witness and `min_witness_s` is otherwise null.
+    `min_witness_s` and `min_witness_s_hat` are the exact minima; `argmin`
+    names the first member whose witness s lies within a relative 1e-12 of
+    the least, so a rounding-level move of a tied member leaves it in place.
     `cloud_samples` sizes only the `projection_discs` cross-check of members
     whose projections are exact discs; under the default classes only a
     projective member with slope exactly t = 0 draws it.
@@ -342,26 +345,24 @@ def kappa_probe(family, n=2, budget=100, seed=0, convexity_class=None,
         convexity_class = "cconvex" if family == "projective" else "convex"
     uni_s, uni_s_hat = _class_bounds(n, convexity_class)
 
-    min_wit_s = min_wit_s_hat = None
-    witness_runs = 0
-    argmin = {}
+    witnessed = []
     for idx, (domain, params) in enumerate(_family_domains(family, n, budget, seed)):
         rep = certify(domain, convexity_class=convexity_class, samples=samples,
                       seed=seed, cloud_samples=cloud_samples, rays=rays,
                       spot_trials=0, n_starts=n_starts)
-        if rep.witness_s is None:
-            continue
-        witness_runs += 1
-        if min_wit_s is None or rep.witness_s < min_wit_s:
-            min_wit_s = rep.witness_s
-            argmin = {"index": idx, "params": params,
-                      "domain": domain_to_json(domain),
-                      "witness_s": rep.witness_s,
-                      "witness_s_hat": rep.witness_s_hat}
-        if min_wit_s_hat is None or rep.witness_s_hat < min_wit_s_hat:
-            min_wit_s_hat = rep.witness_s_hat
+        if rep.witness_s is not None:
+            witnessed.append({"index": idx, "params": params, "domain": domain_to_json(domain),
+                              "witness_s": rep.witness_s, "witness_s_hat": rep.witness_s_hat})
+    min_wit_s = min_wit_s_hat = None
+    argmin = {}
+    if witnessed:
+        min_wit_s = min(w["witness_s"] for w in witnessed)
+        min_wit_s_hat = min(w["witness_s_hat"] for w in witnessed)
+        # members tie to rounding (the shears at the half-plane cap): the
+        # last bits must not pick the member
+        argmin = next(w for w in witnessed if w["witness_s"] <= min_wit_s * (1.0 + 1e-12))
     return KappaProbeReport(
         family=family, n=n, convexity_class=convexity_class, budget=budget,
         seed=seed, universal_s=uni_s, universal_s_hat=uni_s_hat,
         min_witness_s=min_wit_s, min_witness_s_hat=min_wit_s_hat,
-        witness_runs=witness_runs, argmin=argmin)
+        witness_runs=len(witnessed), argmin=argmin)

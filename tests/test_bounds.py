@@ -721,6 +721,19 @@ def test_certify_projective_fixture(projective_report):
     assert "projection_discs" not in rep.margins
 
 
+def test_certify_reports_the_frame_stage_counters(ball_report, projective_report):
+    # each stage's search work as counts, never wall times: a catalog ball
+    # takes every contact in closed form, its one ray and no round; the
+    # projective fixture walks, and a second run reports the same counts
+    assert ball_report.diagnostics["frame_stages"] == [
+        {"search": "closed_form", "rounds": 0, "refines": 0, "exit_batches": 1}] * 2
+    stages = projective_report.diagnostics["frame_stages"]
+    assert [c["search"] for c in stages] == ["walked", "walked"]
+    assert all(c["rounds"] > 0 and c["refines"] >= 1 for c in stages)
+    assert all(type(v) is int for c in stages for k, v in c.items() if k != "search")
+    assert certify(projective_fixture(), seed=0).diagnostics["frame_stages"] == stages
+
+
 def test_certify_polydisc_as_cconvex(polydisc_cconvex_report):
     rep = polydisc_cconvex_report
     consts = universal_bounds(2)

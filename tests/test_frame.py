@@ -144,14 +144,17 @@ def test_walk_exit_batches_make_one_membership_call_each(monkeypatch):
     monkeypatch.setattr(frame_mod, "_closed_form_coeffs", lambda d, basis: None)
     for d in (l1ball(6), projective):
         per_batch.clear()
-        build_frame(d, seed=0)
-        assert len(per_batch) > 100
+        stages = build_frame(d, seed=0).stages
+        assert all(c["search"] == "walked" and c["rounds"] > 0 for c in stages)
+        assert len(per_batch) == sum(c["exit_batches"] for c in stages)
         assert set(per_batch) == {1}
 
 
 def _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, cap):
-    # the plain compass level: one pattern probe per move, at most `cap` moves
+    # the plain compass level: one pattern probe per move, at most `cap`
+    # moves; returns the moves and which survivors moved
     moves = 0
+    moved = np.zeros(survivors.shape[0], dtype=bool)
     live = np.arange(survivors.shape[0])
     while moves < cap:
         cand = survivors[live, None, :] + step * steps[None, :, :]
@@ -164,15 +167,18 @@ def _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, cap):
             break
         survivors[live[improve]] = cand[improve, best[improve]]
         surv_vals[live[improve]] = best_vals[improve]
+        moved[live[improve]] = True
         live = live[improve]
         moves += 1
-    return moves
+    return moves, moved
 
 
 def _walk_by_levels(d, basis, evaluate, step, budget):
     # the compass search as levels under a move budget: a level spends one
     # probe per move plus the one that found no gain, and a level that runs
-    # out of moves ends the walk
+    # out of moves ends the walk.  A level that ends refines its best
+    # survivor if that one did not move in it, and a converged refine is the
+    # contact; a survivor refined and not moved since keeps its refine
     m = basis.shape[0]
     starts = dom._sphere_draw(np.random.default_rng(0), frame_mod.DEFAULT_STARTS_PER_DIM * m, m)
     coeffs = np.concatenate([_canonical_coeffs(basis), starts])
@@ -181,35 +187,63 @@ def _walk_by_levels(d, basis, evaluate, step, budget):
     survivors = np.concatenate([coeffs[order].real, coeffs[order].imag], axis=1)
     surv_vals = values[order].copy()
     steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
+    rounds, refined = 0, {}
+
+    def refine(i):
+        if i not in refined:
+            refined[i] = frame_mod._stationary_refine(
+                d, basis, _u_to_coeffs(survivors[i], m), surv_vals[i], evaluate)
+        return refined[i]
+
     while step > 1e-5 and budget > 0:
-        moves = _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, budget)
+        moves, moved = _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, budget)
+        refined = {i: r for i, r in refined.items() if not moved[i]}
         if moves >= budget:
+            rounds += budget
             break
+        rounds += moves + 1
         budget -= moves + 1
+        top = int(np.argmin(surv_vals))
+        if not moved[top] and refine(top)[2]:
+            c_best, val_best, _ = refined[top]
+            # the other survivors, in order of exit, until one agrees
+            agree = False
+            for i in np.argsort(surv_vals, kind="stable"):
+                if i != top and (surv_vals[i] <= val_best + frame_mod.AGREE_TOL
+                                 or refine(i)[1] <= val_best + frame_mod.AGREE_TOL):
+                    agree = True
+                    break
+            return c_best, val_best, agree, rounds, len(refined)
         step *= 0.5
     top = int(np.argmin(surv_vals))
-    c_best, val_best = frame_mod._stationary_refine(
-        d, basis, _u_to_coeffs(survivors[top], m), surv_vals[top], evaluate)
+    c_best, val_best, _ = refine(top)
     surv_vals[top] = val_best
-    return surv_vals, c_best, val_best
+    agree = np.count_nonzero(surv_vals <= surv_vals.min() + frame_mod.AGREE_TOL) >= 2
+    return c_best, val_best, agree, rounds, len(refined)
 
 
-@pytest.mark.parametrize("make", [lambda: polydisc(2), cayley_polydisc])
+def tied_ball():
+    # every direction ties and the residual is rounding noise, so no refine
+    # converges and the walk runs to its floor
+    return ball(4)
+
+
+@pytest.mark.parametrize("make", [lambda: polydisc(2), cayley_polydisc, tied_ball])
 @pytest.mark.parametrize("step", [0.25, 0.0625])
 @pytest.mark.parametrize("cap", [400, 2, 75])
 def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap, monkeypatch):
     # the round loop against levels of one probe per move: the same exit
-    # batches, survivors, exits and refined contact, bit for bit; a budget of
-    # 2 rounds runs out inside the first level, one of 75 from step 0.25 after
-    # the step halved
+    # batches, contact, agreement and counts, bit for bit; a budget of 2
+    # rounds runs out inside the first level, one of 75 from step 0.0625
+    # after the step halved, while from step 0.25 a refine ends the walk first
     d = make()
-    basis = np.eye(2, dtype=complex)
+    basis = np.eye(d.n, dtype=complex)
     batches = {"walk": [], "levels": []}
 
     def logged(key):
         def evaluate(coeffs):
             batches[key].append(coeffs.tobytes())
-            return ray_exit_batch(d, np.zeros(2, dtype=complex), coeffs @ basis)
+            return ray_exit_batch(d, np.zeros(d.n, dtype=complex), coeffs @ basis)
         return evaluate
 
     monkeypatch.setattr(frame_mod, "_WALK_STEP", step)
@@ -221,9 +255,35 @@ def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap, mon
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("lands", [3, None])
+def test_early_stop_refines_the_other_survivors_until_one_agrees(lands, monkeypatch):
+    # after a converged refine ends the walk, the other survivors have not
+    # walked to the end: each is refined in turn, least exit first, until one
+    # lands within AGREE_TOL of the contact; if none does, the search flags
+    d = cayley_polydisc()
+    calls = []
+
+    def refine(d, basis, coeff, value, evaluate):
+        # the first call converges; the `lands`-th refined survivor lands on
+        # the contact's exit, every other one stays where it was
+        calls.append(value)
+        landed = len(calls) - 1 == lands
+        return coeff, calls[0] if landed else value, len(calls) == 1
+
+    monkeypatch.setattr(frame_mod, "_stationary_refine", refine)
+    # with no window, only a refined survivor can agree
+    monkeypatch.setattr(frame_mod, "AGREE_TOL", 0.0)
+    res = min_boundary_point(d, seed=0)
+    others = calls[1:]
+    assert others == sorted(others) and min(others) > calls[0]
+    assert len(others) == (lands or 11)
+    assert res.flags == (() if lands else ("search_disagreement",))
+    assert res.counts["refines"] == len(calls)
+
+
 def test_search_refines_once(monkeypatch):
-    # only the best survivor of the compass walk is refined, and it is the
-    # contact
+    # only the best survivor of the compass walk is refined: its refine
+    # converges at a level end, which ends the walk, and it is the contact
     d = walked_shear()
     refines = []
     inner = frame_mod._stationary_refine
@@ -235,7 +295,9 @@ def test_search_refines_once(monkeypatch):
     monkeypatch.setattr(frame_mod, "_stationary_refine", counted)
     res = min_boundary_point(d, seed=0)
     assert len(refines) == 1
-    v, val = refines[0]
+    v, val, converged = refines[0]
+    assert converged
+    assert res.counts["refines"] == 1
     assert res.radius == val
     assert np.allclose(res.direction, v / np.linalg.norm(v), rtol=0, atol=1e-15)
 
@@ -484,30 +546,31 @@ def test_circular_domains(make, expected):
     assert _circular(make()) is expected
 
 
-@pytest.mark.parametrize("make,seed", [
-    (lambda: l1ball(4), 2),
-    (lambda: lp_ball(4, 1.5), 1),
-    (lambda: lp_ball(5, 1.5), 0),
-    (lambda: l1ball(6), 0),
-    (lambda: lp_ball(7, 1.5), 0),
-    (lambda: lp_ball(8, 1.5), 0),
-    (lambda: lp_ball(8, 1.5), 1),
-    (lambda: l1ball(8), 2),
-], ids=["l1ball(4)@2", "lp_ball(4)@1", "lp_ball(5)@0", "l1ball(6)@0",
-        "lp_ball(7)@0", "lp_ball(8)@0", "lp_ball(8)@1", "l1ball(8)@2"])
+def _shear(n, body=polydisc):
+    return affine_image(body(n), np.eye(n, dtype=complex)
+                        + np.tril(np.full((n, n), 0.4 - 0.3j), -1))
+
+
+WALKED = ([(f"l1ball({n})", lambda n=n: l1ball(n), seed) for n in range(2, 9) for seed in range(3)]
+          + [(f"lp_ball({n})", lambda n=n: lp_ball(n, 1.5), seed)
+             for n in range(2, 9) for seed in range(3)]
+          + [(f"{name}({n})", lambda n=n, make=make: make(n), 0)
+             for name, make in (("ball", ball), ("polydisc", polydisc), ("shear", _shear))
+             for n in range(2, 9)])
+
+
+@pytest.mark.parametrize("make,seed", [(make, seed) for _, make, seed in WALKED],
+                         ids=[f"{name}@{seed}" for name, _, seed in WALKED])
 def test_tied_contacts_pass_the_normalizer(make, seed, monkeypatch):
-    # the contacts of these bodies tie along whole manifolds of minimizers;
-    # whichever refined one the walk keeps (the closed form switched off), the
-    # later contacts must lie in its tangent hyperplane to the triangularity gate
+    # every frame of the walk to n = 8, the closed forms switched off: the
+    # contacts of the l1 and lp balls and the ball tie along whole manifolds
+    # of minimizers, those of the polydisc and the shear along phase circles
+    # past the first stage.  Whichever refined one the walk keeps, the later
+    # contacts must lie in its tangent hyperplane to the triangularity gate
     d = make()
     monkeypatch.setattr(frame_mod, "_closed_form_coeffs", lambda d, basis: None)
     nz = build_normalizer(d, build_frame(d, seed=seed), seed=seed)
     assert nz.margins["triangularity_residual"] <= 1e-8
-
-
-def _shear(n, body=polydisc):
-    return affine_image(body(n), np.eye(n, dtype=complex)
-                        + np.tril(np.full((n, n), 0.4 - 0.3j), -1))
 
 
 # the compass budget runs out on the tied manifolds of the l1 and lp balls

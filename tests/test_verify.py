@@ -1,9 +1,11 @@
 """Tests for the property suites and the empirical infimum probe."""
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from squeezecert import verify as verify_module
 from squeezecert.domains import polydisc, projective_image
 from squeezecert.errors import ArgumentError
 from squeezecert.numerics import universal_bounds
@@ -215,6 +217,34 @@ def test_kappa_shears_deterministic():
     assert rep.min_witness_s > rep.universal_s
     assert json.dumps(rep.as_dict(), sort_keys=True) == \
         json.dumps(again.as_dict(), sort_keys=True)
+
+
+def test_kappa_argmin_holds_when_a_tied_member_moves_by_rounding(monkeypatch):
+    # the shears at n = 2 all sit at the half-plane cap to rounding; moving
+    # a later tied member one ulp below the least makes it the exact minimum
+    # but leaves the argmin on the first member within a relative 1e-12
+    witness, nudge = [], {}
+    inner = verify_module.certify
+
+    def certify(d, **kwargs):
+        out = inner(d, **kwargs)
+        if len(witness) in nudge:
+            out = dataclasses.replace(out, witness_s=nudge[len(witness)])
+        witness.append(out.witness_s)
+        return out
+
+    monkeypatch.setattr(verify_module, "certify", certify)
+    rep = kappa_probe("shears", n=2, budget=8, seed=1)
+    first = rep.argmin["index"]
+    tied = [i for i, s in enumerate(witness)
+            if i > first and s <= rep.min_witness_s * (1.0 + 1e-12)]
+    assert tied
+    nudge[tied[-1]] = float(np.nextafter(rep.min_witness_s, 0.0))
+    witness.clear()
+    moved = kappa_probe("shears", n=2, budget=8, seed=1)
+    assert moved.min_witness_s == nudge[tied[-1]] < rep.min_witness_s
+    assert moved.min_witness_s_hat == rep.min_witness_s_hat
+    assert moved.argmin == rep.argmin
 
 
 def test_kappa_projective_defaults_to_cconvex():
