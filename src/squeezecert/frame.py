@@ -15,12 +15,12 @@ unit vector's exit n^(1/2 - 1/p), or 1, is the least.  Every other domain
 takes a multi-start compass walk, one exit batch per round over all live
 survivors, halving its step on a round with no gain.  At each such level end
 a best survivor that held still through the level is refined by Gauss-Newton
-steps to the stationarity identity of a smooth contact, and a refine that
-converges ends the walk; only where none does is the walk run down to its
-step floor or round budget and its best survivor refined there.  The
-closed-form or refined direction is the contact: the normal form takes any
-closest boundary point, so no rule ranks equally close ones.  The contacts of
-circular domains are then phase-normalized.
+steps to the stationarity identity of a smooth contact, a refine that stops
+once the identity's residual vanishes to rounding; a converged refine ends the
+walk, and so does the refine of the last level end, at the step floor or the
+round budget.  The closed-form or refined direction is the contact: the normal
+form takes any closest boundary point, so no rule ranks equally close ones.
+The contacts of circular domains are then phase-normalized.
 """
 from __future__ import annotations
 
@@ -180,11 +180,11 @@ def min_boundary_point(d: DomainSpec, subspace_basis=None, n_starts=None,
     one exit batch, `n_starts` and `seed` go unused, and no search flag is
     raised.  Every other domain takes the multi-start compass walk of
     `_compass_search`, which ends on the first converged stationarity refine
-    of a best survivor that held still through a level, or else refines its
-    best survivor at the step floor; a contact that no other survivor meets
-    within AGREE_TOL (after an early stop, refined in turn) raises the
-    search_disagreement flag rather than an error.  The closed-form or
-    refined direction is returned, with the search's `counts`.
+    of a best survivor that held still through a level, or on the refine of
+    its last level end; a contact that no other survivor meets within
+    AGREE_TOL (each refined in turn) raises the search_disagreement flag
+    rather than an error.  The closed-form or refined direction is returned,
+    with the search's `counts`.
     """
     if subspace_basis is None:
         basis = np.eye(d.n, dtype=complex)
@@ -269,20 +269,20 @@ def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
     every live survivor once, on the unit sphere, and moves each to the best
     point of its pattern if that gains more than 1e-15; a survivor that did
     not move is not probed again at this step.  A round with no gain ends a
-    level: if the best survivor held still through it, it is refined, and a
-    converged refine is the contact and ends the walk (the normalizer refuses
-    a corner contact, so the answer is a smooth stationary one).  Otherwise
-    the step halves and every survivor is revived.  Held still is the guard:
-    a survivor still moving at a coarse step may be converging on a face
-    that is not the closest.  Past step 1e-5, or after _WALK_ROUNDS rounds in
-    all, the best survivor is refined and kept, converged or not.  A
-    survivor that has not moved since its refine is not refined again.
+    level, and so does the round that spends _WALK_ROUNDS.  The level end is
+    the last if the round budget is spent or the halved step would be at
+    most 1e-5.  At a level end the best survivor is refined if it held still
+    through the level or the level end is the last, and that refine ends the
+    walk if it converged (the normalizer refuses a corner contact, so the
+    answer is a smooth stationary one) or was the last; otherwise the step
+    halves and every survivor is revived.  Held still is the guard: a
+    survivor still moving at a coarse step may be converging on a face that
+    is not the closest.
 
     Returns the contact's coefficients and exit, whether some other survivor
     agrees with it within AGREE_TOL, and the walk's rounds and refine calls.
-    After an early stop the other survivors, not walked to the end, are
-    refined in order of value until one agrees; after the full walk their
-    exits are compared as they stand.
+    The other survivors count in order of exit, each as it stands or else
+    refined, until one lies within AGREE_TOL of the contact's exit.
     """
     m = basis.shape[0]
     if n_starts is None:
@@ -296,17 +296,14 @@ def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
     steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
     step, live = _WALK_STEP, np.arange(order.size)
     still = np.ones(order.size, dtype=bool)
-    rounds = 0
-    refined = {}  # by survivor bytes: an unmoved survivor's refine repeats
+    rounds = refines = 0
 
     def refine(i):
-        key = survivors[i].tobytes()
-        if key not in refined:
-            refined[key] = _stationary_refine(
-                d, basis, _u_to_coeffs(survivors[i], m), surv_vals[i], evaluate)
-        return refined[key]
+        nonlocal refines
+        refines += 1
+        return _stationary_refine(d, basis, _u_to_coeffs(survivors[i], m), surv_vals[i], evaluate)
 
-    while rounds < _WALK_ROUNDS and step > 1e-5:
+    while True:
         rounds += 1
         cand = survivors[live, None, :] + step * steps
         cand /= np.linalg.norm(cand, axis=-1, keepdims=True)
@@ -318,29 +315,20 @@ def _compass_search(d, basis, canonical, n_starts, seed, evaluate):
         surv_vals[live[gain]] = best_vals[gain]
         still[live[gain]] = False
         live = live[gain]
-        if live.size:
+        if live.size and rounds < _WALK_ROUNDS:
             continue
+        last = rounds == _WALK_ROUNDS or step * 0.5 <= 1e-5
         top = int(np.argmin(surv_vals))
-        if still[top]:
+        if still[top] or last:
             c_best, val_best, converged = refine(top)
-            if converged:
+            if converged or last:
                 agree = any(surv_vals[i] <= val_best + AGREE_TOL
                             or refine(i)[1] <= val_best + AGREE_TOL
                             for i in np.argsort(surv_vals, kind="stable") if i != top)
-                return c_best, val_best, agree, rounds, len(refined)
+                return c_best, val_best, agree, rounds, refines
         step *= 0.5
         live = np.arange(order.size)
         still[:] = True
-
-    # the exit value is stationary at the minimum, so comparing values pins
-    # the direction only to ~sqrt(exit tol) in angle.  At a smooth minimum the
-    # supporting functional is parallel to the conjugate direction, and
-    # iterating on that identity recovers the remaining digits.
-    top = int(np.argmin(surv_vals))
-    c_best, val_best, _ = refine(top)
-    surv_vals[top] = val_best
-    agree = np.count_nonzero(surv_vals <= surv_vals.min() + AGREE_TOL) >= 2
-    return c_best, val_best, agree, rounds, len(refined)
 
 
 def _stationary_residual(d, basis, flavor, v, val):
@@ -375,10 +363,12 @@ def _stationary_refine(d, basis, coeff, value, evaluate):
     manifold make the Jacobian singular there, and the step still converges
     quadratically to one of them, which is all the normalizer needs (the
     plain iteration v <- P(lam)/|P(lam)| contracts only at the curvature gap,
-    which vanishes on such manifolds).  Corner contacts and any step that
-    raises the exit value end the iteration with the last iterate kept.
-    Returns the iterate, its exit, and whether the iteration converged: a
-    Gauss-Newton step below 1e-14 that did not raise the exit.
+    which vanishes on such manifolds).  The iteration converges once the
+    largest residual entry is at most 1e-14, checked before each step, so a
+    stationary start, any point of a tied manifold included, returns at once
+    without an exit batch.  Corner contacts and any step that raises the
+    exit value past 1e-9 end the iteration with the last iterate kept.
+    Returns the iterate, its exit, and whether the iteration converged.
     """
     flavor = "real_supporting" if d.convexity_class == "convex" else "complex_avoiding"
     m = basis.shape[0]
@@ -387,6 +377,8 @@ def _stationary_refine(d, basis, coeff, value, evaluate):
         res = _stationary_residual(d, basis, flavor, v, val)
         if res is None:
             break
+        if np.abs(res).max() <= 1e-14:
+            return v, val, True
         x = np.concatenate([v.real, v.imag])
         probes = _u_to_coeffs(x + _REFINE_STEP * np.eye(2 * m), m)
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
@@ -402,10 +394,7 @@ def _stationary_refine(d, basis, coeff, value, evaluate):
         # the divergence gate sits well above it
         if new_val > val + 1e-9:
             break
-        step = np.linalg.norm(v_new - v)
         v, val = v_new, new_val
-        if step < 1e-14:
-            return v, val, True
     return v, val, False
 
 

@@ -111,9 +111,9 @@ def test_search_probes_each_pattern_once(make, monkeypatch):
         return inner(dom, base, dirs, *args, **kwargs)
 
     monkeypatch.setattr(frame_mod, "ray_exit_batch", logged)
-    min_boundary_point(d, seed=0)
-    # the pattern loop runs from the second call to the first one-ray call
-    loop = batches[1:next(i for i, b in enumerate(batches) if len(b) == 1)]
+    res = min_boundary_point(d, seed=0)
+    # after the start batch, each compass round sends one batch
+    loop = batches[1:1 + res.counts["rounds"]]
     width = 4 * d.n
     patterns = [b[i:i + width].tobytes() for b in loop for i in range(0, len(b), width)]
     assert len(patterns) > 100
@@ -176,9 +176,10 @@ def _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, cap):
 def _walk_by_levels(d, basis, evaluate, step, budget):
     # the compass search as levels under a move budget: a level spends one
     # probe per move plus the one that found no gain, and a level that runs
-    # out of moves ends the walk.  A level that ends refines its best
-    # survivor if that one did not move in it, and a converged refine is the
-    # contact; a survivor refined and not moved since keeps its refine
+    # out of moves is the last.  A level end refines its best survivor if
+    # that one did not move in it, or if the level is the last; the refine
+    # ends the walk if it converged or was the last, and the other survivors,
+    # in order of exit, are then refined until one agrees
     m = basis.shape[0]
     starts = dom._sphere_draw(np.random.default_rng(0), frame_mod.DEFAULT_STARTS_PER_DIM * m, m)
     coeffs = np.concatenate([_canonical_coeffs(basis), starts])
@@ -187,55 +188,58 @@ def _walk_by_levels(d, basis, evaluate, step, budget):
     survivors = np.concatenate([coeffs[order].real, coeffs[order].imag], axis=1)
     surv_vals = values[order].copy()
     steps = np.concatenate([np.eye(2 * m), -np.eye(2 * m)])
-    rounds, refined = 0, {}
+    rounds = refines = 0
 
     def refine(i):
-        if i not in refined:
-            refined[i] = frame_mod._stationary_refine(
-                d, basis, _u_to_coeffs(survivors[i], m), surv_vals[i], evaluate)
-        return refined[i]
+        nonlocal refines
+        refines += 1
+        return frame_mod._stationary_refine(
+            d, basis, _u_to_coeffs(survivors[i], m), surv_vals[i], evaluate)
 
-    while step > 1e-5 and budget > 0:
+    while True:
         moves, moved = _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, budget)
-        refined = {i: r for i, r in refined.items() if not moved[i]}
         if moves >= budget:
-            rounds += budget
-            break
-        rounds += moves + 1
-        budget -= moves + 1
+            rounds, last = rounds + budget, True
+        else:
+            rounds += moves + 1
+            budget -= moves + 1
+            last = budget == 0 or step * 0.5 <= 1e-5
         top = int(np.argmin(surv_vals))
-        if not moved[top] and refine(top)[2]:
-            c_best, val_best, _ = refined[top]
-            # the other survivors, in order of exit, until one agrees
-            agree = False
-            for i in np.argsort(surv_vals, kind="stable"):
-                if i != top and (surv_vals[i] <= val_best + frame_mod.AGREE_TOL
-                                 or refine(i)[1] <= val_best + frame_mod.AGREE_TOL):
-                    agree = True
-                    break
-            return c_best, val_best, agree, rounds, len(refined)
+        if not moved[top] or last:
+            c_best, val_best, converged = refine(top)
+            if converged or last:
+                agree = False
+                for i in np.argsort(surv_vals, kind="stable"):
+                    if i != top and (surv_vals[i] <= val_best + frame_mod.AGREE_TOL
+                                     or refine(i)[1] <= val_best + frame_mod.AGREE_TOL):
+                        agree = True
+                        break
+                return c_best, val_best, agree, rounds, refines
         step *= 0.5
-    top = int(np.argmin(surv_vals))
-    c_best, val_best, _ = refine(top)
-    surv_vals[top] = val_best
-    agree = np.count_nonzero(surv_vals <= surv_vals.min() + frame_mod.AGREE_TOL) >= 2
-    return c_best, val_best, agree, rounds, len(refined)
 
 
 def tied_ball():
-    # every direction ties and the residual is rounding noise, so no refine
-    # converges and the walk runs to its floor
+    # every direction ties and the residual vanishes at each of them, so the
+    # first level end's refine converges at once
     return ball(4)
 
 
-@pytest.mark.parametrize("make", [lambda: polydisc(2), cayley_polydisc, tied_ball])
+def unconverged_ball():
+    # the same ball with a refine that never converges, so the walk runs to
+    # its step floor or its round budget
+    return ball(4)
+
+
+@pytest.mark.parametrize("make", [lambda: polydisc(2), cayley_polydisc, tied_ball,
+                                  unconverged_ball, walked_shear])
 @pytest.mark.parametrize("step", [0.25, 0.0625])
 @pytest.mark.parametrize("cap", [400, 2, 75])
 def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap, monkeypatch):
     # the round loop against levels of one probe per move: the same exit
     # batches, contact, agreement and counts, bit for bit; a budget of 2
-    # rounds runs out inside the first level, one of 75 from step 0.0625
-    # after the step halved, while from step 0.25 a refine ends the walk first
+    # rounds runs out inside the first level (on the walked shear while its
+    # best survivor still moves), one of 75 from step 0.0625 after the step
+    # halved, while from step 0.25 a refine ends the walk first
     d = make()
     basis = np.eye(d.n, dtype=complex)
     batches = {"walk": [], "levels": []}
@@ -246,6 +250,9 @@ def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap, mon
             return ray_exit_batch(d, np.zeros(d.n, dtype=complex), coeffs @ basis)
         return evaluate
 
+    if make is unconverged_ball:
+        inner = frame_mod._stationary_refine
+        monkeypatch.setattr(frame_mod, "_stationary_refine", lambda *args: (*inner(*args)[:2], False))
     monkeypatch.setattr(frame_mod, "_WALK_STEP", step)
     monkeypatch.setattr(frame_mod, "_WALK_ROUNDS", cap)
     got = _compass_search(d, basis, _canonical_coeffs(basis), None, 0, logged("walk"))
@@ -300,6 +307,39 @@ def test_search_refines_once(monkeypatch):
     assert res.counts["refines"] == 1
     assert res.radius == val
     assert np.allclose(res.direction, v / np.linalg.norm(v), rtol=0, atol=1e-15)
+
+
+def test_refine_stops_at_once_on_a_vanishing_residual():
+    # every unit direction of the ball is a stationary contact: the residual
+    # vanishes to rounding there, so the refine returns its start converged
+    # without sending an exit batch
+    d = ball(4)
+    basis = np.eye(4, dtype=complex)
+    batches = []
+
+    def evaluate(coeffs):
+        batches.append(coeffs)
+        return ray_exit_batch(d, np.zeros(4, dtype=complex), coeffs @ basis)
+
+    coeff = dom._sphere_draw(np.random.default_rng(7), 1, 4)[0]
+    value = ray_exit_batch(d, np.zeros(4, dtype=complex), coeff[None])[0]
+    v, val, converged = frame_mod._stationary_refine(d, basis, coeff, value, evaluate)
+    assert converged
+    assert batches == []
+    assert np.array_equal(v, coeff) and val == value
+
+
+@pytest.mark.parametrize("point,seed", [
+    ([-0.23018440211641333 - 0.25777857389173325j, 0.04619479095289259 + 0.32509799147210794j], 0),
+    ([-0.31950370413029455 - 0.05101471995276885j, 0.04668460189472352 - 0.3187380788743183j], 1),
+    ([-0.15382536938634664 + 0.21832812149071285j, 0.28107840523437283 - 0.03335679769598997j], 2),
+], ids=["seed0", "seed1", "seed2"])
+def test_phase_tied_stage_ends_at_its_first_level_end(point, seed):
+    # the benchmark's translated ball(2): the second stage's contacts tie
+    # along a phase circle, so its first round gains nothing and the refine
+    # of the best start converges at once, after the start batch and one round
+    stage = build_frame(translate(ball(2), np.array(point)), seed=seed).stages[1]
+    assert (stage["rounds"], stage["refines"], stage["exit_batches"]) == (1, 1, 2)
 
 
 def test_search_rejects_non_orthonormal_basis():
@@ -551,12 +591,24 @@ def _shear(n, body=polydisc):
                         + np.tril(np.full((n, n), 0.4 - 0.3j), -1))
 
 
+def _projective(base):
+    n = base.n
+    return projective_image(base, np.eye(n), np.zeros(n), [2.0, 0.5] + [0.0] * (n - 1),
+                            bounding_radius=100.0)
+
+
 WALKED = ([(f"l1ball({n})", lambda n=n: l1ball(n), seed) for n in range(2, 9) for seed in range(3)]
           + [(f"lp_ball({n})", lambda n=n: lp_ball(n, 1.5), seed)
              for n in range(2, 9) for seed in range(3)]
           + [(f"{name}({n})", lambda n=n, make=make: make(n), 0)
              for name, make in (("ball", ball), ("polydisc", polydisc), ("shear", _shear))
-             for n in range(2, 9)])
+             for n in range(2, 9)]
+          # no closed form: the walk runs over grid-scan exits with 1e-12 noise
+          + [(f"projective_{name}", lambda make=make: _projective(make()), seed)
+             for name, make in (("l1ball(2)", lambda: l1ball(2)), ("l1ball(3)", lambda: l1ball(3)),
+                                ("lp_ball(2)", lambda: lp_ball(2, 1.5)),
+                                ("lp_ball(3,3)", lambda: lp_ball(3, 3.0)))
+             for seed in range(2)])
 
 
 @pytest.mark.parametrize("make,seed", [(make, seed) for _, make, seed in WALKED],
@@ -569,8 +621,13 @@ def test_tied_contacts_pass_the_normalizer(make, seed, monkeypatch):
     # contacts must lie in its tangent hyperplane to the triangularity gate
     d = make()
     monkeypatch.setattr(frame_mod, "_closed_form_coeffs", lambda d, basis: None)
-    nz = build_normalizer(d, build_frame(d, seed=seed), seed=seed)
+    fr = build_frame(d, seed=seed)
+    nz = build_normalizer(d, fr, seed=seed)
     assert nz.margins["triangularity_residual"] <= 1e-8
+    if d.kind == "ball":
+        # each stage's first round gains nothing and its refine converges
+        # at once: the start batch and one round
+        assert sum(c["exit_batches"] for c in fr.stages) == 2 * d.n
 
 
 # the compass budget runs out on the tied manifolds of the l1 and lp balls
