@@ -165,12 +165,12 @@ class WitnessMap:
 
     def radii(self, rays, seed):
         """(s, s_hat): the measured inscribed ball and polydisc radii of the
-        image, the polydisc's rays drawn from seed + 1 and the ball's from
-        seed + 2; the ball witness is this map scaled by 1/sqrt(n)."""
-        s_hat = inscribed_radius_estimate(self.contains, self.n, shape="polydisc", rays=rays,
-                                          seed=seed + 1, guess=self.exits)
-        s = inscribed_radius_estimate(self.contains, self.n, shape="ball", rays=rays,
-                                      seed=seed + 2, guess=self.exits)
+        image, the polydisc's rays drawn from stream (seed, 51, 0) and the
+        ball's from (seed, 51, 1), a first key that no other draw of the
+        package uses; the ball witness is this map scaled by 1/sqrt(n)."""
+        s_hat, s = (inscribed_radius_estimate(self.contains, self.n, shape=shape, rays=rays,
+                                              seed=_stream(seed, 51, k), guess=self.exits)
+                    for k, shape in enumerate(("polydisc", "ball")))
         return s / math.sqrt(self.n), s_hat
 
 
@@ -261,8 +261,8 @@ def certify(d: DomainSpec, convexity_class=None, samples=2000, seed=0,
     The certified values are the closed-form universal constants of the
     requested class; they are reported as certified conditional on the
     invariant re-checks, closed-form or sampled, all of which land in
-    `margins`.  The seed must be an integer: the report carries it and the
-    witness rays draw from seed + 1 and seed + 2.  Witness radii (the
+    `margins`.  The seed must be an integer, as the report carries it; the
+    witness rays draw from its streams (seed, 51, k).  Witness radii (the
     measured inscribed radii of the witness image) are attached when the
     witness embedding exists: always for the convex class, and for the
     C-convex class exactly when every coordinate projection of the normalized

@@ -34,8 +34,8 @@ from squeezecert.domains import (
 )
 from squeezecert.errors import (ArgumentError, ClassMismatchError, DomainFormatError,
                                 MapDomainError, RayCapError)
-from squeezecert.numerics import (_shear_slacks, c_const, inverse_coefficients, tau, unit_lower,
-                                  universal_bounds)
+from squeezecert.numerics import (_shear_slacks, _stream, c_const, inverse_coefficients, tau,
+                                  unit_lower, universal_bounds)
 from squeezecert.planar import disc_shape, half_plane, riemann_catalog, slit_plane
 from squeezecert.verify import VIOLATION_TOL, _Tracker
 
@@ -555,7 +555,7 @@ def test_projective_ball_witness_rows_pass_both_end_checks():
     rep = certify(d, seed=0)
     oracle = rep.witness.contains
     # the rays of the report's ball-shaped witness figure
-    dirs = boundary_samples(ball(2), 12000, np.random.default_rng(2))
+    dirs = boundary_samples(ball(2), 12000, np.random.default_rng(_stream(0, 51, 1)))
     lower, upper = rep.witness.exits(dirs)
     assert oracle(lower[:, None] * dirs).all()
     assert not oracle(upper[:, None] * dirs).any()
@@ -605,12 +605,12 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
 _PINNED_WITNESSES = {
     "ball": (lambda: ball(2), None, 0.23570226039529585, 0.2612038749634186),
     "polydisc": (lambda: polydisc(2), None, 0.23570226039529585, 0.33333333333302223),
-    "l1ball": (lambda: l1ball(2), None, 0.23570226039556685, 0.27396188742426075),
+    "l1ball": (lambda: l1ball(2), None, 0.23570226039556685, 0.2739546324552925),
     "polydisc_cconvex": (lambda: polydisc(2), "cconvex", 0.7071067811862646, 0.9999999999995998),
     "projective_family_ball": (
         lambda: projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
                                  bounding_radius=100.0), None,
-        0.5500474779442313, 0.5539288972642421),
+        0.5500827396003929, 0.5539372065124937),
     "shear": (lambda: affine_image(polydisc(2), np.array([[1.0, 0.0], [0.5 + 0.3j, 1.0]])),
               None, 0.23570226039528733, 0.3333333333330102),
 }
@@ -963,10 +963,10 @@ def test_inscribed_ball_is_polydisc_witness_image_over_sqrt_n(d, cls):
     guess = rep.witness.exits
     # the ball witness is the polydisc witness map scaled by 1/sqrt(n)
     ball_estimate = inscribed_radius_estimate(oracle, 2, shape="ball", rays=300,
-                                              seed=3 + 2, guess=guess)
+                                              seed=_stream(3, 51, 1), guess=guess)
     assert rep.witness_s == ball_estimate / math.sqrt(2)
     assert rep.witness_s_hat == inscribed_radius_estimate(
-        oracle, 2, shape="polydisc", rays=300, seed=3 + 1, guess=guess)
+        oracle, 2, shape="polydisc", rays=300, seed=_stream(3, 51, 0), guess=guess)
     assert rep.witness.radii(300, 3) == (rep.witness_s, rep.witness_s_hat)
 
 

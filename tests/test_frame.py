@@ -252,7 +252,8 @@ def test_pattern_walk_takes_the_moves_of_one_probe_per_move(make, step, cap, mon
 
     if make is unconverged_ball:
         inner = frame_mod._stationary_refine
-        monkeypatch.setattr(frame_mod, "_stationary_refine", lambda *args: (*inner(*args)[:2], False))
+        monkeypatch.setattr(frame_mod, "_stationary_refine",
+                            lambda *args: (*inner(*args)[:2], False))
     monkeypatch.setattr(frame_mod, "_WALK_STEP", step)
     monkeypatch.setattr(frame_mod, "_WALK_ROUNDS", cap)
     got = _compass_search(d, basis, _canonical_coeffs(basis), None, 0, logged("walk"))
@@ -826,10 +827,11 @@ def test_stream_keys_an_integer_seed_or_extends_a_spawn_key():
 
 def test_no_two_purposes_share_a_stream(monkeypatch):
     # each call site of `_stream` is one purpose: the frame stages, the spot
-    # check, the normalizer's draw, the containment and projection checks and
-    # the probe's family sweep.  SeedSequence pads keys with zeros, so keys
-    # are compared by their generate_state words; a 16-dimensional body has
-    # frame stages 0..15 and the probe's certify runs stages 0..9
+    # check, the normalizer's draw, the containment and projection checks,
+    # the witness rays and the probe's family sweep.  SeedSequence pads keys
+    # with zeros, so keys are compared by their generate_state words; a
+    # 16-dimensional body has frame stages 0..15 and the probe's certify runs
+    # stages 0..9
     words = {}
 
     def stream(*args):
@@ -845,11 +847,30 @@ def test_no_two_purposes_share_a_stream(monkeypatch):
     bounds_mod.certify(DomainSpec(n=16, kind="polydisc", convexity_class="cconvex"),
                        spot_trials=4, cloud_samples=100, **small)
     verify.kappa_probe("shears", n=10, budget=1, **small)
-    assert len(words) == 6
+    assert len(words) == 7
     sites = list(words)
     for i, a in enumerate(sites):
         for b in sites[i + 1:]:
             assert not words[a] & words[b], (a, b)
+
+    # nor do adjacent run seeds: every generator a run builds, from a stream
+    # or from a plain integer, is recorded by its seed words
+    built = []
+    default_rng = np.random.default_rng
+
+    def rng(seed=None):
+        if isinstance(seed, (int, np.integer)):
+            seed = np.random.SeedSequence(seed)
+        if isinstance(seed, np.random.SeedSequence):
+            built[-1].add(tuple(seed.generate_state(4)))
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    d = translate(ball(2), np.array([0.3 + 0.2j, -0.1 + 0.25j]))
+    for seed in range(2):
+        built.append(set())
+        bounds_mod.certify(d, seed=seed, spot_trials=4, cloud_samples=100, **small)
+    assert not built[0] & built[1]
 
 
 def test_frame_and_normalizer_take_a_seed_sequence():
