@@ -15,12 +15,12 @@ unit vector's exit n^(1/2 - 1/p), or 1, is the least.  Every other domain
 takes a multi-start compass walk, one exit batch per round over all live
 survivors, halving its step on a round with no gain.  At each such level end
 a best survivor that held still through the level is refined by Gauss-Newton
-steps to the stationarity identity of a smooth contact, a refine that stops
-once the identity's residual vanishes to rounding; a converged refine ends the
-walk, and so does the refine of the last level end, at the step floor or the
-round budget.  The closed-form or refined direction is the contact: the normal
-form takes any closest boundary point, so no rule ranks equally close ones.
-The contacts of circular domains are then phase-normalized.
+steps until the residual of the stationarity identity of a smooth contact
+vanishes to rounding; a converged refine ends the walk, and so does the refine
+at the last level end, at the step floor or the round budget.  The closed-form
+or refined direction is the contact: the normal form takes any closest
+boundary point, so no rule ranks equally close ones.  The contacts of circular
+domains are then phase-normalized.
 """
 from __future__ import annotations
 

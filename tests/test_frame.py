@@ -199,7 +199,8 @@ def _walk_by_levels(d, basis, evaluate, step, budget):
     while True:
         moves, moved = _probe_per_move(evaluate, m, survivors, surv_vals, step, steps, budget)
         if moves >= budget:
-            rounds, last = rounds + budget, True
+            rounds += budget
+            last = True
         else:
             rounds += moves + 1
             budget -= moves + 1
