@@ -22,7 +22,13 @@ polydisc bases its first exit has a closed form, over l1 and lp bases a
 grid scan of the march brackets it.  A bracket is kept once the image's
 membership oracle, which pulls back through the same Mobius coefficients,
 holds at its lower end and fails at its upper end; only rays over defining
-functions, and rays whose bracket fails, march.
+functions, and rays whose bracket fails, march.  A Mobius map takes a disc
+onto a disc in closed form, so over affine chains a product of discs is
+tested inside the image without a ray (`domains._disc_product_inside`):
+every scan starts at the largest mark whose closed polydisc passes, and a
+ray whose segment from there to the least upper end found so far passes
+gets a certified lower end and no path.  This enclosure is a search bound
+only: it is neither reported nor claimed as a certified radius.
 The certified numbers come from the closed forms; each witness number is the
 least exit its rays measured, so [certified, witness] brackets the inscribed
 radius of the embedding's image, up to the exit tolerance.
@@ -160,7 +166,10 @@ class WitnessMap:
 
     def exits(self, dirs):
         """Exit brackets of image rays t*v from 0 (`domains._mobius_path_exits`:
-        None unless the domain's innermost base is a catalog body)."""
+        None unless the domain's innermost base is a catalog body).  Over an
+        affine chain a ray that cannot hold the least exit of the rays
+        before it gets (lower, +inf), a certified lower end: its segment up
+        to lower lies in the image by the closed-form disc enclosure."""
         return _mobius_path_exits(self.domain, self._mobius, self.inverse, dirs)
 
     def radii(self, rays, seed):
@@ -188,10 +197,12 @@ def inscribed_radius_estimate(oracle, n, shape="ball", rays=12000, seed=0, guess
     one grid scan, which over ball and polydisc bases Newton refines to a
     closed-form exit on the rays that can hold the least exit of their
     batch.  Each is kept only when the oracle holds at its lower end and
-    fails at its upper end.  Every other ray marches; only the brackets
-    below the least upper end are bisected, until each lies above another
-    ray's, where it cannot hold the least exit; the result is the one of
-    running every ray to its exit.
+    fails at its upper end.  A guess may also return certified lower ends
+    (lower, +inf), rays it proved inside up to lower: such a ray costs no
+    oracle call once a held upper end lies at or below lower.  Every other
+    ray marches; only the brackets below the least upper end are bisected,
+    until each lies above another ray's, where it cannot hold the least
+    exit; the result is the one of running every ray to its exit.
     Returns the least first exit over the rays: a true upper bound for the
     inscribed radius up to the exit tolerance, and no certification claim.
     """

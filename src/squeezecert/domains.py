@@ -20,6 +20,10 @@ brackets taken through that map: ray_exit_batch from `_exact_exits`, a ray
 pulled back to a degree-1 path, `bounds` from `_path_exits`, a witness-image
 ray pulled back through Mobius coordinate maps by `_mobius_path_exits`; every
 chain, affine or projective, pulls a path back in one form, U(t) / alpha(t).
+Over affine chains, a closed-form enclosure of Mobius images of discs
+(`_disc_product_inside`) starts each witness path's scan at an inner radius
+and gives the rays that cannot hold the least exit a certified lower end
+instead of a path.
 Rays over ball and polydisc bases, and over l1 and lp bases under affine
 maps, give closed-form exits, bracketed within _EXIT_TOL; every other path
 gives two consecutive marks of the march from one grid scan, which Newton
@@ -486,7 +490,12 @@ def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
     ray whose lower end reaches the least upper end over all rays exits
     strictly above the least exit, so it is given up: the march stops at the
     first mark that reaches that bound, and bisection splits only brackets
-    below it.  RayCapError then means that no ray leaves below `cap`.
+    below it.  A bracket (lower, +inf) is a certified lower end, the caller's
+    proof that the ray is inside up to lower: with no oracle call, the ray
+    is given up once the least upper end held is at or below lower, and
+    marches as an unbracketed ray otherwise (outside the least mode it
+    always marches, as +inf fails the bracket test).  RayCapError then means
+    that no ray leaves below `cap`.
     """
     def points(idx, t):
         # a shared base broadcasts; indexing it per round would cost a copy
@@ -508,6 +517,12 @@ def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
     m = directions.shape[0]
     lo = np.zeros(m)
     hi = np.full(m, np.nan)
+
+    def open_rays(idx):
+        # a lower end at the least upper end cannot hold the least exit; an
+        # unbracketed ray's upper end is nan, which the bound skips
+        return idx[lo[idx] < np.fmin.reduce(hi, initial=np.inf)] if least else idx
+
     active = np.arange(m)
     if bracket is not None:
         lower, upper = bracket
@@ -520,14 +535,16 @@ def _first_exits(inside, bases, directions, cap, bracket=None, least=False):
             held = rows[got[:rows.size] & ~got[rows.size:]]
             lo[held], hi[held] = lower[held], upper[held]
         active = np.isnan(hi).nonzero()[0]
+        if least:
+            # a certified lower end, (lower, +inf): given up at the least
+            # upper end held, else marched as if unbracketed
+            sure = active[(lower[active] >= 0.0) & np.isposinf(upper[active])]
+            lo[sure] = lower[sure]
+            active = open_rays(active)
+            lo[active] = 0.0
         # every bracket held and is narrow: the bisection below has no work
         if not active.size and (hi - lo <= _EXIT_TOL).all():
             return lo.min() if least else lo
-
-    def open_rays(idx):
-        # a lower end at the least upper end cannot hold the least exit; an
-        # unbracketed ray's upper end is nan, which the bound skips
-        return idx[lo[idx] < np.fmin.reduce(hi, initial=np.inf)] if least else idx
 
     t = _MARCH_START
     while active.size:
@@ -635,7 +652,18 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
     Coordinate j of a ray pulls back to (q_j + p_j v_j t) / (s_j + r_j v_j t);
     over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
     preimage is a rational path of degree n.  Each chunk of paths is refined
-    only below the least upper end of the chunks before it.
+    only below the least upper end U of the chunks before it.  Over affine
+    chains and catalog bodies `_disc_product_inside` bounds the work.  The
+    inner radius T of `_inner_radius` is a mark of the march, and every
+    mark up to T is inside along every ray with max|v_j| <= 1 (the unit
+    boundary draws of the inscribed radius), so each path's grid scan
+    starts at T; a ray leaving earlier fails its bracket and marches.  And
+    before a chunk builds its paths, a ray whose segment from t0 = T
+    min(1, clip) to U lies in the image (one disc about each coordinate's
+    segment; the segment below t0 lies in T times the closed polydisc)
+    exits above U and cannot hold the least exit: its bracket is (U, +inf),
+    a certified lower end, which `_first_exits` gives up in its least mode
+    and marches otherwise.  Projective chains scan from 0.
     """
     if d._body.kind not in CATALOG_KINDS:
         return None
@@ -643,9 +671,22 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
     out = np.empty((2, directions.shape[0]))
     n = directions.shape[1]
     chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
+    enclosed = not d._projective
+    inner = _inner_radius(d, mobius, affine_inv) if enclosed else 0.0
     bound = np.inf
     for start in range(0, directions.shape[0], chunk):
-        v = directions[start:start + chunk]
+        rows = np.arange(start, min(directions.shape[0], start + chunk))
+        v = directions[rows]
+        mod = np.abs(v)
+        clip = 1.0 / mod.max(axis=1)
+        if enclosed and inner < bound < np.inf:
+            t0 = inner * np.minimum(1.0, clip)[:, None]
+            screened = _disc_product_inside(d, mobius, affine_inv, 0.5 * (t0 + bound) * v,
+                                            0.5 * (bound - t0) * mod)
+            out[0, rows[screened]], out[1, rows[screened]] = bound, np.inf
+            rows, v, clip = rows[~screened], v[~screened], clip[~screened]
+            if not rows.size:
+                continue
         num = np.stack([np.broadcast_to(q, v.shape), p * v])
         den = np.stack([np.broadcast_to(s, v.shape), r * v])
         alpha = den[:, :, 0]
@@ -654,13 +695,78 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
             x = np.concatenate([_polymul(x, den[:, :, j:j + 1]),
                                 _polymul(alpha, num[:, :, j])[..., None]], axis=-1)
             alpha = _polymul(alpha, den[:, :, j])
-        clip = 1.0 / np.abs(v).max(axis=1)
-        out[:, start:start + chunk] = _path_exits(d, x @ affine_inv.T, alpha, clip, bound)
-        bound = min(bound, out[1, start:start + chunk].min())
+        out[:, rows] = _path_exits(d, x @ affine_inv.T, alpha, clip, bound, inner)
+        bound = min(bound, out[1, rows].min())
     return out[0], out[1]
 
 
-def _path_exits(d, u, alpha, cap, bound=np.inf):
+def _disc_product_inside(d, mobius, affine_inv, a, rad):
+    """Whether the witness image of `_mobius_path_exits` holds every product
+    of the closed discs |y_j - a_j| <= rad_j, one product per row of a and
+    rad (m, n), for d an affine chain over a catalog body or the body itself.
+
+    psi_j maps |y - a| <= R onto the disc of centre (q' conj(s') - p conj(r)
+    R^2) / D and radius R |p s - q r| / D, with q' = p a + q, s' = r a + s
+    and D = |s'|^2 - |r|^2 R^2 > 0 (the pole lies off the disc).  In the
+    body's coordinates u = B psi + off, B = N^-1 affine_inv and off =
+    -N^-1 z0 (`_n_inv`, `_z0`), a product of discs of centres c and radii
+    rho lies in the body when g(B c + off) + sum_j rho_j g(B e_j) < 1, g the
+    body's lp gauge (the triangle inequality); over a polydisc body the test
+    is the exact supremum max_k (|(B c + off)_k| + sum_j |B_kj| rho_j).
+
+    Rounding: the disc radii are first widened by gamma (|a| + R), gamma =
+    8 (3n + 8) ulps, which covers the float points t v of the march; the
+    discs must lie in the open unit disc, as the oracle asks; and the test
+    must clear 1 by gamma times the gauge of |N^-1| (|affine_inv| m + |z0|),
+    where m_j = (|p| y + |q| + (|c| + rho)(|r| y + |s|)) / (|s'| - |r| R),
+    y = |a| + R, bounds the moduli that the disc's closed form, the
+    oracle's Mobius step and either matrix product round against.  Each
+    coordinate of the oracle, and of the test, takes at most 3n + 8 rounded
+    steps of at most 8 ulps of those moduli.
+    """
+    p, q, r, s = mobius
+    gamma = 8 * (3 * d.n + 8) * np.finfo(float).eps
+    rad = rad + gamma * (np.abs(a) + rad)
+    top = np.abs(a) + rad
+    q1, s1 = p * a + q, r * a + s
+    gap = np.abs(s1) - np.abs(r) * rad
+    if d.kind in IMAGE_KINDS:
+        n_inv, z0 = d._n_inv, d._z0
+    else:
+        n_inv, z0 = np.eye(d.n), np.zeros(d.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = gap * (np.abs(s1) + np.abs(r) * rad)
+        centre = (q1 * s1.conj() - p * r.conj() * rad ** 2) / span
+        rho = rad * np.abs(p * s - q * r) / span
+        mag = (np.abs(p) * top + np.abs(q) + (np.abs(centre) + rho) * (np.abs(r) * top + np.abs(s))
+               ) / gap
+    mat = n_inv @ affine_inv
+    w = centre @ mat.T - n_inv @ z0
+    err = (mag @ np.abs(affine_inv).T + np.abs(z0)) @ np.abs(n_inv).T
+    g = d._body._p
+    if g == math.inf:
+        f = (np.abs(w) + rho @ np.abs(mat).T).max(axis=-1)
+        slack = err.max(axis=-1)
+    else:
+        f = np.linalg.norm(w, ord=g, axis=-1) + rho @ np.linalg.norm(mat, ord=g, axis=0)
+        slack = np.linalg.norm(err, ord=g, axis=-1)
+    return (gap > 0.0).all(axis=-1) & (top < 1.0).all(axis=-1) & (f + gamma * slack < 1.0)
+
+
+def _inner_radius(d, mobius, affine_inv):
+    """The inner radius T of the witness image of `_mobius_path_exits`, on
+    the marks of the march: the last mark below 1 up to which the closed
+    polydisc of every mark's radius passes `_disc_product_inside` (a = 0, R
+    the mark), or 0 if the first fails.  The grid scan resolves only marks,
+    so a T between two marks would start it at the same one."""
+    marks = _marks(1.0)[:-1]
+    ok = _disc_product_inside(d, mobius, affine_inv, np.zeros((marks.size, d.n)),
+                              np.repeat(marks[:, None], d.n, axis=1))
+    k = ok.argmin() if not ok.all() else marks.size
+    return marks[k - 1] if k else 0.0
+
+
+def _path_exits(d, u, alpha, cap, bound=np.inf, start=0.0):
     """Exit brackets (lower, upper) of the rational paths U(t) / alpha(t) of
     degree k >= 2 in the domain's coordinates, each taken to leave at its
     `cap` at the latest; None for a kind with none.
@@ -675,8 +781,8 @@ def _path_exits(d, u, alpha, cap, bound=np.inf):
     then refines only the rows that can hold the least exit of the batch and
     lie below `bound` (the least upper end of earlier batches); the others
     keep valid brackets, which `_first_exits` gives up in its least mode and
-    bisects for any other caller.  Rays, the degree-1 paths, take
-    `_exact_exits`.
+    bisects for any other caller.  The grid scan begins at the mark `start`
+    (`_grid_brackets`).  Rays, the degree-1 paths, take `_exact_exits`.
     """
     terms, m, n = u.shape
     d, u, alpha = _pull_back(d, u.reshape(-1, n), alpha.reshape(-1))
@@ -686,17 +792,20 @@ def _path_exits(d, u, alpha, cap, bound=np.inf):
         coords = np.moveaxis(_polymul(u.conj(), u).real, -1, 0)
         c = np.stack([sum(coords)] if d.kind == "ball" else coords, axis=1)
         c = c - _polymul(alpha.conj(), alpha).real[:, None]
-        bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1))
+        bracket = _grid_brackets(c, cap, lambda vals: (vals > 0.0).any(axis=1), start)
         return _refine_least_roots(c, *bracket, cap, bound)
     if d.kind in ("l1ball", "lp_ball"):
-        return _gauge_brackets(u, alpha, cap, d._p)
+        return _gauge_brackets(u, alpha, cap, d._p, start)
     return None
 
 
-def _grid_brackets(c, cap, outside):
+def _grid_brackets(c, cap, outside, start=0.0):
     """Brackets (lower, upper) of the first exits of paths between two
     consecutive marks of the march of `_first_exits`: the last mark inside
-    and the first outside, 0 before the first mark.
+    and the first outside, 0 before the first mark.  The scan begins at the
+    last mark at or below `start`, which the caller knows to be inside on
+    every path together with each mark before it, so the brackets are the
+    ones a scan from the first mark finds.
 
     c (k+1, channels, m) holds real polynomial channels of the paths, with
     the coefficients of t^0..t^k on its leading axis; `outside` maps their
@@ -707,19 +816,16 @@ def _grid_brackets(c, cap, outside):
     scanned until its first outside mark.
     """
     terms, k, m = c.shape
-    # the marks of the march, accumulated as it does, up to the first at or
-    # past every cap
-    grid, top = [_MARCH_START], cap.max()
-    while grid[-1] < top:
-        grid.append(grid[-1] * _MARCH_GROWTH)
-    grid = np.array(grid)
+    grid = _marks(cap.max())
+    # every mark before the last one at or below `start` is inside
+    j0 = max(0, int(np.searchsorted(grid, start, side="right")) - 1)
     powers = grid[:, None] ** np.arange(terms)
     first = np.empty(m, dtype=int)
     step = max(1, _SCAN_FLOATS // (k * _SCAN_MARKS))
     for r0 in range(0, m, step):
         rows = np.arange(r0, min(m, r0 + step))
         coef = np.ascontiguousarray(c[..., r0:r0 + step])
-        for j in range(0, grid.size, _SCAN_MARKS):
+        for j in range(j0, grid.size, _SCAN_MARKS):
             t = grid[j:j + _SCAN_MARKS]
             vals = (powers[j:j + _SCAN_MARKS] @ coef.reshape(terms, -1)).reshape(
                 t.size, k, rows.size)
@@ -733,7 +839,16 @@ def _grid_brackets(c, cap, outside):
     return np.where(first > 0, grid[first - 1], 0.0), grid[first]
 
 
-def _gauge_brackets(u, alpha, cap, p):
+def _marks(top):
+    """The marks of the march, accumulated as it does, up to the first at or
+    past `top`."""
+    grid = [_MARCH_START]
+    while grid[-1] < top:
+        grid.append(grid[-1] * _MARCH_GROWTH)
+    return np.array(grid)
+
+
+def _gauge_brackets(u, alpha, cap, p, start=0.0):
     """`_grid_brackets` of the paths U(t)/alpha(t) from an lp base (p = 1 for
     l1), on channels holding the real and imaginary parts of U_1..U_n and
     alpha.  A mark is outside where sum_j |U_j(t)|^p >= |alpha(t)|^p, the
@@ -750,7 +865,7 @@ def _gauge_brackets(u, alpha, cap, p):
         mod = sq ** (0.5 * p)
         return mod[:, :n].sum(axis=1) >= mod[:, n]
 
-    return _grid_brackets(c.reshape(terms, 2 * (n + 1), m), cap, outside)
+    return _grid_brackets(c.reshape(terms, 2 * (n + 1), m), cap, outside, start)
 
 
 def _first_root(a, b, c):

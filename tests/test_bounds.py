@@ -356,24 +356,30 @@ def test_witness_path_exits_agree_with_the_march_and_pass_their_brackets():
                 body = ball(n) if name in ("ball", "translate") else polydisc(n)
                 dirs = boundary_samples(body, 2000, rng)
                 lower, upper = w.exits(dirs)
-                assert np.isfinite(upper).all(), (n, maps, name)
+                # a row is bracketed, or screened with a certified lower end
+                fin = np.isfinite(upper)
+                assert np.isfinite(lower).all() and np.isposinf(upper[~fin]).all(), (n, maps, name)
                 assert oracle(lower[:, None] * dirs).all(), (n, maps, name)
-                assert not oracle(upper[:, None] * dirs).any(), (n, maps, name)
+                assert not oracle(upper[fin, None] * dirs[fin]).any(), (n, maps, name)
                 march = dom._first_exits(oracle, origin, dirs, cap=1e8)
+                assert (march[~fin] > lower[~fin]).all(), (n, maps, name)
+                lo, hi, at = lower[fin], upper[fin], march[fin]
                 if name in closed:
                     # every bracket holds the march's exit, found to _EXIT_TOL
-                    held = (lower <= march + dom._EXIT_TOL) & (march < upper)
+                    held = (lo <= at + dom._EXIT_TOL) & (at < hi)
                     assert held.all(), (n, maps, name)
                     # the rows that can hold the least exit, the least one
                     # among them, are refined to within _EXIT_TOL of the march
-                    least = lower < upper.min()
-                    assert least[np.argmin(march)], (n, maps, name)
-                    assert np.abs(0.5 * (lower + upper) - march)[least].max() <= dom._EXIT_TOL
+                    least = lo < hi.min()
+                    assert least[np.argmin(at)] and march.min() == at.min(), (n, maps, name)
+                    assert np.abs(0.5 * (lo + hi) - at)[least].max() <= dom._EXIT_TOL
                 else:
                     # two consecutive marks of the march around its exit
-                    assert np.array_equal(upper, np.where(lower > 0.0, lower * dom._MARCH_GROWTH,
-                                                          dom._MARCH_START)), (n, maps, name)
-                    assert ((lower <= march) & (march < upper)).all(), (n, maps, name)
+                    assert np.array_equal(hi, np.where(lo > 0.0, lo * dom._MARCH_GROWTH,
+                                                       dom._MARCH_START)), (n, maps, name)
+                    assert ((lo <= at) & (at < hi)).all(), (n, maps, name)
+                    # a grid bracket is bisected as the march's, and outside
+                    # the least mode a screened row marches
                     got = dom._first_exits(oracle, origin, dirs, cap=1e8, bracket=(lower, upper))
                     assert np.array_equal(got, march), (n, maps, name)
 
@@ -572,9 +578,9 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
     path_exits, bracketed_root = dom._path_exits, dom._bracketed_root
     running, chunks, refined = [np.inf], [0], []
 
-    def chunk_exits(d, u, alpha, cap, bound=np.inf):
+    def chunk_exits(d, u, alpha, cap, bound=np.inf, start=0.0):
         assert bound == running[0]
-        lower, upper = path_exits(d, u, alpha, cap, bound)
+        lower, upper = path_exits(d, u, alpha, cap, bound, start)
         running[0] = min(running[0], upper.min())
         chunks[0] += 1
         return lower, upper
@@ -593,11 +599,95 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
 
     refined.clear()
     running[0] = np.inf
-    monkeypatch.setattr(dom, "_path_exits",
-                        lambda d, u, alpha, cap, bound=np.inf: path_exits(d, u, alpha, cap))
+    monkeypatch.setattr(dom, "_path_exits", lambda d, u, alpha, cap, bound=np.inf, start=0.0:
+                        path_exits(d, u, alpha, cap, start=start))
     alone, _ = exits(dirs)
     assert sum(refined) > rows
     assert lower.min() == alone.min()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_disc_enclosure_is_sound_for_the_scan_start_and_the_screen(n):
+    # over affine chains and catalog bodies: every mark of the march up to
+    # the inner radius T is inside along every ray, every screened row
+    # exits above its certified lower end, and each product of discs that
+    # passes `_disc_product_inside` lies in the image, its distinguished
+    # boundary included
+    rng = np.random.default_rng(60 + n)
+    closed, scanned = witness_path_fixtures(n, rng)
+    origin = np.zeros(n, dtype=complex)
+    screened = passed = 0
+    for maps in ("half_plane", "disc"):
+        for name, d in {**closed, **scanned}.items():
+            if d._projective:
+                continue
+            w = random_witness(d, maps, rng)
+            oracle = w.contains
+            inner = dom._inner_radius(d, w._mobius, w.inverse)
+            assert inner > 0.0, (maps, name)
+            for body in (ball(n), polydisc(n)):
+                # past one chunk of paths, so that later chunks are screened
+                dirs = boundary_samples(body, dom._PATH_COEFFS // (n * n + n) + 1500, rng)
+                assert oracle(dom._marks(inner)[:, None, None] * dirs).all(), (maps, name)
+                lower, upper = w.exits(dirs)
+                cut = np.isposinf(upper)
+                march = dom._first_exits(oracle, origin, dirs[cut], cap=1e8)
+                assert (march > lower[cut]).all(), (maps, name)
+                screened += cut.sum()
+            phase = np.exp(2j * np.pi * rng.uniform(size=(200, n)))
+            a = inner * rng.uniform(0, 1, (200, n)) * phase
+            rad = inner * rng.uniform(0, 1.5, (200, n))
+            ok = dom._disc_product_inside(d, w._mobius, w.inverse, a, rad)
+            edge = np.exp(2j * np.pi * rng.uniform(size=(64, ok.sum(), n)))
+            edge[32:] *= np.sqrt(rng.uniform(size=(32, ok.sum(), n)))
+            assert oracle(a[ok] + rad[ok] * edge).all(), (maps, name)
+            passed += ok.sum()
+            assert not ok.all(), (maps, name)
+    assert screened > 0 and passed > 0
+
+
+def test_first_exits_gives_up_a_certified_row_at_the_least_held_upper_end():
+    # unit-ball rays exiting at 1, 2 and 0.5; the first is bracketed, the
+    # others carry certified lower ends (lower, +inf)
+    points = [0]
+
+    def inside(y):
+        points[0] += y.shape[0]
+        return np.linalg.norm(y, axis=-1) < 1.0
+
+    origin = np.zeros(2, dtype=complex)
+    dirs = np.array([[1.0, 0.0], [0.5, 0.0], [2.0, 0.0]], dtype=complex)
+    tol = 0.4 * dom._EXIT_TOL
+
+    def least(rows, lower, upper):
+        points[0] = 0
+        got = dom._first_exits(inside, origin, dirs[rows], 1e8, (np.array(lower), np.array(upper)),
+                               least=True)
+        return got, points[0]
+
+    # the base and both ends of the one bracket: a certified row at or above
+    # its upper end costs no oracle point
+    alone = least([0], [1.0 - tol], [1.0 + tol])
+    assert least([0, 1], [1.0 - tol, 1.5], [1.0 + tol, np.inf]) == alone
+    assert least([0, 1], [1.0 - tol, 1.0 + tol], [1.0 + tol, np.inf]) == alone
+    # one below it marches, and the least is the march's
+    got, spent = least([0, 2], [1.0 - tol, 0.3], [1.0 + tol, np.inf])
+    assert spent > alone[1]
+    assert got == dom._first_exits(inside, origin, dirs[2:], 1e8)[0]
+    # outside the least mode a certified row marches to its own exit
+    ends = (np.array([1.0 - tol, 1.5, 0.3]), np.array([1.0 + tol, np.inf, np.inf]))
+    every = dom._first_exits(inside, origin, dirs, 1e8, ends)
+    march = dom._first_exits(inside, origin, dirs, 1e8)
+    assert np.array_equal(every[1:], march[1:])
+
+
+def test_screen_takes_most_witness_rows_after_the_first_chunk(polydisc_report):
+    # the polydisc-shaped rays of polydisc(2)'s report go in chunks of 4096
+    dirs = boundary_samples(polydisc(2), 12000, np.random.default_rng(_stream(0, 51, 0)))
+    lower, upper = polydisc_report.witness.exits(dirs)
+    chunk = dom._PATH_COEFFS // 6
+    assert np.isfinite(upper[:chunk]).all()
+    assert np.isposinf(upper[chunk:]).mean() >= 0.9
 
 
 # seed-0 witness figures (s, s_hat); a change to the exit engine that keeps
