@@ -164,7 +164,8 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
     with an all-ones sample runs first and attains equality.  The trials of
     a dimension run as one stack; trial i takes slice i of one shear draw
     and one draw of 8 samples per trial, so its figures do not depend on the
-    trial count.
+    trial count.  Dimension n draws from streams (seed, 1, n) and (seed, 1,
+    n, 1): 1 is a first key that no other purpose uses.
     """
     dims = _check_dims(dims, NUMERIC_LIMIT, "suite_star")
     _check_counts(streams=False, seed=seed, trials=trials)
@@ -178,7 +179,7 @@ def suite_star(dims=(2, 3, 4, 5), trials=100, seed=0) -> SuiteReport:
                                     "k": int(ks[i]), "count": int(counts[js[i], ks[i]])})
         bound = np.tril(2.0 ** (np.subtract.outer(np.arange(n), np.arange(n)) - 1.0), -1)
         weights = 2.0 ** (n - 1 - np.arange(n))
-        alpha, z = _shear_stack(seed, (n,), n, trials, rows=8)
+        alpha, z = _shear_stack(seed, (1, n), n, trials, rows=8)
         inv = _inverse_stack(alpha)
         z[0, 0] = 1.0
         margins = np.empty((trials, 2))

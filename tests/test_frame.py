@@ -829,10 +829,13 @@ def test_stream_keys_an_integer_seed_or_extends_a_spawn_key():
 def test_no_two_purposes_share_a_stream(monkeypatch):
     # each call site of `_stream` is one purpose: the frame stages, the spot
     # check, the normalizer's draw, the containment and projection checks,
-    # the witness rays and the probe's family sweep.  SeedSequence pads keys
-    # with zeros, so keys are compared by their generate_state words; a
-    # 16-dimensional body has frame stages 0..15 and the probe's certify runs
-    # stages 0..9
+    # the witness rays, the probe's family sweep, the suites' shear and
+    # sample draws (one site for both suites, which key them apart) and the
+    # lemma suite's three radius checks.  SeedSequence pads keys with
+    # zeros, so keys are compared by their generate_state words; a
+    # 16-dimensional body has frame stages 0..15, the probe's certify runs
+    # stages 0..9, and the suites run dimensions 5, 9 and 11, the first
+    # keys of the spot check, the sweep and the containment check
     words = {}
 
     def stream(*args):
@@ -848,7 +851,9 @@ def test_no_two_purposes_share_a_stream(monkeypatch):
     bounds_mod.certify(DomainSpec(n=16, kind="polydisc", convexity_class="cconvex"),
                        spot_trials=4, cloud_samples=100, **small)
     verify.kappa_probe("shears", n=10, budget=1, **small)
-    assert len(words) == 7
+    verify.suite_star(dims=(5, 9, 11), trials=2)
+    verify.suite_lemmas(dims=(5, 9, 11), trials=2, samples=1)
+    assert len(words) == 12
     sites = list(words)
     for i, a in enumerate(sites):
         for b in sites[i + 1:]:

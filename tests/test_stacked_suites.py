@@ -78,8 +78,8 @@ def _ref_star(dims, trials, seed):
         for j in range(n):
             bound[j, :j] = 2.0 ** (j - np.arange(j) - 1)
         weights = 2.0 ** (n - 1 - np.arange(n))
-        shears = np.random.default_rng(_stream(seed, n))
-        rows = np.random.default_rng(_stream(seed, n, 1))
+        shears = np.random.default_rng(_stream(seed, 1, n))
+        rows = np.random.default_rng(_stream(seed, 1, n, 1))
         for trial in range(trials):
             # trial 0 takes its slice of the draws too, then the all-(-1) shear
             drawn = _ref_alpha(n, shears)
@@ -197,7 +197,7 @@ def test_suite_streams_are_distinct(monkeypatch, seed):
     dims = tuple(range(2, 17))
     shear_stacks = _drawn_streams(
         monkeypatch, lambda: [verify._shear_stack(seed, keys, n, 2, rows=1)
-                              for n in dims for keys in ((n,), (3, n))])
+                              for n in dims for keys in ((1, n), (3, n))])
     assert len(shear_stacks) == 4 * len(dims)
     states = _drawn_streams(monkeypatch, lambda: (
         suite_star(dims=dims, trials=2, seed=seed),
