@@ -642,7 +642,7 @@ def _pull_back(d, u, alpha):
     return d._body, u, alpha - np.einsum("ij,j->i", u, d._e)
 
 
-def _mobius_path_exits(d, mobius, affine_inv, directions):
+def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
     """Exit brackets (lower, upper) of the rays t*v from 0 whose preimages
     affine_inv psi(t v) reach d, psi_j(y) = (p_j y + q_j) / (r_j y + s_j) for
     mobius = (p, q, r, s) (arrays over coordinates); each ray leaves the unit
@@ -652,18 +652,18 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
     Coordinate j of a ray pulls back to (q_j + p_j v_j t) / (s_j + r_j v_j t);
     over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
     preimage is a rational path of degree n.  Each chunk of paths is refined
-    only below the least upper end U of the chunks before it.  Over affine
-    chains and catalog bodies `_disc_product_inside` bounds the work.  The
-    inner radius T of `_inner_radius` is a mark of the march, and every
-    mark up to T is inside along every ray with max|v_j| <= 1 (the unit
-    boundary draws of the inscribed radius), so each path's grid scan
+    only below the least upper end U of the chunks before it.
+    `_disc_product_inside` bounds the work where `inner`, the image's inner
+    radius T from `_inner_radius` (a mark of the march), is positive.
+    Every mark up to T is inside along every ray with max|v_j| <= 1 (the
+    unit boundary draws of the inscribed radius), so each path's grid scan
     starts at T; a ray leaving earlier fails its bracket and marches.  And
     before a chunk builds its paths, a ray whose segment from t0 = T
     min(1, clip) to U lies in the image (one disc about each coordinate's
     segment; the segment below t0 lies in T times the closed polydisc)
     exits above U and cannot hold the least exit: its bracket is (U, +inf),
     a certified lower end, which `_first_exits` gives up in its least mode
-    and marches otherwise.  Projective chains scan from 0.
+    and marches otherwise.
     """
     if d._body.kind not in CATALOG_KINDS:
         return None
@@ -671,15 +671,13 @@ def _mobius_path_exits(d, mobius, affine_inv, directions):
     out = np.empty((2, directions.shape[0]))
     n = directions.shape[1]
     chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
-    enclosed = not d._projective
-    inner = _inner_radius(d, mobius, affine_inv) if enclosed else 0.0
     bound = np.inf
     for start in range(0, directions.shape[0], chunk):
         rows = np.arange(start, min(directions.shape[0], start + chunk))
         v = directions[rows]
         mod = np.abs(v)
         clip = 1.0 / mod.max(axis=1)
-        if enclosed and inner < bound < np.inf:
+        if 0.0 < inner < bound < np.inf:
             t0 = inner * np.minimum(1.0, clip)[:, None]
             screened = _disc_product_inside(d, mobius, affine_inv, 0.5 * (t0 + bound) * v,
                                             0.5 * (bound - t0) * mod)
@@ -725,21 +723,22 @@ def _disc_product_inside(d, mobius, affine_inv, a, rad):
     steps of at most 8 ulps of those moduli.
     """
     p, q, r, s = mobius
-    gamma = 8 * (3 * d.n + 8) * np.finfo(float).eps
+    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
     rad = rad + gamma * (np.abs(a) + rad)
     top = np.abs(a) + rad
     q1, s1 = p * a + q, r * a + s
-    gap = np.abs(s1) - np.abs(r) * rad
+    mod_s1, mod_r = np.abs(s1), np.abs(r)
+    gap = mod_s1 - mod_r * rad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = gap * (mod_s1 + mod_r * rad)
+        centre = (q1 * s1.conj() - p * r.conj() * rad ** 2) / span
+        rho = rad * np.abs(p * s - q * r) / span
+        mag = (np.abs(p) * top + np.abs(q) + (np.abs(centre) + rho) * (mod_r * top + np.abs(s))
+               ) / gap
     if d.kind in IMAGE_KINDS:
         n_inv, z0 = d._n_inv, d._z0
     else:
         n_inv, z0 = np.eye(d.n), np.zeros(d.n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        span = gap * (np.abs(s1) + np.abs(r) * rad)
-        centre = (q1 * s1.conj() - p * r.conj() * rad ** 2) / span
-        rho = rad * np.abs(p * s - q * r) / span
-        mag = (np.abs(p) * top + np.abs(q) + (np.abs(centre) + rho) * (np.abs(r) * top + np.abs(s))
-               ) / gap
     mat = n_inv @ affine_inv
     w = centre @ mat.T - n_inv @ z0
     err = (mag @ np.abs(affine_inv).T + np.abs(z0)) @ np.abs(n_inv).T
@@ -757,8 +756,11 @@ def _inner_radius(d, mobius, affine_inv):
     """The inner radius T of the witness image of `_mobius_path_exits`, on
     the marks of the march: the last mark below 1 up to which the closed
     polydisc of every mark's radius passes `_disc_product_inside` (a = 0, R
-    the mark), or 0 if the first fails.  The grid scan resolves only marks,
-    so a T between two marks would start it at the same one."""
+    the mark), or 0 if the first fails, and 0 for projective chains and
+    defining functions, which have no enclosure.  The grid scan resolves
+    only marks, so a T between two marks would start it at the same one."""
+    if d._projective or d._body.kind not in CATALOG_KINDS:
+        return 0.0
     marks = _marks(1.0)[:-1]
     ok = _disc_product_inside(d, mobius, affine_inv, np.zeros((marks.size, d.n)),
                               np.repeat(marks[:, None], d.n, axis=1))

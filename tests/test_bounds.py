@@ -623,7 +623,7 @@ def test_disc_enclosure_is_sound_for_the_scan_start_and_the_screen(n):
                 continue
             w = random_witness(d, maps, rng)
             oracle = w.contains
-            inner = dom._inner_radius(d, w._mobius, w.inverse)
+            inner = w._inner
             assert inner > 0.0, (maps, name)
             for body in (ball(n), polydisc(n)):
                 # past one chunk of paths, so that later chunks are screened

@@ -196,9 +196,10 @@ def test_single_layer_chains_match_the_layer_walk_bit_for_bit(name, monkeypatch)
     # witness-image rays: half-plane Mobius coordinate maps under a fixed affine_inv
     mobius = np.array([riemann_catalog(half_plane()).inverse_mobius] * d.n).T
     affine_inv = 0.6 * _shear(d.n, 0.2 - 0.1j)
+    inner = dom._inner_radius(d, mobius, affine_inv)
     np.testing.assert_array_equal(
-        dom._mobius_path_exits(d, mobius, affine_inv, dirs),
-        _walked(monkeypatch, dom._mobius_path_exits, d, mobius, affine_inv, dirs))
+        dom._mobius_path_exits(d, mobius, affine_inv, inner, dirs),
+        _walked(monkeypatch, dom._mobius_path_exits, d, mobius, affine_inv, inner, dirs))
     for a in edge[:10]:
         if d.kind in ("polydisc", "l1ball"):
             break  # ray exits land on faces, where these bodies have corners
