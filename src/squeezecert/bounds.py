@@ -23,12 +23,10 @@ grid scan of the march brackets it.  A bracket is kept once the image's
 membership oracle, which pulls back through the same Mobius coefficients,
 holds at its lower end and fails at its upper end; only rays over defining
 functions, and rays whose bracket fails, march.  A Mobius map takes a disc
-onto a disc in closed form, so over affine chains a product of discs is
-tested inside the image without a ray (`domains._disc_product_inside`):
-every scan starts at the largest mark whose closed polydisc passes, and a
-ray whose segment from there to the least upper end found so far passes
-gets a certified lower end and no path.  This enclosure is a search bound
-only: it is neither reported nor claimed as a certified radius.
+onto a disc, so over affine chains a closed-form enclosure starts every scan
+at an inner radius and gives each ray that cannot hold the least exit a
+certified lower end and no path: a search bound, neither reported nor
+claimed as a certified radius.
 The certified numbers come from the closed forms; each witness number is the
 least exit its rays measured, so [certified, witness] brackets the inscribed
 radius of the embedding's image, up to the exit tolerance.

@@ -20,10 +20,9 @@ brackets taken through that map: ray_exit_batch from `_exact_exits`, a ray
 pulled back to a degree-1 path, `bounds` from `_path_exits`, a witness-image
 ray pulled back through Mobius coordinate maps by `_mobius_path_exits`; every
 chain, affine or projective, pulls a path back in one form, U(t) / alpha(t).
-Over affine chains, a closed-form enclosure of Mobius images of discs
-(`_disc_product_inside`) starts each witness path's scan at an inner radius
-and gives the rays that cannot hold the least exit a certified lower end
-instead of a path.
+Over affine chains a closed-form enclosure of Mobius images of discs starts
+each witness scan at an inner radius and gives the rays that cannot hold the
+least exit a certified lower end instead of a path.
 Rays over ball and polydisc bases, and over l1 and lp bases under affine
 maps, give closed-form exits, bracketed within _EXIT_TOL; every other path
 gives two consecutive marks of the march from one grid scan, which Newton
@@ -652,18 +651,15 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
     Coordinate j of a ray pulls back to (q_j + p_j v_j t) / (s_j + r_j v_j t);
     over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
     preimage is a rational path of degree n.  Each chunk of paths is refined
-    only below the least upper end U of the chunks before it.
-    `_disc_product_inside` bounds the work where `inner`, the image's inner
-    radius T from `_inner_radius` (a mark of the march), is positive.
-    Every mark up to T is inside along every ray with max|v_j| <= 1 (the
-    unit boundary draws of the inscribed radius), so each path's grid scan
-    starts at T; a ray leaving earlier fails its bracket and marches.  And
-    before a chunk builds its paths, a ray whose segment from t0 = T
-    min(1, clip) to U lies in the image (one disc about each coordinate's
-    segment; the segment below t0 lies in T times the closed polydisc)
-    exits above U and cannot hold the least exit: its bracket is (U, +inf),
-    a certified lower end, which `_first_exits` gives up in its least mode
-    and marches otherwise.
+    only below the least upper end U of the chunks before it.  A positive
+    `inner`, the image's inner radius T from `_inner_radius`, is a mark up
+    to which every mark is inside along rays with max|v_j| <= 1 (the unit
+    boundary draws of the inscribed radius), so every grid scan starts at
+    T; a ray leaving earlier fails its bracket and marches.  Before a chunk
+    builds its paths, a ray whose segment from T min(1, clip) to U passes
+    `_disc_product_inside` (one disc about each coordinate's segment) exits
+    above U and cannot hold the least exit: its bracket is (U, +inf), a
+    certified lower end, and it gets no path.
     """
     if d._body.kind not in CATALOG_KINDS:
         return None
@@ -700,27 +696,24 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
 
 def _disc_product_inside(d, mobius, affine_inv, a, rad):
     """Whether the witness image of `_mobius_path_exits` holds every product
-    of the closed discs |y_j - a_j| <= rad_j, one product per row of a and
-    rad (m, n), for d an affine chain over a catalog body or the body itself.
+    of the closed discs |y_j - a_j| <= rad_j (one per row of a, rad (m, n)),
+    for d an affine chain over a catalog body or the body itself.
 
     psi_j maps |y - a| <= R onto the disc of centre (q' conj(s') - p conj(r)
-    R^2) / D and radius R |p s - q r| / D, with q' = p a + q, s' = r a + s
-    and D = |s'|^2 - |r|^2 R^2 > 0 (the pole lies off the disc).  In the
-    body's coordinates u = B psi + off, B = N^-1 affine_inv and off =
-    -N^-1 z0 (`_n_inv`, `_z0`), a product of discs of centres c and radii
-    rho lies in the body when g(B c + off) + sum_j rho_j g(B e_j) < 1, g the
-    body's lp gauge (the triangle inequality); over a polydisc body the test
-    is the exact supremum max_k (|(B c + off)_k| + sum_j |B_kj| rho_j).
+    R^2) / D and radius R |p s - q r| / D, q' = p a + q, s' = r a + s, D =
+    |s'|^2 - |r|^2 R^2 > 0.  With B = N^-1 affine_inv and off = -N^-1 z0
+    (`_n_inv`, `_z0`), discs of centres c and radii rho map into the body
+    when g(B c + off) + sum_j rho_j g(B e_j) < 1, g its lp gauge; over a
+    polydisc body the test is the exact supremum max_k (|(B c + off)_k| +
+    sum_j |B_kj| rho_j).  The y discs must lie in the open unit disc.
 
-    Rounding: the disc radii are first widened by gamma (|a| + R), gamma =
-    8 (3n + 8) ulps, which covers the float points t v of the march; the
-    discs must lie in the open unit disc, as the oracle asks; and the test
-    must clear 1 by gamma times the gauge of |N^-1| (|affine_inv| m + |z0|),
-    where m_j = (|p| y + |q| + (|c| + rho)(|r| y + |s|)) / (|s'| - |r| R),
-    y = |a| + R, bounds the moduli that the disc's closed form, the
-    oracle's Mobius step and either matrix product round against.  Each
-    coordinate of the oracle, and of the test, takes at most 3n + 8 rounded
-    steps of at most 8 ulps of those moduli.
+    Rounding: the radii are widened by gamma (|a| + R), gamma = 8 (3n + 8)
+    ulps, to cover the float points t v, and the test must clear 1 by gamma
+    times the gauge of |N^-1| (|affine_inv| m + |z0|), where m_j = (|p| y +
+    |q| + (|c| + rho)(|r| y + |s|)) / (|s'| - |r| R), y = |a| + R, bounds
+    the moduli that the closed form, the oracle's Mobius step and both
+    matrix products round against: each takes at most 3n + 8 steps of at
+    most 8 ulps of them.
     """
     p, q, r, s = mobius
     gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
@@ -753,18 +746,17 @@ def _disc_product_inside(d, mobius, affine_inv, a, rad):
 
 
 def _inner_radius(d, mobius, affine_inv):
-    """The inner radius T of the witness image of `_mobius_path_exits`, on
-    the marks of the march: the last mark below 1 up to which the closed
-    polydisc of every mark's radius passes `_disc_product_inside` (a = 0, R
-    the mark), or 0 if the first fails, and 0 for projective chains and
-    defining functions, which have no enclosure.  The grid scan resolves
-    only marks, so a T between two marks would start it at the same one."""
+    """The inner radius T of the witness image of `_mobius_path_exits` on
+    the marks of the march, which are all the grid scan resolves: the last
+    mark below 1 up to which every mark's closed polydisc passes
+    `_disc_product_inside`; 0 if none does, or with no enclosure
+    (projective chains and defining functions)."""
     if d._projective or d._body.kind not in CATALOG_KINDS:
         return 0.0
     marks = _marks(1.0)[:-1]
     ok = _disc_product_inside(d, mobius, affine_inv, np.zeros((marks.size, d.n)),
                               np.repeat(marks[:, None], d.n, axis=1))
-    k = ok.argmin() if not ok.all() else marks.size
+    k = np.logical_and.accumulate(ok).sum()
     return marks[k - 1] if k else 0.0
 
 
