@@ -44,6 +44,7 @@ from .domains import (
     _inner_radius,
     _mobius_path_exits,
     _projection_disc,
+    _row_all,
     ball,
     boundary_residual,
     boundary_samples,
@@ -153,12 +154,14 @@ class WitnessMap:
                         axis=-1).reshape(z.shape)
 
     def contains(self, y) -> np.ndarray:
-        """Membership of points y in the image, batched and exception-free:
-        points of the unit polydisc pull back through the coordinate Mobius
-        inverses and `inverse` into the domain."""
+        """Membership of points y (..., n) in the image, batched and
+        exception-free: points of the unit polydisc pull back through the
+        coordinate Mobius inverses and `inverse` into the domain.  The unit
+        polydisc test reduces column by column (`domains._row_all`), as the
+        domain's residual does."""
         p, q, r, s = self._mobius
         y = np.asarray(y, dtype=complex)
-        inside = np.all(np.abs(y) < 1.0, axis=-1)
+        inside = _row_all(np.abs(y) < 1.0)
         if not np.any(inside):
             return inside
         y = y[inside]

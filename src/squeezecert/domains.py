@@ -21,8 +21,8 @@ pulled back to a degree-1 path, `bounds` from `_path_exits`, a witness-image
 ray pulled back through Mobius coordinate maps by `_mobius_path_exits`; every
 chain, affine or projective, pulls a path back in one form, U(t) / alpha(t).
 Over affine chains a closed-form enclosure of Mobius images of discs starts
-each witness scan at an inner radius and gives the rays that cannot hold the
-least exit a certified lower end instead of a path.
+each witness scan at an inner radius and, past a pilot chunk, gives the rays
+that cannot hold the least exit a certified lower end instead of a path.
 Rays over ball and polydisc bases, and over l1 and lp bases under affine
 maps, give closed-form exits, bracketed within _EXIT_TOL; every other path
 gives two consecutive marks of the march from one grid scan, which Newton
@@ -88,6 +88,9 @@ _NEWTON_ROUNDS = 60
 # Mobius paths are built in chunks of rays that hold about this many
 # coefficients, n + 1 per coordinate, bounding their memory
 _PATH_COEFFS = 24576
+# rays of the witness's pilot chunk, whose least upper end starts the screen;
+# a convex_catalog round takes as long from 32 to 256 of them, longer at 512
+_PILOT_ROWS = 256
 # one membership call tests both bracket ends of up to this many rays; a
 # large batch (a witness's 12 000 rays) goes in blocks, which bound the
 # points held at once
@@ -328,6 +331,42 @@ def _defining_values(d, z):
     return vals.real
 
 
+# -- row reductions over the last axis ---------------------------------------
+# NumPy reduces a short last axis one row at a time, 20-60 times slower than
+# the n - 1 elementwise ops over its columns; these give the same bits
+
+def _columns(op, x, out):
+    for k in range(1, x.shape[-1]):
+        op(out, x[..., k], out=out)
+    return out
+
+
+def _row_max(x):
+    """x.max(axis=-1), nan propagating as there."""
+    return _columns(np.maximum, x, x[..., 0].copy())
+
+
+def _row_all(x):
+    """x.all(axis=-1) of a boolean array."""
+    return _columns(np.logical_and, x, x[..., 0].copy())
+
+
+def _row_sum(x):
+    """x.sum(axis=-1) of a float array: from +0 in column order, as NumPy adds
+    fewer than 8 terms; from 8 on it adds pairwise, so that sum is NumPy's."""
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1)
+    return _columns(np.add, x, x[..., 0] + 0.0)
+
+
+def _row_norm(x, g):
+    """np.linalg.norm(x, ord=g, axis=-1) for a finite g >= 1, in its steps."""
+    if g == 2.0:
+        return np.sqrt(_row_sum((x.conj() * x).real))
+    mod = np.abs(x)
+    return _row_sum(mod) if g == 1.0 else _row_sum(mod ** g) ** (1.0 / g)
+
+
 # -- membership and boundary residuals ---------------------------------------
 
 def contains(d: DomainSpec, z):
@@ -358,17 +397,16 @@ def _residual(d, z):
     """Residuals at points z of shape (m, n): gauge - 1 for the ball and
     polydisc, sum |z_k|^p - 1 for l1 and lp balls, the innermost body's
     residual at the preimage for image kinds, the defining values."""
-    # the array-method reductions (the sum is the one np.linalg.norm takes)
-    # give the same values as the np.* wrappers and save more per call than
-    # the subtraction costs; membership runs 10^5 times per certificate
+    # the column-wise row reductions give the bits of .max/.sum(axis=-1) at
+    # a fraction of their cost; membership runs 10^5 times per certificate
     kind = d.kind
     if kind == "ball":
-        return np.sqrt((z.conj() * z).real.sum(axis=-1)) - 1.0
+        return _row_norm(z, 2.0) - 1.0
     if kind == "polydisc":
-        return np.abs(z).max(axis=-1) - 1.0
+        return _row_max(np.abs(z)) - 1.0
     if kind in ("l1ball", "lp_ball"):
         mod = np.abs(z)  # the plain sum at p = 1: a power of 1 costs a copy
-        return (mod if d._p == 1.0 else mod ** d._p).sum(axis=-1) - 1.0
+        return _row_sum(mod if d._p == 1.0 else mod ** d._p) - 1.0
     if kind in IMAGE_KINDS:
         w, ok = _preimage(d, z)
         if ok is None:
@@ -655,32 +693,36 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
     `inner`, the image's inner radius T from `_inner_radius`, is a mark up
     to which every mark is inside along rays with max|v_j| <= 1 (the unit
     boundary draws of the inscribed radius), so every grid scan starts at
-    T; a ray leaving earlier fails its bracket and marches.  Before a chunk
-    builds its paths, a ray whose segment from T min(1, clip) to U passes
-    `_disc_product_inside` (one disc about each coordinate's segment) exits
-    above U and cannot hold the least exit: its bracket is (U, +inf), a
-    certified lower end, and it gets no path.
+    T; a ray leaving earlier fails its bracket and marches.  With it a
+    pilot chunk of the first _PILOT_ROWS rays goes first and sets U, and
+    before any later chunk builds its paths, a ray whose segment from
+    T min(1, clip) to U passes `_disc_product_inside` (one disc about each
+    coordinate's segment) exits above U and cannot hold the least exit:
+    its bracket is (U, +inf), a certified lower end, and it gets no path.
+    With no inner radius (no enclosure) nothing is screened and the chunks
+    are the plain ones of _PATH_COEFFS.
     """
     if d._body.kind not in CATALOG_KINDS:
         return None
     p, q, r, s = mobius
-    out = np.empty((2, directions.shape[0]))
-    n = directions.shape[1]
+    m, n = directions.shape
+    out = np.empty((2, m))
     chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
+    cuts = [0, *range(_PILOT_ROWS if inner > 0.0 else chunk, m, chunk), m]
     bound = np.inf
-    for start in range(0, directions.shape[0], chunk):
-        rows = np.arange(start, min(directions.shape[0], start + chunk))
+    for start, stop in zip(cuts, cuts[1:]):
+        rows = np.arange(start, stop)
         v = directions[rows]
         mod = np.abs(v)
-        clip = 1.0 / mod.max(axis=1)
+        clip = 1.0 / _row_max(mod)
         if 0.0 < inner < bound < np.inf:
             t0 = inner * np.minimum(1.0, clip)[:, None]
             screened = _disc_product_inside(d, mobius, affine_inv, 0.5 * (t0 + bound) * v,
                                             0.5 * (bound - t0) * mod)
             out[0, rows[screened]], out[1, rows[screened]] = bound, np.inf
             rows, v, clip = rows[~screened], v[~screened], clip[~screened]
-            if not rows.size:
-                continue
+        if not rows.size:
+            continue
         num = np.stack([np.broadcast_to(q, v.shape), p * v])
         den = np.stack([np.broadcast_to(s, v.shape), r * v])
         alpha = den[:, :, 0]
@@ -737,12 +779,12 @@ def _disc_product_inside(d, mobius, affine_inv, a, rad):
     err = (mag @ np.abs(affine_inv).T + np.abs(z0)) @ np.abs(n_inv).T
     g = d._body._p
     if g == math.inf:
-        f = (np.abs(w) + rho @ np.abs(mat).T).max(axis=-1)
-        slack = err.max(axis=-1)
+        f = _row_max(np.abs(w) + rho @ np.abs(mat).T)
+        slack = _row_max(err)
     else:
-        f = np.linalg.norm(w, ord=g, axis=-1) + rho @ np.linalg.norm(mat, ord=g, axis=0)
-        slack = np.linalg.norm(err, ord=g, axis=-1)
-    return (gap > 0.0).all(axis=-1) & (top < 1.0).all(axis=-1) & (f + gamma * slack < 1.0)
+        f = _row_norm(w, g) + rho @ np.linalg.norm(mat, ord=g, axis=0)
+        slack = _row_norm(err, g)
+    return _row_all((gap > 0.0) & (top < 1.0)) & (f + gamma * slack < 1.0)
 
 
 def _inner_radius(d, mobius, affine_inv):
@@ -1053,7 +1095,7 @@ def boundary_samples(d: DomainSpec, count, rng) -> np.ndarray:
 def _sphere_draw(rng, m, n):
     """m uniform points of the unit sphere in C^n."""
     g = rng.normal(size=(m, 2 * n)).view(complex)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return g / _row_norm(g, 2.0)[:, None]
 
 
 def _axis_points(n):

@@ -569,7 +569,8 @@ def test_projective_ball_witness_rows_pass_both_end_checks():
 
 
 def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
-    # ball(3)'s 12 000 witness rays go in chunks of 2048: Newton gets only rows
+    # ball(3)'s 12 000 witness rays go in a pilot chunk of 256, then in chunks
+    # of 2048, each of which builds paths for some rows: Newton gets only rows
     # whose lower end lies below the least upper end of the chunks before,
     # and the least exit is the one of refining every chunk on its own
     rep = certify(ball(3), seed=0)
@@ -593,7 +594,7 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
     monkeypatch.setattr(dom, "_path_exits", chunk_exits)
     monkeypatch.setattr(dom, "_bracketed_root", root)
     lower, _ = exits(dirs)
-    assert chunks[0] == 6
+    assert chunks[0] == 7
     rows = sum(refined)
     assert rows > 0
 
@@ -681,13 +682,37 @@ def test_first_exits_gives_up_a_certified_row_at_the_least_held_upper_end():
     assert np.array_equal(every[1:], march[1:])
 
 
-def test_screen_takes_most_witness_rows_after_the_first_chunk(polydisc_report):
-    # the polydisc-shaped rays of polydisc(2)'s report go in chunks of 4096
+def test_screen_takes_most_witness_rows_after_the_pilot(polydisc_report):
+    # the polydisc-shaped rays of polydisc(2)'s report: the pilot chunk builds
+    # every path, and its least upper end screens the rest of the first 4096
+    # rays as it does every later chunk
     dirs = boundary_samples(polydisc(2), 12000, np.random.default_rng(_stream(0, 51, 0)))
     lower, upper = polydisc_report.witness.exits(dirs)
+    pilot, chunk = dom._PILOT_ROWS, dom._PATH_COEFFS // 6
+    assert 0 < pilot < chunk
+    assert np.isfinite(upper[:pilot]).all()
+    assert np.isposinf(upper[pilot:chunk]).mean() >= 0.9
+    assert np.isposinf(upper[pilot:]).mean() >= 0.9
+
+
+def test_witness_without_an_inner_radius_keeps_the_plain_chunks(monkeypatch):
+    # a projective chain has no enclosure (inner radius 0): no pilot and no
+    # screen, one `_path_exits` call per chunk of _PATH_COEFFS coefficients
+    d = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0], bounding_radius=100.0)
+    rep = certify(d, seed=0)
+    assert rep.witness._inner == 0.0
+    dirs = boundary_samples(ball(2), 12000, np.random.default_rng(0))
+    path_exits, sizes = dom._path_exits, []
+
+    def chunk_exits(d, u, alpha, cap, bound=np.inf, start=0.0):
+        sizes.append(u.shape[1])
+        return path_exits(d, u, alpha, cap, bound, start)
+
+    monkeypatch.setattr(dom, "_path_exits", chunk_exits)
+    lower, upper = rep.witness.exits(dirs)
     chunk = dom._PATH_COEFFS // 6
-    assert np.isfinite(upper[:chunk]).all()
-    assert np.isposinf(upper[chunk:]).mean() >= 0.9
+    assert sizes == [chunk] * (dirs.shape[0] // chunk) + [dirs.shape[0] % chunk]
+    assert np.isfinite(upper).all()
 
 
 # seed-0 witness figures (s, s_hat); a change to the exit engine that keeps

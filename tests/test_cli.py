@@ -7,8 +7,8 @@ import pytest
 
 from squeezecert import __version__, cli
 from squeezecert.cli import EXIT_OK, EXIT_PIPELINE, EXIT_USAGE, main
-from squeezecert.domains import (affine_image, ball, defining_domain, domain_to_json, polydisc,
-                                 projective_image)
+from squeezecert.domains import (affine_image, ball, defining_domain, domain_to_json, lp_ball,
+                                 polydisc, projective_image)
 from squeezecert.numerics import constants_csv, universal_bounds
 from squeezecert.verify import SuiteReport
 
@@ -343,6 +343,24 @@ def test_bound_degenerate_defining_gradient_exits_two(tmp_path, capsys):
     assert out == ""
     assert err == ("pipeline check failed: NonsmoothBoundaryError: "
                    "defining gradient degenerates at the point\n")
+    assert not report.exists()
+
+
+def test_bound_unitary_lp_ball_image_triangularity_exits_two(tmp_path, capsys):
+    # a unitary image of lp_ball(10, 1.5), Q the complex QR of the n = 10 draw
+    # after the n = 6 and 8 ones of one stream: the frame's contacts leave
+    # row 5 of the transported functionals 2.4e-4 of the norm past its pivot,
+    # so the normalizer raises TriangularityError and no report is written.
+    # ROADMAP item 6 (a monotone power step in the frame) is to certify this
+    # image, which will turn the case into an exit-0 one
+    rng = np.random.default_rng(7)
+    for n in (6, 8, 10):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    spec = _spec(tmp_path, "unitary_lp", affine_image(lp_ball(10, 1.5), q))
+    report = tmp_path / "report.json"
+    rc, out, err = run_cli(["bound", spec, "--seed", "0", "--out", str(report)], capsys)
+    assert rc == EXIT_PIPELINE
+    assert out == "" and err.startswith("pipeline check failed: TriangularityError: row 5")
     assert not report.exists()
 
 

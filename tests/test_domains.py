@@ -110,6 +110,47 @@ def test_forward_map_round_trip():
     assert contains(d, z).all()
 
 
+def _reduction_rows(rng, n, dtype):
+    """Rows of n entries spread over 16 decades, and rows holding -0, inf,
+    -inf, both infinities and nan among them."""
+    def draw(size):
+        x = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+        return x if dtype is float else x + 1j * rng.normal(size=size)
+
+    x = draw((400, n))
+    for row, value in enumerate((-0.0, np.inf, -np.inf, np.nan)):
+        x[row::5, rng.integers(n)] = value
+    x[4::50, 0], x[4::50, -1] = np.inf, -np.inf
+    x[0] = -0.0
+    return x
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_row_reductions_match_numpy_bit_for_bit(n):
+    # the column-wise reductions of the membership kernels; from n = 8 on the
+    # sum is NumPy's own, which adds pairwise
+    rng = np.random.default_rng(90 + n)
+    x = _reduction_rows(rng, n, float)
+    mask = x < 1.0
+    assert _same_bits(dom._row_max(x), x.max(axis=-1))
+    assert _same_bits(dom._row_all(mask), mask.all(axis=-1))
+    # inf - inf is nan on both sides
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(dom._row_sum(x), x.sum(axis=-1))
+        assert _same_bits(dom._row_sum(np.abs(x)), np.abs(x).sum(axis=-1))
+        for z in (x, _reduction_rows(rng, n, complex)):
+            for g in (1.0, 1.5, 2.0):
+                assert _same_bits(dom._row_norm(z, g), np.linalg.norm(z, ord=g, axis=-1)), g
+    # leading axes pass through, and the result owns its data
+    stack = x.reshape(8, 50, n)
+    assert _same_bits(dom._row_max(stack), stack.max(axis=-1))
+    assert not np.shares_memory(dom._row_max(x), x)
+
+
 # -- ray exits ---------------------------------------------------------------
 
 def test_ray_exit_ball_unit_direction():
