@@ -694,11 +694,12 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
     to which every mark is inside along rays with max|v_j| <= 1 (the unit
     boundary draws of the inscribed radius), so every grid scan starts at
     T; a ray leaving earlier fails its bracket and marches.  With it a
-    pilot chunk of the first _PILOT_ROWS rays goes first and sets U, and
-    before any later chunk builds its paths, a ray whose segment from
-    T min(1, clip) to U passes `_disc_product_inside` (one disc about each
-    coordinate's segment) exits above U and cannot hold the least exit:
-    its bracket is (U, +inf), a certified lower end, and it gets no path.
+    pilot chunk of the first _PILOT_ROWS rays (a chunk's rays from n = 10
+    on, where a chunk holds fewer) sets U, and before any later chunk
+    builds its paths, a ray whose segment from T min(1, clip) to U passes
+    `_disc_product_inside` (one disc about each coordinate's segment)
+    exits above U and cannot hold the least exit: its bracket is
+    (U, +inf), a certified lower end, and it gets no path.
     With no inner radius (no enclosure) nothing is screened and the chunks
     are the plain ones of _PATH_COEFFS.
     """
@@ -708,7 +709,7 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
     m, n = directions.shape
     out = np.empty((2, m))
     chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
-    cuts = [0, *range(_PILOT_ROWS if inner > 0.0 else chunk, m, chunk), m]
+    cuts = [0, *range(min(_PILOT_ROWS, chunk) if inner > 0.0 else chunk, m, chunk), m]
     bound = np.inf
     for start, stop in zip(cuts, cuts[1:]):
         rows = np.arange(start, stop)

@@ -715,6 +715,25 @@ def test_witness_without_an_inner_radius_keeps_the_plain_chunks(monkeypatch):
     assert np.isfinite(upper).all()
 
 
+def test_witness_pilot_is_at_most_one_chunk(monkeypatch):
+    # at n = 10 a chunk of degree-10 paths holds 223 rays, fewer than the
+    # pilot's 256: the pilot takes one chunk, and no call builds more paths
+    n = 10
+    w = random_witness(polydisc(n), "half_plane", np.random.default_rng(12))
+    assert w._inner > 0.0
+    path_exits, sizes = dom._path_exits, []
+
+    def chunk_exits(d, u, alpha, cap, bound=np.inf, start=0.0):
+        sizes.append(u.shape[1])
+        return path_exits(d, u, alpha, cap, bound, start)
+
+    monkeypatch.setattr(dom, "_path_exits", chunk_exits)
+    w.exits(boundary_samples(polydisc(n), 1000, np.random.default_rng(13)))
+    chunk = dom._PATH_COEFFS // (n * n + n)
+    assert chunk < dom._PILOT_ROWS
+    assert sizes[0] == chunk and max(sizes) <= chunk
+
+
 # seed-0 witness figures (s, s_hat); a change to the exit engine that keeps
 # its exits keeps these to _EXIT_TOL
 _PINNED_WITNESSES = {
