@@ -695,6 +695,18 @@ def test_screen_takes_most_witness_rows_after_the_pilot(polydisc_report):
     assert np.isposinf(upper[pilot:]).mean() >= 0.9
 
 
+def path_rows_per_call(monkeypatch):
+    """The list that each later `_path_exits` call appends its path count to."""
+    path_exits, sizes = dom._path_exits, []
+
+    def counted(d, u, alpha, cap, bound=np.inf, start=0.0):
+        sizes.append(u.shape[1])
+        return path_exits(d, u, alpha, cap, bound, start)
+
+    monkeypatch.setattr(dom, "_path_exits", counted)
+    return sizes
+
+
 def test_witness_without_an_inner_radius_keeps_the_plain_chunks(monkeypatch):
     # a projective chain has no enclosure (inner radius 0): no pilot and no
     # screen, one `_path_exits` call per chunk of _PATH_COEFFS coefficients
@@ -702,13 +714,7 @@ def test_witness_without_an_inner_radius_keeps_the_plain_chunks(monkeypatch):
     rep = certify(d, seed=0)
     assert rep.witness._inner == 0.0
     dirs = boundary_samples(ball(2), 12000, np.random.default_rng(0))
-    path_exits, sizes = dom._path_exits, []
-
-    def chunk_exits(d, u, alpha, cap, bound=np.inf, start=0.0):
-        sizes.append(u.shape[1])
-        return path_exits(d, u, alpha, cap, bound, start)
-
-    monkeypatch.setattr(dom, "_path_exits", chunk_exits)
+    sizes = path_rows_per_call(monkeypatch)
     lower, upper = rep.witness.exits(dirs)
     chunk = dom._PATH_COEFFS // 6
     assert sizes == [chunk] * (dirs.shape[0] // chunk) + [dirs.shape[0] % chunk]
@@ -721,13 +727,7 @@ def test_witness_pilot_is_at_most_one_chunk(monkeypatch):
     n = 10
     w = random_witness(polydisc(n), "half_plane", np.random.default_rng(12))
     assert w._inner > 0.0
-    path_exits, sizes = dom._path_exits, []
-
-    def chunk_exits(d, u, alpha, cap, bound=np.inf, start=0.0):
-        sizes.append(u.shape[1])
-        return path_exits(d, u, alpha, cap, bound, start)
-
-    monkeypatch.setattr(dom, "_path_exits", chunk_exits)
+    sizes = path_rows_per_call(monkeypatch)
     w.exits(boundary_samples(polydisc(n), 1000, np.random.default_rng(13)))
     chunk = dom._PATH_COEFFS // (n * n + n)
     assert chunk < dom._PILOT_ROWS
