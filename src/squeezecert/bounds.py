@@ -41,6 +41,7 @@ import numpy as np
 from .domains import (
     DomainSpec,
     _first_exits,
+    _gram_bound,
     _inner_radius,
     _mobius_path_exits,
     _projection_disc,
@@ -138,8 +139,11 @@ class WitnessMap:
         # rows p, q, r, s over coordinates: w_j -> (p_j w_j + q_j) / (r_j w_j + s_j)
         object.__setattr__(self, "_mobius",
                            np.array([mp.inverse_mobius for mp in self.coordinate_maps]).T)
-        # the image's inner radius, which every call of `exits` reads
-        object.__setattr__(self, "_inner", _inner_radius(self.domain, self._mobius, self.inverse))
+        # the enclosure's Gram bound and the image's inner radius, which
+        # every call of `exits` reads
+        object.__setattr__(self, "_gram", _gram_bound(self.domain, self.inverse))
+        object.__setattr__(self, "_inner", _inner_radius(self.domain, self._mobius, self.inverse,
+                                                         self._gram))
 
     @property
     def n(self) -> int:
@@ -174,7 +178,8 @@ class WitnessMap:
         affine chain a ray that cannot hold the least exit of the rays
         before it gets (lower, +inf), a certified lower end: its segment up
         to lower lies in the image by the closed-form disc enclosure."""
-        return _mobius_path_exits(self.domain, self._mobius, self.inverse, self._inner, dirs)
+        return _mobius_path_exits(self.domain, self._mobius, self.inverse, self._gram,
+                                  self._inner, dirs)
 
     def radii(self, rays, seed):
         """(s, s_hat): the measured inscribed ball and polydisc radii of the

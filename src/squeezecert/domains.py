@@ -346,6 +346,11 @@ def _row_max(x):
     return _columns(np.maximum, x, x[..., 0].copy())
 
 
+def _row_min(x):
+    """x.min(axis=-1), nan propagating as there."""
+    return _columns(np.minimum, x, x[..., 0].copy())
+
+
 def _row_all(x):
     """x.all(axis=-1) of a boolean array."""
     return _columns(np.logical_and, x, x[..., 0].copy())
@@ -428,7 +433,7 @@ def _preimage(d, z):
     if not d._projective:
         return u, None
     div = 1.0 - np.einsum("...j,j->...", u, d._e)
-    ok = np.abs(div) > 1e-13 * (1.0 + np.abs(u).max(axis=-1))
+    ok = np.abs(div) > 1e-13 * (1.0 + _row_max(np.abs(u)))
     return u / np.where(ok, div, 1.0)[..., None], ok
 
 
@@ -485,7 +490,7 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
         return np.empty(0)
     # moduli first: the complex norm would take inf * 0 on an infinite entry
     mod = np.abs(directions)
-    top = mod.max(axis=1)
+    top = _row_max(mod)
     least, most = top.min(), top.max()
     if not (least > 0.0 and most < np.inf):
         raise ArgumentError("directions must be finite and nonzero")
@@ -500,7 +505,7 @@ def ray_exit_batch(d: DomainSpec, base, directions) -> np.ndarray:
         mod = mod * scale[:, None]
     # march cap in parameter units: bounding radius along the slowest direction
     # (the norm as np.linalg.norm takes it, without its call overhead)
-    cap = d.bounding_radius / np.sqrt((mod * mod).sum(axis=1)).min() * 2.0
+    cap = d.bounding_radius / np.sqrt(_row_sum(mod * mod)).min() * 2.0
     bracket = _exact_exits(d, base, directions, cap)
     # the closure looks `contains` up at call time, so a rebound one is used
     t = _first_exits(lambda z: contains(d, z), base, directions, cap, bracket)
@@ -641,14 +646,14 @@ def _line_exits(d, u0, u1, a0, a1, cap):
         u0c = u0.conj()
         a, b, c = (u1.conj() * u1).real, (u0c * u1).real, (u0c * u0).real
         if d.kind == "ball":
-            a, b, c = a.sum(axis=-1), b.sum(axis=-1), c.sum(axis=-1)
+            a, b, c = _row_sum(a), _row_sum(b), _row_sum(c)
         else:
             a0, a1 = a0[:, None], a1[:, None]
         a, b, c = (a - (a1.conj() * a1).real, b - (a0.conj() * a1).real,
                    c - (a0.conj() * a0).real)
         t = _first_root(a, b, c)
         if d.kind == "polydisc":
-            t = t.min(axis=-1)
+            t = _row_min(t)
         scan = ()
     else:
         u0, a0, flat = np.broadcast_to(u0, u1.shape), np.broadcast_to(a0, (m,)), a1 == 0.0
@@ -679,7 +684,7 @@ def _pull_back(d, u, alpha):
     return d._body, u, alpha - np.einsum("ij,j->i", u, d._e)
 
 
-def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
+def _mobius_path_exits(d, mobius, affine_inv, gram, inner, directions):
     """Exit brackets (lower, upper) of the rays t*v from 0 whose preimages
     affine_inv psi(t v) reach d, psi_j(y) = (p_j y + q_j) / (r_j y + s_j) for
     mobius = (p, q, r, s) (arrays over coordinates); each ray leaves the unit
@@ -697,9 +702,10 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
     pilot chunk of the first _PILOT_ROWS rays (a chunk's rays from n = 10
     on, where a chunk holds fewer) sets U, and before any later chunk
     builds its paths, a ray whose segment from T min(1, clip) to U passes
-    `_disc_product_inside` (one disc about each coordinate's segment)
-    exits above U and cannot hold the least exit: its bracket is
-    (U, +inf), a certified lower end, and it gets no path.
+    `_disc_product_inside` (one disc about each coordinate's segment, under
+    the witness's `_gram_bound` `gram`) exits above U and cannot hold the
+    least exit: its bracket is (U, +inf), a certified lower end, and it gets
+    no path.  Over every body the screen takes most rows of a batch.
     With no inner radius (no enclosure) nothing is screened and the chunks
     are the plain ones of _PATH_COEFFS.
     """
@@ -718,7 +724,7 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
         clip = 1.0 / _row_max(mod)
         if 0.0 < inner < bound < np.inf:
             t0 = inner * np.minimum(1.0, clip)[:, None]
-            screened = _disc_product_inside(d, mobius, affine_inv, 0.5 * (t0 + bound) * v,
+            screened = _disc_product_inside(d, mobius, affine_inv, gram, 0.5 * (t0 + bound) * v,
                                             0.5 * (bound - t0) * mod)
             out[0, rows[screened]], out[1, rows[screened]] = bound, np.inf
             rows, v, clip = rows[~screened], v[~screened], clip[~screened]
@@ -737,18 +743,23 @@ def _mobius_path_exits(d, mobius, affine_inv, inner, directions):
     return out[0], out[1]
 
 
-def _disc_product_inside(d, mobius, affine_inv, a, rad):
+def _disc_product_inside(d, mobius, affine_inv, gram, a, rad):
     """Whether the witness image of `_mobius_path_exits` holds every product
     of the closed discs |y_j - a_j| <= rad_j (one per row of a, rad (m, n)),
-    for d an affine chain over a catalog body or the body itself.
+    for d an affine chain over a catalog body or the body itself, and `gram`
+    its `_gram_bound`.
 
     psi_j maps |y - a| <= R onto the disc of centre (q' conj(s') - p conj(r)
     R^2) / D and radius R |p s - q r| / D, q' = p a + q, s' = r a + s, D =
     |s'|^2 - |r|^2 R^2 > 0.  With B = N^-1 affine_inv and off = -N^-1 z0
     (`_n_inv`, `_z0`), discs of centres c and radii rho map into the body
-    when g(B c + off) + sum_j rho_j g(B e_j) < 1, g its lp gauge; over a
-    polydisc body the test is the exact supremum max_k (|(B c + off)_k| +
-    sum_j |B_kj| rho_j).  The y discs must lie in the open unit disc.
+    when g(B c + off) + sup g(B (rho zeta)) < 1 over |zeta_j| <= 1, g its lp
+    gauge.  Over a polydisc body the test is the exact supremum max_k
+    (|(B c + off)_k| + sum_j |B_kj| rho_j).  Over the others it is bounded
+    by the lesser of sum_j rho_j g(B e_j) (the triangle inequality) and
+    `_gram_bound`'s kappa sqrt(rho^T H rho), which an l1 body under B =
+    DFT/n attains (where the former is sqrt(n) times larger).  The y discs
+    must lie in the open unit disc.
 
     Rounding: the radii are widened by gamma (|a| + R), gamma = 8 (3n + 8)
     ulps, to cover the float points t v, and the test must clear 1 by gamma
@@ -783,21 +794,54 @@ def _disc_product_inside(d, mobius, affine_inv, a, rad):
         f = _row_max(np.abs(w) + rho @ np.abs(mat).T)
         slack = _row_max(err)
     else:
-        f = _row_norm(w, g) + rho @ np.linalg.norm(mat, ord=g, axis=0)
+        h, kappa = gram
+        # a disc over a pole (rho < 0, failed by gap) may take a nan root
+        with np.errstate(invalid="ignore"):
+            torus = np.minimum(rho @ np.linalg.norm(mat, ord=g, axis=0),
+                               kappa * np.sqrt(_row_sum((rho @ h) * rho)))
+        f = _row_norm(w, g) + torus
         slack = _row_norm(err, g)
     return _row_all((gap > 0.0) & (top < 1.0)) & (f + gamma * slack < 1.0)
 
 
-def _inner_radius(d, mobius, affine_inv):
+def _gram_bound(d, affine_inv):
+    """(H, kappa) for the torus term of `_disc_product_inside` over the
+    witness image with affine part `affine_inv`: for |zeta_j| <= 1,
+    g(B (rho zeta)) <= kappa |B (rho zeta)|_2 <= kappa sqrt(rho^T H rho),
+    with kappa = n^(1/p - 1/2) for p < 2, 1 for p >= 2, and H >= |B^H B|
+    entrywise, B = N^-1 affine_inv the exact product of the two float
+    matrices.  None over a polydisc body, whose test is exact, and where the
+    image has no enclosure (projective chains and defining functions).
+
+    Rounding, in `_disc_product_inside`'s gamma: H = |fl(M^H M)| + gamma
+    E^T E, M = fl(N^-1 affine_inv), E = |N^-1| |affine_inv|.  M lies within
+    n steps of at most 8 ulps of E of B, and fl(M^H M) within n steps of
+    |M|^T |M| of M^H M, so B^H B - fl(M^H M) takes 3n steps of E^T E; the 8
+    steps left cover its second-order terms and the rounding of E^T E and
+    of the sum.  kappa is widened by 1 + gamma, which covers pow and the
+    n + 3 rounded steps of kappa sqrt(rho^T H rho).
+    """
+    if d._projective or d._body.kind not in CATALOG_KINDS or d._body._p == math.inf:
+        return None
+    n_inv = d._n_inv if d.kind in IMAGE_KINDS else np.eye(d.n)
+    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
+    mat, size = n_inv @ affine_inv, np.abs(n_inv) @ np.abs(affine_inv)
+    return (np.abs(mat.conj().T @ mat) + gamma * (size.T @ size),
+            d.n ** max(1.0 / d._body._p - 0.5, 0.0) * (1.0 + gamma))
+
+
+def _inner_radius(d, mobius, affine_inv, gram):
     """The inner radius T of the witness image of `_mobius_path_exits` on
     the marks of the march, which are all the grid scan resolves: the last
     mark below 1 up to which every mark's closed polydisc passes
-    `_disc_product_inside`; 0 if none does, or with no enclosure
-    (projective chains and defining functions)."""
+    `_disc_product_inside` under `gram`, the witness's `_gram_bound`; 0 if
+    none does, or with no enclosure (projective chains and defining
+    functions).  Over l1 and ball bodies under a near-unitary affine part
+    the Gram term puts T near the image's inscribed polydisc radius."""
     if d._projective or d._body.kind not in CATALOG_KINDS:
         return 0.0
     marks = _marks(1.0)[:-1]
-    ok = _disc_product_inside(d, mobius, affine_inv, np.zeros((marks.size, d.n)),
+    ok = _disc_product_inside(d, mobius, affine_inv, gram, np.zeros((marks.size, d.n)),
                               np.repeat(marks[:, None], d.n, axis=1))
     k = np.logical_and.accumulate(ok).sum()
     return marks[k - 1] if k else 0.0

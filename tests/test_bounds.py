@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -330,10 +331,14 @@ def witness_path_fixtures(n, rng):
         "shear_l1": affine_image(l1ball(n), shear)}
 
 
-def random_witness(d, maps, rng):
-    """A witness map of d with a random affine part and the given coordinate maps."""
+def random_witness(d, maps, rng, near_dft=False):
+    """A witness map of d with a random affine part and the given coordinate
+    maps: near the identity, or near the DFT matrix (the l1ball(n) frame's,
+    sqrt(n) times a unitary one)."""
     n = d.n
     affine = np.eye(n) + 0.3 * rng.normal(size=(n, 2 * n)).view(complex)
+    if near_dft:
+        affine = np.fft.fft(np.eye(n)) @ (np.eye(n) + (affine - np.eye(n)) / 6.0)
     if maps == "half_plane":
         coord = tuple(riemann_catalog(half_plane()) for _ in range(n))
     else:
@@ -569,13 +574,20 @@ def test_projective_ball_witness_rows_pass_both_end_checks():
 
 
 def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
-    # ball(3)'s 12 000 witness rays go in a pilot chunk of 256, then in chunks
-    # of 2048, each of which builds paths for some rows: Newton gets only rows
-    # whose lower end lies below the least upper end of the chunks before,
-    # and the least exit is the one of refining every chunk on its own
-    rep = certify(ball(3), seed=0)
+    # a projective image of ball(2) has no enclosure, so no ray is screened:
+    # its 12 000 witness rays go in three chunks of at most 4096, each of
+    # which builds paths for every row.  Newton gets only rows whose lower
+    # end lies below the least upper end of the chunks before, and the least
+    # exit is the one of refining every chunk on its own
+    d = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0], bounding_radius=100.0)
+    rep = certify(d, seed=0)
+    assert rep.witness._inner == 0.0
     exits = rep.witness.exits
-    dirs = boundary_samples(ball(3), 12000, np.random.default_rng(0))
+    dirs = boundary_samples(ball(2), 12000, np.random.default_rng(0))
+    # the least exits first: each ray past the first chunk exits more than a
+    # mark of the march above the least exit, so the running bound leaves
+    # Newton no row of the later chunks, which refine some rows on their own
+    dirs = dirs[np.argsort(exits(dirs)[1])]
     path_exits, bracketed_root = dom._path_exits, dom._bracketed_root
     running, chunks, refined = [np.inf], [0], []
 
@@ -594,7 +606,7 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
     monkeypatch.setattr(dom, "_path_exits", chunk_exits)
     monkeypatch.setattr(dom, "_bracketed_root", root)
     lower, _ = exits(dirs)
-    assert chunks[0] == 7
+    assert chunks[0] == 3
     rows = sum(refined)
     assert rows > 0
 
@@ -607,22 +619,23 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
     assert lower.min() == alone.min()
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_disc_enclosure_is_sound_for_the_scan_start_and_the_screen(n):
     # over affine chains and catalog bodies: every mark of the march up to
     # the inner radius T is inside along every ray, every screened row
     # exits above its certified lower end, and each product of discs that
     # passes `_disc_product_inside` lies in the image, its distinguished
-    # boundary included
+    # boundary included.  Affine parts near the DFT matrix make the Gram
+    # term the lesser one over ball, l1 and lp bodies
     rng = np.random.default_rng(60 + n)
     closed, scanned = witness_path_fixtures(n, rng)
     origin = np.zeros(n, dtype=complex)
     screened = passed = 0
-    for maps in ("half_plane", "disc"):
+    for maps, near_dft in (("half_plane", False), ("disc", False), ("half_plane", True)):
         for name, d in {**closed, **scanned}.items():
             if d._projective:
                 continue
-            w = random_witness(d, maps, rng)
+            w = random_witness(d, maps, rng, near_dft)
             oracle = w.contains
             inner = w._inner
             assert inner > 0.0, (maps, name)
@@ -638,13 +651,79 @@ def test_disc_enclosure_is_sound_for_the_scan_start_and_the_screen(n):
             phase = np.exp(2j * np.pi * rng.uniform(size=(200, n)))
             a = inner * rng.uniform(0, 1, (200, n)) * phase
             rad = inner * rng.uniform(0, 1.5, (200, n))
-            ok = dom._disc_product_inside(d, w._mobius, w.inverse, a, rad)
+            ok = dom._disc_product_inside(d, w._mobius, w.inverse, w._gram, a, rad)
             edge = np.exp(2j * np.pi * rng.uniform(size=(64, ok.sum(), n)))
             edge[32:] *= np.sqrt(rng.uniform(size=(32, ok.sum(), n)))
             assert oracle(a[ok] + rad[ok] * edge).all(), (maps, name)
             passed += ok.sum()
             assert not ok.all(), (maps, name)
     assert screened > 0 and passed > 0
+
+
+def _exact_gram_moduli_squared(n_inv, affine_inv):
+    """|B^H B|^2 entrywise in exact rationals, B the exact product of the two
+    float matrices."""
+    def exact(mat):
+        return [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in mat]
+
+    def dot(xs, ys):
+        return (sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(xs, ys)),
+                sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(xs, ys)))
+
+    left, right = exact(n_inv), exact(affine_inv.T)
+    cols = [[dot(row, col) for row in left] for col in right]  # the columns of B
+    conj = [[(x[0], -x[1]) for x in col] for col in cols]
+    return [[sum(map(lambda v: v * v, dot(cj, ck))) for ck in cols] for cj in conj]
+
+
+def test_gram_bound_covers_the_exact_product_of_the_float_matrices():
+    # H >= |B^H B| entrywise for B = N^-1 affine_inv in exact arithmetic:
+    # the l1ball(6) frame's witness (B a scaled DFT matrix) and sheared
+    # l1 and lp images under random affine parts; kappa is n^(1/p - 1/2)
+    # for p < 2 and 1 from p = 2 on, widened outward
+    rng = np.random.default_rng(70)
+    shear = np.eye(6, dtype=complex) + np.tril(np.full((6, 6), 0.4 - 0.3j), -1)
+    cases = [(certify(l1ball(6), seed=0).witness, 6 ** 0.5)]
+    for d, kappa in ((affine_image(l1ball(6), shear), 6 ** 0.5),
+                     (affine_image(lp_ball(4, 1.5), shear[:4, :4]), 4 ** (1 / 1.5 - 0.5)),
+                     (affine_image(ball(3), shear[:3, :3]), 1.0),
+                     (affine_image(lp_ball(3, 3.0), shear[:3, :3]), 1.0)):
+        for near_dft in (False, True):
+            cases.append((random_witness(d, "half_plane", rng, near_dft), kappa))
+    for w, kappa in cases:
+        d = w.domain
+        h, got = w._gram
+        assert kappa < got <= kappa * (1 + 1e-12)
+        n_inv = d._n_inv if d.kind == "affine_image" else np.eye(d.n)
+        exact = _exact_gram_moduli_squared(n_inv, w.inverse)
+        assert all(Fraction(h[j, k]) ** 2 >= exact[j][k]
+                   for j in range(d.n) for k in range(d.n)), d.kind
+    # a polydisc body keeps its exact supremum, and projective chains have
+    # no enclosure
+    assert random_witness(polydisc(3), "half_plane", rng)._gram is None
+    assert certify(projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                    bounding_radius=100.0), seed=0).witness._gram is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_disc_enclosure_attains_the_torus_supremum_of_a_dft_l1_image(n):
+    # B = DFT/n over l1ball(n), under the identity Mobius maps: a chirp zeta
+    # gives every coordinate of B zeta the modulus 1/sqrt(n), so the product
+    # of discs of radius rho about 0 reaches the l1 gauge sqrt(n) rho, the
+    # Gram term's value; the triangle inequality reads n rho.  The test
+    # passes the product just below rho = 1/sqrt(n) and fails it just above,
+    # where its chirp point leaves the body
+    d = l1ball(n)
+    dft = np.fft.fft(np.eye(n)) / n
+    identity = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex).repeat(n, axis=1)
+    j = np.arange(n)
+    chirp = np.exp(-1j * np.pi * (j * j if n % 2 == 0 else j * (j + 1)) / n)
+    np.testing.assert_allclose(np.abs(dft @ chirp), n ** -0.5, rtol=1e-14)
+    below, above = n ** -0.5 * (1.0 - 1e-9), n ** -0.5 * (1.0 + 1e-9)
+    ok = dom._disc_product_inside(d, identity, dft, dom._gram_bound(d, dft), np.zeros((2, n)),
+                                  np.array([[below] * n, [above] * n]))
+    assert ok.tolist() == [True, False]
+    assert dom.contains(d, dft @ (below * chirp)) and not dom.contains(d, dft @ (above * chirp))
 
 
 def test_first_exits_gives_up_a_certified_row_at_the_least_held_upper_end():

@@ -137,6 +137,7 @@ def test_row_reductions_match_numpy_bit_for_bit(n):
     x = _reduction_rows(rng, n, float)
     mask = x < 1.0
     assert _same_bits(dom._row_max(x), x.max(axis=-1))
+    assert _same_bits(dom._row_min(x), x.min(axis=-1))
     assert _same_bits(dom._row_all(mask), mask.all(axis=-1))
     # inf - inf is nan on both sides
     with np.errstate(invalid="ignore"):
@@ -149,6 +150,44 @@ def test_row_reductions_match_numpy_bit_for_bit(n):
     stack = x.reshape(8, 50, n)
     assert _same_bits(dom._row_max(stack), stack.max(axis=-1))
     assert not np.shares_memory(dom._row_max(x), x)
+
+
+def _numpy_reductions(monkeypatch):
+    """Patch NumPy's own row reductions in for the column-wise ones."""
+    monkeypatch.setattr(dom, "_row_max", lambda x: x.max(axis=-1))
+    monkeypatch.setattr(dom, "_row_min", lambda x: x.min(axis=-1))
+    monkeypatch.setattr(dom, "_row_sum", lambda x: x.sum(axis=-1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 9])
+def test_ray_kernels_reduce_as_numpy_bit_for_bit(n, monkeypatch):
+    # `_preimage`'s largest modulus, `_line_exits`' ball sums and polydisc
+    # least root, and `ray_exit_batch`'s largest modulus and cap norm run
+    # column by column; with NumPy's reductions they give the same bits
+    rng = np.random.default_rng(120 + n)
+    den = np.concatenate([[2.0], np.exp(2j * np.pi * rng.uniform(size=n)) / n])
+    chain = projective_image(polydisc(n), np.eye(n), np.zeros(n), den, bounding_radius=100.0)
+    z = rng.normal(size=(4, 50, 2 * n)).view(complex)
+    u0 = 0.3 / n * rng.normal(size=(300, 2 * n)).view(complex)
+    u1 = rng.normal(size=(300, 2 * n)).view(complex)
+    u1[::7] *= 0.01  # slower than the divisor: these paths stay inside
+    u1[1::50, -1] = np.nan  # a nan sum has no root: these end at the cap too
+    a0 = 1.0 + 0.2 * rng.normal(size=600).view(complex)
+    a1 = 0.5 * rng.normal(size=600).view(complex)
+    # rays of every scale, so that some are scaled by a power of two
+    dirs = np.nan_to_num(u1) * 10.0 ** rng.integers(-2, 3, size=(300, 1))
+    domains = (ball(n), polydisc(n), lp_ball(n, 1.5), chain)
+
+    def kernels():
+        lines = [dom._line_exits(body, u0, u1, a0, a1, 50.0) for body in (ball(n), polydisc(n))]
+        rays = [ray_exit_batch(d, np.zeros(n), dirs) for d in domains]
+        return (*dom._preimage(chain, z), *np.concatenate(lines), *rays)
+
+    got = kernels()
+    with monkeypatch.context() as mp:
+        _numpy_reductions(mp)
+        ref = kernels()
+    assert len(got) == len(ref) and all(_same_bits(a, b) for a, b in zip(got, ref))
 
 
 # -- ray exits ---------------------------------------------------------------
