@@ -673,13 +673,13 @@ def _exact_gram_moduli_squared(n_inv, affine_inv):
     left, right = exact(n_inv), exact(affine_inv.T)
     cols = [[dot(row, col) for row in left] for col in right]  # the columns of B
     conj = [[(x[0], -x[1]) for x in col] for col in cols]
-    return [[sum(map(lambda v: v * v, dot(cj, ck))) for ck in cols] for cj in conj]
+    return [[sum(v * v for v in dot(cj, ck)) for ck in cols] for cj in conj]
 
 
 def test_gram_bound_covers_the_exact_product_of_the_float_matrices():
     # H >= |B^H B| entrywise for B = N^-1 affine_inv in exact arithmetic:
     # the l1ball(6) frame's witness (B a scaled DFT matrix) and sheared
-    # l1 and lp images under random affine parts; kappa is n^(1/p - 1/2)
+    # l1, lp and ball images under random affine parts; kappa is n^(1/p - 1/2)
     # for p < 2 and 1 from p = 2 on, widened outward
     rng = np.random.default_rng(70)
     shear = np.eye(6, dtype=complex) + np.tril(np.full((6, 6), 0.4 - 0.3j), -1)
