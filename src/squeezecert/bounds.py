@@ -40,8 +40,8 @@ import numpy as np
 
 from .domains import (
     DomainSpec,
+    _enclosure,
     _first_exits,
-    _gram_bound,
     _inner_radius,
     _mobius_path_exits,
     _projection_disc,
@@ -124,7 +124,11 @@ class WitnessMap:
     by 1/sqrt(n) it is the ball-target witness.  `inverse`, the affine
     part's inverse, is a field and not derived: certify passes t_inverse A^-1
     (exact contacts as columns, then the forward recursion), which
-    np.linalg.inv(affine) does not reproduce bit for bit.
+    np.linalg.inv(affine) does not reproduce bit for bit.  Construction
+    derives, once, what every call of `exits` reads: the Mobius rows, the
+    constants of the closed-form disc enclosure (`domains._enclosure`; None
+    for projective chains and defining functions) and the image's inner
+    radius.
     """
 
     domain: DomainSpec
@@ -139,11 +143,10 @@ class WitnessMap:
         # rows p, q, r, s over coordinates: w_j -> (p_j w_j + q_j) / (r_j w_j + s_j)
         object.__setattr__(self, "_mobius",
                            np.array([mp.inverse_mobius for mp in self.coordinate_maps]).T)
-        # the enclosure's Gram bound and the image's inner radius, which
+        # the disc enclosure's constants and the image's inner radius, which
         # every call of `exits` reads
-        object.__setattr__(self, "_gram", _gram_bound(self.domain, self.inverse))
-        object.__setattr__(self, "_inner", _inner_radius(self.domain, self._mobius, self.inverse,
-                                                         self._gram))
+        object.__setattr__(self, "_enclosure", _enclosure(self.domain, self._mobius, self.inverse))
+        object.__setattr__(self, "_inner", _inner_radius(self._enclosure))
 
     @property
     def n(self) -> int:
@@ -175,10 +178,11 @@ class WitnessMap:
     def exits(self, dirs):
         """Exit brackets of image rays t*v from 0 (`domains._mobius_path_exits`:
         None unless the domain's innermost base is a catalog body).  Over an
-        affine chain a ray that cannot hold the least exit of the rays
-        before it gets (lower, +inf), a certified lower end: its segment up
-        to lower lies in the image by the closed-form disc enclosure."""
-        return _mobius_path_exits(self.domain, self._mobius, self.inverse, self._gram,
+        affine chain a ray that cannot hold the least exit of the paths
+        built before its block is screened gets (lower, +inf), a certified
+        lower end: its segment up to lower lies in the image by the
+        closed-form disc enclosure."""
+        return _mobius_path_exits(self.domain, self._mobius, self.inverse, self._enclosure,
                                   self._inner, dirs)
 
     def radii(self, rays, seed):

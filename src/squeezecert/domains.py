@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,11 @@ _PATH_COEFFS = 24576
 # rays of the witness's pilot chunk, whose least upper end starts the screen;
 # a convex_catalog round takes as long from 32 to 256 of them, longer at 512
 _PILOT_ROWS = 256
+# the witness screen takes its rays in blocks of this many, which keep its
+# temporaries in cache: over the witness passes of a convex_catalog round
+# 2048 ran fastest from 512 to 8192, and one call over a whole 12 000-ray
+# batch took 1.3 times as long
+_SCREEN_ROWS = 2048
 # one membership call tests both bracket ends of up to this many rays; a
 # large batch (a witness's 12 000 rays) goes in blocks, which bound the
 # points held at once
@@ -684,7 +690,7 @@ def _pull_back(d, u, alpha):
     return d._body, u, alpha - np.einsum("ij,j->i", u, d._e)
 
 
-def _mobius_path_exits(d, mobius, affine_inv, gram, inner, directions):
+def _mobius_path_exits(d, mobius, affine_inv, enclosure, inner, directions):
     """Exit brackets (lower, upper) of the rays t*v from 0 whose preimages
     affine_inv psi(t v) reach d, psi_j(y) = (p_j y + q_j) / (r_j y + s_j) for
     mobius = (p, q, r, s) (arrays over coordinates); each ray leaves the unit
@@ -693,21 +699,24 @@ def _mobius_path_exits(d, mobius, affine_inv, gram, inner, directions):
 
     Coordinate j of a ray pulls back to (q_j + p_j v_j t) / (s_j + r_j v_j t);
     over the common denominator alpha(t) = prod_j (s_j + r_j v_j t) the
-    preimage is a rational path of degree n.  Each chunk of paths is refined
-    only below the least upper end U of the chunks before it.  A positive
-    `inner`, the image's inner radius T from `_inner_radius`, is a mark up
-    to which every mark is inside along rays with max|v_j| <= 1 (the unit
-    boundary draws of the inscribed radius), so every grid scan starts at
-    T; a ray leaving earlier fails its bracket and marches.  With it a
-    pilot chunk of the first _PILOT_ROWS rays (a chunk's rays from n = 10
-    on, where a chunk holds fewer) sets U, and before any later chunk
-    builds its paths, a ray whose segment from T min(1, clip) to U passes
-    `_disc_product_inside` (one disc about each coordinate's segment, under
-    the witness's `_gram_bound` `gram`) exits above U and cannot hold the
+    preimage is a rational path of degree n.  Paths are built in chunks of
+    the rays that hold about _PATH_COEFFS coefficients, and each chunk is
+    refined only below the running bound U, the least upper end of the
+    chunks built before it.  A positive `inner`, the image's inner radius T
+    from `_inner_radius`, is a mark up to which every mark is inside along
+    rays with max|v_j| <= 1 (the unit boundary draws of the inscribed
+    radius), so every grid scan starts at T; a ray leaving earlier fails its
+    bracket and marches.  With it a pilot chunk of the first _PILOT_ROWS rays
+    (a chunk's rays from n = 10 on, where a chunk holds fewer) sets U, and
+    the later rays are screened in blocks of _SCREEN_ROWS against U as it
+    stands when their block is screened: a ray whose segment from
+    T min(1, clip) to U passes `_disc_product_inside` under `enclosure` (one
+    disc about each coordinate's segment) exits above U and cannot hold the
     least exit: its bracket is (U, +inf), a certified lower end, and it gets
-    no path.  Over every body the screen takes most rows of a batch.
-    With no inner radius (no enclosure) nothing is screened and the chunks
-    are the plain ones of _PATH_COEFFS.
+    no path.  The rays a block leaves are gathered, and their paths built a
+    chunk at a time once a chunk is pending, the rest at the end.  Over
+    every body the screen takes most rows of a batch.  With no inner radius
+    (no enclosure) nothing is screened and the chunks are the plain ones.
     """
     if d._body.kind not in CATALOG_KINDS:
         return None
@@ -715,21 +724,15 @@ def _mobius_path_exits(d, mobius, affine_inv, gram, inner, directions):
     m, n = directions.shape
     out = np.empty((2, m))
     chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
-    cuts = [0, *range(min(_PILOT_ROWS, chunk) if inner > 0.0 else chunk, m, chunk), m]
+    # coordinate-major, as the screen takes them
+    v_t = np.ascontiguousarray(directions.T)
+    mod_t = np.abs(v_t)
+    clip = 1.0 / _row_max(mod_t.T)
     bound = np.inf
-    for start, stop in zip(cuts, cuts[1:]):
-        rows = np.arange(start, stop)
+
+    def build(rows):
+        nonlocal bound
         v = directions[rows]
-        mod = np.abs(v)
-        clip = 1.0 / _row_max(mod)
-        if 0.0 < inner < bound < np.inf:
-            t0 = inner * np.minimum(1.0, clip)[:, None]
-            screened = _disc_product_inside(d, mobius, affine_inv, gram, 0.5 * (t0 + bound) * v,
-                                            0.5 * (bound - t0) * mod)
-            out[0, rows[screened]], out[1, rows[screened]] = bound, np.inf
-            rows, v, clip = rows[~screened], v[~screened], clip[~screened]
-        if not rows.size:
-            continue
         num = np.stack([np.broadcast_to(q, v.shape), p * v])
         den = np.stack([np.broadcast_to(s, v.shape), r * v])
         alpha = den[:, :, 0]
@@ -738,16 +741,39 @@ def _mobius_path_exits(d, mobius, affine_inv, gram, inner, directions):
             x = np.concatenate([_polymul(x, den[:, :, j:j + 1]),
                                 _polymul(alpha, num[:, :, j])[..., None]], axis=-1)
             alpha = _polymul(alpha, den[:, :, j])
-        out[:, rows] = _path_exits(d, x @ affine_inv.T, alpha, clip, bound, inner)
+        out[:, rows] = _path_exits(d, x @ affine_inv.T, alpha, clip[rows], bound, inner)
         bound = min(bound, out[1, rows].min())
+
+    pilot = min(_PILOT_ROWS, chunk, m) if inner > 0.0 else 0
+    if pilot:
+        build(np.arange(pilot))
+    pending = np.arange(0)
+    for start in range(pilot, m, _SCREEN_ROWS):
+        stop = min(m, start + _SCREEN_ROWS)
+        rows = np.arange(start, stop)
+        if 0.0 < inner < bound < np.inf:
+            t0 = inner * np.minimum(1.0, clip[rows])
+            screened = _disc_product_inside(enclosure, 0.5 * (t0 + bound) * v_t[:, start:stop],
+                                            0.5 * (bound - t0) * mod_t[:, start:stop])
+            out[0, rows[screened]], out[1, rows[screened]] = bound, np.inf
+            rows = rows[~screened]
+        pending = np.concatenate([pending, rows])
+        while pending.size >= chunk:
+            build(pending[:chunk])
+            pending = pending[chunk:]
+    if pending.size:
+        build(pending)
     return out[0], out[1]
 
 
-def _disc_product_inside(d, mobius, affine_inv, gram, a, rad):
+def _disc_product_inside(enclosure, a, rad):
     """Whether the witness image of `_mobius_path_exits` holds every product
-    of the closed discs |y_j - a_j| <= rad_j (one per row of a, rad (m, n)),
-    for d an affine chain over a catalog body or the body itself, and `gram`
-    its `_gram_bound`.
+    of the closed discs |y_j - a_j| <= rad_j, for `enclosure` the image's
+    `_enclosure` (an affine chain over a catalog body, or the body itself).
+    a and rad are coordinate-major, (n, m) with one product per column, so
+    that each coordinate's constants broadcast along a row; the matrix
+    products take the transposed (m, n) views, which round as row-major
+    operands do.  Returns (m,) booleans.
 
     psi_j maps |y - a| <= R onto the disc of centre (q' conj(s') - p conj(r)
     R^2) / D and radius R |p s - q r| / D, q' = p a + q, s' = r a + s, D =
@@ -756,10 +782,10 @@ def _disc_product_inside(d, mobius, affine_inv, gram, a, rad):
     when g(B c + off) + sup g(B (rho zeta)) < 1 over |zeta_j| <= 1, g its lp
     gauge.  Over a polydisc body the test is the exact supremum max_k
     (|(B c + off)_k| + sum_j |B_kj| rho_j).  Over the others it is bounded
-    by the lesser of sum_j rho_j g(B e_j) (the triangle inequality) and
-    `_gram_bound`'s kappa sqrt(rho^T H rho), which an l1 body under B =
-    DFT/n attains (where the former is sqrt(n) times larger).  The y discs
-    must lie in the open unit disc.
+    by the lesser of sum_j rho_j g(B e_j) (the triangle inequality) and the
+    Gram term kappa sqrt(rho^T H rho) of `_enclosure`, which an l1 body
+    under B = DFT/n attains (where the former is sqrt(n) times larger).  The
+    y discs must lie in the open unit disc.
 
     Rounding: the radii are widened by gamma (|a| + R), gamma = 8 (3n + 8)
     ulps, to cover the float points t v, and the test must clear 1 by gamma
@@ -769,80 +795,98 @@ def _disc_product_inside(d, mobius, affine_inv, gram, a, rad):
     matrix products round against: each takes at most 3n + 8 steps of at
     most 8 ulps of them.
     """
-    p, q, r, s = mobius
-    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
-    rad = rad + gamma * (np.abs(a) + rad)
-    top = np.abs(a) + rad
-    q1, s1 = p * a + q, r * a + s
-    mod_s1, mod_r = np.abs(s1), np.abs(r)
-    gap = mod_s1 - mod_r * rad
+    e = enclosure
+    mod_a = np.abs(a)
+    rad = rad + e.gamma * (mod_a + rad)
+    top = mod_a + rad
+    q1, s1 = e.p * a + e.q, e.r * a + e.s
+    mod_s1 = np.abs(s1)
+    gap = mod_s1 - e.mod_r * rad
     with np.errstate(divide="ignore", invalid="ignore"):
-        span = gap * (mod_s1 + mod_r * rad)
-        centre = (q1 * s1.conj() - p * r.conj() * rad ** 2) / span
-        rho = rad * np.abs(p * s - q * r) / span
-        mag = (np.abs(p) * top + np.abs(q) + (np.abs(centre) + rho) * (mod_r * top + np.abs(s))
+        span = gap * (mod_s1 + e.mod_r * rad)
+        centre = (q1 * s1.conj() - e.pr * rad ** 2) / span
+        rho = rad * e.det / span
+        mag = (e.mod_p * top + e.mod_q + (np.abs(centre) + rho) * (e.mod_r * top + e.mod_s)
                ) / gap
+    w = centre.T @ e.mat_t - e.n_inv_z0
+    err = (mag.T @ e.abs_affine_t + e.abs_z0) @ e.abs_n_inv_t
+    # a matrix-vector product of a transposed view rounds otherwise
+    rho = np.ascontiguousarray(rho.T)
+    if e.g == math.inf:
+        f = _row_max(np.abs(w) + rho @ e.abs_mat_t)
+        slack = _row_max(err)
+    else:
+        # a disc over a pole (rho < 0, failed by gap) may take a nan root
+        with np.errstate(invalid="ignore"):
+            torus = np.minimum(rho @ e.gauges, e.kappa * np.sqrt(_row_sum((rho @ e.h) * rho)))
+        f = _row_norm(w, e.g) + torus
+        slack = _row_norm(err, e.g)
+    return _row_all(((gap > 0.0) & (top < 1.0)).T) & (f + e.gamma * slack < 1.0)
+
+
+# the constants of `_disc_product_inside` for one witness image (`_enclosure`)
+_Enclosure = namedtuple("_Enclosure", "g gamma p q r s pr mod_p mod_q mod_r mod_s det mat_t "
+                        "abs_mat_t gauges abs_affine_t abs_n_inv_t n_inv_z0 abs_z0 h kappa")
+
+
+def _enclosure(d, mobius, affine_inv):
+    """The constants that `_disc_product_inside` reads for the witness image
+    with Mobius rows `mobius` and affine part `affine_inv`, computed once per
+    witness: d's body gauge exponent g and the rounding unit gamma; the rows
+    p, q, r, s as (n, 1) columns, p conj(r), their moduli and |p s - q r|;
+    B^T and |B|^T for B = N^-1 affine_inv, and B's column gauges;
+    |affine_inv|^T, |N^-1|^T, N^-1 z0 and |z0|; and the Gram term (H,
+    kappa).  None where the image has no enclosure (projective chains and
+    defining functions).
+
+    Gram term: for |zeta_j| <= 1, g(B (rho zeta)) <= kappa |B (rho zeta)|_2
+    <= kappa sqrt(rho^T H rho), with kappa = n^(1/p - 1/2) for p < 2, 1 for
+    p >= 2, and H >= |B^H B| entrywise, B the exact product of the two float
+    matrices.  The gauges, H and kappa are None over a polydisc body, whose
+    test is exact.
+
+    Rounding, in gamma: H = |fl(M^H M)| + gamma E^T E, M = fl(N^-1
+    affine_inv), E = |N^-1| |affine_inv|.  M lies within n steps of at most
+    8 ulps of E of B, and fl(M^H M) within n steps of |M|^T |M| of M^H M, so
+    B^H B - fl(M^H M) takes 3n steps of E^T E; the 8 steps left cover its
+    second-order terms and the rounding of E^T E and of the sum.  kappa is
+    widened by 1 + gamma, which covers pow and the n + 3 rounded steps of
+    kappa sqrt(rho^T H rho).
+    """
+    if d._projective or d._body.kind not in CATALOG_KINDS:
+        return None
+    g = d._body._p
+    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
     if d.kind in IMAGE_KINDS:
         n_inv, z0 = d._n_inv, d._z0
     else:
         n_inv, z0 = np.eye(d.n), np.zeros(d.n)
     mat = n_inv @ affine_inv
-    w = centre @ mat.T - n_inv @ z0
-    err = (mag @ np.abs(affine_inv).T + np.abs(z0)) @ np.abs(n_inv).T
-    g = d._body._p
-    if g == math.inf:
-        f = _row_max(np.abs(w) + rho @ np.abs(mat).T)
-        slack = _row_max(err)
-    else:
-        h, kappa = gram
-        # a disc over a pole (rho < 0, failed by gap) may take a nan root
-        with np.errstate(invalid="ignore"):
-            torus = np.minimum(rho @ np.linalg.norm(mat, ord=g, axis=0),
-                               kappa * np.sqrt(_row_sum((rho @ h) * rho)))
-        f = _row_norm(w, g) + torus
-        slack = _row_norm(err, g)
-    return _row_all((gap > 0.0) & (top < 1.0)) & (f + gamma * slack < 1.0)
+    gauges = h = kappa = None
+    if g != math.inf:
+        size = np.abs(n_inv) @ np.abs(affine_inv)
+        gauges = np.linalg.norm(mat, ord=g, axis=0)
+        h = np.abs(mat.conj().T @ mat) + gamma * (size.T @ size)
+        kappa = d.n ** max(1.0 / g - 0.5, 0.0) * (1.0 + gamma)
+    p, q, r, s = mobius[:, :, None]
+    return _Enclosure(g, gamma, p, q, r, s, p * r.conj(), np.abs(p), np.abs(q), np.abs(r),
+                      np.abs(s), np.abs(p * s - q * r), mat.T, np.abs(mat).T, gauges,
+                      np.abs(affine_inv).T, np.abs(n_inv).T, n_inv @ z0, np.abs(z0), h, kappa)
 
 
-def _gram_bound(d, affine_inv):
-    """(H, kappa) for the torus term of `_disc_product_inside` over the
-    witness image with affine part `affine_inv`: for |zeta_j| <= 1,
-    g(B (rho zeta)) <= kappa |B (rho zeta)|_2 <= kappa sqrt(rho^T H rho),
-    with kappa = n^(1/p - 1/2) for p < 2, 1 for p >= 2, and H >= |B^H B|
-    entrywise, B = N^-1 affine_inv the exact product of the two float
-    matrices.  None over a polydisc body, whose test is exact, and where the
-    image has no enclosure (projective chains and defining functions).
-
-    Rounding, in `_disc_product_inside`'s gamma: H = |fl(M^H M)| + gamma
-    E^T E, M = fl(N^-1 affine_inv), E = |N^-1| |affine_inv|.  M lies within
-    n steps of at most 8 ulps of E of B, and fl(M^H M) within n steps of
-    |M|^T |M| of M^H M, so B^H B - fl(M^H M) takes 3n steps of E^T E; the 8
-    steps left cover its second-order terms and the rounding of E^T E and
-    of the sum.  kappa is widened by 1 + gamma, which covers pow and the
-    n + 3 rounded steps of kappa sqrt(rho^T H rho).
-    """
-    if d._projective or d._body.kind not in CATALOG_KINDS or d._body._p == math.inf:
-        return None
-    n_inv = d._n_inv if d.kind in IMAGE_KINDS else np.eye(d.n)
-    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
-    mat, size = n_inv @ affine_inv, np.abs(n_inv) @ np.abs(affine_inv)
-    return (np.abs(mat.conj().T @ mat) + gamma * (size.T @ size),
-            d.n ** max(1.0 / d._body._p - 0.5, 0.0) * (1.0 + gamma))
-
-
-def _inner_radius(d, mobius, affine_inv, gram):
+def _inner_radius(enclosure):
     """The inner radius T of the witness image of `_mobius_path_exits` on
     the marks of the march, which are all the grid scan resolves: the last
     mark below 1 up to which every mark's closed polydisc passes
-    `_disc_product_inside` under `gram`, the witness's `_gram_bound`; 0 if
-    none does, or with no enclosure (projective chains and defining
+    `_disc_product_inside` under `enclosure`, the witness's `_enclosure`; 0
+    if none does, or with no enclosure (projective chains and defining
     functions).  Over l1 and ball bodies under a near-unitary affine part
     the Gram term puts T near the image's inscribed polydisc radius."""
-    if d._projective or d._body.kind not in CATALOG_KINDS:
+    if enclosure is None:
         return 0.0
     marks = _marks(1.0)[:-1]
-    ok = _disc_product_inside(d, mobius, affine_inv, gram, np.zeros((marks.size, d.n)),
-                              np.repeat(marks[:, None], d.n, axis=1))
+    n = enclosure.p.shape[0]
+    ok = _disc_product_inside(enclosure, np.zeros((n, marks.size)), np.tile(marks, (n, 1)))
     k = np.logical_and.accumulate(ok).sum()
     return marks[k - 1] if k else 0.0
 

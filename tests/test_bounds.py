@@ -651,13 +651,128 @@ def test_disc_enclosure_is_sound_for_the_scan_start_and_the_screen(n):
             phase = np.exp(2j * np.pi * rng.uniform(size=(200, n)))
             a = inner * rng.uniform(0, 1, (200, n)) * phase
             rad = inner * rng.uniform(0, 1.5, (200, n))
-            ok = dom._disc_product_inside(d, w._mobius, w.inverse, w._gram, a, rad)
+            ok = dom._disc_product_inside(w._enclosure, a.T, rad.T)
             edge = np.exp(2j * np.pi * rng.uniform(size=(64, ok.sum(), n)))
             edge[32:] *= np.sqrt(rng.uniform(size=(32, ok.sum(), n)))
             assert oracle(a[ok] + rad[ok] * edge).all(), (maps, name)
             passed += ok.sum()
             assert not ok.all(), (maps, name)
     assert screened > 0 and passed > 0
+
+
+def _row_major_gram_bound(d, affine_inv):
+    """The Gram term (H, kappa) as the row-major enclosure took it."""
+    if d._projective or d._body.kind not in dom.CATALOG_KINDS or d._body._p == math.inf:
+        return None
+    n_inv = d._n_inv if d.kind in dom.IMAGE_KINDS else np.eye(d.n)
+    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
+    mat, size = n_inv @ affine_inv, np.abs(n_inv) @ np.abs(affine_inv)
+    return (np.abs(mat.conj().T @ mat) + gamma * (size.T @ size),
+            d.n ** max(1.0 / d._body._p - 0.5, 0.0) * (1.0 + gamma))
+
+
+def _row_major_disc_product_inside(d, mobius, affine_inv, gram, a, rad):
+    """The disc enclosure as it was before it went coordinate-major: a and
+    rad (m, n), every constant recomputed at each call; the reference that
+    `domains._disc_product_inside` must match boolean for boolean."""
+    p, q, r, s = mobius
+    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
+    rad = rad + gamma * (np.abs(a) + rad)
+    top = np.abs(a) + rad
+    q1, s1 = p * a + q, r * a + s
+    mod_s1, mod_r = np.abs(s1), np.abs(r)
+    gap = mod_s1 - mod_r * rad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        span = gap * (mod_s1 + mod_r * rad)
+        centre = (q1 * s1.conj() - p * r.conj() * rad ** 2) / span
+        rho = rad * np.abs(p * s - q * r) / span
+        mag = (np.abs(p) * top + np.abs(q) + (np.abs(centre) + rho) * (mod_r * top + np.abs(s))
+               ) / gap
+    if d.kind in dom.IMAGE_KINDS:
+        n_inv, z0 = d._n_inv, d._z0
+    else:
+        n_inv, z0 = np.eye(d.n), np.zeros(d.n)
+    mat = n_inv @ affine_inv
+    w = centre @ mat.T - n_inv @ z0
+    err = (mag @ np.abs(affine_inv).T + np.abs(z0)) @ np.abs(n_inv).T
+    g = d._body._p
+    if g == math.inf:
+        f = np.max(np.abs(w) + rho @ np.abs(mat).T, axis=-1)
+        slack = np.max(err, axis=-1)
+    else:
+        h, kappa = gram
+        with np.errstate(invalid="ignore"):
+            torus = np.minimum(rho @ np.linalg.norm(mat, ord=g, axis=0),
+                               kappa * np.sqrt(np.sum((rho @ h) * rho, axis=-1)))
+        f = np.linalg.norm(w, ord=g, axis=-1) + torus
+        slack = np.linalg.norm(err, ord=g, axis=-1)
+    return np.all((gap > 0.0) & (top < 1.0), axis=-1) & (f + gamma * slack < 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 9])
+def test_coordinate_major_enclosure_matches_the_row_major_one(n):
+    # ball, polydisc, l1 and lp bodies, alone, under an affine map and
+    # translated, with half-plane and disc coordinate maps: random products
+    # about the pass/fail edge, products over a coordinate map's pole (gap
+    # <= 0), products reaching the unit circle, and the zero-centre marks of
+    # `_inner_radius`; n = 9 takes NumPy's pairwise sums
+    rng = np.random.default_rng(80 + n)
+    shear = np.eye(n, dtype=complex) + np.tril(np.full((n, n), 0.4 - 0.3j), -1)
+    marks = dom._marks(1.0)[:-1]
+    counts = np.zeros(2, dtype=int)
+    for body in (ball(n), polydisc(n), l1ball(n), lp_ball(n, 1.5)):
+        point = 0.2 * rng.normal(size=2 * n).view(complex) / n
+        for d in (body, affine_image(body, shear, point), translate(body, point)):
+            for maps, near_dft in (("half_plane", False), ("disc", False), ("half_plane", True)):
+                w = random_witness(d, maps, rng, near_dft)
+                p, q, r, s = w._mobius
+                phase = np.exp(2j * np.pi * rng.uniform(size=(300, n)))
+                a = 0.4 * rng.uniform(0, 1, (300, n)) * phase
+                rad = 0.4 * rng.uniform(0, 1, (300, n))
+                with np.errstate(divide="ignore"):
+                    pole = np.where(r != 0, -s / r, 1e3)
+                a[:20], rad[:20] = 0.95 * pole, 0.1 * np.abs(pole)
+                a[20:40] = -0.9 * phase[20:40]
+                rad[20:40] = 0.2
+                a = np.concatenate([a, np.zeros((marks.size, n))])
+                rad = np.concatenate([rad, np.repeat(marks[:, None], n, axis=1)])
+                ref = _row_major_disc_product_inside(d, w._mobius, w.inverse,
+                                                     _row_major_gram_bound(d, w.inverse), a, rad)
+                got = dom._disc_product_inside(w._enclosure, np.ascontiguousarray(a.T),
+                                               np.ascontiguousarray(rad.T))
+                np.testing.assert_array_equal(got, ref)
+                assert not got[:40].any()
+                counts += got.sum(), (~got).sum()
+    assert (counts > 0).all()
+
+
+def test_gathered_witness_chunks_on_l1ball6(monkeypatch):
+    # the l1ball(6) report's witness rays at seed 0, both shapes: past its
+    # pilot each shape builds the rays that the screen leaves in at most one
+    # `_path_exits` call, no call builds more than one chunk of paths, and
+    # every screen call takes at most one block of rays
+    w = certify(l1ball(6), seed=0).witness
+    assert w._inner > 0.0
+    inside, screens = dom._disc_product_inside, []
+
+    def screen(enclosure, a, rad):
+        screens.append(a.shape[1])
+        return inside(enclosure, a, rad)
+
+    monkeypatch.setattr(dom, "_disc_product_inside", screen)
+    chunk = dom._PATH_COEFFS // 42
+    calls = rays = 0
+    for k, body in enumerate((polydisc(6), ball(6))):
+        sizes = path_rows_per_call(monkeypatch)
+        dirs = boundary_samples(body, 12000, np.random.default_rng(_stream(0, 51, k)))
+        lower, upper = w.exits(dirs)
+        assert sizes[0] == dom._PILOT_ROWS
+        assert 1 <= len(sizes) <= 2 and max(sizes) <= chunk
+        assert np.isposinf(upper).sum() == dirs.shape[0] - sum(sizes)
+        calls += len(sizes)
+        rays += dirs.shape[0] - dom._PILOT_ROWS
+    assert calls <= 3
+    assert max(screens) <= dom._SCREEN_ROWS and sum(screens) == rays
 
 
 def _exact_gram_moduli_squared(n_inv, affine_inv):
@@ -692,7 +807,7 @@ def test_gram_bound_covers_the_exact_product_of_the_float_matrices():
             cases.append((random_witness(d, "half_plane", rng, near_dft), kappa))
     for w, kappa in cases:
         d = w.domain
-        h, got = w._gram
+        h, got = w._enclosure.h, w._enclosure.kappa
         assert kappa < got <= kappa * (1 + 1e-12)
         n_inv = d._n_inv if d.kind == "affine_image" else np.eye(d.n)
         exact = _exact_gram_moduli_squared(n_inv, w.inverse)
@@ -700,9 +815,9 @@ def test_gram_bound_covers_the_exact_product_of_the_float_matrices():
                    for j in range(d.n) for k in range(d.n)), d.kind
     # a polydisc body keeps its exact supremum, and projective chains have
     # no enclosure
-    assert random_witness(polydisc(3), "half_plane", rng)._gram is None
+    assert random_witness(polydisc(3), "half_plane", rng)._enclosure.h is None
     assert certify(projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
-                                    bounding_radius=100.0), seed=0).witness._gram is None
+                                    bounding_radius=100.0), seed=0).witness._enclosure is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -720,8 +835,8 @@ def test_disc_enclosure_attains_the_torus_supremum_of_a_dft_l1_image(n):
     chirp = np.exp(-1j * np.pi * (j * j if n % 2 == 0 else j * (j + 1)) / n)
     np.testing.assert_allclose(np.abs(dft @ chirp), n ** -0.5, rtol=1e-14)
     below, above = n ** -0.5 * (1.0 - 1e-9), n ** -0.5 * (1.0 + 1e-9)
-    ok = dom._disc_product_inside(d, identity, dft, dom._gram_bound(d, dft), np.zeros((2, n)),
-                                  np.array([[below] * n, [above] * n]))
+    ok = dom._disc_product_inside(dom._enclosure(d, identity, dft), np.zeros((n, 2)),
+                                  np.array([[below, above]] * n))
     assert ok.tolist() == [True, False]
     assert dom.contains(d, dft @ (below * chirp)) and not dom.contains(d, dft @ (above * chirp))
 
