@@ -724,10 +724,7 @@ def _mobius_path_exits(d, mobius, affine_inv, enclosure, inner, directions):
     m, n = directions.shape
     out = np.empty((2, m))
     chunk = max(1, _PATH_COEFFS // (n * (n + 1)))
-    # coordinate-major, as the screen takes them
-    v_t = np.ascontiguousarray(directions.T)
-    mod_t = np.abs(v_t)
-    clip = 1.0 / _row_max(mod_t.T)
+    clip = 1.0 / _row_max(np.abs(directions))
     bound = np.inf
 
     def build(rows):
@@ -752,9 +749,11 @@ def _mobius_path_exits(d, mobius, affine_inv, enclosure, inner, directions):
         stop = min(m, start + _SCREEN_ROWS)
         rows = np.arange(start, stop)
         if 0.0 < inner < bound < np.inf:
+            # coordinate-major, as the screen takes them
+            v = np.ascontiguousarray(directions[start:stop].T)
             t0 = inner * np.minimum(1.0, clip[rows])
-            screened = _disc_product_inside(enclosure, 0.5 * (t0 + bound) * v_t[:, start:stop],
-                                            0.5 * (bound - t0) * mod_t[:, start:stop])
+            screened = _disc_product_inside(enclosure, 0.5 * (t0 + bound) * v,
+                                            0.5 * (bound - t0) * np.abs(v))
             out[0, rows[screened]], out[1, rows[screened]] = bound, np.inf
             rows = rows[~screened]
         pending = np.concatenate([pending, rows])
