@@ -23,10 +23,10 @@ grid scan of the march brackets it.  A bracket is kept once the image's
 membership oracle, which pulls back through the same Mobius coefficients,
 holds at its lower end and fails at its upper end; only rays over defining
 functions, and rays whose bracket fails, march.  A Mobius map takes a disc
-onto a disc, so over affine chains a closed-form enclosure starts every scan
-at an inner radius and gives each ray that cannot hold the least exit a
-certified lower end and no path: a search bound, neither reported nor
-claimed as a certified radius.
+onto a disc, so over affine and projective chains a closed-form enclosure
+starts every scan at an inner radius and gives each ray that cannot hold
+the least exit a certified lower end and no path: a search bound, neither
+reported nor claimed as a certified radius.
 The certified numbers come from the closed forms; each witness number is the
 least exit its rays measured, so [certified, witness] brackets the inscribed
 radius of the embedding's image, up to the exit tolerance.
@@ -126,9 +126,9 @@ class WitnessMap:
     (exact contacts as columns, then the forward recursion), which
     np.linalg.inv(affine) does not reproduce bit for bit.  Construction
     derives, once, what every call of `exits` reads: the Mobius rows, the
-    constants of the closed-form disc enclosure (`domains._enclosure`; None
-    for projective chains and defining functions) and the image's inner
-    radius.
+    constants of the closed-form disc enclosure (`domains._enclosure`, over
+    affine and projective chains alike; None for defining functions) and
+    the image's inner radius.
     """
 
     domain: DomainSpec
@@ -177,8 +177,8 @@ class WitnessMap:
 
     def exits(self, dirs):
         """Exit brackets of image rays t*v from 0 (`domains._mobius_path_exits`:
-        None unless the domain's innermost base is a catalog body).  Over an
-        affine chain a ray that cannot hold the least exit of the paths
+        None unless the domain's innermost base is a catalog body).  With an
+        inner radius a ray that cannot hold the least exit of the paths
         built before its block is screened gets (lower, +inf), a certified
         lower end: its segment up to lower lies in the image by the
         closed-form disc enclosure."""

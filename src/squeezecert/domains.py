@@ -20,9 +20,10 @@ brackets taken through that map: ray_exit_batch from `_exact_exits`, a ray
 pulled back to a degree-1 path, `bounds` from `_path_exits`, a witness-image
 ray pulled back through Mobius coordinate maps by `_mobius_path_exits`; every
 chain, affine or projective, pulls a path back in one form, U(t) / alpha(t).
-Over affine chains a closed-form enclosure of Mobius images of discs starts
-each witness scan at an inner radius and, past a pilot chunk, gives the rays
-that cannot hold the least exit a certified lower end instead of a path.
+Over every chain of a catalog body, affine or projective, a closed-form
+enclosure of Mobius images of discs starts each witness scan at an inner
+radius and, past a pilot chunk, gives the rays that cannot hold the least
+exit a certified lower end instead of a path.
 Rays over ball and polydisc bases, and over l1 and lp bases under affine
 maps, give closed-form exits, bracketed within _EXIT_TOL; every other path
 gives two consecutive marks of the march from one grid scan, which Newton
@@ -110,6 +111,9 @@ _REJECTION_ROUNDS = 400
 # moduli below this vanish; a polydisc coordinate this close to the largest
 # one, relatively, touches its face
 _SMOOTH_TOL = 1e-9
+# a preimage's divisor 1 - e.u must exceed this times 1 + max|u|, or its
+# point lies on the composite map's horizon
+_HORIZON = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +195,8 @@ class DomainSpec:
         B (`_hom`, rows (q0, q) and (c', C); `_body`), and store the data of
         its one closed-form preimage: z0 = c'/q0, q0 N^-1 with N = C - z0 q^T,
         and e = q/q0.  `_projective`: some layer is projective (read by
-        `_preimage` alone, which skips the divisor 1 - e.u of affine chains).
+        `_preimage`, which skips the divisor 1 - e.u of affine chains, and by
+        `_enclosure`, which keeps no e for them).
 
         Affine maps keep `denominator` None and map with den = (1, 0, ..., 0).
         det of the composite is q0 det N, so a singular N is a degenerate map.
@@ -439,7 +444,7 @@ def _preimage(d, z):
     if not d._projective:
         return u, None
     div = 1.0 - np.einsum("...j,j->...", u, d._e)
-    ok = np.abs(div) > 1e-13 * (1.0 + _row_max(np.abs(u)))
+    ok = np.abs(div) > _HORIZON * (1.0 + _row_max(np.abs(u)))
     return u / np.where(ok, div, 1.0)[..., None], ok
 
 
@@ -715,8 +720,9 @@ def _mobius_path_exits(d, mobius, affine_inv, enclosure, inner, directions):
     least exit: its bracket is (U, +inf), a certified lower end, and it gets
     no path.  The rays a block leaves are gathered, and their paths built a
     chunk at a time once a chunk is pending, the rest at the end.  Over
-    every body the screen takes most rows of a batch.  With no inner radius
-    (no enclosure) nothing is screened and the chunks are the plain ones.
+    every body and chain, affine or projective, the screen takes most rows
+    of a batch.  With no inner radius (an image that misses the first mark's
+    polydisc) nothing is screened and the chunks are the plain ones.
     """
     if d._body.kind not in CATALOG_KINDS:
         return None
@@ -768,64 +774,139 @@ def _mobius_path_exits(d, mobius, affine_inv, enclosure, inner, directions):
 def _disc_product_inside(enclosure, a, rad):
     """Whether the witness image of `_mobius_path_exits` holds every product
     of the closed discs |y_j - a_j| <= rad_j, for `enclosure` the image's
-    `_enclosure` (an affine chain over a catalog body, or the body itself).
-    a and rad are coordinate-major, (n, m) with one product per column, so
-    that each coordinate's constants broadcast along a row; the matrix
-    products take the transposed (m, n) views, which round as row-major
-    operands do.  Returns (m,) booleans.
+    `_enclosure` (a chain over a catalog body, or the body itself).  a and
+    rad are coordinate-major, (n, m) with one product per column, so that
+    each coordinate's constants broadcast along a row; the matrix products
+    take the transposed (m, n) views, which round as row-major operands do.
+    Returns (m,) booleans: a valid product passes when its numerator bound
+    lies below its denominator bound (`_disc_product_bounds`), which is 1
+    over an affine chain.  Over a projective chain the denominator bound,
+    positive once it exceeds the numerator bound, must also clear the
+    horizon tolerance of `_preimage`, _HORIZON (1 + max|u|), where max|u| <=
+    g(u) <= the numerator bound, widened by 1 + gamma for its rounding.
+    On the chains tried the rounding slack already keeps such products out;
+    the clearance does not rely on it.
+    """
+    valid, num, den = _disc_product_bounds(enclosure, a, rad)
+    if den is None:
+        return valid & (num < 1.0)
+    return valid & (num < den) & (den > _HORIZON * (1.0 + num) * (1.0 + enclosure.gamma))
+
+
+def _disc_product_bounds(enclosure, a, rad):
+    """The bounds that `_disc_product_inside` compares, each (m,): whether
+    the product is valid (its y discs lie in the open unit disc, off their
+    Mobius poles); an upper bound on the body gauge g(u) over it; and over a
+    projective chain a lower bound on |1 - e.u| (None over an affine chain,
+    whose divisor is 1).  Every elementwise step writes in place.
 
     psi_j maps |y - a| <= R onto the disc of centre (q' conj(s') - p conj(r)
     R^2) / D and radius R |p s - q r| / D, q' = p a + q, s' = r a + s, D =
-    |s'|^2 - |r|^2 R^2 > 0.  With B = N^-1 affine_inv and off = -N^-1 z0
-    (`_n_inv`, `_z0`), discs of centres c and radii rho map into the body
-    when g(B c + off) + sup g(B (rho zeta)) < 1 over |zeta_j| <= 1, g its lp
-    gauge.  Over a polydisc body the test is the exact supremum max_k
-    (|(B c + off)_k| + sum_j |B_kj| rho_j).  Over the others it is bounded
-    by the lesser of sum_j rho_j g(B e_j) (the triangle inequality) and the
-    Gram term kappa sqrt(rho^T H rho) of `_enclosure`, which an l1 body
-    under B = DFT/n attains (where the former is sqrt(n) times larger).  The
-    y discs must lie in the open unit disc.
+    |s'|^2 - |r|^2 R^2 > 0.  With B = N^-1 affine_inv (`_n_inv`), discs of
+    centres c and radii rho map onto the points u = u_c + B (rho zeta),
+    |zeta_j| <= 1, u_c = B c - N^-1 z0, and the oracle takes w = u / (1 -
+    e.u) (`_preimage`; e = 0 over affine chains).  So the product lies in
+    the body when g(u_c) + sup g(B (rho zeta)) < delta, g its lp gauge and
+    delta = |1 - e.u_c| - sum_j |(e^T B)_j| rho_j <= |1 - e.u|.  Over a
+    polydisc body the supremum is exact: max_k (|(u_c)_k| + sum_j |B_kj|
+    rho_j).  Over the others it is bounded by the lesser of sum_j rho_j
+    g(B e_j) (the triangle inequality) and the Gram term kappa sqrt(rho^T H
+    rho) of `_enclosure`, which an l1 body under B = DFT/n attains (where
+    the former is sqrt(n) times larger).
 
-    Rounding: the radii are widened by gamma (|a| + R), gamma = 8 (3n + 8)
-    ulps, to cover the float points t v, and the test must clear 1 by gamma
-    times the gauge of |N^-1| (|affine_inv| m + |z0|), where m_j = (|p| y +
-    |q| + (|c| + rho)(|r| y + |s|)) / (|s'| - |r| R), y = |a| + R, bounds
-    the moduli that the closed form, the oracle's Mobius step and both
-    matrix products round against: each takes at most 3n + 8 steps of at
-    most 8 ulps of them.
+    Rounding: the radii are widened by gamma (|a| + R) to cover the float
+    points t v, and the numerator bound adds gamma times the gauge of err =
+    |N^-1| (|affine_inv| m + |z0|), where m_j = (|p| y + |q| + (|c| + rho)
+    (|r| y + |s|)) / (|s'| - |r| R), y = |a| + R, bounds the moduli that the
+    closed form, the oracle's Mobius step and both matrix products round
+    against (m_j >= |c_j| + rho_j, so err_k >= |u_k|): each takes at most
+    3n + 8 steps of at most 8 ulps of them, gamma = 8 (3n + 8) ulps over an
+    affine chain.  A projective chain adds the n + 2 steps of div = 1 - e.u
+    (n products and sums, the subtraction from 1) and of u / div, so gamma
+    = 8 (4n + 10) ulps there.  Its denominator bound subtracts gamma (1 +
+    sum_k |e_k| err_k): the rounding of u, of e.u_c and of e^T B moves e.u
+    by at most gamma sum_k |e_k| err_k, and the steps of div round against
+    1 + sum_k |e_k| |u_k|.  The division's step is relative to g(u) <=
+    g(err), within the numerator's gamma g(err).
     """
-    e = enclosure
+    enc = enclosure
     mod_a = np.abs(a)
-    rad = rad + e.gamma * (mod_a + rad)
-    top = mod_a + rad
-    q1, s1 = e.p * a + e.q, e.r * a + e.s
+    wide = mod_a + rad
+    wide *= enc.gamma
+    wide += rad
+    top = mod_a
+    top += wide
+    q1 = enc.p * a
+    q1 += enc.q
+    s1 = enc.r * a
+    s1 += enc.s
     mod_s1 = np.abs(s1)
-    gap = mod_s1 - e.mod_r * rad
+    gap = enc.mod_r * wide
+    span = mod_s1 + gap
+    np.subtract(mod_s1, gap, out=gap)
+    span *= gap
     with np.errstate(divide="ignore", invalid="ignore"):
-        span = gap * (mod_s1 + e.mod_r * rad)
-        centre = (q1 * s1.conj() - e.pr * rad ** 2) / span
-        rho = rad * e.det / span
-        mag = (e.mod_p * top + e.mod_q + (np.abs(centre) + rho) * (e.mod_r * top + e.mod_s)
-               ) / gap
-    w = centre.T @ e.mat_t - e.n_inv_z0
-    err = (mag.T @ e.abs_affine_t + e.abs_z0) @ e.abs_n_inv_t
+        centre = q1
+        centre *= np.conj(s1, out=s1)
+        centre -= enc.pr * np.square(wide)
+        centre /= span
+        rho = wide * enc.det
+        rho /= span
+        mag = enc.mod_p * top
+        mag += enc.mod_q
+        far = np.abs(centre)
+        far += rho
+        scale = enc.mod_r * top
+        scale += enc.mod_s
+        far *= scale
+        mag += far
+        mag /= gap
+    w = centre.T @ enc.mat_t
+    w -= enc.n_inv_z0
+    err = mag.T @ enc.abs_affine_t
+    err += enc.abs_z0
+    err = err @ enc.abs_n_inv_t
     # a matrix-vector product of a transposed view rounds otherwise
     rho = np.ascontiguousarray(rho.T)
-    if e.g == math.inf:
-        f = _row_max(np.abs(w) + rho @ e.abs_mat_t)
+    if enc.g == math.inf:
+        f = rho @ enc.abs_mat_t
+        f += np.abs(w)
+        f = _row_max(f)
         slack = _row_max(err)
     else:
         # a disc over a pole (rho < 0, failed by gap) may take a nan root
+        torus = rho @ enc.h
+        torus *= rho
+        torus = _row_sum(torus)
         with np.errstate(invalid="ignore"):
-            torus = np.minimum(rho @ e.gauges, e.kappa * np.sqrt(_row_sum((rho @ e.h) * rho)))
-        f = _row_norm(w, e.g) + torus
-        slack = _row_norm(err, e.g)
-    return _row_all(((gap > 0.0) & (top < 1.0)).T) & (f + e.gamma * slack < 1.0)
+            np.sqrt(torus, out=torus)
+        torus *= enc.kappa
+        torus = np.minimum(rho @ enc.gauges, torus, out=torus)
+        f = _row_norm(w, enc.g)
+        f += torus
+        slack = _row_norm(err, enc.g)
+    num = np.multiply(slack, enc.gamma, out=slack)
+    num += f
+    valid = gap > 0.0
+    valid &= top < 1.0
+    valid = _row_all(valid.T)
+    if enc.e is None:
+        return valid, num, None
+    den = w @ enc.e
+    np.subtract(1.0, den, out=den)
+    den = np.abs(den)
+    den -= rho @ enc.abs_eb
+    drift = err @ enc.abs_e
+    drift += 1.0
+    drift *= enc.gamma
+    den -= drift
+    return valid, num, den
 
 
 # the constants of `_disc_product_inside` for one witness image (`_enclosure`)
 _Enclosure = namedtuple("_Enclosure", "g gamma p q r s pr mod_p mod_q mod_r mod_s det mat_t "
-                        "abs_mat_t gauges abs_affine_t abs_n_inv_t n_inv_z0 abs_z0 h kappa")
+                        "abs_mat_t gauges abs_affine_t abs_n_inv_t n_inv_z0 abs_z0 h kappa "
+                        "e abs_e abs_eb")
 
 
 def _enclosure(d, mobius, affine_inv):
@@ -834,9 +915,11 @@ def _enclosure(d, mobius, affine_inv):
     witness: d's body gauge exponent g and the rounding unit gamma; the rows
     p, q, r, s as (n, 1) columns, p conj(r), their moduli and |p s - q r|;
     B^T and |B|^T for B = N^-1 affine_inv, and B's column gauges;
-    |affine_inv|^T, |N^-1|^T, N^-1 z0 and |z0|; and the Gram term (H,
-    kappa).  None where the image has no enclosure (projective chains and
-    defining functions).
+    |affine_inv|^T, |N^-1|^T, N^-1 z0 and |z0|; the Gram term (H, kappa);
+    and, over a projective chain, the denominator's e = q / q0 with |e| and
+    |e^T B| (all three None over an affine chain, whose divisor 1 - e.u is
+    1).  Every chain over a catalog body, affine or projective, has one;
+    None over defining functions.
 
     Gram term: for |zeta_j| <= 1, g(B (rho zeta)) <= kappa |B (rho zeta)|_2
     <= kappa sqrt(rho^T H rho), with kappa = n^(1/p - 1/2) for p < 2, 1 for
@@ -844,33 +927,38 @@ def _enclosure(d, mobius, affine_inv):
     matrices.  The gauges, H and kappa are None over a polydisc body, whose
     test is exact.
 
-    Rounding, in gamma: H = |fl(M^H M)| + gamma E^T E, M = fl(N^-1
-    affine_inv), E = |N^-1| |affine_inv|.  M lies within n steps of at most
-    8 ulps of E of B, and fl(M^H M) within n steps of |M|^T |M| of M^H M, so
-    B^H B - fl(M^H M) takes 3n steps of E^T E; the 8 steps left cover its
-    second-order terms and the rounding of E^T E and of the sum.  kappa is
-    widened by 1 + gamma, which covers pow and the n + 3 rounded steps of
-    kappa sqrt(rho^T H rho).
+    Rounding, in gamma (8 (3n + 8) ulps over an affine chain, 8 (4n + 10)
+    over a projective one, `_disc_product_bounds`): H = |fl(M^H M)| + gamma
+    E^T E, M = fl(N^-1 affine_inv), E = |N^-1| |affine_inv|.  M lies within
+    n steps of at most 8 ulps of E of B, and fl(M^H M) within n steps of
+    |M|^T |M| of M^H M, so B^H B - fl(M^H M) takes 3n steps of E^T E; the 8
+    steps left cover its second-order terms and the rounding of E^T E and
+    of the sum.  kappa is widened by 1 + gamma, which covers pow and the
+    n + 3 rounded steps of kappa sqrt(rho^T H rho).
     """
-    if d._projective or d._body.kind not in CATALOG_KINDS:
+    if d._body.kind not in CATALOG_KINDS:
         return None
-    g = d._body._p
-    gamma = 8 * (3 * d.n + 8) * math.ulp(1.0)
+    g, n = d._body._p, d.n
+    gamma = 8 * (4 * n + 10 if d._projective else 3 * n + 8) * math.ulp(1.0)
     if d.kind in IMAGE_KINDS:
         n_inv, z0 = d._n_inv, d._z0
     else:
-        n_inv, z0 = np.eye(d.n), np.zeros(d.n)
+        n_inv, z0 = np.eye(n), np.zeros(n)
     mat = n_inv @ affine_inv
-    gauges = h = kappa = None
+    gauges = h = kappa = e = abs_e = abs_eb = None
     if g != math.inf:
         size = np.abs(n_inv) @ np.abs(affine_inv)
         gauges = np.linalg.norm(mat, ord=g, axis=0)
         h = np.abs(mat.conj().T @ mat) + gamma * (size.T @ size)
-        kappa = d.n ** max(1.0 / g - 0.5, 0.0) * (1.0 + gamma)
+        kappa = n ** max(1.0 / g - 0.5, 0.0) * (1.0 + gamma)
+    if d._projective:
+        e = d._e
+        abs_e, abs_eb = np.abs(e), np.abs(e @ mat)
     p, q, r, s = mobius[:, :, None]
     return _Enclosure(g, gamma, p, q, r, s, p * r.conj(), np.abs(p), np.abs(q), np.abs(r),
                       np.abs(s), np.abs(p * s - q * r), mat.T, np.abs(mat).T, gauges,
-                      np.abs(affine_inv).T, np.abs(n_inv).T, n_inv @ z0, np.abs(z0), h, kappa)
+                      np.abs(affine_inv).T, np.abs(n_inv).T, n_inv @ z0, np.abs(z0), h, kappa,
+                      e, abs_e, abs_eb)
 
 
 def _inner_radius(enclosure):
@@ -878,9 +966,11 @@ def _inner_radius(enclosure):
     the marks of the march, which are all the grid scan resolves: the last
     mark below 1 up to which every mark's closed polydisc passes
     `_disc_product_inside` under `enclosure`, the witness's `_enclosure`; 0
-    if none does, or with no enclosure (projective chains and defining
-    functions).  Over l1 and ball bodies under a near-unitary affine part
-    the Gram term puts T near the image's inscribed polydisc radius."""
+    if none does, or with no enclosure (defining functions).  Projective
+    chains have one as affine chains do: projective_image(ball(2), I, 0,
+    (2, 0.5, 0)) gets T = 0.471 against a measured s_hat of 0.554.  Over l1
+    and ball bodies under a near-unitary affine part the Gram term puts T
+    near the image's inscribed polydisc radius."""
     if enclosure is None:
         return 0.0
     marks = _marks(1.0)[:-1]

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -573,14 +574,22 @@ def test_projective_ball_witness_rows_pass_both_end_checks():
     assert abs(lower.min() / math.sqrt(2) - rep.witness_s) <= dom._EXIT_TOL
 
 
+def without_inner_radius(w):
+    """w with its inner radius set to 0, as a witness image whose enclosure
+    passes no mark has it: no scan start, no pilot and no screen."""
+    object.__setattr__(w, "_inner", 0.0)
+    return w
+
+
 def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
-    # a projective image of ball(2) has no enclosure, so no ray is screened:
-    # its 12 000 witness rays go in three chunks of at most 4096, each of
-    # which builds paths for every row.  Newton gets only rows whose lower
-    # end lies below the least upper end of the chunks before, and the least
-    # exit is the one of refining every chunk on its own
+    # a witness of a projective image of ball(2) with no inner radius, so no
+    # ray is screened: its 12 000 witness rays go in three chunks of at most
+    # 4096, each of which builds paths for every row.  Newton gets only rows
+    # whose lower end lies below the least upper end of the chunks before,
+    # and the least exit is the one of refining every chunk on its own
     d = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0], bounding_radius=100.0)
     rep = certify(d, seed=0)
+    without_inner_radius(rep.witness)
     assert rep.witness._inner == 0.0
     exits = rep.witness.exits
     dirs = boundary_samples(ball(2), 12000, np.random.default_rng(0))
@@ -621,24 +630,29 @@ def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
 def test_disc_enclosure_is_sound_for_the_scan_start_and_the_screen(n):
-    # over affine chains and catalog bodies: every mark of the march up to
-    # the inner radius T is inside along every ray, every screened row
-    # exits above its certified lower end, and each product of discs that
-    # passes `_disc_product_inside` lies in the image, its distinguished
-    # boundary included.  Affine parts near the DFT matrix make the Gram
-    # term the lesser one over ball, l1 and lp bodies
+    # over affine and projective chains of catalog bodies: every mark of the
+    # march up to the inner radius T is inside along every ray, every
+    # screened row exits above its certified lower end, and each product of
+    # discs that passes `_disc_product_inside` lies in the image, its
+    # distinguished boundary included.  Affine parts near the DFT matrix make
+    # the Gram term the lesser one over ball, l1 and lp bodies
     rng = np.random.default_rng(60 + n)
     closed, scanned = witness_path_fixtures(n, rng)
     origin = np.zeros(n, dtype=complex)
     screened = passed = 0
+    projective = {False: 0, True: 0}
     for maps, near_dft in (("half_plane", False), ("disc", False), ("half_plane", True)):
         for name, d in {**closed, **scanned}.items():
-            if d._projective:
-                continue
             w = random_witness(d, maps, rng, near_dft)
             oracle = w.contains
             inner = w._inner
-            assert inner > 0.0, (maps, name)
+            if inner == 0.0:
+                # no mark passes only where the image misses a point of the
+                # first mark's polydisc (the cayley image under a random disc
+                # witness at n = 6 reaches 0.007 along some rays)
+                dirs = boundary_samples(polydisc(n), 2000, rng)
+                assert not oracle(dom._MARCH_START * dirs).all(), (maps, name)
+                continue
             for body in (ball(n), polydisc(n)):
                 # past one chunk of paths, so that later chunks are screened
                 dirs = boundary_samples(body, dom._PATH_COEFFS // (n * n + n) + 1500, rng)
@@ -657,7 +671,9 @@ def test_disc_enclosure_is_sound_for_the_scan_start_and_the_screen(n):
             assert oracle(a[ok] + rad[ok] * edge).all(), (maps, name)
             passed += ok.sum()
             assert not ok.all(), (maps, name)
+            projective[d._projective] += 1
     assert screened > 0 and passed > 0
+    assert projective[True] >= 2
 
 
 def _row_major_gram_bound(d, affine_inv):
@@ -827,11 +843,13 @@ def test_gram_bound_covers_the_exact_product_of_the_float_matrices():
         exact = _exact_gram_moduli_squared(n_inv, w.inverse)
         assert all(Fraction(h[j, k]) ** 2 >= exact[j][k]
                    for j in range(d.n) for k in range(d.n)), d.kind
-    # a polydisc body keeps its exact supremum, and projective chains have
+    # a polydisc body keeps its exact supremum, and defining functions have
     # no enclosure
     assert random_witness(polydisc(3), "half_plane", rng)._enclosure.h is None
-    assert certify(projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
-                                    bounding_radius=100.0), seed=0).witness._enclosure is None
+    w = certify(projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                 bounding_radius=100.0), seed=0).witness
+    assert dom._enclosure(defining_domain(2, "abs(z1)**2+abs(z2)**2-1", "convex"), w._mobius,
+                          w.inverse) is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
@@ -853,6 +871,140 @@ def test_disc_enclosure_attains_the_torus_supremum_of_a_dft_l1_image(n):
                                   np.array([[below, above]] * n))
     assert ok.tolist() == [True, False]
     assert dom.contains(d, dft @ (below * chirp)) and not dom.contains(d, dft @ (above * chirp))
+
+
+def _gaussian(x):
+    x = complex(x)
+    return Fraction(x.real), Fraction(x.imag)
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gdot(row, vec):
+    terms = [_gmul(_gaussian(x), v) for x, v in zip(row, vec)]
+    return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+
+def _exact_divisor_squared(w, y):
+    """|1 - e.u|^2 in exact rationals at the float point y of the witness
+    image: u = N^-1 (affine_inv psi(y) - z0) from the float Mobius rows,
+    matrices, z0 and e, each taken exactly."""
+    d = w.domain
+    psi = []
+    for (p, q, r, s), yj in zip(w._mobius.T, y):
+        num = _gmul(_gaussian(p), _gaussian(yj))
+        num = (num[0] + _gaussian(q)[0], num[1] + _gaussian(q)[1])
+        den = _gmul(_gaussian(r), _gaussian(yj))
+        den = (den[0] + _gaussian(s)[0], den[1] + _gaussian(s)[1])
+        size = den[0] ** 2 + den[1] ** 2
+        top = _gmul(num, (den[0], -den[1]))
+        psi.append((top[0] / size, top[1] / size))
+    z = [_gdot(row, psi) for row in w.inverse]
+    z = [(zk[0] - _gaussian(c)[0], zk[1] - _gaussian(c)[1]) for zk, c in zip(z, d._z0)]
+    u = [_gdot(row, z) for row in d._n_inv]
+    eu = _gdot(d._e, u)
+    return (1 - eu[0]) ** 2 + eu[1] ** 2
+
+
+def projective_witnesses(rng):
+    """Witnesses of projective chains: the projective family ball's, as
+    certify builds it, and random ones over the cayley fixtures at n = 2, 3
+    and a sheared projective lp ball."""
+    ball_family = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                   bounding_radius=100.0)
+    out = [certify(ball_family, seed=0).witness]
+    for n in (2, 3):
+        cayley = witness_path_fixtures(n, rng)[0]["cayley"]
+        out += [random_witness(cayley, maps, rng) for maps in ("half_plane", "disc")]
+    shear = np.eye(3, dtype=complex) + np.tril(np.full((3, 3), 0.4 - 0.3j), -1)
+    lp = projective_image(lp_ball(3, 1.5), shear, np.zeros(3), [2.0, 0.3j, 0.0, -0.4],
+                          bounding_radius=100.0)
+    out.append(random_witness(lp, "half_plane", rng))
+    return out
+
+
+def test_projective_denominator_bound_holds_in_exact_arithmetic():
+    # delta <= |1 - e.u| in exact rationals on the distinguished boundary of
+    # products that pass, where |1 - e.u|, holomorphic and zero-free over a
+    # product, takes its least modulus
+    rng = np.random.default_rng(90)
+    checked = 0
+    for w in projective_witnesses(rng):
+        n, inner = w.n, w._inner
+        assert inner > 0.0
+        phase = np.exp(2j * np.pi * rng.uniform(size=(100, n)))
+        a = inner * rng.uniform(0, 1, (100, n)) * phase
+        rad = inner * rng.uniform(0, 1.5, (100, n))
+        ok = dom._disc_product_inside(w._enclosure, a.T, rad.T)
+        _, num, den = dom._disc_product_bounds(w._enclosure, a.T, rad.T)
+        assert 0 < ok.sum() < ok.size
+        for k in np.flatnonzero(ok)[:12]:
+            assert 0.0 <= num[k] < den[k]
+            edge = np.exp(2j * np.pi * rng.uniform(size=(8, n)))
+            for y in a[k] + rad[k] * edge:
+                assert Fraction(den[k]) ** 2 <= _exact_divisor_squared(w, y)
+                checked += 1
+    assert checked >= 300
+
+
+def test_projective_enclosure_edge_keeps_both_rounding_slacks():
+    # w = z / (1 + 0.9 z_1) over ball(2) under the identity witness: along
+    # the negative real z_1 axis the body's edge is 1 / (1 + 0.9) exactly,
+    # and there the numerator and the denominator reach their bounds at one
+    # point.  The points that pass stop short of it by the two rounding
+    # slacks and the widened radii: 4.0 gamma relative (2.05 gamma without
+    # the denominator's slack)
+    d = projective_image(ball(2), np.eye(2), np.zeros(2), [1.0, -0.9, 0.0])
+    identity = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex).repeat(2, axis=1)
+    enc = dom._enclosure(d, identity, np.eye(2, dtype=complex))
+    assert enc.gamma == 8 * (4 * 2 + 10) * math.ulp(1.0)
+
+    def passes(x):
+        return dom._disc_product_inside(enc, np.array([[-x], [0.0]], dtype=complex),
+                                        np.zeros((2, 1)))[0]
+
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+    margin = float(1 - Fraction(lo) * (1 + Fraction(0.9))) / enc.gamma
+    assert 3.0 <= margin <= 5.0
+    assert dom.contains(d, np.array([-lo, 0.0]))
+
+
+def test_disc_enclosure_clears_the_horizon_of_the_preimage():
+    # a point product at u = (x, 0) with e.u = 1 - 0.99e-13, for an e far
+    # outside the unit dual ball that no bounded chain has: its divisor lies
+    # under `_preimage`'s horizon tolerance, where the oracle puts the point
+    # at +inf.  With the rounding slack taken out (gamma = 0), its
+    # denominator bound still clears the numerator bound, and the horizon
+    # clearance alone keeps it from passing
+    d = projective_image(ball(2), np.eye(2), np.zeros(2), [1.0, -0.9, 0.0])
+    identity = np.array([[1.0], [0.0], [0.0], [1.0]], dtype=complex).repeat(2, axis=1)
+    x = 1e-17
+    e = np.array([(1.0 - 0.99e-13) / x, 0.0], dtype=complex)
+    enc = dom._enclosure(d, identity, np.eye(2, dtype=complex))._replace(
+        gamma=0.0, e=e, abs_e=np.abs(e), abs_eb=np.abs(e))
+    a, rad = np.array([[x], [0.0]], dtype=complex), np.zeros((2, 1))
+    valid, num, den = dom._disc_product_bounds(enc, a, rad)
+    assert valid[0] and 0.0 < num[0] < den[0] < dom._HORIZON
+    assert not dom._disc_product_inside(enc, a, rad)[0]
+    chain = SimpleNamespace(_z0=np.zeros(2), _n_inv=np.eye(2), _projective=True, _e=e)
+    assert not dom._preimage(chain, a.T)[1][0]
+
+
+def test_projective_family_ball_witness_is_screened(monkeypatch):
+    # the cconvex_images fixture's witness at seed 0: an inner radius, and a
+    # screen that leaves few of its 24 000 rays a path (24 024 rows without)
+    rep = certify(projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0],
+                                   bounding_radius=100.0), seed=0)
+    w = rep.witness
+    assert w._inner > 0.0
+    sizes = path_rows_per_call(monkeypatch)
+    assert w.radii(12000, 0) == (rep.witness_s, rep.witness_s_hat)
+    assert sum(sizes) <= 4000
 
 
 def test_first_exits_gives_up_a_certified_row_at_the_least_held_upper_end():
@@ -916,10 +1068,11 @@ def path_rows_per_call(monkeypatch):
 
 
 def test_witness_without_an_inner_radius_keeps_the_plain_chunks(monkeypatch):
-    # a projective chain has no enclosure (inner radius 0): no pilot and no
-    # screen, one `_path_exits` call per chunk of _PATH_COEFFS coefficients
+    # a witness with inner radius 0: no pilot and no screen, one
+    # `_path_exits` call per chunk of _PATH_COEFFS coefficients
     d = projective_image(ball(2), np.eye(2), np.zeros(2), [2.0, 0.5, 0.0], bounding_radius=100.0)
     rep = certify(d, seed=0)
+    without_inner_radius(rep.witness)
     assert rep.witness._inner == 0.0
     dirs = boundary_samples(ball(2), 12000, np.random.default_rng(0))
     sizes = path_rows_per_call(monkeypatch)

@@ -45,6 +45,28 @@ def projective_spec(tmp_path):
     return str(path)
 
 
+def test_one_parser_serves_a_usage_error_then_a_bound(ball_spec, tmp_path, capsys):
+    # main builds its parser once per process; an argparse usage error leaves
+    # it as built, so a bound after it exits and reports as with fresh parsers
+    out = str(tmp_path / "report.json")
+
+    def error_then_bound():
+        rc_error, _, err = run_cli(["bound", ball_spec, "--seed", "x"], capsys)
+        rc_bound, _, _ = run_cli(["bound", ball_spec, "--out", out], capsys)
+        return rc_error, err, rc_bound, pathlib.Path(out).read_text()
+
+    cli._parser.cache_clear()
+    shared = error_then_bound()
+    assert cli._parser() is cli._parser()
+    fresh = []
+    for argv in (["bound", ball_spec, "--seed", "x"], ["bound", ball_spec, "--out", out]):
+        cli._parser.cache_clear()
+        fresh.append(run_cli(argv, capsys))
+    assert shared[:2] == (EXIT_USAGE, fresh[0][2]) and "--seed" in shared[1]
+    assert shared[2] == fresh[1][0] == EXIT_OK
+    assert shared[3] == pathlib.Path(out).read_text()
+
+
 # -- constants ----------------------------------------------------------------
 
 def test_constants_csv(capsys):
