@@ -302,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("constants", parents=[], help="universal constants table")
     p.add_argument("--n-max", type=int, default=10, help="largest dimension (2..64)")
     _add_options(p, "format", "out")
-    p.set_defaults(func=cmd_constants)
 
     p = subs.add_parser("bound", help="certify one domain from a JSON spec")
     p.add_argument("spec", help="path to a domain spec JSON file")
@@ -311,14 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", default=None,
                    help="interior base point as comma-separated complex literals")
     _add_options(p, "seed", "tol", "samples", "out")
-    p.set_defaults(func=cmd_bound)
 
     p = subs.add_parser("verify", help="run property suites")
     p.add_argument("--suite", default="all", help=f"one of {SUITES}")
     p.add_argument("--n", default=None, help="dimension or range LO..HI")
     p.add_argument("--trials", type=_count, default=None)
     _add_options(p, "seed", "samples", "out")
-    p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("probe-kappa", help="empirical infimum probe over one family")
     p.add_argument("--family", required=True, choices=KAPPA_FAMILIES)
@@ -327,21 +324,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="convexity_class", choices=("convex", "cconvex"),
                    default=None, help="certification class (default: family default)")
     _add_options(p, "seed", "samples", "out")
-    p.set_defaults(func=cmd_probe_kappa)
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing leaves it as built."""
-    return build_parser()
+# the one parser of the process, built by the first main call: parsing
+# leaves it as built, and it holds no command function, so main looks each
+# up when it runs
+_PARSER = None
 
 
 def main(argv=None) -> int:
-    parser = _parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     args = parser.parse_args(argv)
+    command = {"constants": cmd_constants, "bound": cmd_bound, "verify": cmd_verify,
+               "probe-kappa": cmd_probe_kappa}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (UsageError, FileNotFoundError, DomainFormatError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,22 +45,24 @@ def projective_spec(tmp_path):
     return str(path)
 
 
-def test_one_parser_serves_a_usage_error_then_a_bound(ball_spec, tmp_path, capsys):
+def test_one_parser_serves_a_usage_error_then_a_bound(ball_spec, tmp_path, capsys,
+                                                     monkeypatch):
     # main builds its parser once per process; an argparse usage error leaves
     # it as built, so a bound after it exits and reports as with fresh parsers
     out = str(tmp_path / "report.json")
 
     def error_then_bound():
         rc_error, _, err = run_cli(["bound", ball_spec, "--seed", "x"], capsys)
+        parser = cli._PARSER
         rc_bound, _, _ = run_cli(["bound", ball_spec, "--out", out], capsys)
+        assert cli._PARSER is parser
         return rc_error, err, rc_bound, pathlib.Path(out).read_text()
 
-    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "_PARSER", None)
     shared = error_then_bound()
-    assert cli._parser() is cli._parser()
     fresh = []
     for argv in (["bound", ball_spec, "--seed", "x"], ["bound", ball_spec, "--out", out]):
-        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "_PARSER", None)
         fresh.append(run_cli(argv, capsys))
     assert shared[:2] == (EXIT_USAGE, fresh[0][2]) and "--seed" in shared[1]
     assert shared[2] == fresh[1][0] == EXIT_OK
