@@ -575,10 +575,9 @@ def test_projective_ball_witness_rows_pass_both_end_checks():
 
 
 def without_inner_radius(w):
-    """w with its inner radius set to 0, as a witness image whose enclosure
-    passes no mark has it: no scan start, no pilot and no screen."""
+    """Set w's inner radius to 0, as a witness image whose enclosure passes
+    no mark has it: no scan start, no pilot and no screen."""
     object.__setattr__(w, "_inner", 0.0)
-    return w
 
 
 def test_witness_chunks_refine_only_below_the_running_bound(monkeypatch):
@@ -805,20 +804,24 @@ def test_gathered_witness_chunks_on_l1ball6(monkeypatch):
     assert max(screens) <= dom._SCREEN_ROWS and sum(screens) == rays
 
 
+def _exact(values):
+    """Complex floats as exact Gaussian rationals (re, im)."""
+    return [(Fraction(complex(x).real), Fraction(complex(x).imag)) for x in values]
+
+
+def _dot(xs, ys):
+    """sum_j x_j y_j of Gaussian rationals."""
+    return (sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(xs, ys)),
+            sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(xs, ys)))
+
+
 def _exact_gram_moduli_squared(n_inv, affine_inv):
     """|B^H B|^2 entrywise in exact rationals, B the exact product of the two
     float matrices."""
-    def exact(mat):
-        return [[(Fraction(x.real), Fraction(x.imag)) for x in row] for row in mat]
-
-    def dot(xs, ys):
-        return (sum(x[0] * y[0] - x[1] * y[1] for x, y in zip(xs, ys)),
-                sum(x[0] * y[1] + x[1] * y[0] for x, y in zip(xs, ys)))
-
-    left, right = exact(n_inv), exact(affine_inv.T)
-    cols = [[dot(row, col) for row in left] for col in right]  # the columns of B
+    left, right = [_exact(row) for row in n_inv], [_exact(col) for col in affine_inv.T]
+    cols = [[_dot(row, col) for row in left] for col in right]  # the columns of B
     conj = [[(x[0], -x[1]) for x in col] for col in cols]
-    return [[sum(v * v for v in dot(cj, ck)) for ck in cols] for cj in conj]
+    return [[sum(v * v for v in _dot(cj, ck)) for ck in cols] for cj in conj]
 
 
 def test_gram_bound_covers_the_exact_product_of_the_float_matrices():
@@ -873,38 +876,21 @@ def test_disc_enclosure_attains_the_torus_supremum_of_a_dft_l1_image(n):
     assert dom.contains(d, dft @ (below * chirp)) and not dom.contains(d, dft @ (above * chirp))
 
 
-def _gaussian(x):
-    x = complex(x)
-    return Fraction(x.real), Fraction(x.imag)
-
-
-def _gmul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _gdot(row, vec):
-    terms = [_gmul(_gaussian(x), v) for x, v in zip(row, vec)]
-    return sum(t[0] for t in terms), sum(t[1] for t in terms)
-
-
 def _exact_divisor_squared(w, y):
     """|1 - e.u|^2 in exact rationals at the float point y of the witness
     image: u = N^-1 (affine_inv psi(y) - z0) from the float Mobius rows,
     matrices, z0 and e, each taken exactly."""
-    d = w.domain
+    d, one = w.domain, (Fraction(1), Fraction(0))
     psi = []
-    for (p, q, r, s), yj in zip(w._mobius.T, y):
-        num = _gmul(_gaussian(p), _gaussian(yj))
-        num = (num[0] + _gaussian(q)[0], num[1] + _gaussian(q)[1])
-        den = _gmul(_gaussian(r), _gaussian(yj))
-        den = (den[0] + _gaussian(s)[0], den[1] + _gaussian(s)[1])
+    for coeffs, yj in zip(w._mobius.T, _exact(y)):
+        p, q, r, s = _exact(coeffs)
+        num, den = _dot((p, q), (yj, one)), _dot((r, s), (yj, one))
         size = den[0] ** 2 + den[1] ** 2
-        top = _gmul(num, (den[0], -den[1]))
+        top = _dot((num,), ((den[0], -den[1]),))
         psi.append((top[0] / size, top[1] / size))
-    z = [_gdot(row, psi) for row in w.inverse]
-    z = [(zk[0] - _gaussian(c)[0], zk[1] - _gaussian(c)[1]) for zk, c in zip(z, d._z0)]
-    u = [_gdot(row, z) for row in d._n_inv]
-    eu = _gdot(d._e, u)
+    z = [_dot(_exact(row), psi) for row in w.inverse]
+    z = [(zk[0] - c[0], zk[1] - c[1]) for zk, c in zip(z, _exact(d._z0))]
+    eu = _dot(_exact(d._e), [_dot(_exact(row), z) for row in d._n_inv])
     return (1 - eu[0]) ** 2 + eu[1] ** 2
 
 
